@@ -1,11 +1,12 @@
 """Conflict-driven search core over 0/1 columns.
 
-Consumes the same lowered rows the MILP path uses: linear constraints over
-binary columns with integral coefficients. Rows whose normalized form is a
-plain disjunction are propagated with two watched literals; the remaining
-pseudo-Boolean rows are propagated by counting (track the largest value the
-left side can still reach; when that dips below the bound plus a literal's
-weight, the literal is forced). Conflicts are analyzed to a
+Takes two kinds of rows: clauses, given directly as literal lists
+(add_clause), and linear constraints over binary columns with integral
+coefficients (add_linear). Clauses, and linear rows whose normalized form
+is a plain disjunction, are propagated with two watched literals; the
+remaining pseudo-Boolean rows are propagated by counting (track the largest
+value the left side can still reach; when that dips below the bound plus a
+literal's weight, the literal is forced). Conflicts are analyzed to a
 first-unique-implication-point clause, which is learned and drives
 non-chronological backjumping. Activity-ordered decisions with phase
 saving, Luby restarts, and periodic deletion of inactive learned clauses
@@ -24,8 +25,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-
-import numpy as np
 
 _UNSET = -1
 
@@ -46,7 +45,7 @@ class Searcher:
 
     Constraints may be added between search() calls (the search state is
     rewound to the root first). search() returns "sat", "unsat", or
-    "timeout"; after "sat", model() holds a full 0/1 column vector.
+    "timeout"; after "sat", model() holds a full 0/1 column list.
     """
 
     def __init__(self, nvars: int):
@@ -81,12 +80,18 @@ class Searcher:
         self.hard_unsat = False
         self._pending_pb: list[int] = []
         self._pending_cl: list[int] = []
-        self._model: np.ndarray | None = None
+        self._model: list[int] | None = None
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
 
     # -- construction -------------------------------------------------------
+
+    def add_clause(self, lits: list[int]) -> None:
+        """Register the disjunction of lits: non-empty, with no repeated
+        literal and no complementary pair. The list is copied."""
+        self._pending_cl.append(self._new_clause(list(lits), learned=False,
+                                                 register=False))
 
     def add_linear(self, coeffs: dict[int, float], lb: float, ub: float) -> None:
         """Register lb <= sum coef*x <= ub (either bound may be infinite)."""
@@ -496,11 +501,11 @@ class Searcher:
                     self._backtrack(0)
                 continue
             if self.num_assigned == self.nvars:
-                self._model = np.array(self.val, dtype=np.int8)
+                self._model = self.val[:]
                 return "sat"
             self._decide()
 
-    def model(self) -> np.ndarray:
+    def model(self) -> list[int]:
         if self._model is None:
             raise RuntimeError("no model captured")
         return self._model

@@ -107,6 +107,10 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             m.require(sv.Implies(sv.Eq(time[g.index], t),
                                  sv.EqVar(pi[g.qubits[0]][t], space[g.index])))
 
+    # Clause families below are written as literal lists for
+    # require_clause: (handle, value, False) is a negated guard "handle !=
+    # value", (handle, value, True) the consequent "handle == value".
+
     # eq4: 2q gate's edge hosts its operands, either orientation
     # (each operand on an endpoint; eq1 injectivity forces opposite ends)
     for g in circuit.gates:
@@ -114,23 +118,24 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             continue
         tq, tqp = g.qubits
         for t in range(T):
+            not_now = (time[g.index], t, False)
             for k, (a, b) in enumerate(device.edges):
-                here = sv.And(sv.Eq(time[g.index], t), sv.Eq(space[g.index], k))
-                m.require(sv.Implies(here, sv.And(
-                    sv.Or(sv.Eq(pi[tq][t], a), sv.Eq(pi[tq][t], b)),
-                    sv.Or(sv.Eq(pi[tqp][t], a), sv.Eq(pi[tqp][t], b)))))
+                not_here = (space[g.index], k, False)
+                for q in (tq, tqp):
+                    m.require_clause([not_now, not_here,
+                                      (pi[q][t], a, True), (pi[q][t], b, True)])
 
     # eq5: a SWAP takes S slots, none can finish before slot S-1
     for k in range(K):
         for t in range(min(S - 1, T)):
-            m.require(sv.Eq(sigma[k][t], 0))
+            m.require_clause([(sigma[k][t], 0, True)])
 
     # eq6: SWAPs on one edge never overlap
     for k in range(K):
         for t in range(S - 1, T):
             for tp in range(t - S + 1, t):
                 if tp >= 0:
-                    m.require(sv.Implies(sv.Eq(sigma[k][t], 1), sv.Eq(sigma[k][tp], 0)))
+                    m.require_clause([(sigma[k][t], 1, False), (sigma[k][tp], 0, True)])
 
     # eq7: SWAPs on overlapping edges never overlap (both directions)
     for k, kp in sorted(device.overlap_pairs):
@@ -138,24 +143,23 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             for tp in range(t - S + 1, t + 1):
                 if tp < 0:
                     continue
-                m.require(sv.Implies(sv.Eq(sigma[k][t], 1), sv.Eq(sigma[kp][tp], 0)))
+                m.require_clause([(sigma[k][t], 1, False), (sigma[kp][tp], 0, True)])
                 if tp < t:
-                    m.require(sv.Implies(sv.Eq(sigma[kp][t], 1), sv.Eq(sigma[k][tp], 0)))
+                    m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
 
     if config.gate_swap_conflicts:
         # eq8: a SWAP window excludes 1q gates on either endpoint
         for k in range(K):
             a, b = device.edges[k]
             for t in range(S - 1, T):
+                off = (sigma[k][t], 0, True)
                 for tp in range(max(0, t - S + 1), t + 1):
                     for g in circuit.gates:
                         if g.is_two_qubit:
                             continue
                         for endpoint in (a, b):
-                            m.require(sv.Implies(
-                                sv.And(sv.Eq(time[g.index], tp),
-                                       sv.Eq(space[g.index], endpoint)),
-                                sv.Eq(sigma[k][t], 0)))
+                            m.require_clause([(time[g.index], tp, False),
+                                              (space[g.index], endpoint, False), off])
         # eq9: a SWAP window excludes 2q gates on the same or overlapping edges
         neighbors = {k: {k} for k in range(K)}
         for k, kp in device.overlap_pairs:
@@ -163,35 +167,29 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             neighbors[kp].add(k)
         for k in range(K):
             for t in range(S - 1, T):
+                off = (sigma[k][t], 0, True)
                 for tp in range(max(0, t - S + 1), t + 1):
                     for g in circuit.gates:
                         if not g.is_two_qubit:
                             continue
                         for kp in sorted(neighbors[k]):
-                            m.require(sv.Implies(
-                                sv.And(sv.Eq(time[g.index], tp),
-                                       sv.Eq(space[g.index], kp)),
-                                sv.Eq(sigma[k][t], 0)))
+                            m.require_clause([(time[g.index], tp, False),
+                                              (space[g.index], kp, False), off])
 
     # eq10: mapping is frozen across t -> t+1 unless an incident SWAP finishes
     for t in range(T - 1):
         for p in range(N):
-            quiet = [sv.Eq(sigma[k][t], 0) for k in device.incident[p]]
+            fired = [(sigma[k][t], 0, False) for k in device.incident[p]]
             for q in range(M):
-                m.require(sv.Implies(
-                    sv.And(sv.Eq(pi[q][t], p), *quiet),
-                    sv.Eq(pi[q][t + 1], p)))
+                m.require_clause([(pi[q][t], p, False), *fired, (pi[q][t + 1], p, True)])
 
     # eq11: a finishing SWAP carries the mapping across its edge
     for t in range(T - 1):
         for k, (a, b) in enumerate(device.edges):
+            fired = (sigma[k][t], 1, False)
             for q in range(M):
-                m.require(sv.Implies(
-                    sv.And(sv.Eq(pi[q][t], a), sv.Eq(sigma[k][t], 1)),
-                    sv.Eq(pi[q][t + 1], b)))
-                m.require(sv.Implies(
-                    sv.And(sv.Eq(pi[q][t], b), sv.Eq(sigma[k][t], 1)),
-                    sv.Eq(pi[q][t + 1], a)))
+                m.require_clause([(pi[q][t], a, False), fired, (pi[q][t + 1], b, True)])
+                m.require_clause([(pi[q][t], b, False), fired, (pi[q][t + 1], a, True)])
 
     return m, vs
 

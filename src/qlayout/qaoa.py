@@ -84,10 +84,10 @@ def _retime_block(block_gates, circuit: Circuit, device: Device,
                          relaxed_dependencies=True, gate_swap_conflicts=False)
     model, vs = encode(sub, device, cfg)
     for i in range(L_b):
-        model.require(sv.Eq(vs.space[i], locations[i]))
+        model.require_clause([(vs.space[i], locations[i], True)])
     for row in vs.sigma:
         for h in row:
-            model.require(sv.Eq(h, 0))
+            model.require_clause([(h, 0, True)])
     for i in range(L_b):
         for j in range(i + 1, L_b):
             if set(sub.gates[i].qubits) & set(sub.gates[j].qubits):

@@ -1,35 +1,39 @@
 """Exact-optimization seam: declarative models over two 0/1 backends.
 
 The rest of the package describes models declaratively: bounded integer
-variables, booleans, logical connectives over (in)equality atoms, linear
-sum constraints, and one optional linear objective. This module lowers
-that description to linear rows over pure 0/1 columns:
+variables, booleans, logical connectives over (in)equality atoms, plain
+clauses over indicator literals, linear sum constraints, and one optional
+linear objective. This module lowers that description to rows over pure
+0/1 columns:
 
   * every bounded int becomes a one-hot group of binary columns tied by an
-    exactly-one row, so "x == v" is a single column and clauses stay linear;
-  * connectives are normalized to negation normal form and emitted as
-    clause rows, introducing auxiliary binaries only for non-literal
+    exactly-one row, so "x == v" is a single column; columns are numbered
+    as each variable is created;
+  * clauses are rows of their own: literal lists in the search core's
+    convention (2*c asserts column c is 1, 2*c+1 asserts it is 0).
+    `require_clause` resolves its literals to that form once, at the call;
+  * connectives are normalized to negation normal form and emitted as the
+    same clause rows, introducing auxiliary binaries only for non-literal
     disjuncts (one-directional Tseitin, sound in positive position);
-  * var-to-var comparisons expand over the one-hot value sums.
+  * var-to-var comparisons, sums and the objective become linear rows
+    (coefficients over columns, with bounds).
 
 Two interchangeable engines consume the lowered rows: a conflict-driven
 search core (strong on tight feasibility questions, proves optima by
-tightening the incumbent until unsatisfiable) and scipy's MILP interface
-(HiGHS) run with a zero MIP gap. Either way reported optima are exact,
-which the synthesis layers rely on; every satisfying assignment is
-replayed against the declarative model before it is returned. A backend
-anomaly raises SolverBackendError and is never reported "unsatisfiable".
+tightening the incumbent until unsatisfiable), which loads clause rows as
+they are, and scipy's MILP interface (HiGHS) run with a zero MIP gap, which
+expands each clause into a linear row. numpy and scipy are imported only
+when the MILP engine runs. Either way reported optima are exact, which the
+synthesis layers rely on; every satisfying assignment is replayed against
+the declarative model before it is returned. A backend anomaly raises
+SolverBackendError and is never reported "unsatisfiable".
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import sparse
-from scipy.optimize import LinearConstraint, milp
+from dataclasses import dataclass
 
 from . import _cdcl
 
@@ -120,11 +124,57 @@ class _Var:
     hi: int
     is_bool: bool
     name: str
-    first_col: int = -1  # assigned at compile time
+    first_col: int
 
     @property
     def domain(self):
         return range(self.lo, self.hi + 1)
+
+
+class _Clause:
+    """A require_clause assertion: its indicator literals, kept for replay,
+    and its clause row (None when it always holds)."""
+
+    __slots__ = ("lits", "row")
+
+    def __init__(self, lits: tuple, row: list[int] | None):
+        self.lits = lits
+        self.row = row
+
+    def __repr__(self) -> str:
+        return f"Clause{self.lits!r}"
+
+
+def _clause_row(lits) -> list[int] | None:
+    """Clause row of a disjunction of literals and True/False constants.
+
+    Repeated literals collapse and False constants drop out. Returns None
+    when the clause always holds (a True constant or a complementary pair);
+    an empty row means the clause can never hold.
+    """
+    row: list[int] = []
+    for lit in lits:
+        if lit is True:
+            return None
+        if lit is False or lit in row:
+            continue
+        if lit ^ 1 in row:
+            return None
+        row.append(lit)
+    return row
+
+
+def _clause_linear(row: list[int]) -> tuple[dict, float, float]:
+    """A clause row as the linear row sum(lits) >= 1 over 0/1 columns."""
+    coeffs = {}
+    lb = 1.0
+    for lit in row:
+        if lit & 1:
+            coeffs[lit >> 1] = -1.0
+            lb -= 1.0
+        else:
+            coeffs[lit >> 1] = 1.0
+    return coeffs, lb, math.inf
 
 
 @dataclass
@@ -134,27 +184,51 @@ class Verdict:
     objective_value: int | None = None
 
 
+def _eq_lit(var: _Var, value: int):
+    """Literal asserting var == value; False when value is outside the domain."""
+    if var.is_bool:
+        if value == 1:
+            return 2 * var.first_col
+        if value == 0:
+            return 2 * var.first_col + 1
+        return False
+    if var.lo <= value <= var.hi:
+        return 2 * (var.first_col + value - var.lo)
+    return False
+
+
 class Model:
-    """Declarative model: variables, assertions, sums, one objective."""
+    """Declarative model: variables, assertions, sums, one objective.
+
+    Every mutator drops the compiled form, so a solve always sees the
+    model as it stands.
+    """
 
     def __init__(self) -> None:
         self._vars: list[_Var] = []
+        self._ncols = 0  # columns of the variables created so far
         self._assertions: list = []
         self._sums: list[tuple[list, str, int]] = []
         self._objective: tuple[str, list] | None = None
+        self._compiled = None
+        self._aux_names: list[str] = []
+        self._hard_false = False
 
     # -- variable registration ------------------------------------------------
 
     def int_var(self, lo: int, hi: int, name: str = "") -> int:
         if hi < lo:
             raise ModelError(f"empty domain [{lo}, {hi}] for {name or 'int var'}")
-        v = _Var(len(self._vars), int(lo), int(hi), False, name or f"x{len(self._vars)}")
-        self._vars.append(v)
-        return v.handle
+        return self._new_var(int(lo), int(hi), False, name or f"x{len(self._vars)}")
 
     def bool_var(self, name: str = "") -> int:
-        v = _Var(len(self._vars), 0, 1, True, name or f"b{len(self._vars)}")
+        return self._new_var(0, 1, True, name or f"b{len(self._vars)}")
+
+    def _new_var(self, lo: int, hi: int, is_bool: bool, name: str) -> int:
+        v = _Var(len(self._vars), lo, hi, is_bool, name, self._ncols)
+        self._ncols += 1 if is_bool else hi - lo + 1
         self._vars.append(v)
+        self._compiled = None
         return v.handle
 
     @property
@@ -171,6 +245,30 @@ class Model:
     def require(self, formula) -> None:
         self._validate(formula)
         self._assertions.append(formula)
+        self._compiled = None
+
+    def require_clause(self, lits) -> None:
+        """Require that at least one indicator literal holds.
+
+        Each literal is a (handle, value, positive) triple: "handle == value"
+        when positive, "handle != value" when not. A value outside the
+        handle's domain makes its literal a constant (false when positive,
+        true when not). The literals become one clause row, in the order
+        given: repeats collapse, a complementary pair makes the clause
+        always true, and a clause none of whose literals can hold makes the
+        model unsatisfiable. `require(Implies(And(g1, g2), c))` over Eq/Ne
+        atoms lowers to the same row as the literals [not g1, not g2, c].
+        """
+        lits = tuple(lits)
+        out = []
+        for handle, value, positive in lits:
+            lit = _eq_lit(self._var(handle), value)
+            if not positive:
+                lit = True if lit is False else lit ^ 1
+            out.append(lit)
+        row = _clause_row(out)
+        self._assertions.append(_Clause(lits, row))
+        self._compiled = None
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
         """Linear constraint over terms: (coef, handle) or (coef, (handle, value))."""
@@ -179,6 +277,7 @@ class Model:
         for _, t in terms:
             self._term_var(t)
         self._sums.append((list(terms), op, int(rhs)))
+        self._compiled = None
 
     def minimize(self, terms) -> None:
         self._set_objective("min", terms)
@@ -190,6 +289,7 @@ class Model:
         for _, t in terms:
             self._term_var(t)
         self._objective = (sense, list(terms))
+        self._compiled = None
 
     def _term_var(self, term) -> _Var:
         if isinstance(term, tuple):
@@ -254,7 +354,13 @@ class Model:
         """Replay every assertion on concrete values; returns violations."""
         bad = []
         for i, f in enumerate(self._assertions):
-            if not self.evaluate(f, assignment):
+            if f.__class__ is _Clause:
+                for handle, value, positive in f.lits:
+                    if (assignment[handle] == value) == positive:
+                        break
+                else:
+                    bad.append(f"assertion {i}: {f!r}")
+            elif not self.evaluate(f, assignment):
                 bad.append(f"assertion {i}: {f!r}")
         for i, (terms, op, rhs) in enumerate(self._sums):
             total = self._sum_value(terms, assignment)
@@ -268,17 +374,21 @@ class Model:
             return None
         return self._sum_value(self._objective[1], assignment)
 
-    # -- compilation to 0/1 MILP ------------------------------------------------
+    # -- compilation to 0/1 rows ------------------------------------------------
 
     def _compile(self):
-        if getattr(self, "_compiled", None) is not None:
+        """Lower the model to (ncols, rows, objective, sense).
+
+        A row is either a clause row (a list of literals) or a linear row
+        (coeffs, lb, ub). Rows follow the exactly-one groups, then the
+        assertions in order, then the sums; the objective is a list of
+        per-column costs, negated for maximization.
+        """
+        if self._compiled is not None:
             return self._compiled
-        ncols = 0
-        for v in self._vars:
-            v.first_col = ncols
-            ncols += 1 if v.is_bool else (v.hi - v.lo + 1)
-        rows_data: list[tuple[dict, float, float]] = []
-        self._aux_names: list[str] = []
+        ncols = self._ncols
+        rows: list = []
+        self._aux_names = []
         self._hard_false = False
 
         def col_of(var: _Var, value: int) -> int | None:
@@ -290,37 +400,23 @@ class Model:
                 return None
             return var.first_col + (value - var.lo)
 
-        def add_clause(lits):
-            # lits: list of (col, positive) | True | False
-            coeffs: dict[int, float] = {}
-            lb = 1.0
-            for lit in lits:
-                if lit is True:
-                    return
-                if lit is False:
-                    continue
-                col, pos = lit
-                if pos:
-                    coeffs[col] = coeffs.get(col, 0.0) + 1.0
-                else:
-                    coeffs[col] = coeffs.get(col, 0.0) - 1.0
-                    lb -= 1.0
-            if not coeffs:
+        def add_row(row):
+            # a clause row; None always holds, [] never does
+            if row is None:
+                return
+            if not row:
                 self._hard_false = True
                 return
-            rows_data.append((coeffs, lb, math.inf))
+            rows.append(row)
+
+        def add_clause(lits):
+            add_row(_clause_row(lits))
 
         def lit_eq(var: _Var, value: int, positive: bool):
-            if var.is_bool:
-                if value == 1:
-                    return (var.first_col, positive)
-                if value == 0:
-                    return (var.first_col, not positive)
-                return (not positive)  # Eq(b, 7) is constant False
-            c = col_of(var, value)
-            if c is None:
-                return (not positive)
-            return (c, positive)
+            lit = _eq_lit(var, value)
+            if lit is False:
+                return not positive  # Eq(b, 7) is constant False
+            return lit if positive else lit ^ 1
 
         def atom_literal(f):
             """Literal form of an atom, or None when not literal-representable."""
@@ -336,14 +432,11 @@ class Model:
                     return False
                 if inner is False:
                     return True
-                return (inner[0], not inner[1])
+                return inner ^ 1
             return None
 
         def negate(lits):
-            out = []
-            for col, pos in lits:
-                out.append((col, not pos))
-            return out
+            return [lit ^ 1 for lit in lits]
 
         def int_sum_coeffs(var: _Var, sign: float, coeffs: dict):
             if var.is_bool:
@@ -363,14 +456,15 @@ class Model:
             bigm = float(a.hi - b.lo + margin)
             ub = float(-margin)
             if bigm > 0:
-                for col, pos in guard:
+                for lit in guard:
                     # unsatisfied guard literal contributes bigm of slack
-                    if pos:
+                    col = lit >> 1
+                    if lit & 1:
+                        coeffs[col] = coeffs.get(col, 0.0) - bigm
+                    else:
                         coeffs[col] = coeffs.get(col, 0.0) + bigm
                         ub += bigm
-                    else:
-                        coeffs[col] = coeffs.get(col, 0.0) - bigm
-            rows_data.append((coeffs, -math.inf, ub))
+            rows.append((coeffs, -math.inf, ub))
 
         def guard_conjuncts(f):
             """f as a list of literals when it is a literal/conjunction, else None."""
@@ -491,9 +585,9 @@ class Model:
                     if lit is not None:
                         clause.append(lit)
                         continue
-                    z = new_aux("or")
-                    clause.append((z, True))
-                    encode(p, [(z, True)])
+                    z = 2 * new_aux("or")
+                    clause.append(z)
+                    encode(p, [z])
                 if not satisfied:
                     add_clause(clause)
                 return
@@ -507,16 +601,19 @@ class Model:
                 return False
             if lit is False:
                 return True
-            return (lit[0], not lit[1])
+            return lit ^ 1
 
         # exactly-one rows for every int variable's one-hot group
         for v in self._vars:
             if not v.is_bool:
                 coeffs = {v.first_col + i: 1.0 for i in range(v.hi - v.lo + 1)}
-                rows_data.append((coeffs, 1.0, 1.0))
+                rows.append((coeffs, 1.0, 1.0))
 
         for f in self._assertions:
-            encode(f, [])
+            if f.__class__ is _Clause:
+                add_row(f.row)
+            else:
+                encode(f, [])
 
         for terms, op, rhs in self._sums:
             coeffs: dict[int, float] = {}
@@ -529,9 +626,9 @@ class Model:
                     int_sum_coeffs(self._var(t), float(coef), coeffs)
             lb = float(rhs) if op in (">=", "==") else -math.inf
             ub = float(rhs) if op in ("<=", "==") else math.inf
-            rows_data.append((coeffs, lb, ub))
+            rows.append((coeffs, lb, ub))
 
-        c = np.zeros(ncols)
+        c = [0.0] * ncols
         sense = 1.0
         if self._objective is not None:
             sense = 1.0 if self._objective[0] == "min" else -1.0
@@ -547,12 +644,12 @@ class Model:
                         for v in var.domain:
                             c[var.first_col + (v - var.lo)] += sense * coef * v
 
-        self._compiled = (ncols, rows_data, c, sense)
+        self._compiled = (ncols, rows, c, sense)
         return self._compiled
 
     def dump_text(self) -> str:
         """Model in LP text form (trace/debug aid)."""
-        ncols, rows_data, c, sense = self._compile()
+        ncols, rows, c, sense = self._compile()
         names = []
         for v in self._vars:
             if v.is_bool:
@@ -574,7 +671,8 @@ class Model:
         lines = ["Minimize" if sense > 0 else "Maximize", " obj: " + linexp(
             {i: sense * c[i] for i in range(ncols) if c[i]})]
         lines.append("Subject To")
-        for i, (coeffs, lb, ub) in enumerate(rows_data):
+        for i, row in enumerate(rows):
+            coeffs, lb, ub = _clause_linear(row) if row.__class__ is list else row
             if lb == ub:
                 lines.append(f" r{i}: {linexp(coeffs)} = {lb:g}")
             else:
@@ -605,7 +703,7 @@ def solve(model: Model, timeout: float | None = None,
     """
     if method not in ("auto", "sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
-    ncols, rows_data, c, sense = model._compile()
+    ncols, rows, c, sense = model._compile()
     if model._hard_false:
         return Verdict(status=UNSAT)
     if ncols == 0:
@@ -617,11 +715,11 @@ def solve(model: Model, timeout: float | None = None,
         return Verdict(status=SAT, assignment=assignment, objective_value=obj)
     if method in ("auto", "sat"):
         try:
-            return _solve_sat(model, ncols, rows_data, c, timeout)
+            return _solve_sat(model, ncols, rows, c, timeout)
         except _cdcl.CdclUnsupported:
             if method == "sat":
                 raise SolverBackendError("model not expressible for sat core")
-    return _solve_milp(model, ncols, rows_data, c, timeout)
+    return _solve_milp(model, ncols, rows, c, timeout)
 
 
 def _extract(model: Model, x) -> Verdict:
@@ -642,11 +740,14 @@ def _extract(model: Model, x) -> Verdict:
     return Verdict(status=SAT, assignment=assignment, objective_value=obj)
 
 
-def _solve_sat(model: Model, ncols, rows_data, c, timeout) -> Verdict:
+def _solve_sat(model: Model, ncols, rows, c, timeout) -> Verdict:
     deadline = time.monotonic() + timeout if timeout is not None else None
     searcher = _cdcl.Searcher(ncols)
-    for coeffs, lb, ub in rows_data:
-        searcher.add_linear(coeffs, lb, ub)
+    for row in rows:
+        if row.__class__ is list:
+            searcher.add_clause(row)
+        else:
+            searcher.add_linear(*row)
     objective = []
     for col in range(ncols):
         if c[col]:
@@ -680,19 +781,24 @@ def _solve_sat(model: Model, ncols, rows_data, c, timeout) -> Verdict:
     return _extract(model, best)
 
 
-def _solve_milp(model: Model, ncols, rows_data, c, timeout) -> Verdict:
-    if rows_data:
-        data, rows, cols = [], [], []
+def _solve_milp(model: Model, ncols, rows, c, timeout) -> Verdict:
+    import numpy as np
+    from scipy import sparse
+    from scipy.optimize import LinearConstraint, milp
+
+    if rows:
+        data, row_idx, cols = [], [], []
         lbs, ubs = [], []
-        for i, (coeffs, lb, ub) in enumerate(rows_data):
+        for i, row in enumerate(rows):
+            coeffs, lb, ub = _clause_linear(row) if row.__class__ is list else row
             for col, coef in coeffs.items():
-                rows.append(i)
+                row_idx.append(i)
                 cols.append(col)
                 data.append(coef)
             lbs.append(lb)
             ubs.append(ub)
         a = sparse.csc_array(
-            (data, (rows, cols)), shape=(len(rows_data), ncols))
+            (data, (row_idx, cols)), shape=(len(rows), ncols))
         constraints = [LinearConstraint(a, np.array(lbs), np.array(ubs))]
     else:
         constraints = []
@@ -701,7 +807,7 @@ def _solve_milp(model: Model, ncols, rows_data, c, timeout) -> Verdict:
     if timeout is not None:
         options["time_limit"] = float(timeout)
     res = milp(
-        c,
+        np.array(c),
         constraints=constraints,
         integrality=np.ones(ncols),
         bounds=(0, 1),

@@ -75,7 +75,7 @@ def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
     N = device.num_physical
     rep = [min(g[p] for g in perms) for p in range(N)]
     reps = sorted(set(rep))
-    model.require(sv.Or(*[sv.Eq(vs.pi[0][0], r) for r in reps]))
+    model.require_clause([(vs.pi[0][0], r, True) for r in reps])
     if M < 2:
         return
     for r in reps:
@@ -86,9 +86,8 @@ def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
         sreps = sorted({min(g[p] for g in stab) for p in range(N) if p != r})
         if len(sreps) >= N - 1:
             continue
-        model.require(sv.Implies(
-            sv.Eq(vs.pi[0][0], r),
-            sv.Or(*[sv.Eq(vs.pi[1][0], s) for s in sreps])))
+        model.require_clause([(vs.pi[0][0], r, False),
+                              *[(vs.pi[1][0], s, True) for s in sreps]])
 
 
 def _odd_cycles(circuit: Circuit, cap: int = 1500):
@@ -155,8 +154,7 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
             continue
         for combo in itertools.product(*gate_lists):
             for t in range(T):
-                model.require(
-                    sv.Or(*[sv.Ne(vs.time[l], t) for l in combo]))
+                model.require_clause([(vs.time[l], t, False) for l in combo])
 
     # a qubit whose block runs g of its gates needs g distinct neighbours,
     # so it cannot sit on a node of degree < g
@@ -186,9 +184,8 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
     for q in range(M):
         for t in range(T - 1):
             for p in range(N):
-                model.require(sv.Implies(
-                    sv.Eq(vs.pi[q][t], p),
-                    sv.Or(*[sv.Eq(vs.pi[q][t + 1], pp) for pp in closed[p]])))
+                model.require_clause([(vs.pi[q][t], p, False),
+                                      *[(vs.pi[q][t + 1], pp, True) for pp in closed[p]]])
 
     # each SWAP relocates at most two qubits
     moved_all: list[list] = [[] for _ in range(M)]

@@ -4,11 +4,14 @@ from importlib import resources
 
 import pytest
 
+from qlayout import solver as sv
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device
 from qlayout.exact import (
     EncodingConfig,
     TCapExceeded,
+    apply_objective,
+    encode,
     grow_T,
     synthesize,
 )
@@ -125,3 +128,18 @@ def test_unknown_objective_rejected():
         EncodingConfig(T=1, S=0)
     with pytest.raises(ValueError):
         EncodingConfig(T=1, epsilon=0.0)
+
+
+@pytest.mark.parametrize("objective", ["swap", "depth"])
+def test_engines_agree_on_exact_model(objective):
+    # the MILP engine sees every clause row expanded to a linear row
+    circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
+    T = max(1, circuit.longest_chain)
+    verdicts = []
+    for method in ("sat", "milp"):
+        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
+        apply_objective(model, vs, objective, device, circuit)
+        verdicts.append(sv.solve(model, method=method))
+    sat, milp = verdicts
+    assert sat.status == milp.status == sv.SAT
+    assert sat.objective_value == milp.objective_value

@@ -1,8 +1,11 @@
 """Declarative model seam: lowering, both engines, verdict contract."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlayout import _cdcl
 from qlayout import solver as sv
 from qlayout.solver import (
     And,
@@ -30,6 +33,8 @@ def test_int_var_domain_validation():
     x = m.int_var(0, 4)
     with pytest.raises(ModelError):
         m.require(Eq(99, 1))
+    with pytest.raises(ModelError):
+        m.require_clause([(x, 1, True), (99, 1, True)])
     with pytest.raises(ModelError):
         m.require_sum([(1, (x, 9))], "<=", 1)
     with pytest.raises(ModelError):
@@ -120,6 +125,98 @@ def test_objective_exact_minimum():
     assert v.objective_value == 0 + 1 + 2
 
 
+def test_require_clause_constant_clauses():
+    m = Model()
+    x = m.int_var(0, 2)
+    m.require_clause([(x, 5, False)])  # always holds
+    m.require_clause([(x, 1, True), (x, 1, False)])  # complementary pair
+    m.require_clause([(x, 2, True), (x, 2, True)])  # repeat collapses
+    # after x's exactly-one row, only the clause "x == 2" (column 2) loads
+    assert m._compile()[1][1:] == [[2 * 2]]
+    assert solve(m).assignment == {x: 2}
+    m.require_clause([(x, 5, True)])  # can never hold
+    assert solve(m).status == sv.UNSAT
+    assert solve(m, method="milp").status == sv.UNSAT
+
+
+@pytest.mark.parametrize("method", ["sat", "milp"])
+def test_mutation_after_solve_recompiles(method):
+    m = Model()
+    x = m.int_var(0, 3)
+    m.minimize([(1, x)])
+    assert solve(m, method=method).assignment == {x: 0}
+    m.maximize([(1, x)])
+    v = solve(m, method=method)
+    assert v.assignment == {x: 3} and v.objective_value == 3
+    # variables and constraints added after a solve take part in the next
+    b = m.bool_var()
+    m.require(Eq(b, 1))
+    m.require_clause([(x, 3, False)])
+    m.require_sum([(1, b), (1, x)], "<=", 2)
+    v = solve(m, method=method)
+    assert v.assignment == {x: 1, b: 1} and v.objective_value == 1
+
+
+def _loaded_rows(m, monkeypatch):
+    """Clause and PB literal lists the Searcher holds when search starts."""
+    seen = []
+    search = _cdcl.Searcher.search
+
+    def spy(self, deadline=None):
+        if not seen:
+            seen.append(([list(c) for c in self.clauses],
+                         [list(p) for p in self.pb_lits], list(self.pb_b)))
+        return search(self, deadline)
+
+    monkeypatch.setattr(_cdcl.Searcher, "search", spy)
+    verdict = solve(m, method="sat")
+    monkeypatch.undo()
+    return seen[0], verdict
+
+
+def _guarded_model(clauses: bool) -> Model:
+    """One model written twice: with require_clause, or as formulas."""
+    m = Model()
+    t = m.int_var(0, 2)
+    x = m.int_var(0, 3)
+    p = m.int_var(0, 2)
+    p2 = m.int_var(0, 2)
+    b = m.bool_var()
+    c = m.bool_var()
+    m.require(Lt(t, x))
+    if clauses:
+        m.require_clause([(t, 1, False), (x, 2, False), (p, 0, True), (p, 1, True)])
+        m.require_clause([(p, 0, False), (b, 0, False), (c, 0, False), (p2, 0, True)])
+        m.require_clause([(b, 0, True)])
+        m.require_clause([(t, 1, False), (x, 1, False)])
+        m.require_clause([(b, 1, False), (c, 0, True)])
+        m.require_clause([(p, 0, True), (p, 0, True), (x, 3, True)])
+        m.require_clause([(x, 9, False), (p, 0, True)])
+        m.require_clause([(p, 9, True), (p, 1, True)])
+        m.require_clause([(c, 1, True), (c, 1, False)])
+    else:
+        m.require(Implies(And(Eq(t, 1), Eq(x, 2)), Or(Eq(p, 0), Eq(p, 1))))
+        m.require(Implies(And(Eq(p, 0), Eq(b, 0), Eq(c, 0)), Eq(p2, 0)))
+        m.require(Eq(b, 0))
+        m.require(Or(Ne(t, 1), Ne(x, 1)))
+        m.require(Implies(Eq(b, 1), Eq(c, 0)))
+        m.require(Or(Eq(p, 0), Eq(p, 0), Eq(x, 3)))
+        m.require(Implies(Eq(x, 9), Eq(p, 0)))
+        m.require(Or(Eq(p, 9), Eq(p, 1)))
+        m.require(Or(Eq(c, 1), Ne(c, 1)))
+    m.require_sum([(1, t), (1, p)], ">=", 2)
+    m.minimize([(1, x), (2, p2)])
+    return m
+
+
+def test_require_clause_loads_like_formulas(monkeypatch):
+    rows_c, verdict_c = _loaded_rows(_guarded_model(clauses=True), monkeypatch)
+    rows_f, verdict_f = _loaded_rows(_guarded_model(clauses=False), monkeypatch)
+    assert rows_c == rows_f
+    assert rows_c[0] and rows_c[1]  # both clause and counting rows present
+    assert verdict_c == verdict_f
+
+
 def test_unsat_beats_objective():
     m = Model()
     x = m.int_var(0, 1)
@@ -187,6 +284,7 @@ def test_solve_is_deterministic():
 # random-model agreement between the two engines
 
 atoms = st.sampled_from(["eq", "ne", "lt", "le", "eqvar"])
+clause_shapes = st.sampled_from(["plain", "plain", "plain", "repeat", "tautology", "false"])
 
 
 @st.composite
@@ -216,9 +314,27 @@ def models(draw):
             return Le(a, b)
         return EqVar(a, b)
 
+    def literal():
+        h = draw(st.sampled_from(handles))
+        var = m._var(h)
+        # one step past either end of the domain gives a constant literal
+        value = draw(st.integers(min_value=var.lo - 1, max_value=var.hi + 1))
+        return (h, value, draw(st.booleans()))
+
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         k = draw(st.integers(min_value=1, max_value=3))
         m.require(Or(*[atom() for _ in range(k)]))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lits = [literal() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+        shape = draw(clause_shapes)
+        if shape == "repeat":
+            lits.append(lits[0])
+        elif shape == "tautology":
+            h, value, positive = lits[0]
+            lits.append((h, value, not positive))
+        elif shape == "false":
+            lits = [(h, m._var(h).hi + 1, True) for h, _, _ in lits]
+        m.require_clause(lits)
     if draw(st.booleans()):
         terms = [(draw(st.integers(min_value=-2, max_value=3)), h) for h in handles]
         m.require_sum(terms, draw(st.sampled_from(["<=", ">=", "=="])),
@@ -232,14 +348,33 @@ def models(draw):
     return m
 
 
+def _brute_force(m):
+    """(feasible?, best objective) over every assignment of the model."""
+    handles = range(m.num_variables)
+    best = None
+    feasible = False
+    for values in itertools.product(*[m._var(h).domain for h in handles]):
+        a = dict(zip(handles, values))
+        if m.check_assignment(a):
+            continue
+        feasible = True
+        obj = m.objective_of(a)
+        if obj is not None and (best is None or (
+                obj < best if m._objective[0] == "min" else obj > best)):
+            best = obj
+    return feasible, best
+
+
 @settings(max_examples=60, deadline=None)
 @given(models())
 def test_engines_agree(m):
     va = solve(m, method="sat")
     vb = solve(m, method="milp")
     assert va.status == vb.status
+    feasible, best = _brute_force(m)
+    assert (va.status == sv.SAT) == feasible
     if va.status == sv.SAT:
-        assert va.objective_value == vb.objective_value
+        assert va.objective_value == vb.objective_value == best
         # both assignments must replay cleanly against the model
         assert m.check_assignment(va.assignment) == []
         assert m.check_assignment(vb.assignment) == []
