@@ -16,7 +16,8 @@ Everything is deterministic: ties break on index, no randomization.
 
 Literal convention: literal 2*c asserts column c is 1, literal 2*c+1
 asserts it is 0. A literal is "false" once its column is assigned the
-other way. Reasons are encoded as non-negative clause indices or
+other way: val[lit >> 1] == lit & 1, which an unassigned column (-1)
+never meets. Reasons are encoded as non-negative clause indices or
 -(pb_index + 2); -1 marks a decision.
 """
 
@@ -62,7 +63,7 @@ class Searcher:
         self.trail: list[int] = []
         self.qhead = 0
         self.dl = 0
-        self.num_assigned = 0
+        self._seen: list[bool] = [False] * nvars  # conflict analysis scratch
         # clause store (original and learned) under two-literal watches
         self.clauses: list[list[int] | None] = []
         self.cl_act: list[float] = []
@@ -154,20 +155,13 @@ class Searcher:
         # count everything not currently false; undone pops re-add their coef
         mp = 0
         for lit, cf in zip(lits, coefs):
-            if not self._lit_false(lit):
+            if self.val[lit >> 1] != lit & 1:  # not false
                 mp += cf
             self.occ[lit].append((pi, cf))
         self.pb_maxpos.append(mp)
         self._pending_pb.append(pi)
 
     # -- assignment plumbing -------------------------------------------------
-
-    def _lit_true(self, lit: int) -> bool:
-        return self.val[lit >> 1] == 1 - (lit & 1)
-
-    def _lit_false(self, lit: int) -> bool:
-        v = self.val[lit >> 1]
-        return v != _UNSET and v != 1 - (lit & 1)
 
     def _assign(self, lit: int, reason: int) -> None:
         v = lit >> 1
@@ -178,7 +172,6 @@ class Searcher:
         self.reason[v] = reason
         self.pos[v] = len(self.trail)
         self.trail.append(lit)
-        self.num_assigned += 1
 
     def _flush_queue(self) -> None:
         maxpos, occ = self.pb_maxpos, self.occ
@@ -197,7 +190,6 @@ class Searcher:
             for pi, cf in occ[lit ^ 1]:
                 maxpos[pi] += cf
             val[v] = _UNSET
-            self.num_assigned -= 1
             heapq.heappush(self.order, (-self.act[v], v))
         self.dl = bl
         self.qhead = len(trail)
@@ -219,14 +211,16 @@ class Searcher:
 
     def _propagate(self) -> int | None:
         """Returns a reason code of a conflicting constraint, or None."""
-        val = self.val
-        clauses = self.clauses
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
+        val, saved, level, reason, pos = (
+            self.val, self.saved, self.level, self.reason, self.pos)
+        trail, clauses, watches, occ = self.trail, self.clauses, self.watches, self.occ
+        dl = self.dl
+        while self.qhead < len(trail):
+            lit = trail[self.qhead]
             self.qhead += 1
             self.propagations += 1
             fl = lit ^ 1
-            row = self.occ[fl]
+            row = occ[fl]
             if row:
                 maxpos, pb_b, pb_maxcoef = self.pb_maxpos, self.pb_b, self.pb_maxcoef
                 conflict = None
@@ -252,7 +246,7 @@ class Searcher:
                             self._flush_queue()
                             return -(pi + 2)
             # two-watch pass over clauses watching the falsified literal
-            ws = self.watches[fl]
+            ws = watches[fl]
             out = 0
             i = 0
             n = len(ws)
@@ -266,33 +260,38 @@ class Searcher:
                     cl[0], cl[1] = cl[1], fl
                 first = cl[0]
                 fv = val[first >> 1]
-                if fv != _UNSET and fv == 1 - (first & 1):
+                if fv == 1 - (first & 1):
                     ws[out] = ci
                     out += 1
                     continue  # satisfied by the other watch
-                moved = False
                 for j in range(2, len(cl)):
                     other = cl[j]
-                    ov = val[other >> 1]
-                    if ov == _UNSET or ov == 1 - (other & 1):
+                    if val[other >> 1] != other & 1:  # not false: watch it
                         cl[1], cl[j] = other, fl
-                        self.watches[other].append(ci)
-                        moved = True
+                        watches[other].append(ci)
                         break
-                if moved:
-                    continue
-                ws[out] = ci
-                out += 1
-                if fv == _UNSET:
-                    self._assign(first, ci)
                 else:
-                    while i < n:  # keep the unvisited watch entries
-                        ws[out] = ws[i]
-                        out += 1
-                        i += 1
-                    del ws[out:]
-                    self._flush_queue()
-                    return ci
+                    # no other watch: the clause is unit or conflicting
+                    ws[out] = ci
+                    out += 1
+                    if fv == _UNSET:
+                        # assign `first` with this clause as its reason
+                        v = first >> 1
+                        value = 1 - (first & 1)
+                        val[v] = value
+                        saved[v] = value
+                        level[v] = dl
+                        reason[v] = ci
+                        pos[v] = len(trail)
+                        trail.append(first)
+                    else:
+                        while i < n:  # keep the unvisited watch entries
+                            ws[out] = ws[i]
+                            out += 1
+                            i += 1
+                        del ws[out:]
+                        self._flush_queue()
+                        return ci
             del ws[out:]
         return None
 
@@ -305,18 +304,18 @@ class Searcher:
         lits = self.clauses[code] if code >= 0 else self.pb_lits[-code - 2]
         if code >= 0 and self.cl_learned[code]:
             self.cl_act[code] += self.cl_inc
+        val, pos = self.val, self.pos
         out = []
         for lit in lits:
             v = lit >> 1
-            if v == skip_var or not self._lit_false(lit):
-                continue
-            if self.pos[v] >= before:
+            # false: assigned, and to the value the literal denies
+            if v == skip_var or val[v] != lit & 1 or pos[v] >= before:
                 continue
             out.append(lit)
         return out
 
     def _analyze(self, code: int) -> tuple[list[int], int]:
-        seen = [False] * self.nvars
+        seen = self._seen  # all False between calls; cleared through bumped
         learned: list[int] = []
         bumped: list[int] = []
         counter = 0
@@ -362,6 +361,7 @@ class Searcher:
         act, inc = self.act, self.act_inc
         push = heapq.heappush
         for v in bumped:
+            seen[v] = False
             act[v] += inc
             push(self.order, (-act[v], v))
         self.cl_inc /= 0.999
@@ -400,18 +400,19 @@ class Searcher:
         for pi in self._pending_pb:
             if not self._scan_pb(pi) or self._propagate() is not None:
                 return False
+        val = self.val
         for ci in self._pending_cl:
             cl = self.clauses[ci]
-            live = [l for l in cl if not self._lit_false(l)]
+            live = [l for l in cl if val[l >> 1] != l & 1]
             if not live:
                 return False
             if len(live) == 1:
-                if not self._lit_true(live[0]):
+                if val[live[0] >> 1] == _UNSET:
                     self._assign(live[0], ci)
                     if self._propagate() is not None:
                         return False
                 continue
-            dead = [l for l in cl if self._lit_false(l)]
+            dead = [l for l in cl if val[l >> 1] == l & 1]
             cl[:] = live + dead
             self.watches[cl[0]].append(ci)
             self.watches[cl[1]].append(ci)
@@ -500,7 +501,7 @@ class Searcher:
                     since_restart = 0
                     self._backtrack(0)
                 continue
-            if self.num_assigned == self.nvars:
+            if len(self.trail) == self.nvars:
                 self._model = self.val[:]
                 return "sat"
             self._decide()

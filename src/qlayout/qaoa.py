@@ -11,16 +11,21 @@ metric: ZZ gates and SWAPs both take one slot (S=1) unless overridden.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from . import solver as sv
-from . import verify
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
 from .exact import EncodingConfig, SynthesisDetails, apply_objective, encode
 from .exact import SynthesisTimeout, TCapExceeded
-from .results import GatePlacement, SwapPlacement, SynthesisResult
-from .transition import check_plan, encode_tb, extract_plan, _polish_plan
+from .transition import (
+    _block_order,
+    _polish_plan,
+    _schedule_core,
+    _schedule_result,
+    _schedule_tables,
+    check_plan,
+    encode_tb,
+    extract_plan,
+)
 
 
 def phase_separation_from_graph(edges, num_nodes: int | None = None) -> Circuit:
@@ -108,6 +113,9 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     blocks, mappings, and transitions; each block is then re-timed at fixed
     edges to its minimum depth and the blocks are stitched by earliest
     node availability. Pass-1 SWAPs are carried over unchanged.
+
+    The stitch is transition._schedule_core run on the pass-2 gate order;
+    with no dependencies, only node availability places each gate.
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before synthesis")
@@ -139,82 +147,19 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     plan = _polish_plan(plan, circuit, device, S)
     check_plan(plan, circuit, device)
 
+    tables = _schedule_tables(plan, circuit, device)
+
     # pass 2: optimal layer order inside each block
-    by_block: list[list[int]] = [[] for _ in range(plan.num_blocks)]
-    for l, b in enumerate(plan.gate_block):
-        by_block[b].append(l)
     order: list[list[int]] = []
-    for b, block_gates in enumerate(by_block):
-        row = plan.block_mapping[b]
-        locs = [
-            device.edge_index(row[circuit.gates[l].qubits[0]],
-                              row[circuit.gates[l].qubits[1]])
-            for l in block_gates
-        ]
+    for b, block_gates in enumerate(_block_order(plan.gate_block, plan.num_blocks)):
+        locs = [device.edge_index(*tables.nodes[b][l]) for l in block_gates]
         layers = _retime_block(block_gates, circuit, device, locs, timeout)
         ranked = sorted(range(len(block_gates)), key=lambda i: (layers[i], block_gates[i]))
         order.append([block_gates[i] for i in ranked])
 
     # stitch: earliest node availability, pass-2 order preserved
-    fired = dict(plan.transitions)
-    node_free = [0] * device.num_physical
-    gate_time = [0] * circuit.num_gates
-    swaps: list[SwapPlacement] = []
-    for b in range(plan.num_blocks):
-        row = plan.block_mapping[b]
-        for l in order[b]:
-            nodes = [row[q] for q in circuit.gates[l].qubits]
-            slot = max(node_free[p] for p in nodes)
-            gate_time[l] = slot
-            for p in nodes:
-                node_free[p] = slot + 1
-        for k in sorted(fired.get(b, ())):
-            a, bb = device.edges[k]
-            start = max(node_free[a], node_free[bb])
-            finish = start + S - 1
-            swaps.append(SwapPlacement(edge=k, finish_time=finish))
-            node_free[a] = node_free[bb] = finish + 1
-    swaps.sort(key=lambda s: (s.finish_time, s.edge))
-
-    placements = []
-    for g in circuit.gates:
-        row = plan.block_mapping[plan.gate_block[g.index]]
-        loc = device.edge_index(row[g.qubits[0]], row[g.qubits[1]])
-        placements.append(GatePlacement(
-            gate_id=g.index, time=gate_time[g.index], location=loc))
-
-    depth_slots = max(gate_time) + 1 if circuit.num_gates else 0
-    horizon = max(1, depth_slots)
-    if swaps:
-        horizon = max(horizon, swaps[-1].finish_time + 2)
-    finish_at: dict[int, list[int]] = {}
-    for s in swaps:
-        finish_at.setdefault(s.finish_time, []).append(s.edge)
-    traj = [tuple(plan.block_mapping[0])]
-    for t in range(horizon - 1):
-        row = list(traj[-1])
-        for k in finish_at.get(t, ()):
-            a, bb = device.edges[k]
-            for q in range(circuit.num_qubits):
-                if row[q] == a:
-                    row[q] = bb
-                elif row[q] == bb:
-                    row[q] = a
-        traj.append(tuple(row))
-
-    base = SynthesisResult(
-        solver_T=plan.num_blocks,
-        depth_slots=depth_slots,
-        swap_count=len(swaps),
-        fidelity_scaled=0,
-        initial_mapping=traj[0],
-        gates=tuple(placements),
-        swaps=tuple(swaps),
-        mapping_trajectory=tuple(traj),
-        depth_blocks=plan.num_blocks,
-    )
-    _, _, scaled, _ = verify.metrics(circuit, device, base)
-    result = replace(base, fidelity_scaled=scaled)
+    gate_time, swaps = _schedule_core(tables, order, S)
+    result = _schedule_result(plan, circuit, device, tables, gate_time, swaps)
     if return_details:
         details = SynthesisDetails(
             objective_value=verdict.objective_value, tried_T=tried,

@@ -391,14 +391,12 @@ class Model:
         self._aux_names = []
         self._hard_false = False
 
-        def col_of(var: _Var, value: int) -> int | None:
+        def indicator(var: _Var, value: int) -> tuple[int, float, float]:
+            # [var == value] as constant + sign * column; the value is in
+            # the domain (checked at registration), and [b == 0] is 1 - b
             if var.is_bool:
-                if value not in (0, 1):
-                    return None
-                return var.first_col  # polarity handled by caller
-            if not (var.lo <= value <= var.hi):
-                return None
-            return var.first_col + (value - var.lo)
+                return (var.first_col, -1.0, 1.0) if value == 0 else (var.first_col, 1.0, 0.0)
+            return var.first_col + (value - var.lo), 1.0, 0.0
 
         def add_row(row):
             # a clause row; None always holds, [] never does
@@ -617,15 +615,16 @@ class Model:
 
         for terms, op, rhs in self._sums:
             coeffs: dict[int, float] = {}
+            rest = float(rhs)
             for coef, t in terms:
                 if isinstance(t, tuple):
-                    var = self._var(t[0])
-                    c = col_of(var, t[1])
-                    coeffs[c] = coeffs.get(c, 0.0) + coef
+                    col, sign, const = indicator(self._var(t[0]), t[1])
+                    coeffs[col] = coeffs.get(col, 0.0) + sign * coef
+                    rest -= const * coef
                 else:
                     int_sum_coeffs(self._var(t), float(coef), coeffs)
-            lb = float(rhs) if op in (">=", "==") else -math.inf
-            ub = float(rhs) if op in ("<=", "==") else math.inf
+            lb = rest if op in (">=", "==") else -math.inf
+            ub = rest if op in ("<=", "==") else math.inf
             rows.append((coeffs, lb, ub))
 
         c = [0.0] * ncols
@@ -634,8 +633,9 @@ class Model:
             sense = 1.0 if self._objective[0] == "min" else -1.0
             for coef, t in self._objective[1]:
                 if isinstance(t, tuple):
-                    var = self._var(t[0])
-                    c[col_of(var, t[1])] += sense * coef
+                    # the constant part shifts every value alike; dropped
+                    col, sign, _ = indicator(self._var(t[0]), t[1])
+                    c[col] += sense * sign * coef
                 else:
                     var = self._var(t)
                     if var.is_bool:

@@ -5,12 +5,19 @@ dependencies weakened to <= so dependent gates may share a block, and the
 gate/SWAP conflict families dropped: a transition owns the block boundary.
 The solved assignment becomes a TransitionPlan; asap_schedule replays it
 with real S-slot SWAPs and emits a result that passes the full verifier.
+
+Each plan is compiled once into schedule tables (per-gate predecessors,
+per-block gate nodes and fired SWAPs). One node-availability scheduler,
+_schedule_core, runs on them: for the ASAP replay, for every block split
+the polish step scores, and for the QAOA flow's stitch. One helper,
+_schedule_result, turns its gate times and SWAPs into a SynthesisResult.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from typing import NamedTuple
 
 from . import solver as sv
 from . import verify
@@ -292,53 +299,151 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
         fired[j] = edges
     # Replay: consecutive mappings must differ exactly by the fired SWAPs.
     for j in range(B - 1):
-        row = list(plan.block_mapping[j])
-        for k in sorted(fired.get(j, ())):
-            a, b = device.edges[k]
-            for q in range(M):
-                if row[q] == a:
-                    row[q] = b
-                elif row[q] == b:
-                    row[q] = a
-        if tuple(row) != tuple(plan.block_mapping[j + 1]):
+        row = _swap_step(plan.block_mapping[j], sorted(fired.get(j, ())), device)
+        if row != tuple(plan.block_mapping[j + 1]):
             raise ValueError(
                 f"block {j + 1} mapping does not follow from block {j} "
                 f"through transition {j}")
 
 
-def _schedule_core(gate_block, plan: TransitionPlan, circuit: Circuit,
-                   device: Device, S: int):
-    """Node-availability simulation shared by asap_schedule and the plan
-    polish step; returns (gate_time, swaps)."""
-    preds: list[list[int]] = [[] for _ in range(circuit.num_gates)]
+def _swap_step(row, edges, device: Device) -> tuple[int, ...]:
+    """The mapping row after SWAPs on `edges`, applied in the given order."""
+    out = list(row)
+    for k in edges:
+        a, b = device.edges[k]
+        for q, p in enumerate(out):
+            if p == a:
+                out[q] = b
+            elif p == b:
+                out[q] = a
+    return tuple(out)
+
+
+class _ScheduleTables(NamedTuple):
+    """A plan's mappings and transitions, compiled for _schedule_core.
+
+    They do not depend on the gate-to-block split, so one set serves every
+    split of the same plan.
+    """
+
+    num_physical: int
+    # preds[l]: the dependency predecessors of gate l, transitively reduced
+    preds: list[list[int]]
+    # nodes[b][l]: gate l's physical nodes under block b's mapping; a
+    # one-qubit gate lists its node twice
+    nodes: list[list[tuple[int, int]]]
+    # fired[b]: the SWAPs after block b as (edge, p, q), p and q the edge's
+    # endpoints, in edge order
+    fired: list[list[tuple[int, int, int]]]
+
+
+def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
+                    device: Device) -> _ScheduleTables:
+    """Build the schedule tables of a plan (see _ScheduleTables).
+
+    A predecessor implied through another one is dropped. Gate indices are
+    a topological order, and a schedule runs each gate after its
+    predecessors (a plan never puts a dependent gate in an earlier block),
+    so times strictly rise along every dependency path and the implied
+    predecessor never binds.
+    """
+    L = circuit.num_gates
+    preds: list[list[int]] = [[] for _ in range(L)]
     for l, lp in circuit.dependencies:
         preds[lp].append(l)
-    by_block: list[list[int]] = [[] for _ in range(plan.num_blocks)]
-    for l, b in enumerate(gate_block):
-        by_block[b].append(l)
-    fired = dict(plan.transitions)
+    ancestors = [0] * L
+    for l in range(L):
+        for i in preds[l]:
+            ancestors[l] |= ancestors[i] | (1 << i)
+        preds[l] = [i for i in preds[l]
+                    if not any(ancestors[j] >> i & 1 for j in preds[l])]
+    nodes = [[(row[g.qubits[0]], row[g.qubits[-1]]) for g in circuit.gates]
+             for row in plan.block_mapping]
+    transitions = dict(plan.transitions)
+    fired = [[(k, *device.edges[k]) for k in sorted(transitions.get(b, ()))]
+             for b in range(plan.num_blocks)]
+    return _ScheduleTables(device.num_physical, preds, nodes, fired)
 
-    node_free = [0] * device.num_physical
-    gate_time = [0] * circuit.num_gates
-    swaps: list[SwapPlacement] = []
-    for b in range(plan.num_blocks):
-        row = plan.block_mapping[b]
-        for l in by_block[b]:
-            nodes = [row[q] for q in circuit.gates[l].qubits]
-            bounds = [node_free[p] for p in nodes]
-            bounds.extend(gate_time[i] + 1 for i in preds[l])
-            slot = max(bounds, default=0)
+
+def _schedule_core(tables: _ScheduleTables, order, S: int):
+    """Node-availability simulation: the one scheduler behind asap_schedule,
+    the plan polish step and the QAOA stitch.
+
+    order[b] lists block b's gates in execution order. Each gate runs at
+    the earliest slot its nodes are free and its predecessors are done;
+    after block b its SWAPs start, in edge order, once both endpoints are
+    free, and hold them for S slots. Returns (gate_time, swaps), swaps as
+    sorted (finish, edge) pairs.
+    """
+    preds, nodes, fired = tables.preds, tables.nodes, tables.fired
+    node_free = [0] * tables.num_physical
+    gate_time = [0] * len(preds)
+    swaps = []
+    for b, gates in enumerate(order):
+        at = nodes[b]
+        for l in gates:
+            p, q = at[l]
+            slot = node_free[p]
+            if node_free[q] > slot:
+                slot = node_free[q]
+            for i in preds[l]:
+                if gate_time[i] >= slot:
+                    slot = gate_time[i] + 1
             gate_time[l] = slot
-            for p in nodes:
-                node_free[p] = slot + 1
-        for k in sorted(fired.get(b, ())):
-            a, bb = device.edges[k]
-            start = max(node_free[a], node_free[bb])
-            finish = start + S - 1
-            swaps.append(SwapPlacement(edge=k, finish_time=finish))
-            node_free[a] = node_free[bb] = finish + 1
-    swaps.sort(key=lambda s: (s.finish_time, s.edge))
+            node_free[p] = node_free[q] = slot + 1
+        for k, p, q in fired[b]:
+            finish = max(node_free[p], node_free[q]) + S - 1
+            swaps.append((finish, k))
+            node_free[p] = node_free[q] = finish + 1
+    swaps.sort()
     return gate_time, swaps
+
+
+def _block_order(gate_block, num_blocks: int) -> list[list[int]]:
+    """Per-block gate lists in index order."""
+    order: list[list[int]] = [[] for _ in range(num_blocks)]
+    for l, b in enumerate(gate_block):
+        order[b].append(l)
+    return order
+
+
+def _schedule_result(plan: TransitionPlan, circuit: Circuit, device: Device,
+                    tables: _ScheduleTables, gate_time, swaps) -> SynthesisResult:
+    """Assemble the result of a scheduled plan: gate placements, SWAP
+    placements, the slot-by-slot mapping trajectory and the fidelity."""
+    placements = []
+    for g in circuit.gates:
+        p, q = tables.nodes[plan.gate_block[g.index]][g.index]
+        loc = device.edge_index(p, q) if g.is_two_qubit else p
+        placements.append(GatePlacement(
+            gate_id=g.index, time=gate_time[g.index], location=loc))
+
+    depth_slots = max(gate_time) + 1 if circuit.num_gates else 0
+    horizon = max(1, depth_slots)
+    if swaps:
+        horizon = max(horizon, swaps[-1][0] + 2)
+    finish_at: dict[int, list[int]] = {}
+    for finish, k in swaps:
+        finish_at.setdefault(finish, []).append(k)
+    traj = [tuple(plan.block_mapping[0])]
+    for t in range(horizon - 1):
+        edges = finish_at.get(t)
+        traj.append(_swap_step(traj[-1], edges, device) if edges else traj[-1])
+
+    base = SynthesisResult(
+        solver_T=plan.num_blocks,
+        depth_slots=depth_slots,
+        swap_count=len(swaps),
+        fidelity_scaled=0,
+        initial_mapping=traj[0],
+        gates=tuple(placements),
+        swaps=tuple(SwapPlacement(edge=k, finish_time=finish)
+                    for finish, k in swaps),
+        mapping_trajectory=tuple(traj),
+        depth_blocks=plan.num_blocks,
+    )
+    _, _, scaled, _ = verify.metrics(circuit, device, base)
+    return replace(base, fidelity_scaled=scaled)
 
 
 def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
@@ -354,51 +459,10 @@ def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
     if S < 1:
         raise ValueError("S must be >= 1")
     check_plan(plan, circuit, device)
-    M = circuit.num_qubits
-    gate_time, swaps = _schedule_core(plan.gate_block, plan, circuit, device, S)
-
-    placements = []
-    for g in circuit.gates:
-        row = plan.block_mapping[plan.gate_block[g.index]]
-        if g.is_two_qubit:
-            loc = device.edge_index(row[g.qubits[0]], row[g.qubits[1]])
-        else:
-            loc = row[g.qubits[0]]
-        placements.append(GatePlacement(
-            gate_id=g.index, time=gate_time[g.index], location=loc))
-
-    depth_slots = max(gate_time) + 1 if circuit.num_gates else 0
-    horizon = max(1, depth_slots)
-    if swaps:
-        horizon = max(horizon, swaps[-1].finish_time + 2)
-    finish_at: dict[int, list[int]] = {}
-    for s in swaps:
-        finish_at.setdefault(s.finish_time, []).append(s.edge)
-    traj = [tuple(plan.block_mapping[0])]
-    for t in range(horizon - 1):
-        row = list(traj[-1])
-        for k in finish_at.get(t, ()):
-            a, bb = device.edges[k]
-            for q in range(M):
-                if row[q] == a:
-                    row[q] = bb
-                elif row[q] == bb:
-                    row[q] = a
-        traj.append(tuple(row))
-
-    base = SynthesisResult(
-        solver_T=plan.num_blocks,
-        depth_slots=depth_slots,
-        swap_count=len(swaps),
-        fidelity_scaled=0,
-        initial_mapping=traj[0],
-        gates=tuple(placements),
-        swaps=tuple(swaps),
-        mapping_trajectory=tuple(traj),
-        depth_blocks=plan.num_blocks,
-    )
-    _, _, scaled, _ = verify.metrics(circuit, device, base)
-    return replace(base, fidelity_scaled=scaled)
+    tables = _schedule_tables(plan, circuit, device)
+    order = _block_order(plan.gate_block, plan.num_blocks)
+    gate_time, swaps = _schedule_core(tables, order, S)
+    return _schedule_result(plan, circuit, device, tables, gate_time, swaps)
 
 
 def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
@@ -411,73 +475,74 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     depth. Only gates whose physical position changes between feasible
     blocks can matter, so the search branches on those alone, walking gates
     in index order (a topological order) with dependency lower bounds.
-    Deterministic; gives up at node_budget and keeps the best seen.
+    Deterministic; gives up after node_budget leaves and keeps the best
+    seen (a budget of 0 keeps the plan).
+
+    The schedule tables are built once; every split, the plan's own first,
+    is scored by one _schedule_core call on them. The walk keeps each
+    block's gate list in index order as it assigns and unassigns gates, so
+    a leaf hands it to the scheduler as is.
     """
     B = plan.num_blocks
     L = circuit.num_gates
     if B < 2 or L == 0:
         return plan
-
-    def position(g, b):
-        row = plan.block_mapping[b]
-        return tuple(row[q] for q in g.qubits)
+    tables = _schedule_tables(plan, circuit, device)
+    preds, nodes = tables.preds, tables.nodes
 
     feas: list[list[int]] = []
     for g in circuit.gates:
         ok = []
         for b in range(B):
             if g.is_two_qubit:
-                pq, pr = position(g, b)
                 try:
-                    device.edge_index(pq, pr)
+                    device.edge_index(*nodes[b][g.index])
                 except DeviceError:
                     continue
             ok.append(b)
         feas.append(ok)
-    branching = [
-        len({position(circuit.gates[l], b) for b in feas[l]}) > 1
-        for l in range(L)
-    ]
+    branching = [len({nodes[b][l] for b in feas[l]}) > 1 for l in range(L)]
     if not any(branching):
         return plan
-
-    preds: list[list[int]] = [[] for _ in range(L)]
-    for l, lp in circuit.dependencies:
-        preds[lp].append(l)
-
-    def makespan(blocks):
-        gate_time, _ = _schedule_core(blocks, plan, circuit, device, S)
-        return max(gate_time) + 1
+    # choices[l][bound]: the blocks gate l may take when its predecessors'
+    # latest block is `bound`; a gate whose position never changes takes
+    # the first only
+    choices = []
+    for l in range(L):
+        at_bound = [[b for b in feas[l] if b >= bound] for bound in range(B)]
+        choices.append(at_bound if branching[l] else [c[:1] for c in at_bound])
 
     best_blocks = list(plan.gate_block)
-    best_depth = makespan(best_blocks)
+    gate_time, _ = _schedule_core(tables, _block_order(best_blocks, B), S)
+    best_depth = max(gate_time) + 1
     blocks = [0] * L
+    order: list[list[int]] = [[] for _ in range(B)]
     visited = 0
 
     def walk(l: int) -> None:
         nonlocal best_depth, best_blocks, visited
-        if visited >= node_budget:
-            return
         if l == L:
             visited += 1
-            depth = makespan(blocks)
+            gate_time, _ = _schedule_core(tables, order, S)
+            depth = max(gate_time) + 1
             if depth < best_depth:
                 best_depth = depth
                 best_blocks = blocks[:]
             return
-        bound = max((blocks[i] for i in preds[l]), default=0)
-        choices = [b for b in feas[l] if b >= bound]
-        if not choices:
-            return
-        if not branching[l]:
-            choices = choices[:1]
-        for b in choices:
+        bound = 0
+        for i in preds[l]:
+            if blocks[i] > bound:
+                bound = blocks[i]
+        for b in choices[l][bound]:
             blocks[l] = b
+            order[b].append(l)
             walk(l + 1)
+            order[b].pop()
             if visited >= node_budget:
                 return
 
-    walk(0)
+    if node_budget > 0:
+        walk(0)
     if best_blocks == list(plan.gate_block):
         return plan
     return replace(plan, gate_block=tuple(best_blocks))

@@ -110,3 +110,20 @@ def test_swaps_carried_verbatim_from_pass1():
     planned = sorted(k for _, ks in plan.transitions for k in ks)
     assert sorted(s.edge for s in result.swaps) == planned
     assert result.depth_blocks == plan.num_blocks
+
+
+def test_prism_graph_schedule_is_pinned():
+    # the triangular prism on grid2x3, depth objective: two blocks and two
+    # SWAPs, with gates stitched around the SWAP windows
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    circ = phase_separation_from_graph(edges)
+    dev = bundled_device("grid2x3.json")
+    result = synthesize_qaoa(circ, dev, objective="depth", S=1)
+    assert [(g.gate_id, g.time, g.location) for g in result.gates] == [
+        (0, 0, 3), (1, 1, 6), (2, 2, 4), (3, 2, 0), (4, 0, 1), (5, 4, 3),
+        (6, 3, 2), (7, 3, 1), (8, 3, 6)]
+    assert [(s.edge, s.finish_time) for s in result.swaps] == [(2, 1), (5, 2)]
+    assert result.mapping_trajectory == (
+        (1, 4, 5, 2, 0, 3), (1, 4, 5, 2, 0, 3), (2, 4, 5, 1, 0, 3),
+        (2, 3, 5, 1, 0, 4), (2, 3, 5, 1, 0, 4))
+    assert check_result(circ, dev, result, S=1) == []

@@ -157,6 +157,26 @@ def test_mutation_after_solve_recompiles(method):
     assert v.assignment == {x: 1, b: 1} and v.objective_value == 1
 
 
+@pytest.mark.parametrize("method", ["sat", "milp"])
+def test_bool_zero_indicator_terms(method):
+    # [b == 0] is 1 - b, not b: in the objective ...
+    m = Model()
+    b = m.bool_var()
+    m.minimize([(1, (b, 0))])
+    v = solve(m, method=method)
+    assert v.assignment == {b: 1} and v.objective_value == 0
+    m.maximize([(2, (b, 0)), (1, (b, 1))])
+    v = solve(m, method=method)
+    assert v.assignment == {b: 0} and v.objective_value == 2
+    # ... and in a sum
+    m = Model()
+    b = m.bool_var()
+    m.require_sum([(1, (b, 0))], ">=", 1)
+    assert solve(m, method=method).assignment == {b: 0}
+    m.require_sum([(3, (b, 0)), (1, (b, 1))], "==", 1)
+    assert solve(m, method=method).status == sv.UNSAT
+
+
 def _loaded_rows(m, monkeypatch):
     """Clause and PB literal lists the Searcher holds when search starts."""
     seen = []
@@ -335,12 +355,20 @@ def models(draw):
         elif shape == "false":
             lits = [(h, m._var(h).hi + 1, True) for h, _, _ in lits]
         m.require_clause(lits)
+    def term(h):
+        # a handle's value, or an indicator on one value of its domain
+        coef = draw(st.integers(min_value=-2, max_value=3))
+        if draw(st.booleans()):
+            return coef, h
+        var = m._var(h)
+        return coef, (h, draw(st.integers(min_value=var.lo, max_value=var.hi)))
+
     if draw(st.booleans()):
-        terms = [(draw(st.integers(min_value=-2, max_value=3)), h) for h in handles]
+        terms = [term(h) for h in handles]
         m.require_sum(terms, draw(st.sampled_from(["<=", ">=", "=="])),
                       draw(st.integers(min_value=-2, max_value=8)))
     if draw(st.booleans()):
-        terms = [(draw(st.integers(min_value=-2, max_value=3)), h) for h in handles]
+        terms = [term(h) for h in handles]
         if draw(st.booleans()):
             m.minimize(terms)
         else:
