@@ -143,11 +143,6 @@ def serialize_device(device: Device) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def overlapping_pairs(device: Device) -> frozenset[tuple[int, int]]:
-    """All unordered pairs of distinct edges sharing an endpoint."""
-    return device.overlap_pairs
-
-
 def bipartition(device: Device):
     """2-coloring of the coupling graph, or None if it has an odd cycle."""
     n = device.num_physical
@@ -225,13 +220,6 @@ def enumerate_automorphisms(device: Device, cap: int = 5000):
     if not extend(0):
         return None
     return sorted(found)
-
-
-def incident_edges(device: Device, node: int) -> tuple[int, ...]:
-    """Edge indices touching the node, ascending."""
-    if not (0 <= node < device.num_physical):
-        raise DeviceError(f"node {node} out of range")
-    return device.incident[node]
 
 
 def scaled_log_fidelity(f: float) -> int:

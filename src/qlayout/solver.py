@@ -258,15 +258,44 @@ class Model:
         always true, and a clause none of whose literals can hold makes the
         model unsatisfiable. `require(Implies(And(g1, g2), c))` over Eq/Ne
         atoms lowers to the same row as the literals [not g1, not g2, c].
+
+        Each literal is resolved here, in one pass, to the row
+        `_clause_row([_eq_lit(...) ...])` would build; every handle is
+        checked, also those after a literal that makes the clause always
+        true.
         """
         lits = tuple(lits)
-        out = []
+        variables = self._vars
+        row: list[int] | None = []
         for handle, value, positive in lits:
-            lit = _eq_lit(self._var(handle), value)
+            if not isinstance(handle, int) or not (0 <= handle < len(variables)):
+                raise ModelError(f"unknown variable handle {handle!r}")
+            if row is None:
+                continue  # always true; the remaining handles are still checked
+            var = variables[handle]
+            if var.is_bool:
+                if value == 1:
+                    lit = 2 * var.first_col
+                elif value == 0:
+                    lit = 2 * var.first_col + 1
+                else:
+                    lit = None
+            elif var.lo <= value <= var.hi:
+                lit = 2 * (var.first_col + value - var.lo)
+            else:
+                lit = None
+            if lit is None:  # value outside the domain: a constant literal
+                if not positive:
+                    row = None
+                continue
             if not positive:
-                lit = True if lit is False else lit ^ 1
-            out.append(lit)
-        row = _clause_row(out)
+                lit ^= 1
+            if lit in row:
+                continue
+            if lit ^ 1 in row:
+                row = None
+            else:
+                row.append(lit)
         self._assertions.append(_Clause(lits, row))
         self._compiled = None
 

@@ -9,9 +9,7 @@ from importlib import resources
 from qlayout.device import (
     DeviceError,
     build_device,
-    incident_edges,
     load_device,
-    overlapping_pairs,
     scaled_log_fidelity,
     serialize_device,
     swap_log_fidelity,
@@ -28,7 +26,7 @@ def test_qx2_shape():
     assert d.num_edges == 6
     assert d.is_connected()
     # every edge pair of QX2 shares an endpoint except the 5 disjoint ones
-    assert len(overlapping_pairs(d)) == 10
+    assert len(d.overlap_pairs) == 10
 
 
 def test_grid_devices_connected():
@@ -49,10 +47,7 @@ def test_build_canonicalizes_edges():
 
 def test_incident_lists():
     d = build_device(3, [(0, 1), (1, 2)])
-    assert incident_edges(d, 1) == (0, 1)
-    assert incident_edges(d, 0) == (0,)
-    with pytest.raises(DeviceError):
-        incident_edges(d, 3)
+    assert d.incident == ((0,), (0, 1), (1,))
 
 
 @pytest.mark.parametrize("nodes,edges", [

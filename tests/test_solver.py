@@ -139,6 +139,55 @@ def test_require_clause_constant_clauses():
     assert solve(m, method="milp").status == sv.UNSAT
 
 
+@pytest.mark.parametrize("always_true", [
+    [(0, 5, False)],  # a constant-true literal
+    [(0, 1, True), (0, 1, False)],  # a complementary pair
+    [(1, 1, True), (1, 0, True)],  # a complementary pair over a bool
+])
+@pytest.mark.parametrize("bad", [99, -1, "x", None])
+def test_require_clause_checks_handles_after_an_always_true_literal(always_true, bad):
+    m = Model()
+    m.int_var(0, 2)
+    m.bool_var()
+    with pytest.raises(ModelError):
+        m.require_clause(always_true + [(bad, 1, True)])
+    assert m._assertions == []
+
+
+@st.composite
+def _indicator_lits(draw):
+    """A model with bools and offset-domain ints, and a literal list over
+    them: values in and out of each domain, repeats and negations."""
+    m = Model()
+    handles = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            handles.append(m.bool_var())
+        else:
+            lo = draw(st.integers(-3, 3))
+            handles.append(m.int_var(lo, lo + draw(st.integers(0, 3))))
+    lit = st.tuples(st.sampled_from(handles), st.integers(-5, 7), st.booleans())
+    lits = draw(st.lists(lit, max_size=8))
+    if lits and draw(st.booleans()):
+        lits += draw(st.lists(st.sampled_from(lits), max_size=3))  # repeats
+    return m, draw(st.permutations(lits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indicator_lits())
+def test_require_clause_row_matches_literal_path(case):
+    m, lits = case
+    expected = []
+    for handle, value, positive in lits:
+        lit = sv._eq_lit(m._var(handle), value)
+        if not positive:
+            lit = True if lit is False else lit ^ 1
+        expected.append(lit)
+    m.require_clause(lits)
+    assert m._assertions[-1].row == sv._clause_row(expected)
+    assert m._assertions[-1].lits == tuple(lits)
+
+
 @pytest.mark.parametrize("method", ["sat", "milp"])
 def test_mutation_after_solve_recompiles(method):
     m = Model()
