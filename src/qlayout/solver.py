@@ -272,19 +272,8 @@ class Model:
                 raise ModelError(f"unknown variable handle {handle!r}")
             if row is None:
                 continue  # always true; the remaining handles are still checked
-            var = variables[handle]
-            if var.is_bool:
-                if value == 1:
-                    lit = 2 * var.first_col
-                elif value == 0:
-                    lit = 2 * var.first_col + 1
-                else:
-                    lit = None
-            elif var.lo <= value <= var.hi:
-                lit = 2 * (var.first_col + value - var.lo)
-            else:
-                lit = None
-            if lit is None:  # value outside the domain: a constant literal
+            lit = _eq_lit(variables[handle], value)
+            if lit is False:  # value outside the domain: a constant literal
                 if not positive:
                     row = None
                 continue

@@ -1,6 +1,7 @@
 """CDCL search core: every search decision matches a frozen reference copy."""
 
 import math
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -142,8 +143,9 @@ def _random_rows(rng, nvars):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.randoms(use_true_random=True))
-def test_hard_search_matches_reference(rng):
+@given(st.integers(0, 2**32 - 1))
+def test_hard_search_matches_reference(seed):
+    rng = random.Random(seed)  # a failing seed replays from the report
     nvars = rng.randrange(20, 100)
     pair = _both(nvars)
     _load(pair, _random_rows(rng, nvars))
