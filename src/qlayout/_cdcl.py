@@ -488,6 +488,10 @@ class Searcher:
     def search(self, deadline: float | None = None) -> str:
         if self.hard_unsat:
             return "unsat"
+        # the clock is also read every 256 conflicts below; a call past its
+        # deadline stops here, however few conflicts it would take
+        if deadline is not None and time.monotonic() >= deadline:
+            return "timeout"
         self._backtrack(0)
         if not self._root_scan():
             return "unsat"
