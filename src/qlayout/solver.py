@@ -15,8 +15,11 @@ linear objective. This module lowers that description to rows over pure
   * connectives are normalized to negation normal form and emitted as the
     same clause rows, introducing auxiliary binaries only for non-literal
     disjuncts (one-directional Tseitin, sound in positive position);
-  * var-to-var comparisons, sums and the objective become linear rows
-    (coefficients over columns, with bounds).
+  * var-to-var (in)equalities and orderings become clause rows too;
+    orderings go through an order encoding ("x >= v" literals, see
+    `Model._compile`);
+  * sums and the objective become linear rows (coefficients over
+    columns, with bounds).
 
 Two interchangeable engines consume the lowered rows: a conflict-driven
 search core (strong on tight feasibility questions, proves optima by
@@ -401,6 +404,18 @@ class Model:
         (coeffs, lb, ub). Rows follow the exactly-one groups, then the
         assertions in order, then the sums; the objective is a list of
         per-column costs, negated for maximization.
+
+        Orderings (Lt, Le, guarded or not) lower to clauses over an order
+        encoding. A literal ge(x, v) stands for "x >= v": a constant for v
+        <= lo or v > hi, a bool's own column, "x != lo" at v = lo + 1 and
+        "x == hi" at v = hi. An int of four or more values gets, the first
+        time an ordering needs an inner value, one aux column per inner
+        value and the chain clauses ge(v+1) -> ge(v), x = v -> ge(v),
+        x = v -> not ge(v+1) and ge(v) and not ge(v+1) -> x = v, emitted
+        just before that ordering's rows; later orderings share the chain.
+        guard => a + margin <= b becomes, for each v in a's domain, the
+        clause [not guard, not ge(a, v), ge(b, v + margin)], so a value
+        fixed on one side bounds the other by unit propagation alone.
         """
         if self._compiled is not None:
             return self._compiled
@@ -457,30 +472,55 @@ class Model:
         def int_sum_coeffs(var: _Var, sign: float, coeffs: dict):
             if var.is_bool:
                 coeffs[var.first_col] = coeffs.get(var.first_col, 0.0) + sign
-                return 0.0
-            base = 0.0
+                return
             for v in var.domain:
                 c = var.first_col + (v - var.lo)
                 coeffs[c] = coeffs.get(c, 0.0) + sign * v
-            return base
+
+        chains: dict[int, list] = {}  # int handle -> its ge literals
+
+        def ge(var: _Var, v: int):
+            """Literal for "var >= v": a constant outside (lo, hi], a column
+            of the var at either inner end, else an aux column of its chain."""
+            if v <= var.lo:
+                return True
+            if v > var.hi:
+                return False
+            if var.is_bool:
+                return 2 * var.first_col
+            if v == var.lo + 1:
+                return 2 * var.first_col + 1  # var != lo
+            if v == var.hi:
+                return 2 * (var.first_col + v - var.lo)  # var == hi
+            chain = chains.get(var.handle)
+            if chain is None:
+                chain = chains[var.handle] = order_chain(var)
+            return chain[v - var.lo]
+
+        def order_chain(var: _Var) -> list:
+            # lits[i] stands for "var >= lo + i", i in 1..n-1, over a domain
+            # of n >= 4 values: "var != lo", an aux column per inner value,
+            # "var == hi"; built once, shared by every ordering on var
+            n = var.hi - var.lo + 1
+            col = var.first_col
+            lits = ([None, 2 * col + 1] + [2 * new_aux("ge") for _ in range(n - 3)]
+                    + [2 * (col + n - 1)])
+            for i in range(1, n - 1):
+                eq = 2 * (col + i)
+                rows.append([lits[i + 1] ^ 1, lits[i]])  # ge(i+1) -> ge(i)
+                if i >= 2:
+                    rows.append([eq ^ 1, lits[i]])  # x = i -> ge(i)
+                if i <= n - 3:
+                    rows.append([eq ^ 1, lits[i + 1] ^ 1])  # x = i -> not ge(i+1)
+                rows.append([lits[i] ^ 1, lits[i + 1], eq])  # ge(i), not ge(i+1) -> x = i
+            return lits
 
         def add_ordering(a: _Var, b: _Var, margin: int, guard):
-            # (guard) => sum(a) + margin <= sum(b), big-M relaxed per guard literal
-            coeffs: dict[int, float] = {}
-            int_sum_coeffs(a, 1.0, coeffs)
-            int_sum_coeffs(b, -1.0, coeffs)
-            bigm = float(a.hi - b.lo + margin)
-            ub = float(-margin)
-            if bigm > 0:
-                for lit in guard:
-                    # unsatisfied guard literal contributes bigm of slack
-                    col = lit >> 1
-                    if lit & 1:
-                        coeffs[col] = coeffs.get(col, 0.0) - bigm
-                    else:
-                        coeffs[col] = coeffs.get(col, 0.0) + bigm
-                        ub += bigm
-            rows.append((coeffs, -math.inf, ub))
+            # (guard) => a + margin <= b: for each value v of a, a >= v
+            # forces b >= v + margin
+            neg_guard = negate(guard)
+            for v in a.domain:
+                add_clause(neg_guard + [_flip(ge(a, v)), ge(b, v + margin)])
 
         def guard_conjuncts(f):
             """f as a list of literals when it is a literal/conjunction, else None."""
