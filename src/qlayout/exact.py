@@ -36,8 +36,8 @@ class EncodingConfig:
     objective: str = "swap"
     timeout: float | None = None
     max_T: int = 256
-    # Transition-based switches: dependencies weaken to <= and the two
-    # gate/SWAP conflict families are dropped.
+    # Transition-based switches: dependencies weaken to <= and the
+    # gate/SWAP occupancy family is dropped.
     relaxed_dependencies: bool = False
     gate_swap_conflicts: bool = True
 
@@ -94,7 +94,9 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             for p in range(N):
                 m.require_sum([(1, (pi[q][t], p)) for q in range(M)], "<=", 1)
 
-    # eq2: dependency order (strict; transition mode allows equal blocks)
+    # eq2: dependency order (strict; transition mode allows equal blocks).
+    # The solver lowers each one to a clause per slot over "t >= v"
+    # literals, so a placed gate bounds its successors by propagation.
     order = sv.Le if config.relaxed_dependencies else sv.Lt
     for l, lp in circuit.dependencies:
         m.require(order(time[l], time[lp]))
@@ -148,33 +150,26 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
                     m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
 
     if config.gate_swap_conflicts:
-        # eq8: a SWAP window excludes 1q gates on either endpoint
-        for k in range(K):
-            a, b = device.edges[k]
+        # eq8/eq9 by node occupancy: swapping[p][t] holds while a SWAP on an
+        # edge at p runs in slot t, and a gate acting on p at t (a 1q gate
+        # on p, a 2q gate on an edge containing p) needs it off. A SWAP
+        # window so excludes exactly the gates on its endpoints and on the
+        # edges sharing a node with its own.
+        swapping = [[m.bool_var(f"swapping_{p}_{t}") for t in range(T)] for p in range(N)]
+        for k, (a, b) in enumerate(device.edges):
             for t in range(S - 1, T):
-                off = (sigma[k][t], 0, True)
-                for tp in range(max(0, t - S + 1), t + 1):
-                    for g in circuit.gates:
-                        if g.is_two_qubit:
-                            continue
-                        for endpoint in (a, b):
-                            m.require_clause([(time[g.index], tp, False),
-                                              (space[g.index], endpoint, False), off])
-        # eq9: a SWAP window excludes 2q gates on the same or overlapping edges
-        neighbors = {k: {k} for k in range(K)}
-        for k, kp in device.overlap_pairs:
-            neighbors[k].add(kp)
-            neighbors[kp].add(k)
-        for k in range(K):
-            for t in range(S - 1, T):
-                off = (sigma[k][t], 0, True)
-                for tp in range(max(0, t - S + 1), t + 1):
-                    for g in circuit.gates:
-                        if not g.is_two_qubit:
-                            continue
-                        for kp in sorted(neighbors[k]):
-                            m.require_clause([(time[g.index], tp, False),
-                                              (space[g.index], kp, False), off])
+                fired = (sigma[k][t], 1, False)
+                for tp in range(t - S + 1, t + 1):
+                    m.require_clause([fired, (swapping[a][tp], 1, True)])
+                    m.require_clause([fired, (swapping[b][tp], 1, True)])
+        for g in circuit.gates:
+            sites = device.edges if g.is_two_qubit else [(p,) for p in range(N)]
+            for t in range(T):
+                not_now = (time[g.index], t, False)
+                for x, nodes in enumerate(sites):
+                    not_here = (space[g.index], x, False)
+                    for p in nodes:
+                        m.require_clause([not_now, not_here, (swapping[p][t], 0, True)])
 
     # eq10: mapping is frozen across t -> t+1 unless an incident SWAP finishes
     for t in range(T - 1):
