@@ -1,8 +1,10 @@
 """Exact synthesizer: optimality, growth policy, decode contract."""
 
+import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlayout import solver as sv
 from qlayout.circuit import load_circuit
@@ -11,10 +13,12 @@ from qlayout.exact import (
     EncodingConfig,
     TCapExceeded,
     apply_objective,
+    decode,
     encode,
     grow_T,
     synthesize,
 )
+from qlayout.oracle import OracleError, oracle_optimal
 from qlayout.verify import check_result, metrics
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
@@ -143,3 +147,89 @@ def test_engines_agree_on_exact_model(objective):
     sat, milp = verdicts
     assert sat.status == milp.status == sv.SAT
     assert sat.objective_value == milp.objective_value
+
+
+# Exact optima of the bundled reference rows (value of the objective's result
+# field, first satisfiable horizon), as in perfbench/expected_exact.json; the
+# 4mod5-v1_22/grid2x3/swap row was also confirmed with HiGHS at T=14.
+BUNDLED_OPTIMA = [
+    ("or", "qx2", "swap", 0, 9), ("or", "qx2", "depth", 9, 9),
+    ("or", "grid2x3", "swap", 0, 9), ("or", "grid2x3", "depth", 9, 9),
+    ("adder", "qx2", "swap", 1, 16), ("adder", "qx2", "depth", 16, 16),
+    ("adder", "grid2x3", "swap", 0, 16), ("adder", "grid2x3", "depth", 16, 16),
+    ("qaoa5", "qx2", "swap", 0, 15), ("qaoa5", "qx2", "depth", 15, 15),
+    ("qaoa5", "grid2x3", "swap", 1, 15), ("qaoa5", "grid2x3", "depth", 15, 15),
+    ("4mod5-v1_22", "qx2", "swap", 1, 14), ("4mod5-v1_22", "qx2", "depth", 14, 14),
+    ("4mod5-v1_22", "grid2x3", "swap", 2, 14), ("4mod5-v1_22", "grid2x3", "depth", 14, 14),
+]
+
+
+@pytest.mark.parametrize("circuit_name,device_name,objective,value,T", BUNDLED_OPTIMA,
+                         ids=lambda x: str(x))
+def test_bundled_exact_optima(circuit_name, device_name, objective, value, T):
+    circuit = bundled_circuit(f"{circuit_name}.gates")
+    device = bundled_device(f"{device_name}.json")
+    result = synthesize(circuit, device, objective)
+    got = result.swap_count if objective == "swap" else result.depth_slots
+    assert (got, result.solver_T) == (value, T)
+    assert check_result(circuit, device, result) == []
+
+
+# Exact flow against the brute-force oracle, within its caps (M <= 4, L <= 6,
+# N <= 5), for every SWAP duration up to the default.
+
+ORACLE_DEVICES = {
+    "path": build_device(4, [(0, 1), (1, 2), (2, 3)]),
+    "cycle": build_device(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    "paw": build_device(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "split": build_device(5, [(0, 1), (1, 2), (3, 4)]),  # disconnected
+}
+
+
+def _random_program(rng: random.Random) -> str:
+    """Up to 6 gates on 2-4 qubits; about a third 1q, and 2q gates often
+    reuse a pair."""
+    num_qubits = rng.randint(2, 4)
+    lines = [f"qubits {num_qubits}"]
+    pairs = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.3:
+            lines.append(f"h q{rng.randrange(num_qubits)}")
+            continue
+        if pairs and rng.random() < 0.4:
+            a, b = rng.choice(pairs)
+        else:
+            a, b = rng.sample(range(num_qubits), 2)
+            pairs.append((a, b))
+        lines.append(f"cx q{a} q{b}")
+    return "\n".join(lines) + "\n"
+
+
+def _optimum_at(circuit, device, objective, T, S):
+    model, vs = encode(circuit, device, EncodingConfig(T=T, S=S, objective=objective))
+    apply_objective(model, vs, objective, device, circuit)
+    verdict = sv.solve(model)
+    assert verdict.status == sv.SAT
+    result = decode(circuit, device, verdict, vs, T)
+    assert check_result(circuit, device, result, S=S) == []
+    return result.swap_count if objective == "swap" else result.depth_slots
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), device_name=st.sampled_from(sorted(ORACLE_DEVICES)),
+       S=st.sampled_from([1, 2, 3]))
+def test_exact_matches_oracle(seed, device_name, S):
+    circuit = load_circuit(_random_program(random.Random(seed)))
+    device = ORACLE_DEVICES[device_name]
+    config = EncodingConfig(T=1, S=S, max_T=12)
+    try:
+        oracle_optimal(circuit, device, "swap")  # slot-free: is there any schedule?
+    except OracleError:  # some gate pair can never meet on this device
+        with pytest.raises(TCapExceeded):
+            synthesize(circuit, device, config=config)
+        return
+    T = synthesize(circuit, device, config=config).solver_T
+    for horizon in (T, T + 2):
+        for objective in ("swap", "depth"):
+            assert _optimum_at(circuit, device, objective, horizon, S) == \
+                oracle_optimal(circuit, device, objective, bounds=horizon, S=S), (horizon, objective)

@@ -1,6 +1,7 @@
 """Declarative model seam: lowering, both engines, verdict contract."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +319,40 @@ def test_sat_timeout_reported():
     assert v.status == sv.TIMEOUT
 
 
+def _chain_model() -> Model:
+    """Four ordered ints and a maximized sum: a few incumbent rounds, each
+    with only a handful of conflicts."""
+    m = Model()
+    xs = [m.int_var(0, 6) for _ in range(4)]
+    for a, b in zip(xs, xs[1:]):
+        m.require(Lt(a, b))
+    m.maximize([(1, x) for x in xs])
+    return m
+
+
+def test_deadline_honoured_with_few_conflicts(monkeypatch):
+    calls = []
+    search = _cdcl.Searcher.search
+
+    def spy(self, deadline=None):
+        status = search(self, deadline)
+        calls.append((status, self.conflicts))
+        return status
+
+    monkeypatch.setattr(_cdcl.Searcher, "search", spy)
+    v = solve(_chain_model(), method="sat")
+    assert v.status == sv.SAT and v.objective_value == 3 + 4 + 5 + 6
+    assert len(calls) > 2 and calls[-1][1] < 256  # incumbent rounds, few conflicts
+    calls.clear()
+    assert solve(_chain_model(), timeout=0, method="sat").status == sv.TIMEOUT
+    assert calls == [("timeout", 0)]
+    # a later round whose deadline has passed stops too
+    searcher = _cdcl.Searcher(2)
+    searcher.add_clause([0, 2])
+    assert searcher.search() == "sat"
+    assert searcher.search(time.monotonic()) == "timeout"
+
+
 def test_fractional_row_falls_back_to_milp():
     m = Model()
     b1 = m.bool_var()
@@ -348,6 +383,156 @@ def test_solve_is_deterministic():
     vb = solve(build())
     assert va.assignment == vb.assignment
     assert va.objective_value == vb.objective_value
+
+
+# orderings: the order-encoded lowering
+
+
+def _root_searcher(m: Model) -> _cdcl.Searcher:
+    """A Searcher loaded with the model's rows, as the sat engine loads
+    them, after propagation at the root and before any decision."""
+    ncols, rows, _, _ = m._compile()
+    searcher = _cdcl.Searcher(ncols)
+    for row in rows:
+        if row.__class__ is list:
+            searcher.add_clause(row)
+        else:
+            searcher.add_linear(*row)
+    assert searcher._root_scan() and searcher._propagate() is None
+    assert searcher.decisions == searcher.conflicts == 0
+    return searcher
+
+
+@pytest.mark.parametrize("x_dom,y_dom", [((0, 7), (0, 7)), ((2, 6), (-1, 9)), ((0, 2), (0, 5))])
+@pytest.mark.parametrize("guarded", [False, True])
+def test_ordering_propagates_at_the_root(x_dom, y_dom, guarded):
+    # x == u with x < y leaves y no value <= u, by unit propagation alone
+    for u in range(x_dom[0], min(x_dom[1], y_dom[1] - 1) + 1):
+        m = Model()
+        x = m.int_var(*x_dom)
+        y = m.int_var(*y_dom)
+        b = m.bool_var()
+        if guarded:
+            m.require(Implies(Eq(b, 1), Lt(x, y)))
+            m.require(Eq(b, 1))
+        else:
+            m.require(Lt(x, y))
+        m.require(Eq(x, u))
+        val = _root_searcher(m).val
+        first = m._var(y).first_col
+        assert [val[first + v - y_dom[0]] for v in range(y_dom[0], u + 1)] == [0] * (u + 1 - y_dom[0])
+
+
+def _non_group_rows(m: Model) -> list:
+    """Rows after the exactly-one rows of the model's int variables."""
+    rows = m._compile()[1]
+    n_int = sum(1 for v in m._vars if not v.is_bool)
+    assert all(row.__class__ is tuple for row in rows[:n_int])
+    return rows[n_int:]
+
+
+def test_orderings_share_one_chain_per_variable():
+    m = Model()
+    x = m.int_var(0, 5)  # six values: four inner ones, two of them aux
+    y = m.int_var(0, 2)
+    z = m.int_var(1, 4)  # four values: one aux
+    b = m.bool_var()
+    m.require(Lt(x, y))
+    m.require(Le(z, x))
+    m.require(Implies(Eq(b, 1), Lt(x, z)))
+    m.require(Or(Le(y, x), Eq(b, 0)))
+    m.require(Le(x, b))
+    assert all(row.__class__ is list for row in _non_group_rows(m))
+    assert sorted(m._aux_names) == ["ge"] * 4 + ["or"]
+    assert m._compile()[0] == 6 + 3 + 4 + 1 + 5
+
+
+def test_small_domains_add_no_aux_column():
+    m = Model()
+    x = m.int_var(0, 2)
+    y = m.int_var(4, 6)
+    z = m.int_var(3, 3)
+    b = m.bool_var()
+    m.require(Lt(x, y))
+    m.require(Le(y, x))
+    m.require(Implies(Eq(b, 1), Lt(z, x)))
+    m.require(Lt(b, x))
+    m.require(Le(z, y))
+    assert all(row.__class__ is list for row in _non_group_rows(m))
+    assert m._aux_names == []
+    assert m._compile()[0] == 3 + 3 + 1 + 1
+
+
+def _ordering_cases():
+    def case(*doms):
+        m = Model()
+        hs = [m.bool_var() if d == "bool" else m.int_var(*d) for d in doms]
+        return m, hs
+
+    def same_var_lt():
+        m, (a,) = case((0, 4))
+        m.require(Lt(a, a))
+        return m
+
+    def same_var_le():
+        m, (a,) = case((0, 4))
+        m.require(Le(a, a))
+        return m
+
+    def int_against_bool():
+        m, (x, b, c) = case((-1, 3), "bool", "bool")
+        m.require(Lt(b, x))
+        m.require(Le(x, c))
+        m.require(Le(b, c))
+        return m
+
+    def bool_strict():
+        m, (b, c) = case("bool", "bool")
+        m.require(Lt(b, c))
+        return m
+
+    def offset_domains():
+        m, (x, y, z) = case((3, 7), (-2, 5), (4, 9))
+        m.require(Lt(x, y))
+        m.require(Le(y, z))
+        m.require(Le(x, z))
+        return m
+
+    def single_values():
+        m, (s, x, r) = case((4, 4), (0, 6), (6, 6))
+        m.require(Lt(s, x))
+        m.require(Le(s, s))
+        m.require(Le(x, r))
+        m.require(Lt(s, r))
+        return m
+
+    def guarded_under_or():
+        m, (x, y, b) = case((0, 4), (1, 5), "bool")
+        m.require(Or(Lt(x, y), Eq(b, 1)))
+        m.require(Or(Le(y, x), Lt(b, x)))
+        m.require(Not(Lt(x, b)))
+        m.require(Implies(Lt(x, y), Eq(b, 0)))
+        m.require(Implies(And(Eq(b, 1), Ne(x, 2)), Or(Lt(y, x), Eq(y, 5))))
+        return m
+
+    return [same_var_lt, same_var_le, int_against_bool, bool_strict,
+            offset_domains, single_values, guarded_under_or]
+
+
+@pytest.mark.parametrize("build", _ordering_cases(), ids=lambda f: f.__name__)
+def test_ordering_edge_cases_brute_force(build):
+    # the lowering admits exactly the assignments the formulas allow
+    m = build()
+    feasible, _ = _brute_force(m)
+    for method in ("sat", "milp"):
+        assert (solve(m, method=method).status == sv.SAT) == feasible
+    handles = range(m.num_variables)
+    for values in itertools.product(*[m._var(h).domain for h in handles]):
+        pinned = build()
+        for h, value in zip(handles, values):
+            pinned.require(Eq(h, value))
+        allowed = not m.check_assignment(dict(zip(handles, values)))
+        assert (solve(pinned, method="sat").status == sv.SAT) == allowed, values
 
 
 # random-model agreement between the two engines
@@ -393,6 +578,10 @@ def models(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
         k = draw(st.integers(min_value=1, max_value=3))
         m.require(Or(*[atom() for _ in range(k)]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        # top-level, unguarded orderings
+        order = draw(st.sampled_from([Lt, Le]))
+        m.require(order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles))))
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         lits = [literal() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
         shape = draw(clause_shapes)
