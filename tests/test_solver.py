@@ -433,9 +433,9 @@ def _non_group_rows(m: Model) -> list:
 
 def test_orderings_share_one_chain_per_variable():
     m = Model()
-    x = m.int_var(0, 5)  # six values: four inner ones, two of them aux
+    x = m.int_var(0, 5)  # aux columns for x >= 2, 3, 4
     y = m.int_var(0, 2)
-    z = m.int_var(1, 4)  # four values: one aux
+    z = m.int_var(1, 4)  # an aux column for z >= 3
     b = m.bool_var()
     m.require(Lt(x, y))
     m.require(Le(z, x))
