@@ -3,28 +3,28 @@
 Phase-separation stages are made of two-qubit ZZ gates that all commute,
 so gate order is free: pass 1 runs the coarse block model with no
 dependency constraints at all, pass 2 re-times the gates inside each block
-with the edge assignments pinned and every SWAP variable forced off. Two
-gates sharing a logical qubit still contend for one physical qubit, so
-pass 2 serializes them explicitly. Depth accounting here follows the unit
-metric: ZZ gates and SWAPs both take one slot (S=1) unless overridden.
+with the block's mapping fixed and no SWAPs. Two gates of a block clash
+exactly when they share a physical node, so pass 2 is a minimum colouring
+of that clash graph, found by an exact search with no solver model. Depth
+accounting here follows the unit metric: ZZ gates and SWAPs both take one
+slot (S=1) unless overridden.
 """
 
 from __future__ import annotations
 
-from . import solver as sv
+import time
+from collections import Counter
+
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
-from .exact import EncodingConfig, SynthesisDetails, apply_objective, encode
-from .exact import SynthesisTimeout, TCapExceeded
+from .exact import SynthesisDetails, SynthesisTimeout
 from .transition import (
     _block_order,
-    _polish_plan,
     _schedule_core,
     _schedule_result,
     _schedule_tables,
+    _solve_coarse,
     check_plan,
-    encode_tb,
-    extract_plan,
 )
 
 
@@ -70,49 +70,52 @@ def parse_graph(text: str):
     return top + 1, edges
 
 
-def _retime_block(block_gates, circuit: Circuit, device: Device,
-                  locations, timeout):
-    """Minimum-depth re-timing of one block: edge assignments pinned, SWAPs
-    off, same-qubit gates kept apart. Returns slot per block gate."""
-    L_b = len(block_gates)
-    if L_b == 0:
-        return []
-    sub = Circuit(
-        num_qubits=circuit.num_qubits,
-        gates=tuple(
-            Gate(index=i, name=circuit.gates[l].name, qubits=circuit.gates[l].qubits)
-            for i, l in enumerate(block_gates)
-        ),
-    )
-    sub = preprocess(sub, user_deps=[])
-    cfg = EncodingConfig(T=L_b, S=1, objective="depth",
-                         relaxed_dependencies=True, gate_swap_conflicts=False)
-    model, vs = encode(sub, device, cfg)
-    for i in range(L_b):
-        model.require_clause([(vs.space[i], locations[i], True)])
-    for row in vs.sigma:
-        for h in row:
-            model.require_clause([(h, 0, True)])
-    for i in range(L_b):
-        for j in range(i + 1, L_b):
-            if set(sub.gates[i].qubits) & set(sub.gates[j].qubits):
-                model.require(sv.NeVar(vs.time[i], vs.time[j]))
-    apply_objective(model, vs, "depth", device, sub)
-    verdict = sv.solve(model, timeout=timeout)
-    if verdict.status == sv.TIMEOUT:
-        raise SynthesisTimeout("solver hit time budget re-timing a block")
-    if verdict.status != sv.SAT:
-        raise RuntimeError("block re-timing is infeasible: pass-1 output broken")
-    return [verdict.assignment[h] for h in vs.time]
+def _retime_block(pairs, deadline: float | None):
+    """Minimum-depth re-timing of one block: pairs[i] is gate i's physical
+    node pair under the block's fixed mapping. Returns a slot per gate.
+
+    Gates sharing a node clash, so the fewest slots is the fewest colours.
+    Iterative deepening on k from the largest node load, a lower bound: a
+    depth-first search gives each gate in turn the lowest colour below k
+    that no clashing earlier gate holds, opening at most one colour above
+    the highest used so far. The first k that fits is the minimum. Raises
+    SynthesisTimeout once `deadline` (time.monotonic) has passed.
+    """
+    n = len(pairs)
+    clash = [[j for j in range(i) if set(pairs[i]) & set(pairs[j])]
+             for i in range(n)]
+    k = max(Counter(p for pair in pairs for p in pair).values(), default=0)
+    searched = 0
+    while True:
+        slot = [-1] * n
+        i = 0
+        while 0 <= i < n:
+            if searched % 256 == 0 and deadline is not None \
+                    and time.monotonic() >= deadline:
+                raise SynthesisTimeout("time budget passed re-timing a block")
+            searched += 1
+            taken = {slot[j] for j in clash[i]}
+            limit = min(max(slot[:i], default=-1) + 2, k)
+            free = [c for c in range(slot[i] + 1, limit) if c not in taken]
+            if free:
+                slot[i] = free[0]
+                i += 1
+            else:
+                slot[i] = -1
+                i -= 1
+        if i == n:
+            return slot
+        k += 1
 
 
 def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
                     S: int = 1, timeout: float | None = None, max_T: int = 256,
                     return_details: bool = False):
     """Two passes: the coarse block model with dependencies removed picks
-    blocks, mappings, and transitions; each block is then re-timed at fixed
-    edges to its minimum depth and the blocks are stitched by earliest
-    node availability. Pass-1 SWAPs are carried over unchanged.
+    blocks, mappings, and transitions; each block is then re-timed to its
+    minimum depth, an exact minimum colouring of its gates by shared
+    physical node with no solver model, and the blocks are stitched by
+    earliest node availability. Pass-1 SWAPs are carried over unchanged.
 
     The stitch is transition._schedule_core run on the pass-2 gate order;
     with no dependencies, only node availability places each gate.
@@ -130,31 +133,18 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
             "(empty dependency list)")
 
     # pass 1: coarse blocks with no gate ordering at all
-    tried = []
-    T = 1
-    while True:
-        if T > max_T:
-            raise TCapExceeded(f"no satisfiable coarse horizon up to max_T={max_T}")
-        model, vs = encode_tb(circuit, device, T, objective)
-        verdict = sv.solve(model, timeout=timeout)
-        tried.append(T)
-        if verdict.status == sv.TIMEOUT:
-            raise SynthesisTimeout(f"solver hit time budget at coarse T={T}")
-        if verdict.status == sv.SAT:
-            break
-        T += 1
-    plan = extract_plan(circuit, device, verdict, vs)
-    plan = _polish_plan(plan, circuit, device, S)
+    plan, verdict, tried = _solve_coarse(circuit, device, objective, S,
+                                         timeout, max_T)
     check_plan(plan, circuit, device)
 
     tables = _schedule_tables(plan, circuit, device)
 
-    # pass 2: optimal layer order inside each block
+    # pass 2: minimum-depth gate order inside each block
     order: list[list[int]] = []
     for b, block_gates in enumerate(_block_order(plan.gate_block, plan.num_blocks)):
-        locs = [device.edge_index(*tables.nodes[b][l]) for l in block_gates]
-        layers = _retime_block(block_gates, circuit, device, locs, timeout)
-        ranked = sorted(range(len(block_gates)), key=lambda i: (layers[i], block_gates[i]))
+        deadline = None if timeout is None else time.monotonic() + timeout
+        slots = _retime_block([tables.nodes[b][l] for l in block_gates], deadline)
+        ranked = sorted(range(len(block_gates)), key=lambda i: (slots[i], block_gates[i]))
         order.append([block_gates[i] for i in ranked])
 
     # stitch: earliest node availability, pass-2 order preserved

@@ -548,21 +548,11 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     return replace(plan, gate_block=tuple(best_blocks))
 
 
-def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
-                  S: int = 3, timeout: float | None = None, max_T: int = 256,
-                  return_details: bool = False):
-    """Grow the coarse horizon one block at a time from 1 until the block
-    model is satisfiable, then schedule the optimal plan at exact time.
-
-    The solved plan's block split is refined first: the coarse model cannot
-    see exact-time slots, so among equal-objective splits the one with the
-    smallest scheduled makespan is kept (mappings, transitions, and the
-    SWAP count are untouched).
-
-    Returns (plan, result); with return_details, (plan, result, details).
-    """
-    if circuit.longest_chain is None:
-        raise ValueError("circuit must be preprocessed before synthesis")
+def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
+                  timeout: float | None, max_T: int):
+    """The coarse horizon loop of the TB and QAOA flows: grow T from 1 until
+    the block model is satisfiable, then extract and polish its plan.
+    Returns (plan, verdict, tried), tried the horizons in order."""
     tried = []
     T = 1
     while True:
@@ -577,10 +567,28 @@ def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
             break
         T += 1
     plan = extract_plan(circuit, device, verdict, vs)
-    plan = _polish_plan(plan, circuit, device, S)
+    return _polish_plan(plan, circuit, device, S), verdict, tried
+
+
+def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
+                  S: int = 3, timeout: float | None = None, max_T: int = 256,
+                  return_details: bool = False):
+    """Grow the coarse horizon one block at a time from 1 until the block
+    model is satisfiable, then schedule the optimal plan at exact time.
+
+    The solved plan's block split is refined first: the coarse model cannot
+    see exact-time slots, so among equal-objective splits the one with the
+    smallest scheduled makespan is kept (mappings, transitions, and the
+    SWAP count are untouched).
+
+    Returns (plan, result); with return_details, (plan, result, details).
+    """
+    plan, verdict, tried = _solve_coarse(circuit, device, objective, S,
+                                         timeout, max_T)
     result = asap_schedule(plan, circuit, device, S=S)
     if return_details:
         details = SynthesisDetails(
-            objective_value=verdict.objective_value, tried_T=tried, solver_T=T)
+            objective_value=verdict.objective_value, tried_T=tried,
+            solver_T=tried[-1])
         return plan, result, details
     return plan, result

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from qlayout import _cdcl
 from qlayout import solver as sv
 from qlayout import transition
-from qlayout.circuit import Circuit, Gate, load_circuit, preprocess
+from qlayout.circuit import Circuit, Gate, load_circuit, parse_program, preprocess
 from qlayout.device import DeviceError, build_device, load_device
 from qlayout.results import SwapPlacement, TransitionPlan
 from qlayout.transition import (
@@ -53,6 +53,11 @@ def test_triangle_end_to_end():
     assert result.swap_count == 1
     assert result.depth_blocks == 2
     assert check_result(TRIANGLE, PATH3, result) == []
+
+
+def test_rejects_unpreprocessed():
+    with pytest.raises(ValueError, match="preprocessed"):
+        synthesize_tb(parse_program("qubits 3\ncx q0 q1\n"), PATH3)
 
 
 def test_empty_circuit_plan():
