@@ -196,6 +196,8 @@ def test_retime_block_matches_model(seed, device_name):
     qubit_on = {p: q for q, p in enumerate(at)}
     edges = [k for k, (a, b) in enumerate(device.edges)
              if a in qubit_on and b in qubit_on]
+    # at most 7 gates: one pair repeated 8 times takes the reference model a
+    # pigeonhole proof of several seconds
     locations = [rng.choice(edges) for _ in range(rng.randint(0, 7))] if edges else []
     gates = []
     for l, k in enumerate(locations):
