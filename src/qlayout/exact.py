@@ -36,10 +36,9 @@ class EncodingConfig:
     objective: str = "swap"
     timeout: float | None = None
     max_T: int = 256
-    # Transition-based switches: dependencies weaken to <= and the
+    # The transition-based coarse model: dependencies weaken to <= and the
     # gate/SWAP occupancy family is dropped.
-    relaxed_dependencies: bool = False
-    gate_swap_conflicts: bool = True
+    coarse: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -94,24 +93,26 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
             for p in range(N):
                 m.require_sum([(1, (pi[q][t], p)) for q in range(M)], "<=", 1)
 
-    # eq2: dependency order (strict; transition mode allows equal blocks).
+    # eq2: dependency order (strict; the coarse model allows equal blocks).
     # The solver lowers each one to a clause per slot over "t >= v"
     # literals, so a placed gate bounds its successors by propagation.
-    order = sv.Le if config.relaxed_dependencies else sv.Lt
+    margin = 0 if config.coarse else 1
     for l, lp in circuit.dependencies:
-        m.require(order(time[l], time[lp]))
+        m.require_order(time[l], time[lp], margin)
+
+    # Clause families below are written as literal lists for
+    # require_clause: (handle, value, False) is a negated guard "handle !=
+    # value", (handle, value, True) the consequent "handle == value".
 
     # eq3: 1q gate space coordinate agrees with its operand's mapping
     for g in circuit.gates:
         if g.is_two_qubit:
             continue
         for t in range(T):
-            m.require(sv.Implies(sv.Eq(time[g.index], t),
-                                 sv.EqVar(pi[g.qubits[0]][t], space[g.index])))
-
-    # Clause families below are written as literal lists for
-    # require_clause: (handle, value, False) is a negated guard "handle !=
-    # value", (handle, value, True) the consequent "handle == value".
+            now = (time[g.index], t, False)
+            for p in range(N):
+                m.require_clause([now, (pi[g.qubits[0]][t], p, False),
+                                  (space[g.index], p, True)])
 
     # eq4: 2q gate's edge hosts its operands, either orientation
     # (each operand on an endpoint; eq1 injectivity forces opposite ends)
@@ -149,7 +150,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
                 if tp < t:
                     m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
 
-    if config.gate_swap_conflicts:
+    if not config.coarse:
         # eq8/eq9 by node occupancy: swapping[p][t] holds while a SWAP on an
         # edge at p runs in slot t, and a gate acting on p at t (a 1q gate
         # on p, a 2q gate on an edge containing p) needs it off. A SWAP
@@ -199,7 +200,7 @@ def objective_depth(model: sv.Model, vs: VariableSet):
     hi = model._var(vs.time[0]).hi
     d = model.int_var(0, hi, "d")
     for h in vs.time:
-        model.require(sv.Le(h, d))
+        model.require_order(h, d)
     model.minimize([(1, d)])
     vs.depth = d
     return model
@@ -207,10 +208,7 @@ def objective_depth(model: sv.Model, vs: VariableSet):
 
 def objective_swap(model: sv.Model, vs: VariableSet):
     """Minimize the total count of inserted SWAPs."""
-    terms = [(1, h) for row in vs.sigma for h in row]
-    if not terms:
-        terms = []
-    model.minimize(terms)
+    model.minimize([(1, h) for row in vs.sigma for h in row])
     return model
 
 

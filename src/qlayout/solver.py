@@ -1,8 +1,8 @@
-"""Exact-optimization seam: declarative models over two 0/1 backends.
+"""Exact-optimization seam: declarative models over a 0/1 search core.
 
 The rest of the package describes models declaratively: bounded integer
-variables, booleans, logical connectives over (in)equality atoms, plain
-clauses over indicator literals, linear sum constraints, and one optional
+variables, booleans, three kinds of constraint (clauses over indicator
+literals, orderings between two variables, linear sums) and one optional
 linear objective. This module lowers that description to rows over pure
 0/1 columns:
 
@@ -12,24 +12,22 @@ linear objective. This module lowers that description to rows over pure
   * clauses are rows of their own: literal lists in the search core's
     convention (2*c asserts column c is 1, 2*c+1 asserts it is 0).
     `require_clause` resolves its literals to that form once, at the call;
-  * connectives are normalized to negation normal form and emitted as the
-    same clause rows, introducing auxiliary binaries only for non-literal
-    disjuncts (one-directional Tseitin, sound in positive position);
-  * var-to-var (in)equalities and orderings become clause rows too;
-    orderings go through an order encoding ("x >= v" literals, see
-    `Model._compile`);
+  * an ordering "a + margin <= b" becomes clause rows too, over an order
+    encoding ("x >= v" literals, see `Model._compile`);
   * sums and the objective become linear rows (coefficients over
     columns, with bounds).
 
-Two interchangeable engines consume the lowered rows: a conflict-driven
-search core (strong on tight feasibility questions, proves optima by
-tightening the incumbent until unsatisfiable), which loads clause rows as
-they are, and scipy's MILP interface (HiGHS) run with a zero MIP gap, which
-expands each clause into a linear row. numpy and scipy are imported only
-when the MILP engine runs. Either way reported optima are exact, which the
-synthesis layers rely on; every satisfying assignment is replayed against
-the declarative model before it is returned. A backend anomaly raises
-SolverBackendError and is never reported "unsatisfiable".
+The conflict-driven search core solves the rows (strong on tight
+feasibility questions, proves optima by tightening the incumbent until
+unsatisfiable). It takes integral coefficients only; a model with any
+other raises SolverBackendError. scipy's MILP interface (HiGHS), run with a
+zero MIP gap, stays as an independent cross-check engine for tests and
+reference optima (`method="milp"`): it expands each clause into a linear
+row, and numpy and scipy are imported only when it runs. Either way
+reported optima are exact, which the synthesis layers rely on; every
+satisfying assignment is replayed against the declarative model before it
+is returned. A backend anomaly raises SolverBackendError and is never
+reported "unsatisfiable".
 """
 
 from __future__ import annotations
@@ -51,73 +49,6 @@ class ModelError(ValueError):
 
 class SolverBackendError(RuntimeError):
     """The backend failed in a way distinct from unsatisfiability."""
-
-
-# ---------------------------------------------------------------------------
-# Formula language
-
-
-@dataclass(frozen=True)
-class Eq:
-    var: int
-    value: int
-
-
-@dataclass(frozen=True)
-class Ne:
-    var: int
-    value: int
-
-
-@dataclass(frozen=True)
-class EqVar:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class NeVar:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Lt:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class Le:
-    a: int
-    b: int
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple
-
-    def __init__(self, *parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-    def __init__(self, *parts):
-        object.__setattr__(self, "parts", tuple(parts))
-
-
-@dataclass(frozen=True)
-class Not:
-    part: object
-
-
-@dataclass(frozen=True)
-class Implies:
-    lhs: object
-    rhs: object
 
 
 @dataclass
@@ -146,6 +77,20 @@ class _Clause:
 
     def __repr__(self) -> str:
         return f"Clause{self.lits!r}"
+
+
+class _Order:
+    """A require_order assertion: a + margin <= b over two handles."""
+
+    __slots__ = ("a", "b", "margin")
+
+    def __init__(self, a: int, b: int, margin: int):
+        self.a = a
+        self.b = b
+        self.margin = margin
+
+    def __repr__(self) -> str:
+        return f"Order(x{self.a} + {self.margin} <= x{self.b})"
 
 
 def _clause_row(lits) -> list[int] | None:
@@ -201,7 +146,7 @@ def _eq_lit(var: _Var, value: int):
 
 
 class Model:
-    """Declarative model: variables, assertions, sums, one objective.
+    """Declarative model: variables, clauses and orderings, sums, one objective.
 
     Every mutator drops the compiled form, so a solve always sees the
     model as it stands.
@@ -245,11 +190,6 @@ class Model:
 
     # -- constraint registration ----------------------------------------------
 
-    def require(self, formula) -> None:
-        self._validate(formula)
-        self._assertions.append(formula)
-        self._compiled = None
-
     def require_clause(self, lits) -> None:
         """Require that at least one indicator literal holds.
 
@@ -259,8 +199,7 @@ class Model:
         true when not). The literals become one clause row, in the order
         given: repeats collapse, a complementary pair makes the clause
         always true, and a clause none of whose literals can hold makes the
-        model unsatisfiable. `require(Implies(And(g1, g2), c))` over Eq/Ne
-        atoms lowers to the same row as the literals [not g1, not g2, c].
+        model unsatisfiable.
 
         Each literal is resolved here, in one pass, to the row
         `_clause_row([_eq_lit(...) ...])` would build; every handle is
@@ -289,6 +228,13 @@ class Model:
             else:
                 row.append(lit)
         self._assertions.append(_Clause(lits, row))
+        self._compiled = None
+
+    def require_order(self, a: int, b: int, margin: int = 0) -> None:
+        """Require a + margin <= b over two variable handles."""
+        self._var(a)
+        self._var(b)
+        self._assertions.append(_Order(a, b, margin))
         self._compiled = None
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
@@ -320,47 +266,7 @@ class Model:
             return var
         return self._var(term)
 
-    def _validate(self, f) -> None:
-        if isinstance(f, (Eq, Ne)):
-            self._var(f.var)
-        elif isinstance(f, (EqVar, NeVar, Lt, Le)):
-            self._var(f.a)
-            self._var(f.b)
-        elif isinstance(f, (And, Or)):
-            for p in f.parts:
-                self._validate(p)
-        elif isinstance(f, Not):
-            self._validate(f.part)
-        elif isinstance(f, Implies):
-            self._validate(f.lhs)
-            self._validate(f.rhs)
-        else:
-            raise ModelError(f"not a formula: {f!r}")
-
-    # -- independent evaluation (used by tests and Verdict round-trips) --------
-
-    def evaluate(self, f, assignment: dict) -> bool:
-        if isinstance(f, Eq):
-            return assignment[f.var] == f.value
-        if isinstance(f, Ne):
-            return assignment[f.var] != f.value
-        if isinstance(f, EqVar):
-            return assignment[f.a] == assignment[f.b]
-        if isinstance(f, NeVar):
-            return assignment[f.a] != assignment[f.b]
-        if isinstance(f, Lt):
-            return assignment[f.a] < assignment[f.b]
-        if isinstance(f, Le):
-            return assignment[f.a] <= assignment[f.b]
-        if isinstance(f, And):
-            return all(self.evaluate(p, assignment) for p in f.parts)
-        if isinstance(f, Or):
-            return any(self.evaluate(p, assignment) for p in f.parts)
-        if isinstance(f, Not):
-            return not self.evaluate(f.part, assignment)
-        if isinstance(f, Implies):
-            return (not self.evaluate(f.lhs, assignment)) or self.evaluate(f.rhs, assignment)
-        raise ModelError(f"not a formula: {f!r}")
+    # -- replay on concrete values (tests and every returned assignment) -------
 
     def _sum_value(self, terms, assignment) -> int:
         total = 0
@@ -381,7 +287,7 @@ class Model:
                         break
                 else:
                     bad.append(f"assertion {i}: {f!r}")
-            elif not self.evaluate(f, assignment):
+            elif assignment[f.a] + f.margin > assignment[f.b]:
                 bad.append(f"assertion {i}: {f!r}")
         for i, (terms, op, rhs) in enumerate(self._sums):
             total = self._sum_value(terms, assignment)
@@ -405,17 +311,17 @@ class Model:
         assertions in order, then the sums; the objective is a list of
         per-column costs, negated for maximization.
 
-        Orderings (Lt, Le, guarded or not) lower to clauses over an order
-        encoding. A literal ge(x, v) stands for "x >= v": a constant for v
-        <= lo or v > hi, a bool's own column, "x != lo" at v = lo + 1 and
-        "x == hi" at v = hi. An int of four or more values gets, the first
-        time an ordering needs an inner value, one aux column per inner
-        value and the chain clauses ge(v+1) -> ge(v), x = v -> ge(v),
-        x = v -> not ge(v+1) and ge(v) and not ge(v+1) -> x = v, emitted
-        just before that ordering's rows; later orderings share the chain.
-        guard => a + margin <= b becomes, for each v in a's domain, the
-        clause [not guard, not ge(a, v), ge(b, v + margin)], so a value
-        fixed on one side bounds the other by unit propagation alone.
+        Orderings lower to clauses over an order encoding. A literal
+        ge(x, v) stands for "x >= v": a constant for v <= lo or v > hi, a
+        bool's own column, "x != lo" at v = lo + 1 and "x == hi" at v = hi.
+        An int of four or more values gets, the first time an ordering
+        needs an inner value, one aux column per inner value and the chain
+        clauses ge(v+1) -> ge(v), x = v -> ge(v), x = v -> not ge(v+1) and
+        ge(v) and not ge(v+1) -> x = v, emitted just before that ordering's
+        rows; later orderings share the chain. a + margin <= b becomes, for
+        each v in a's domain, the clause [not ge(a, v), ge(b, v + margin)],
+        so a value fixed on one side bounds the other by unit propagation
+        alone.
         """
         if self._compiled is not None:
             return self._compiled
@@ -439,35 +345,6 @@ class Model:
                 self._hard_false = True
                 return
             rows.append(row)
-
-        def add_clause(lits):
-            add_row(_clause_row(lits))
-
-        def lit_eq(var: _Var, value: int, positive: bool):
-            lit = _eq_lit(var, value)
-            if lit is False:
-                return not positive  # Eq(b, 7) is constant False
-            return lit if positive else lit ^ 1
-
-        def atom_literal(f):
-            """Literal form of an atom, or None when not literal-representable."""
-            if isinstance(f, Eq):
-                return lit_eq(self._var(f.var), f.value, True)
-            if isinstance(f, Ne):
-                return lit_eq(self._var(f.var), f.value, False)
-            if isinstance(f, Not):
-                inner = atom_literal(f.part)
-                if inner is None:
-                    return None
-                if inner is True:
-                    return False
-                if inner is False:
-                    return True
-                return inner ^ 1
-            return None
-
-        def negate(lits):
-            return [lit ^ 1 for lit in lits]
 
         def int_sum_coeffs(var: _Var, sign: float, coeffs: dict):
             if var.is_bool:
@@ -503,7 +380,7 @@ class Model:
             # "var == hi"; built once, shared by every ordering on var
             n = var.hi - var.lo + 1
             col = var.first_col
-            lits = ([None, 2 * col + 1] + [2 * new_aux("ge") for _ in range(n - 3)]
+            lits = ([None, 2 * col + 1] + [2 * new_aux() for _ in range(n - 3)]
                     + [2 * (col + n - 1)])
             for i in range(1, n - 1):
                 eq = 2 * (col + i)
@@ -515,142 +392,18 @@ class Model:
                 rows.append([lits[i] ^ 1, lits[i + 1], eq])  # ge(i), not ge(i+1) -> x = i
             return lits
 
-        def add_ordering(a: _Var, b: _Var, margin: int, guard):
-            # (guard) => a + margin <= b: for each value v of a, a >= v
-            # forces b >= v + margin
-            neg_guard = negate(guard)
+        def add_ordering(a: _Var, b: _Var, margin: int):
+            # a + margin <= b: for each value v of a, a >= v forces
+            # b >= v + margin
             for v in a.domain:
-                add_clause(neg_guard + [_flip(ge(a, v)), ge(b, v + margin)])
+                add_row(_clause_row([_flip(ge(a, v)), ge(b, v + margin)]))
 
-        def guard_conjuncts(f):
-            """f as a list of literals when it is a literal/conjunction, else None."""
-            if isinstance(f, And):
-                lits = []
-                for p in f.parts:
-                    sub = guard_conjuncts(p)
-                    if sub is None:
-                        return None
-                    lits.extend(sub)
-                return lits
-            lit = atom_literal(f)
-            if lit is None:
-                return None
-            if lit is True:
-                return []
-            if lit is False:
-                return [False]
-            return [lit]
-
-        def nnf(f, neg: bool):
-            if isinstance(f, Not):
-                return nnf(f.part, not neg)
-            if isinstance(f, Implies):
-                return nnf(Or(Not(f.lhs), f.rhs), neg)
-            if isinstance(f, And):
-                parts = tuple(nnf(p, neg) for p in f.parts)
-                return Or(*parts) if neg else And(*parts)
-            if isinstance(f, Or):
-                parts = tuple(nnf(p, neg) for p in f.parts)
-                return And(*parts) if neg else Or(*parts)
-            if not neg:
-                return f
-            if isinstance(f, Eq):
-                return Ne(f.var, f.value)
-            if isinstance(f, Ne):
-                return Eq(f.var, f.value)
-            if isinstance(f, EqVar):
-                return NeVar(f.a, f.b)
-            if isinstance(f, NeVar):
-                return EqVar(f.a, f.b)
-            if isinstance(f, Lt):
-                return Le(f.b, f.a)
-            if isinstance(f, Le):
-                return Lt(f.b, f.a)
-            raise ModelError(f"not a formula: {f!r}")
-
-        def new_aux(tag: str) -> int:
+        def new_aux() -> int:
             nonlocal ncols
             col = ncols
             ncols += 1
-            self._aux_names.append(tag)
+            self._aux_names.append("ge")
             return col
-
-        def encode(f, guard):
-            # guard: literal list; the formula must hold whenever all hold.
-            if isinstance(f, And):
-                for p in f.parts:
-                    encode(p, guard)
-                return
-            if isinstance(f, Implies):
-                lits = guard_conjuncts(f.lhs)
-                if lits is not None:
-                    if any(l is False for l in lits):
-                        return  # premise unsatisfiable
-                    encode(f.rhs, guard + [l for l in lits if l is not True])
-                    return
-                encode(nnf(f, False), guard)
-                return
-            if isinstance(f, Not):
-                encode(nnf(f, False), guard)
-                return
-            if isinstance(f, EqVar):
-                a, b = self._var(f.a), self._var(f.b)
-                neg_guard = negate(guard)
-                for v in a.domain:
-                    la = lit_eq(a, v, True)
-                    lb = lit_eq(b, v, True)
-                    if lb is False:
-                        add_clause(neg_guard + [_flip(la)])
-                    else:
-                        add_clause(neg_guard + [_flip(la), lb])
-                for v in b.domain:
-                    if not (a.lo <= v <= a.hi):
-                        add_clause(neg_guard + [_flip(lit_eq(b, v, True))])
-                return
-            if isinstance(f, NeVar):
-                a, b = self._var(f.a), self._var(f.b)
-                neg_guard = negate(guard)
-                for v in a.domain:
-                    if b.lo <= v <= b.hi:
-                        add_clause(neg_guard + [_flip(lit_eq(a, v, True)), _flip(lit_eq(b, v, True))])
-                return
-            if isinstance(f, Lt):
-                add_ordering(self._var(f.a), self._var(f.b), 1, guard)
-                return
-            if isinstance(f, Le):
-                add_ordering(self._var(f.a), self._var(f.b), 0, guard)
-                return
-            if isinstance(f, Or):
-                parts = []
-                stack = list(f.parts)
-                while stack:  # flatten nested disjunctions
-                    p = stack.pop(0)
-                    if isinstance(p, Or):
-                        stack = list(p.parts) + stack
-                    else:
-                        parts.append(p)
-                clause = negate(guard)
-                satisfied = False
-                for p in parts:
-                    lit = atom_literal(p)
-                    if lit is True:
-                        satisfied = True
-                        break
-                    if lit is False:
-                        continue
-                    if lit is not None:
-                        clause.append(lit)
-                        continue
-                    z = 2 * new_aux("or")
-                    clause.append(z)
-                    encode(p, [z])
-                if not satisfied:
-                    add_clause(clause)
-                return
-            lit = atom_literal(f)
-            if lit is None:
-                raise ModelError(f"not a formula: {f!r}")
-            add_clause(negate(guard) + [lit])
 
         def _flip(lit):
             if lit is True:
@@ -669,7 +422,7 @@ class Model:
             if f.__class__ is _Clause:
                 add_row(f.row)
             else:
-                encode(f, [])
+                add_ordering(self._vars[f.a], self._vars[f.b], f.margin)
 
         for terms, op, rhs in self._sums:
             coeffs: dict[int, float] = {}
@@ -705,61 +458,18 @@ class Model:
         self._compiled = (ncols, rows, c, sense)
         return self._compiled
 
-    def dump_text(self) -> str:
-        """Model in LP text form (trace/debug aid)."""
-        ncols, rows, c, sense = self._compile()
-        names = []
-        for v in self._vars:
-            if v.is_bool:
-                names.append(v.name)
-            else:
-                names.extend(f"{v.name}.{val}" for val in v.domain)
-        names.extend(f"aux{i}" for i in range(len(self._aux_names)))
-
-        def linexp(coeffs):
-            bits = []
-            for col in sorted(coeffs):
-                coef = coeffs[col]
-                if coef == 0:
-                    continue
-                sign = "+" if coef > 0 else "-"
-                bits.append(f"{sign} {abs(coef):g} {names[col]}")
-            return " ".join(bits) if bits else "0"
-
-        lines = ["Minimize" if sense > 0 else "Maximize", " obj: " + linexp(
-            {i: sense * c[i] for i in range(ncols) if c[i]})]
-        lines.append("Subject To")
-        for i, row in enumerate(rows):
-            coeffs, lb, ub = _clause_linear(row) if row.__class__ is list else row
-            if lb == ub:
-                lines.append(f" r{i}: {linexp(coeffs)} = {lb:g}")
-            else:
-                if lb != -math.inf:
-                    lines.append(f" r{i}lo: {linexp(coeffs)} >= {lb:g}")
-                if ub != math.inf:
-                    lines.append(f" r{i}hi: {linexp(coeffs)} <= {ub:g}")
-        lines.append("Binaries")
-        lines.append(" " + " ".join(names))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
-
-
-def build(model: Model) -> Model:
-    """Force deterministic compilation; returns the same model, compiled."""
-    model._compile()
-    return model
-
 
 def solve(model: Model, timeout: float | None = None,
-          method: str = "auto") -> Verdict:
+          method: str = "sat") -> Verdict:
     """Solve to proven optimality; never best-effort.
 
     method "sat" runs the conflict-driven core (strong on feasibility
-    boundaries and unsatisfiability proofs), "milp" the HiGHS branch and
-    bound, "auto" the former with the latter as fallback for models it
-    cannot express. Both return identical verdict semantics.
+    boundaries and unsatisfiability proofs) and raises SolverBackendError
+    on a model with a non-integral coefficient; "milp" runs the HiGHS
+    branch and bound, the cross-check engine. Both return identical
+    verdict semantics.
     """
-    if method not in ("auto", "sat", "milp"):
+    if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
     ncols, rows, c, sense = model._compile()
     if model._hard_false:
@@ -771,13 +481,12 @@ def solve(model: Model, timeout: float | None = None,
             return Verdict(status=UNSAT)
         obj = model.objective_of(assignment)
         return Verdict(status=SAT, assignment=assignment, objective_value=obj)
-    if method in ("auto", "sat"):
-        try:
-            return _solve_sat(model, ncols, rows, c, timeout)
-        except _cdcl.CdclUnsupported:
-            if method == "sat":
-                raise SolverBackendError("model not expressible for sat core")
-    return _solve_milp(model, ncols, rows, c, timeout)
+    if method == "milp":
+        return _solve_milp(model, ncols, rows, c, timeout)
+    try:
+        return _solve_sat(model, ncols, rows, c, timeout)
+    except _cdcl.CdclUnsupported as exc:
+        raise SolverBackendError(f"model not expressible for sat core: {exc}") from exc
 
 
 def _extract(model: Model, x) -> Verdict:

@@ -37,8 +37,7 @@ from .results import GatePlacement, SwapPlacement, SynthesisResult, TransitionPl
 def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
               objective: str = "swap"):
     """Emit the coarse block model; returns (model, variables)."""
-    cfg = EncodingConfig(T=T_coarse, S=1, objective=objective,
-                         relaxed_dependencies=True, gate_swap_conflicts=False)
+    cfg = EncodingConfig(T=T_coarse, S=1, objective=objective, coarse=True)
     model, vs = encode(circuit, device, cfg)
     _coarse_cuts(model, vs, circuit, device, T_coarse)
     _symmetry_clauses(model, vs, circuit, device, objective)

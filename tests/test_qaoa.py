@@ -157,8 +157,7 @@ def _model_retime_block(block_gates, circuit, device, locations, timeout):
         ),
     )
     sub = preprocess(sub, user_deps=[])
-    cfg = EncodingConfig(T=L_b, S=1, objective="depth",
-                         relaxed_dependencies=True, gate_swap_conflicts=False)
+    cfg = EncodingConfig(T=L_b, S=1, objective="depth", coarse=True)
     model, vs = encode(sub, device, cfg)
     for i in range(L_b):
         model.require_clause([(vs.space[i], locations[i], True)])
@@ -168,7 +167,8 @@ def _model_retime_block(block_gates, circuit, device, locations, timeout):
     for i in range(L_b):
         for j in range(i + 1, L_b):
             if set(sub.gates[i].qubits) & set(sub.gates[j].qubits):
-                model.require(sv.NeVar(vs.time[i], vs.time[j]))
+                for t in range(L_b):
+                    model.require_clause([(vs.time[i], t, False), (vs.time[j], t, False)])
     apply_objective(model, vs, "depth", device, sub)
     verdict = sv.solve(model, timeout=timeout)
     assert verdict.status == sv.SAT
