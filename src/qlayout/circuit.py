@@ -8,7 +8,7 @@ so gate names are carried through untouched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 class CircuitError(ValueError):
@@ -48,12 +48,6 @@ class Circuit:
     @property
     def num_two_qubit(self) -> int:
         return sum(1 for g in self.gates if g.is_two_qubit)
-
-    def single_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if not g.is_two_qubit]
-
-    def two_qubit_gates(self) -> list[Gate]:
-        return [g for g in self.gates if g.is_two_qubit]
 
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")

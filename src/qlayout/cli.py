@@ -63,10 +63,10 @@ def _resolve(name: str, suffix: str) -> str:
     raise InputError(f"{name!r} is neither a file nor a bundled name")
 
 
-def _load_inputs(args) -> tuple[Circuit, Device]:
+def _load_inputs(circuit_name: str, device_name: str) -> tuple[Circuit, Device]:
     try:
-        circuit = load_circuit(_resolve(args.circuit, ".gates"))
-        device = load_device(_resolve(args.device, ".json"))
+        circuit = load_circuit(_resolve(circuit_name, ".gates"))
+        device = load_device(_resolve(device_name, ".json"))
     except (CircuitError, DeviceError) as exc:
         raise InputError(str(exc)) from None
     return circuit, device
@@ -74,16 +74,16 @@ def _load_inputs(args) -> tuple[Circuit, Device]:
 
 def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
                S: int, epsilon: float, timeout: float | None, extra_t: int):
-    if mode == "exact":
-        cfg = EncodingConfig(T=1, S=S, epsilon=epsilon, objective=objective,
-                             timeout=timeout)
-        return synthesize(circuit, device, objective, config=cfg,
-                          extra_t=extra_t)
-    if mode == "tb":
-        _, result = synthesize_tb(circuit, device, objective=objective, S=S,
-                                  timeout=timeout)
-        return result
     try:
+        if mode == "exact":
+            cfg = EncodingConfig(T=1, S=S, epsilon=epsilon, objective=objective,
+                                 timeout=timeout)
+            return synthesize(circuit, device, objective, config=cfg,
+                              extra_t=extra_t)
+        if mode == "tb":
+            _, result = synthesize_tb(circuit, device, objective=objective, S=S,
+                                      timeout=timeout)
+            return result
         return synthesize_qaoa(circuit, device, objective=objective, S=S,
                                timeout=timeout)
     except ValueError as exc:
@@ -91,7 +91,7 @@ def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
 
 
 def cmd_synth(args) -> int:
-    circuit, device = _load_inputs(args)
+    circuit, device = _load_inputs(args.circuit, args.device)
     result = _run_synth(circuit, device, args.mode, args.objective,
                         args.swap_duration, args.t_growth, args.timeout,
                         args.extra_t)
@@ -106,7 +106,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    circuit, device = _load_inputs(args)
+    circuit, device = _load_inputs(args.circuit, args.device)
     try:
         result = result_from_json(_read_text(args.result))
         violations = check_result(circuit, device, result,
@@ -158,8 +158,7 @@ def cmd_bench(args) -> int:
     writer.writerow(["benchmark", "device", "mode", "objective",
                      "swaps", "depth", "fidelity", "runtime"])
     for row in rows:
-        circuit = load_circuit(_resolve(row["circuit"], ".gates"))
-        device = load_device(_resolve(row["device"], ".json"))
+        circuit, device = _load_inputs(row["circuit"], row["device"])
         start = time.perf_counter()
         result = _run_synth(circuit, device, row["mode"], row["objective"],
                             args.swap_duration, args.t_growth, args.timeout,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Uniform defaults applied when a device file carries no fidelity block.
 DEFAULT_MEASURE_FIDELITY = 0.99

@@ -1,15 +1,18 @@
-"""Exact layout synthesis: constraint encoding, objectives, T-growth loop.
+"""Exact layout synthesis: constraint encoding, objectives, horizon loop.
 
 The model places every input gate in space and time on a fixed device,
 threading a time-indexed logical-to-physical mapping through inserted
 SWAP gates. Solved exactly, the decoded schedule is optimal for the
 reached time horizon under the selected objective.
+
+solve_horizons is the one horizon loop of every flow: the exact flow grows
+T geometrically, the transition-based and QAOA flows one block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import solver as sv
 from .circuit import Circuit
@@ -57,7 +60,6 @@ class VariableSet:
     time: list  # time[l] handle
     space: list  # space[l] handle
     sigma: list  # sigma[k][t] handle
-    depth: int | None = None
 
 
 def encode(circuit: Circuit, device: Device, config: EncodingConfig):
@@ -193,8 +195,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
 def objective_depth(model: sv.Model, vs: VariableSet):
     """Minimize max input-gate time; inserted SWAP times are excluded."""
     if not vs.time:
-        vs.depth = model.int_var(0, 0, "d")
-        model.minimize([(1, vs.depth)])
+        model.minimize([(1, model.int_var(0, 0, "d"))])
         return model
     # d shares the time domain; d >= t_l for every input gate
     hi = model._var(vs.time[0]).hi
@@ -202,7 +203,6 @@ def objective_depth(model: sv.Model, vs: VariableSet):
     for h in vs.time:
         model.require_order(h, d)
     model.minimize([(1, d)])
-    vs.depth = d
     return model
 
 
@@ -292,7 +292,7 @@ def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
 
 @dataclass
 class SynthesisDetails:
-    """Side facts about a synthesize run, for tests and the bench harness."""
+    """Side facts about a horizon loop run, for tests and the bench harness."""
     objective_value: int
     tried_T: list[int]
     solver_T: int
@@ -305,6 +305,41 @@ def grow_T(T: int, epsilon: float) -> int:
 
 def _better(objective: str, new: int, old: int) -> bool:
     return new > old if objective == "fidelity" else new < old
+
+
+def solve_horizons(build, T: int, grow, objective: str,
+                   timeout: float | None, max_T: int, extra_t: int = 0):
+    """The horizon loop of every flow. build(T) returns (model, variables)
+    with the objective applied; the loop solves horizons T, grow(T), ...,
+    each clamped to max_T, so max_T is the last one tried.
+
+    It stops extra_t satisfiable horizons after the first, keeping the
+    strictly best verdict (the first of equal ones). Returns (verdict,
+    variables, details); raises TCapExceeded when no horizon tried is
+    satisfiable and SynthesisTimeout when a solve runs out of time.
+    """
+    tried = []
+    best = None
+    while T <= max_T:
+        model, vs = build(T)
+        verdict = sv.solve(model, timeout=timeout)
+        tried.append(T)
+        if verdict.status == sv.TIMEOUT:
+            raise SynthesisTimeout(f"solver hit time budget at T={T}")
+        if verdict.status == sv.SAT:
+            if best is None or _better(objective, verdict.objective_value,
+                                       best[0].objective_value):
+                best = (verdict, vs, T)
+            extra_t -= 1
+            if extra_t < 0:
+                break
+        if T == max_T:
+            break
+        T = min(grow(T), max_T)
+    if best is None:
+        raise TCapExceeded(f"no satisfiable horizon up to max_T={max_T}")
+    verdict, vs, solver_T = best
+    return verdict, vs, SynthesisDetails(verdict.objective_value, tried, solver_T)
 
 
 def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
@@ -321,32 +356,16 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         raise ValueError("circuit must be preprocessed before synthesis")
     if config is None:
         config = EncodingConfig(T=1, objective=objective)
-    T = max(1, circuit.longest_chain)
-    tried = []
-    best = None
-    steps_after_sat = 0
-    while True:
-        if T > config.max_T:
-            if best is not None:
-                break
-            raise TCapExceeded(f"no satisfiable horizon up to max_T={config.max_T}")
-        cfg = replace(config, T=T, objective=objective)
-        model, vs = encode(circuit, device, cfg)
+
+    def build(T):
+        model, vs = encode(circuit, device, replace(config, T=T, objective=objective))
         apply_objective(model, vs, objective, device, circuit)
-        verdict = sv.solve(model, timeout=config.timeout)
-        tried.append(T)
-        if verdict.status == sv.TIMEOUT:
-            raise SynthesisTimeout(f"solver hit time budget at T={T}")
-        if verdict.status == sv.SAT:
-            candidate = (decode(circuit, device, verdict, vs, T), verdict.objective_value, T)
-            if best is None or _better(objective, candidate[1], best[1]):
-                best = candidate
-            if steps_after_sat >= extra_t:
-                break
-            steps_after_sat += 1
-        T = grow_T(T, config.epsilon)
-    result, objective_value, solver_T = best
+        return model, vs
+
+    verdict, vs, details = solve_horizons(
+        build, max(1, circuit.longest_chain), lambda T: grow_T(T, config.epsilon),
+        objective, config.timeout, config.max_T, extra_t)
+    result = decode(circuit, device, verdict, vs, details.solver_T)
     if return_details:
-        return result, SynthesisDetails(
-            objective_value=objective_value, tried_T=tried, solver_T=solver_T)
+        return result, details
     return result

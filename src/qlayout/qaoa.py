@@ -17,7 +17,7 @@ from collections import Counter
 
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
-from .exact import SynthesisDetails, SynthesisTimeout
+from .exact import SynthesisTimeout
 from .transition import (
     _block_order,
     _schedule_core,
@@ -134,8 +134,7 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
             "(empty dependency list)")
 
     # pass 1: coarse blocks with no gate ordering at all
-    plan, verdict, tried = _solve_coarse(circuit, device, objective, S,
-                                         timeout, max_T)
+    plan, details = _solve_coarse(circuit, device, objective, S, timeout, max_T)
     check_plan(plan, circuit, device)
 
     tables = _schedule_tables(plan, circuit, device)
@@ -152,8 +151,5 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     gate_time, swaps = _schedule_core(tables, order, S)
     result = _schedule_result(plan, circuit, device, tables, gate_time, swaps)
     if return_details:
-        details = SynthesisDetails(
-            objective_value=verdict.objective_value, tried_T=tried,
-            solver_T=plan.num_blocks)
         return result, plan, details
     return result

@@ -11,6 +11,9 @@ per-block gate nodes and fired SWAPs). One node-availability scheduler,
 _schedule_core, runs on them: for the ASAP replay, for every block split
 the polish step scores, and for the QAOA flow's stitch. One helper,
 _schedule_result, turns its gate times and SWAPs into a SynthesisResult.
+
+_solve_coarse, the coarse step of the TB and QAOA flows, runs the one
+horizon loop, exact.solve_horizons, on encode_tb and polishes its plan.
 """
 
 from __future__ import annotations
@@ -23,14 +26,7 @@ from . import solver as sv
 from . import verify
 from .circuit import Circuit
 from .device import Device, DeviceError, bipartition, enumerate_automorphisms
-from .exact import (
-    EncodingConfig,
-    SynthesisDetails,
-    SynthesisTimeout,
-    TCapExceeded,
-    apply_objective,
-    encode,
-)
+from .exact import EncodingConfig, apply_objective, encode, solve_horizons
 from .results import GatePlacement, SwapPlacement, SynthesisResult, TransitionPlan
 
 
@@ -549,29 +545,20 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
 def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
                   timeout: float | None, max_T: int):
-    """The coarse horizon loop of the TB and QAOA flows: grow T from 1 until
-    the block model is satisfiable, then extract and polish its plan.
-    Returns (plan, verdict, tried), tried the horizons in order."""
-    tried = []
-    T = 1
-    while True:
-        if T > max_T:
-            raise TCapExceeded(f"no satisfiable coarse horizon up to max_T={max_T}")
-        model, vs = encode_tb(circuit, device, T, objective)
-        verdict = sv.solve(model, timeout=timeout)
-        tried.append(T)
-        if verdict.status == sv.TIMEOUT:
-            raise SynthesisTimeout(f"solver hit time budget at coarse T={T}")
-        if verdict.status == sv.SAT:
-            break
-        T += 1
+    """The coarse step of the TB and QAOA flows: grow the block count from
+    1 until the block model is satisfiable, then extract and polish its
+    plan. Returns (plan, details)."""
+    if S < 1:
+        raise ValueError("S must be >= 1")
+    verdict, vs, details = solve_horizons(
+        lambda T: encode_tb(circuit, device, T, objective), 1, lambda T: T + 1,
+        objective, timeout, max_T)
     plan = extract_plan(circuit, device, verdict, vs)
-    return _polish_plan(plan, circuit, device, S), verdict, tried
+    return _polish_plan(plan, circuit, device, S), details
 
 
 def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
-                  S: int = 3, timeout: float | None = None, max_T: int = 256,
-                  return_details: bool = False):
+                  S: int = 3, timeout: float | None = None, max_T: int = 256):
     """Grow the coarse horizon one block at a time from 1 until the block
     model is satisfiable, then schedule the optimal plan at exact time.
 
@@ -580,14 +567,7 @@ def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
     smallest scheduled makespan is kept (mappings, transitions, and the
     SWAP count are untouched).
 
-    Returns (plan, result); with return_details, (plan, result, details).
+    Returns (plan, result).
     """
-    plan, verdict, tried = _solve_coarse(circuit, device, objective, S,
-                                         timeout, max_T)
-    result = asap_schedule(plan, circuit, device, S=S)
-    if return_details:
-        details = SynthesisDetails(
-            objective_value=verdict.objective_value, tried_T=tried,
-            solver_T=tried[-1])
-        return plan, result, details
-    return plan, result
+    plan, _ = _solve_coarse(circuit, device, objective, S, timeout, max_T)
+    return plan, asap_schedule(plan, circuit, device, S=S)

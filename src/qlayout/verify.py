@@ -17,9 +17,6 @@ Violation families:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 from .circuit import Circuit
 from .device import Device, scaled_log_fidelity, swap_log_fidelity
 from .results import SynthesisResult

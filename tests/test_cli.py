@@ -72,6 +72,28 @@ def test_synth_unsat_at_cap_exit(capsys, tmp_path):
     assert code == EXIT_UNSAT
 
 
+@pytest.mark.parametrize("flags", [
+    ("--swap-duration", "0"),
+    ("--t-growth", "0"),
+    ("--mode", "tb", "--swap-duration", "0"),
+])
+def test_synth_bad_value_is_input_error(capsys, flags):
+    code, _, err = run(capsys, "synth", "--circuit", "or", "--device", "qx2",
+                       *flags)
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
+def test_bench_malformed_circuit_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.gates"
+    bad.write_text("qubits two\n")
+    manifest = tmp_path / "suite.csv"
+    manifest.write_text(f"circuit,device,mode,objective\n{bad},qx2,exact,swap\n")
+    code, _, err = run(capsys, "bench", "--suite", str(manifest))
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
 def test_verify_pipeline_output(capsys, tmp_path):
     out = tmp_path / "r.json"
     run(capsys, "synth", "--circuit", "or", "--device", "qx2",

@@ -4,7 +4,7 @@ import random
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlayout import solver as sv
 from qlayout.circuit import load_circuit
@@ -101,6 +101,19 @@ def test_unsat_at_cap():
     cfg = EncodingConfig(T=1, max_T=4)
     with pytest.raises(TCapExceeded):
         synthesize(circ, dev, config=cfg)
+
+
+def test_growth_past_the_cap_tries_the_cap():
+    # the chain is 5, so growth goes 5, 7, 10, 13; 13 is past max_T=12, and
+    # the oracle's minimum depth is 11
+    circ = load_circuit("qubits 3\ncx q2 q1\ncx q0 q2\nh q1\ncx q0 q1\n"
+                        "cx q0 q2\ncx q2 q1\n")
+    device = ORACLE_DEVICES["path"]
+    config = EncodingConfig(T=1, S=3, max_T=12)
+    result, details = synthesize(circ, device, config=config, return_details=True)
+    assert details.tried_T == [5, 7, 10, 12]
+    assert details.solver_T == result.solver_T == 12
+    assert check_result(circ, device, result, S=3) == []
 
 
 def test_fidelity_objective_matches_metrics():
@@ -216,6 +229,7 @@ def _optimum_at(circuit, device, objective, T, S):
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=186, device_name="path", S=3)  # growth jumps past max_T
 @given(seed=st.integers(0, 2**32 - 1), device_name=st.sampled_from(sorted(ORACLE_DEVICES)),
        S=st.sampled_from([1, 2, 3]))
 def test_exact_matches_oracle(seed, device_name, S):

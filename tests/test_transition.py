@@ -60,6 +60,14 @@ def test_rejects_unpreprocessed():
         synthesize_tb(parse_program("qubits 3\ncx q0 q1\n"), PATH3)
 
 
+def test_rejects_swap_duration_below_one_before_solving(monkeypatch):
+    solves = []
+    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
+    with pytest.raises(ValueError, match="S must be >= 1"):
+        synthesize_tb(TRIANGLE, PATH3, S=0)
+    assert solves == []
+
+
 def test_empty_circuit_plan():
     circ = load_circuit("qubits 2\n")
     plan, result = synthesize_tb(circ, PATH3)
