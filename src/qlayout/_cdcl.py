@@ -1,12 +1,12 @@
 """Conflict-driven search core over 0/1 columns.
 
 Takes two kinds of rows: clauses, given directly as literal lists
-(add_clause), and linear constraints over binary columns with integral
-coefficients (add_linear). Clauses, and linear rows whose normalized form
-is a plain disjunction, are propagated with two watched literals; the
-remaining pseudo-Boolean rows are propagated by counting (track the largest
-value the left side can still reach; when that dips below the bound plus a
-literal's weight, the literal is forced). Conflicts are analyzed to a
+(add_clause), and integer >=-rows sum(coef * column) >= b over binary
+columns (add_ge). Clauses, and >=-rows whose normalized form is a plain
+disjunction, are propagated with two watched literals; the remaining
+pseudo-Boolean rows are propagated by counting (track the largest value the
+left side can still reach; when that dips below the bound plus a literal's
+weight, the literal is forced). Conflicts are analyzed to a
 first-unique-implication-point clause, which is learned and drives
 non-chronological backjumping. Activity-ordered decisions with phase
 saving, Luby restarts, and periodic deletion of inactive learned clauses
@@ -35,21 +35,9 @@ activity, so the heap holds no duplicate of a live entry.
 from __future__ import annotations
 
 import heapq
-import math
 import time
 
 _UNSET = -1
-
-
-class CdclUnsupported(Exception):
-    """Row not expressible over integral binary literals."""
-
-
-def _as_int(x: float, what: str) -> int:
-    r = round(x)
-    if abs(x - r) > 1e-9:
-        raise CdclUnsupported(f"non-integral {what}: {x!r}")
-    return int(r)
 
 
 class Searcher:
@@ -101,20 +89,15 @@ class Searcher:
     # -- construction -------------------------------------------------------
 
     def add_clause(self, lits: list[int]) -> None:
-        """Register the disjunction of lits: non-empty, with no repeated
-        literal and no complementary pair. The list is copied."""
+        """Register the disjunction of lits, with no repeated literal and no
+        complementary pair; an empty one makes the search unsat. The list is
+        copied."""
         self._pending_cl.append(self._new_clause(list(lits), learned=False,
                                                  register=False))
 
-    def add_linear(self, coeffs: dict[int, float], lb: float, ub: float) -> None:
-        """Register lb <= sum coef*x <= ub (either bound may be infinite)."""
-        items = [(c, _as_int(v, "coefficient")) for c, v in coeffs.items() if v]
-        if ub != math.inf:
-            self._add_ge([(-cf, col) for col, cf in items], -_as_int(ub, "bound"))
-        if lb != -math.inf:
-            self._add_ge([(cf, col) for col, cf in items], _as_int(lb, "bound"))
-
-    def _add_ge(self, terms: list[tuple[int, int]], b: int) -> None:
+    def add_ge(self, terms: list[tuple[int, int]], b: int) -> None:
+        """Register sum coef*x >= b over integer (coef, column) terms, each
+        column at most once."""
         # normalize to positive coefficients over literals
         lits, coefs = [], []
         for cf, col in terms:

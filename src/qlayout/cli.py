@@ -63,9 +63,14 @@ def _resolve(name: str, suffix: str) -> str:
     raise InputError(f"{name!r} is neither a file nor a bundled name")
 
 
-def _load_inputs(circuit_name: str, device_name: str) -> tuple[Circuit, Device]:
+def _load_inputs(circuit_name: str, device_name: str,
+                 commuting: bool = False) -> tuple[Circuit, Device]:
+    """Load both inputs; a commuting circuit (qaoa mode) gets no
+    dependencies, any other one a dependency per pair of gates sharing a
+    qubit."""
     try:
-        circuit = load_circuit(_resolve(circuit_name, ".gates"))
+        circuit = load_circuit(_resolve(circuit_name, ".gates"),
+                               [] if commuting else None)
         device = load_device(_resolve(device_name, ".json"))
     except (CircuitError, DeviceError) as exc:
         raise InputError(str(exc)) from None
@@ -91,7 +96,7 @@ def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
 
 
 def cmd_synth(args) -> int:
-    circuit, device = _load_inputs(args.circuit, args.device)
+    circuit, device = _load_inputs(args.circuit, args.device, args.mode == "qaoa")
     result = _run_synth(circuit, device, args.mode, args.objective,
                         args.swap_duration, args.t_growth, args.timeout,
                         args.extra_t)
@@ -158,7 +163,8 @@ def cmd_bench(args) -> int:
     writer.writerow(["benchmark", "device", "mode", "objective",
                      "swaps", "depth", "fidelity", "runtime"])
     for row in rows:
-        circuit, device = _load_inputs(row["circuit"], row["device"])
+        circuit, device = _load_inputs(row["circuit"], row["device"],
+                                       row["mode"] == "qaoa")
         start = time.perf_counter()
         result = _run_synth(circuit, device, row["mode"], row["objective"],
                             args.swap_duration, args.t_growth, args.timeout,

@@ -39,25 +39,6 @@ class Device:
         except ValueError:
             raise DeviceError(f"no edge between p{p} and p{q}") from None
 
-    def is_connected(self) -> bool:
-        if self.num_physical <= 1:
-            return True
-        seen = {0}
-        frontier = [0]
-        adj = [[] for _ in range(self.num_physical)]
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for q in adj[p]:
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-            frontier = nxt
-        return len(seen) == self.num_physical
-
 
 def _check_fidelity(values, count, label):
     if len(values) != count:

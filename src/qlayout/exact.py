@@ -28,7 +28,7 @@ class SynthesisTimeout(RuntimeError):
 
 
 class TCapExceeded(RuntimeError):
-    """T-cap exhausted: no satisfiable horizon at or below max_T."""
+    """No satisfiable horizon at or below max_T, or none can ever exist."""
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,6 @@ class EncodingConfig:
     objective: str = "swap"
     timeout: float | None = None
     max_T: int = 256
-    # The transition-based coarse model: dependencies weaken to <= and the
-    # gate/SWAP occupancy family is dropped.
-    coarse: bool = False
 
     def __post_init__(self):
         if self.T < 1:
@@ -62,21 +59,25 @@ class VariableSet:
     sigma: list  # sigma[k][t] handle
 
 
-def encode(circuit: Circuit, device: Device, config: EncodingConfig):
-    """Emit the full constraint system; returns (model, variables)."""
+def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
+           coarse: bool = False):
+    """Emit the full constraint system; returns (model, variables).
+
+    coarse gives the transition-based block model: dependencies weaken to
+    <= and the gate/SWAP occupancy family is dropped. Raises TCapExceeded
+    when no horizon can host the circuit: more qubits than device nodes,
+    or a two-qubit gate on a device without edges.
+    """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before encoding")
-    M, L = circuit.num_qubits, circuit.num_gates
+    M = circuit.num_qubits
     N, K = device.num_physical, device.num_edges
+    if M > N:
+        raise TCapExceeded(f"{M} qubits cannot fit on {N} device nodes")
+    if circuit.num_two_qubit and K == 0:
+        raise TCapExceeded("two-qubit gates need a device with edges")
     T, S = config.T, config.S
     m = sv.Model()
-
-    if (circuit.num_two_qubit and K == 0) or (M and N == 0):
-        # no horizon can ever host this circuit; emit a trivially
-        # unsatisfiable model so the growth loop terminates at its cap
-        m.require_sum([], ">=", 1)
-        vs = VariableSet(pi=[], time=[], space=[], sigma=[])
-        return m, vs
 
     pi = [[m.int_var(0, N - 1, f"pi_{q}_{t}") for t in range(T)] for q in range(M)]
     time = []
@@ -98,7 +99,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
     # eq2: dependency order (strict; the coarse model allows equal blocks).
     # The solver lowers each one to a clause per slot over "t >= v"
     # literals, so a placed gate bounds its successors by propagation.
-    margin = 0 if config.coarse else 1
+    margin = 0 if coarse else 1
     for l, lp in circuit.dependencies:
         m.require_order(time[l], time[lp], margin)
 
@@ -152,7 +153,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig):
                 if tp < t:
                     m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
 
-    if not config.coarse:
+    if not coarse:
         # eq8/eq9 by node occupancy: swapping[p][t] holds while a SWAP on an
         # edge at p runs in slot t, and a gate acting on p at t (a 1q gate
         # on p, a 2q gate on an edge containing p) needs it off. A SWAP
@@ -254,9 +255,15 @@ def apply_objective(model: sv.Model, vs: VariableSet, objective: str,
 
 
 def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
-           vs: VariableSet, solver_T: int) -> SynthesisResult:
-    """Assignment -> SynthesisResult, dropping SWAPs that finish after the
-    last input gate (they cannot affect the program)."""
+           vs: VariableSet, solver_T: int, objective: str) -> SynthesisResult:
+    """Assignment -> SynthesisResult.
+
+    Under the swap and depth objectives, SWAPs that finish after the last
+    input gate are dropped: they cannot affect the program. The fidelity
+    objective pays for every SWAP and measures each qubit at pi[T-1], so
+    there the SWAPs that finish before T-1 are kept, and the trajectory
+    runs on until their mapping change shows.
+    """
     a = verdict.assignment
     times = [a[h] for h in vs.time]
     last = max(times) if times else -1
@@ -265,13 +272,16 @@ def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
         GatePlacement(gate_id=g.index, time=times[g.index], location=a[vs.space[g.index]])
         for g in circuit.gates
     )
+    keep_until = solver_T - 2 if objective == "fidelity" else last
     swaps = []
     for k, row in enumerate(vs.sigma):
         for t, h in enumerate(row):
-            if a[h] and t <= last:
+            if a[h] and t <= keep_until:
                 swaps.append(SwapPlacement(edge=k, finish_time=t))
     swaps.sort(key=lambda s: (s.finish_time, s.edge))
     horizon = max(1, depth_slots)
+    if objective == "fidelity" and swaps:
+        horizon = max(horizon, swaps[-1].finish_time + 2)
     traj = tuple(
         tuple(a[vs.pi[q][t]] for q in range(circuit.num_qubits))
         for t in range(horizon)
@@ -365,7 +375,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     verdict, vs, details = solve_horizons(
         build, max(1, circuit.longest_chain), lambda T: grow_T(T, config.epsilon),
         objective, config.timeout, config.max_T, extra_t)
-    result = decode(circuit, device, verdict, vs, details.solver_T)
+    result = decode(circuit, device, verdict, vs, details.solver_T, objective)
     if return_details:
         return result, details
     return result

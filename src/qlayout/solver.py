@@ -3,36 +3,38 @@
 The rest of the package describes models declaratively: bounded integer
 variables, booleans, three kinds of constraint (clauses over indicator
 literals, orderings between two variables, linear sums) and one optional
-linear objective. This module lowers that description to rows over pure
-0/1 columns:
+linear objective. Every coefficient and bound is an integer: `require_sum`,
+`minimize` and `maximize` raise ModelError on any other. This module lowers
+that description to two kinds of row over pure 0/1 columns:
 
-  * every bounded int becomes a one-hot group of binary columns tied by an
-    exactly-one row, so "x == v" is a single column; columns are numbered
-    as each variable is created;
-  * clauses are rows of their own: literal lists in the search core's
-    convention (2*c asserts column c is 1, 2*c+1 asserts it is 0).
-    `require_clause` resolves its literals to that form once, at the call;
-  * an ordering "a + margin <= b" becomes clause rows too, over an order
-    encoding ("x >= v" literals, see `Model._compile`);
-  * sums and the objective become linear rows (coefficients over
-    columns, with bounds).
+  * clause rows: literal lists in the search core's convention (2*c
+    asserts column c is 1, 2*c+1 asserts it is 0). `require_clause`
+    resolves its literals to that form once, at the call; an ordering
+    "a + margin <= b" becomes clause rows too, over an order encoding
+    ("x >= v" literals, see `Model._compile`);
+  * >=-rows (terms, b): sum(coef * column) >= b over integer (coef, col)
+    terms. Every bounded int becomes a one-hot group of binary columns tied
+    by an exactly-one sum, so "x == v" is a single column; columns are
+    numbered as each variable is created. A sum becomes one >=-row per
+    bound it states, the upper bound's (negated) row first.
+
+The objective becomes a sparse list of integer (coef, col) terms to
+minimize, negated for maximization.
 
 The conflict-driven search core solves the rows (strong on tight
 feasibility questions, proves optima by tightening the incumbent until
-unsatisfiable). It takes integral coefficients only; a model with any
-other raises SolverBackendError. scipy's MILP interface (HiGHS), run with a
-zero MIP gap, stays as an independent cross-check engine for tests and
-reference optima (`method="milp"`): it expands each clause into a linear
-row, and numpy and scipy are imported only when it runs. Either way
-reported optima are exact, which the synthesis layers rely on; every
-satisfying assignment is replayed against the declarative model before it
-is returned. A backend anomaly raises SolverBackendError and is never
-reported "unsatisfiable".
+unsatisfiable). scipy's MILP interface (HiGHS), run with a zero MIP gap,
+stays as an independent cross-check engine for tests and reference optima
+(`method="milp"`): it reads a clause as the >=-row sum(lits) >= 1, and
+numpy and scipy are imported only when it runs. Either way reported optima
+are exact, which the synthesis layers rely on; every satisfying assignment
+is replayed against the declarative model before it is returned. A
+backend anomaly raises SolverBackendError and is never reported
+"unsatisfiable".
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -112,17 +114,14 @@ def _clause_row(lits) -> list[int] | None:
     return row
 
 
-def _clause_linear(row: list[int]) -> tuple[dict, float, float]:
-    """A clause row as the linear row sum(lits) >= 1 over 0/1 columns."""
-    coeffs = {}
-    lb = 1.0
-    for lit in row:
-        if lit & 1:
-            coeffs[lit >> 1] = -1.0
-            lb -= 1.0
-        else:
-            coeffs[lit >> 1] = 1.0
-    return coeffs, lb, math.inf
+def _integer(x, what: str) -> int:
+    """x as an int; ModelError unless x is integral."""
+    try:
+        if x == int(x):
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ModelError(f"non-integral {what} {x!r}")
 
 
 @dataclass
@@ -160,7 +159,6 @@ class Model:
         self._objective: tuple[str, list] | None = None
         self._compiled = None
         self._aux_names: list[str] = []
-        self._hard_false = False
 
     # -- variable registration ------------------------------------------------
 
@@ -238,12 +236,11 @@ class Model:
         self._compiled = None
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
-        """Linear constraint over terms: (coef, handle) or (coef, (handle, value))."""
+        """Linear constraint over terms: (coef, handle) or (coef, (handle, value)),
+        with integer coefficients and bound."""
         if op not in ("<=", ">=", "=="):
             raise ModelError(f"bad sum op {op!r}")
-        for _, t in terms:
-            self._term_var(t)
-        self._sums.append((list(terms), op, int(rhs)))
+        self._sums.append((self._terms(terms), op, _integer(rhs, "bound")))
         self._compiled = None
 
     def minimize(self, terms) -> None:
@@ -253,18 +250,21 @@ class Model:
         self._set_objective("max", terms)
 
     def _set_objective(self, sense, terms) -> None:
-        for _, t in terms:
-            self._term_var(t)
-        self._objective = (sense, list(terms))
+        self._objective = (sense, self._terms(terms))
         self._compiled = None
 
-    def _term_var(self, term) -> _Var:
-        if isinstance(term, tuple):
-            var = self._var(term[0])
-            if not (var.lo <= term[1] <= var.hi):
-                raise ModelError(f"indicator value {term[1]} outside domain of {var.name}")
-            return var
-        return self._var(term)
+    def _terms(self, terms) -> list:
+        """The terms with integer coefficients, every handle and value checked."""
+        out = []
+        for coef, t in terms:
+            if isinstance(t, tuple):
+                var = self._var(t[0])
+                if not (var.lo <= t[1] <= var.hi):
+                    raise ModelError(f"indicator value {t[1]} outside domain of {var.name}")
+            else:
+                self._var(t)
+            out.append((_integer(coef, "coefficient"), t))
+        return out
 
     # -- replay on concrete values (tests and every returned assignment) -------
 
@@ -304,12 +304,13 @@ class Model:
     # -- compilation to 0/1 rows ------------------------------------------------
 
     def _compile(self):
-        """Lower the model to (ncols, rows, objective, sense).
+        """Lower the model to (ncols, rows, objective).
 
-        A row is either a clause row (a list of literals) or a linear row
-        (coeffs, lb, ub). Rows follow the exactly-one groups, then the
-        assertions in order, then the sums; the objective is a list of
-        per-column costs, negated for maximization.
+        A row is either a clause row (a list of literals; an empty one can
+        never hold) or a >=-row (terms, b). Rows follow the exactly-one
+        groups (two >=-rows each), then the assertions in order, then the
+        sums; the objective is a list of (coef, col) terms in column order,
+        negated for maximization.
 
         Orderings lower to clauses over an order encoding. A literal
         ge(x, v) stands for "x >= v": a constant for v <= lo or v > hi, a
@@ -328,31 +329,35 @@ class Model:
         ncols = self._ncols
         rows: list = []
         self._aux_names = []
-        self._hard_false = False
 
-        def indicator(var: _Var, value: int) -> tuple[int, float, float]:
-            # [var == value] as constant + sign * column; the value is in
-            # the domain (checked at registration), and [b == 0] is 1 - b
-            if var.is_bool:
-                return (var.first_col, -1.0, 1.0) if value == 0 else (var.first_col, 1.0, 0.0)
-            return var.first_col + (value - var.lo), 1.0, 0.0
+        def columns(terms) -> tuple[dict, int]:
+            # sum(terms) as {col: coef} plus a constant; [b == 0] is 1 - b
+            coeffs: dict[int, int] = {}
+            const = 0
+            for coef, t in terms:
+                if isinstance(t, tuple):
+                    var, value = self._vars[t[0]], t[1]
+                    if var.is_bool and value == 0:
+                        coef, const = -coef, const + coef
+                    col = var.first_col + (0 if var.is_bool else value - var.lo)
+                    coeffs[col] = coeffs.get(col, 0) + coef
+                    continue
+                var = self._vars[t]
+                if var.is_bool:
+                    coeffs[var.first_col] = coeffs.get(var.first_col, 0) + coef
+                    continue
+                for v in var.domain:
+                    col = var.first_col + (v - var.lo)
+                    coeffs[col] = coeffs.get(col, 0) + coef * v
+            return coeffs, const
 
-        def add_row(row):
-            # a clause row; None always holds, [] never does
-            if row is None:
-                return
-            if not row:
-                self._hard_false = True
-                return
-            rows.append(row)
-
-        def int_sum_coeffs(var: _Var, sign: float, coeffs: dict):
-            if var.is_bool:
-                coeffs[var.first_col] = coeffs.get(var.first_col, 0.0) + sign
-                return
-            for v in var.domain:
-                c = var.first_col + (v - var.lo)
-                coeffs[c] = coeffs.get(c, 0.0) + sign * v
+        def add_sum(coeffs: dict, op: str, rhs: int):
+            # sum op rhs as >=-rows, the upper bound's negated row first
+            terms = [(coef, col) for col, coef in coeffs.items() if coef]
+            if op != ">=":
+                rows.append(([(-coef, col) for coef, col in terms], -rhs))
+            if op != "<=":
+                rows.append((terms, rhs))
 
         chains: dict[int, list] = {}  # int handle -> its ge literals
 
@@ -396,7 +401,9 @@ class Model:
             # a + margin <= b: for each value v of a, a >= v forces
             # b >= v + margin
             for v in a.domain:
-                add_row(_clause_row([_flip(ge(a, v)), ge(b, v + margin)]))
+                row = _clause_row([_flip(ge(a, v)), ge(b, v + margin)])
+                if row is not None:
+                    rows.append(row)
 
         def new_aux() -> int:
             nonlocal ncols
@@ -415,47 +422,26 @@ class Model:
         # exactly-one rows for every int variable's one-hot group
         for v in self._vars:
             if not v.is_bool:
-                coeffs = {v.first_col + i: 1.0 for i in range(v.hi - v.lo + 1)}
-                rows.append((coeffs, 1.0, 1.0))
+                add_sum({v.first_col + i: 1 for i in range(v.hi - v.lo + 1)}, "==", 1)
 
         for f in self._assertions:
-            if f.__class__ is _Clause:
-                add_row(f.row)
-            else:
+            if f.__class__ is not _Clause:
                 add_ordering(self._vars[f.a], self._vars[f.b], f.margin)
+            elif f.row is not None:
+                rows.append(f.row)
 
         for terms, op, rhs in self._sums:
-            coeffs: dict[int, float] = {}
-            rest = float(rhs)
-            for coef, t in terms:
-                if isinstance(t, tuple):
-                    col, sign, const = indicator(self._var(t[0]), t[1])
-                    coeffs[col] = coeffs.get(col, 0.0) + sign * coef
-                    rest -= const * coef
-                else:
-                    int_sum_coeffs(self._var(t), float(coef), coeffs)
-            lb = rest if op in (">=", "==") else -math.inf
-            ub = rest if op in ("<=", "==") else math.inf
-            rows.append((coeffs, lb, ub))
+            coeffs, const = columns(terms)
+            add_sum(coeffs, op, rhs - const)
 
-        c = [0.0] * ncols
-        sense = 1.0
+        objective = []
         if self._objective is not None:
-            sense = 1.0 if self._objective[0] == "min" else -1.0
-            for coef, t in self._objective[1]:
-                if isinstance(t, tuple):
-                    # the constant part shifts every value alike; dropped
-                    col, sign, _ = indicator(self._var(t[0]), t[1])
-                    c[col] += sense * sign * coef
-                else:
-                    var = self._var(t)
-                    if var.is_bool:
-                        c[var.first_col] += sense * coef
-                    else:
-                        for v in var.domain:
-                            c[var.first_col + (v - var.lo)] += sense * coef * v
+            # the constant part shifts every value alike; dropped
+            sense = 1 if self._objective[0] == "min" else -1
+            coeffs, _ = columns(self._objective[1])
+            objective = [(sense * coef, col) for col, coef in sorted(coeffs.items()) if coef]
 
-        self._compiled = (ncols, rows, c, sense)
+        self._compiled = (ncols, rows, objective)
         return self._compiled
 
 
@@ -464,16 +450,13 @@ def solve(model: Model, timeout: float | None = None,
     """Solve to proven optimality; never best-effort.
 
     method "sat" runs the conflict-driven core (strong on feasibility
-    boundaries and unsatisfiability proofs) and raises SolverBackendError
-    on a model with a non-integral coefficient; "milp" runs the HiGHS
-    branch and bound, the cross-check engine. Both return identical
-    verdict semantics.
+    boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
+    and bound, the cross-check engine. Both return identical verdict
+    semantics.
     """
     if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
-    ncols, rows, c, sense = model._compile()
-    if model._hard_false:
-        return Verdict(status=UNSAT)
+    ncols, rows, objective = model._compile()
     if ncols == 0:
         # no columns, but constant rows may still contradict (empty sums)
         assignment: dict = {}
@@ -482,11 +465,8 @@ def solve(model: Model, timeout: float | None = None,
         obj = model.objective_of(assignment)
         return Verdict(status=SAT, assignment=assignment, objective_value=obj)
     if method == "milp":
-        return _solve_milp(model, ncols, rows, c, timeout)
-    try:
-        return _solve_sat(model, ncols, rows, c, timeout)
-    except _cdcl.CdclUnsupported as exc:
-        raise SolverBackendError(f"model not expressible for sat core: {exc}") from exc
+        return _solve_milp(model, ncols, rows, objective, timeout)
+    return _solve_sat(model, ncols, rows, objective, timeout)
 
 
 def _extract(model: Model, x) -> Verdict:
@@ -507,24 +487,17 @@ def _extract(model: Model, x) -> Verdict:
     return Verdict(status=SAT, assignment=assignment, objective_value=obj)
 
 
-def _solve_sat(model: Model, ncols, rows, c, timeout) -> Verdict:
+def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
     deadline = time.monotonic() + timeout if timeout is not None else None
     searcher = _cdcl.Searcher(ncols)
     for row in rows:
         if row.__class__ is list:
             searcher.add_clause(row)
         else:
-            searcher.add_linear(*row)
-    objective = []
-    for col in range(ncols):
-        if c[col]:
-            coef = round(float(c[col]))
-            if abs(c[col] - coef) > 1e-9:
-                raise _cdcl.CdclUnsupported(f"non-integral objective {c[col]!r}")
-            objective.append((col, int(coef)))
+            searcher.add_ge(*row)
     # decide objective columns first, preferring the cost-lowering phase;
     # the epsilon ladder keeps their relative order deterministic
-    for rank, (col, coef) in enumerate(objective):
+    for rank, (coef, col) in enumerate(objective):
         searcher.boost(col, amount=1.0 + (len(objective) - rank) * 1e-3,
                        phase=1 if coef < 0 else 0)
 
@@ -536,9 +509,8 @@ def _solve_sat(model: Model, ncols, rows, c, timeout) -> Verdict:
     best = searcher.model()
     # tighten the incumbent until the strengthened model is unsatisfiable
     while objective:
-        value = sum(coef * int(best[col]) for col, coef in objective)
-        searcher.add_linear({col: float(coef) for col, coef in objective},
-                            -math.inf, value - 1)
+        value = sum(coef * best[col] for coef, col in objective)
+        searcher.add_ge([(-coef, col) for coef, col in objective], 1 - value)
         status = searcher.search(deadline)
         if status == "timeout":
             return Verdict(status=TIMEOUT)
@@ -548,33 +520,43 @@ def _solve_sat(model: Model, ncols, rows, c, timeout) -> Verdict:
     return _extract(model, best)
 
 
-def _solve_milp(model: Model, ncols, rows, c, timeout) -> Verdict:
+def _ge_row(row) -> tuple[list, int]:
+    """A row as its >=-row (terms, b); a clause is sum(lits) >= 1, where a
+    negative literal 2*c+1 stands for 1 - column c."""
+    if row.__class__ is not list:
+        return row
+    return ([(-1, lit >> 1) if lit & 1 else (1, lit >> 1) for lit in row],
+            1 - sum(lit & 1 for lit in row))
+
+
+def _solve_milp(model: Model, ncols, rows, objective, timeout) -> Verdict:
     import numpy as np
     from scipy import sparse
     from scipy.optimize import LinearConstraint, milp
 
     if rows:
-        data, row_idx, cols = [], [], []
-        lbs, ubs = [], []
+        data, row_idx, cols, lbs = [], [], [], []
         for i, row in enumerate(rows):
-            coeffs, lb, ub = _clause_linear(row) if row.__class__ is list else row
-            for col, coef in coeffs.items():
+            terms, b = _ge_row(row)
+            for coef, col in terms:
                 row_idx.append(i)
                 cols.append(col)
                 data.append(coef)
-            lbs.append(lb)
-            ubs.append(ub)
+            lbs.append(b)
         a = sparse.csc_array(
             (data, (row_idx, cols)), shape=(len(rows), ncols))
-        constraints = [LinearConstraint(a, np.array(lbs), np.array(ubs))]
+        constraints = [LinearConstraint(a, np.array(lbs), np.inf)]
     else:
         constraints = []
 
+    c = np.zeros(ncols)
+    for coef, col in objective:
+        c[col] = coef
     options = {"mip_rel_gap": 0.0}
     if timeout is not None:
         options["time_limit"] = float(timeout)
     res = milp(
-        np.array(c),
+        c,
         constraints=constraints,
         integrality=np.ones(ncols),
         bounds=(0, 1),

@@ -33,8 +33,8 @@ from .results import GatePlacement, SwapPlacement, SynthesisResult, TransitionPl
 def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
               objective: str = "swap"):
     """Emit the coarse block model; returns (model, variables)."""
-    cfg = EncodingConfig(T=T_coarse, S=1, objective=objective, coarse=True)
-    model, vs = encode(circuit, device, cfg)
+    cfg = EncodingConfig(T=T_coarse, S=1, objective=objective)
+    model, vs = encode(circuit, device, cfg, coarse=True)
     _coarse_cuts(model, vs, circuit, device, T_coarse)
     _symmetry_clauses(model, vs, circuit, device, objective)
     apply_objective(model, vs, objective, device, circuit)

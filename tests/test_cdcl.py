@@ -23,13 +23,30 @@ def _both(nvars):
     return _cdcl.Searcher(nvars), reference.Searcher(nvars)
 
 
+def _ge_rows(coeffs, lb, ub):
+    """The >=-rows of lb <= sum coef*x <= ub, split as the reference's
+    add_linear splits them: the upper bound's negated row first."""
+    items = [(int(cf), col) for col, cf in coeffs.items() if cf]
+    rows = []
+    if ub != math.inf:
+        rows.append(([(-cf, col) for cf, col in items], -int(ub)))
+    if lb != -math.inf:
+        rows.append((items, int(lb)))
+    return rows
+
+
 def _load(pair, rows):
-    for s in pair:
-        for row in rows:
-            if isinstance(row, list):
-                s.add_clause(row)
-            else:
-                s.add_linear(*row)
+    """Clause rows go to both searchers; a linear row (coeffs, lb, ub) goes
+    to the searcher as its >=-rows and to the reference's add_linear."""
+    searcher, ref = pair
+    for row in rows:
+        if isinstance(row, list):
+            searcher.add_clause(row)
+            ref.add_clause(row)
+        else:
+            for terms, b in _ge_rows(*row):
+                searcher.add_ge(terms, b)
+            ref.add_linear(*row)
 
 
 def _search_both(pair):
@@ -57,7 +74,7 @@ def _clause(draw, nvars):
 
 @st.composite
 def _linear(draw, nvars, kinds=("one", "all_but_one", "pb", "pb")):
-    """(coeffs, lb, ub) of one of the row kinds Searcher.add_linear
+    """(coeffs, lb, ub) of one of the row kinds Searcher.add_ge
     normalizes differently: a disjunction (b == 1), "all but one" (pairwise
     clauses), a counting row with mixed coefficients, or a row no
     assignment meets ("infeasible")."""
@@ -165,8 +182,7 @@ def test_hard_search_matches_reference(seed):
             break
         # tighten the incumbent until unsatisfiable, as the SAT engine does
         value = sum(cf * model[c] for c, cf in objective.items())
-        for s in pair:
-            s.add_linear(objective, -math.inf, value - 1)
+        _load(pair, [(objective, -math.inf, value - 1)])
 
 
 # -- fixed cases ---------------------------------------------------------------

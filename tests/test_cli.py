@@ -1,9 +1,11 @@
 """CLI harness: subcommands, exit codes, formats."""
 
 import json
+from importlib import resources
 
 import pytest
 
+from qlayout import cli
 from qlayout.cli import (
     EXIT_INPUT,
     EXIT_OK,
@@ -12,7 +14,9 @@ from qlayout.cli import (
     convert_qasm_subset,
     main,
 )
-from qlayout.circuit import CircuitError
+from qlayout.circuit import CircuitError, load_circuit
+from qlayout.device import load_device
+from qlayout.verify import check_result
 
 
 def run(capsys, *argv):
@@ -152,6 +156,35 @@ def test_bench_json_manifest(capsys, tmp_path):
     code, stdout, err = run(capsys, "bench", "--suite", str(manifest))
     # the or circuit has 1q gates: qaoa refuses them, an input error
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+def test_qaoa_mode_takes_a_commuting_circuit(capsys, tmp_path, monkeypatch, command):
+    # a ZZ triangle: every pair of gates shares a qubit, and in qaoa mode
+    # they still commute
+    text = "qubits 3\nzz q0 q1\nzz q1 q2\nzz q0 q2\n"
+    circ = tmp_path / "tri.gates"
+    circ.write_text(text)
+    results = []
+    synthesize_qaoa = cli.synthesize_qaoa
+
+    def spy(*args, **kwargs):
+        results.append(synthesize_qaoa(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "synthesize_qaoa", spy)
+    if command == "synth":
+        args = ("synth", "--circuit", str(circ), "--device", "qx2", "--mode", "qaoa")
+    else:
+        manifest = tmp_path / "suite.csv"
+        manifest.write_text(f"circuit,device,mode,objective\n{circ},qx2,qaoa,swap\n")
+        args = ("bench", "--suite", str(manifest))
+    code, _, err = run(capsys, *args)
+    assert code == EXIT_OK, err
+    commuting = load_circuit(text, user_deps=[])
+    device = load_device((resources.files("qlayout") / "data" / "qx2.json").read_text())
+    assert len(results) == 1
+    assert check_result(commuting, device, results[0]) == []
 
 
 def test_bench_empty_manifest(capsys, tmp_path):

@@ -19,6 +19,8 @@ from qlayout.exact import (
     synthesize,
 )
 from qlayout.oracle import OracleError, oracle_optimal
+from qlayout.qaoa import synthesize_qaoa
+from qlayout.transition import synthesize_tb
 from qlayout.verify import check_result, metrics
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
@@ -101,6 +103,37 @@ def test_unsat_at_cap():
     cfg = EncodingConfig(T=1, max_T=4)
     with pytest.raises(TCapExceeded):
         synthesize(circ, dev, config=cfg)
+
+
+def _never_fits(case):
+    if case == "more qubits than nodes":
+        return load_circuit("qubits 6\ncx q0 q1\ncx q2 q3\ncx q4 q5\n"), \
+            bundled_device("qx2.json")
+    return load_circuit("qubits 2\ncx q0 q1\n"), build_device(2, [])
+
+
+@pytest.mark.parametrize("case", ["more qubits than nodes", "edgeless device"])
+@pytest.mark.parametrize("flow", ["exact", "tb", "qaoa"])
+def test_inputs_that_never_fit_end_before_any_solve(monkeypatch, flow, case):
+    circuit, device = _never_fits(case)
+    solves = []
+    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
+    run = {"exact": synthesize, "tb": synthesize_tb, "qaoa": synthesize_qaoa}[flow]
+    with pytest.raises(TCapExceeded):
+        run(circuit, device)
+    assert solves == []
+
+
+def test_fidelity_result_keeps_the_swaps_its_objective_paid_for():
+    # measuring on node 1 costs far more than a SWAP, so the optimum moves a
+    # qubit off node 1 after the gate; the result must show that SWAP
+    circ = load_circuit("qubits 2\ncx q0 q1\n")
+    dev = build_device(3, [(0, 1), (1, 2)],
+                       {"measure": [0.99, 0.3, 0.99], "two": [0.999, 0.999]})
+    result, details = synthesize(circ, dev, "fidelity", extra_t=4, return_details=True)
+    assert result.swap_count > 0
+    assert result.fidelity_scaled == details.objective_value
+    assert check_result(circ, dev, result) == []
 
 
 def test_growth_past_the_cap_tries_the_cap():
@@ -223,7 +256,7 @@ def _optimum_at(circuit, device, objective, T, S):
     apply_objective(model, vs, objective, device, circuit)
     verdict = sv.solve(model)
     assert verdict.status == sv.SAT
-    result = decode(circuit, device, verdict, vs, T)
+    result = decode(circuit, device, verdict, vs, T, objective)
     assert check_result(circuit, device, result, S=S) == []
     return result.swap_count if objective == "swap" else result.depth_slots
 

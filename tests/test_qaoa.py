@@ -167,8 +167,8 @@ def _model_retime_block(block_gates, circuit, device, locations, timeout):
         ),
     )
     sub = preprocess(sub, user_deps=[])
-    cfg = EncodingConfig(T=L_b, S=1, objective="depth", coarse=True)
-    model, vs = encode(sub, device, cfg)
+    cfg = EncodingConfig(T=L_b, S=1, objective="depth")
+    model, vs = encode(sub, device, cfg, coarse=True)
     for i in range(L_b):
         model.require_clause([(vs.space[i], locations[i], True)])
     for row in vs.sigma:

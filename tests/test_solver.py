@@ -112,6 +112,25 @@ def test_require_sum_forms():
     assert v.assignment[x] == 3 and v.assignment[b] == 1
 
 
+def test_sums_compile_to_integer_ge_rows():
+    m = Model()
+    x = m.int_var(1, 3)  # columns 0..2
+    b = m.bool_var()  # column 3
+    m.require_sum([(2, (b, 0)), (1, x)], "==", 4)  # [b == 0] is 1 - b
+    m.maximize([(3, (x, 2)), (-1, b)])
+    ncols, rows, objective = m._compile()
+    assert ncols == 4
+    # each == becomes two >=-rows, the upper bound's negated row first: the
+    # order the search core has always loaded them in
+    assert rows == [
+        ([(-1, 0), (-1, 1), (-1, 2)], -1), ([(1, 0), (1, 1), (1, 2)], 1),
+        ([(2, 3), (-1, 0), (-2, 1), (-3, 2)], -2), ([(-2, 3), (1, 0), (2, 1), (3, 2)], 2),
+    ]
+    assert objective == [(-3, 1), (1, 3)]  # maximized: negated, in column order
+    v = solve(m)
+    assert v.assignment == {x: 2, b: 0} and v.objective_value == 3
+
+
 def test_objective_exact_minimum():
     m = Model()
     xs = [m.int_var(0, 3) for _ in range(3)]
@@ -128,8 +147,8 @@ def test_require_clause_constant_clauses():
     m.require_clause([(x, 5, False)])  # always holds
     m.require_clause([(x, 1, True), (x, 1, False)])  # complementary pair
     m.require_clause([(x, 2, True), (x, 2, True)])  # repeat collapses
-    # after x's exactly-one row, only the clause "x == 2" (column 2) loads
-    assert m._compile()[1][1:] == [[2 * 2]]
+    # after x's exactly-one rows, only the clause "x == 2" (column 2) loads
+    assert m._compile()[1][2:] == [[2 * 2]]
     assert solve(m).assignment == {x: 2}
     m.require_clause([(x, 5, True)])  # can never hold
     assert solve(m).status == sv.UNSAT
@@ -290,19 +309,26 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     assert searcher.search(time.monotonic()) == "timeout"
 
 
-def test_fractional_row_falls_back_to_milp():
+@pytest.mark.parametrize("build", [
+    lambda m, b: m.require_sum([(1, b)], ">=", 0.5),  # a bound that int() would floor
+    lambda m, b: m.require_sum([(0.5, b), (0.5, (b, 0))], ">=", 1),
+    lambda m, b: m.minimize([(1.5, b)]),
+    lambda m, b: m.maximize([(1, b), (float("nan"), (b, 1))]),
+    lambda m, b: m.require_sum([(1, b)], "<=", "1"),
+], ids=["bound", "coefficient", "minimize", "maximize", "string"])
+def test_non_integral_input_raises_model_error(build):
     m = Model()
-    b1 = m.bool_var()
-    b2 = m.bool_var()
-    m.require_sum([(0.5, b1), (0.5, b2)], ">=", 1)
-    # the sat core, the default engine, refuses; only milp answers
-    with pytest.raises(SolverBackendError):
-        solve(m)
-    with pytest.raises(SolverBackendError):
-        solve(m, method="sat")
-    v = solve(m, method="milp")
-    assert v.status == sv.SAT
-    assert v.assignment[b1] == 1 and v.assignment[b2] == 1
+    b = m.bool_var()
+    m.minimize([(1, b)])
+    with pytest.raises(ModelError):
+        build(m, b)
+    # the model is unchanged: the proven optimum is still b = 0
+    assert m._sums == []
+    assert solve(m).assignment == {b: 0}
+    # integral floats are integers
+    m.require_sum([(2.0, b)], ">=", 1.0)
+    v = solve(m)
+    assert v.assignment == {b: 1} and v.objective_value == 1
 
 
 def test_unknown_method_rejected():
@@ -357,13 +383,13 @@ def test_solve_is_deterministic():
 def _root_searcher(m: Model) -> _cdcl.Searcher:
     """A Searcher loaded with the model's rows, as the sat engine loads
     them, after propagation at the root and before any decision."""
-    ncols, rows, _, _ = m._compile()
+    ncols, rows, _ = m._compile()
     searcher = _cdcl.Searcher(ncols)
     for row in rows:
         if row.__class__ is list:
             searcher.add_clause(row)
         else:
-            searcher.add_linear(*row)
+            searcher.add_ge(*row)
     assert searcher._root_scan() and searcher._propagate() is None
     assert searcher.decisions == searcher.conflicts == 0
     return searcher
@@ -388,11 +414,11 @@ def test_ordering_propagates_at_the_root(x_dom, y_dom, strict):
 
 
 def _non_group_rows(m: Model) -> list:
-    """Rows after the exactly-one rows of the model's int variables."""
+    """Rows after the exactly-one rows (two each) of the model's int variables."""
     rows = m._compile()[1]
-    n_int = sum(1 for v in m._vars if not v.is_bool)
-    assert all(row.__class__ is tuple for row in rows[:n_int])
-    return rows[n_int:]
+    n_groups = 2 * sum(1 for v in m._vars if not v.is_bool)
+    assert all(row.__class__ is tuple for row in rows[:n_groups])
+    return rows[n_groups:]
 
 
 def test_orderings_share_one_chain_per_variable():
