@@ -40,6 +40,13 @@ class Device:
             raise DeviceError(f"no edge between p{p} and p{q}") from None
 
 
+def _integer(x, what: str) -> int:
+    """x as an int; DeviceError unless x is an integral number."""
+    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise DeviceError(f"{what} {x!r} is not an integer")
+
+
 def _check_fidelity(values, count, label):
     if len(values) != count:
         raise DeviceError(f"fidelity list '{label}' has {len(values)} entries, expected {count}")
@@ -58,7 +65,7 @@ def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Devi
     for e in edges:
         if len(e) != 2:
             raise DeviceError(f"edge {e!r} must have two endpoints")
-        a, b = int(e[0]), int(e[1])
+        a, b = (_integer(x, "edge endpoint") for x in e)
         if a == b:
             raise DeviceError(f"self-loop on node {a}")
         if not (0 <= a < num_physical and 0 <= b < num_physical):
@@ -107,7 +114,13 @@ def load_device(text: str) -> Device:
         raise DeviceError(f"device JSON: {exc}") from None
     if not isinstance(obj, dict) or "num_qubits" not in obj or "edges" not in obj:
         raise DeviceError("device JSON needs 'num_qubits' and 'edges'")
-    return build_device(int(obj["num_qubits"]), obj["edges"], obj.get("fidelity"))
+    edges, fidelity = obj["edges"], obj.get("fidelity") or {}
+    if not (isinstance(edges, list) and all(isinstance(e, list) for e in edges)
+            and isinstance(fidelity, dict)
+            and all(isinstance(v, list) for v in fidelity.values())):
+        raise DeviceError("device JSON needs a list of [a, b] edges and a "
+                          "fidelity object of lists")
+    return build_device(_integer(obj["num_qubits"], "node count"), edges, fidelity)
 
 
 def serialize_device(device: Device) -> str:

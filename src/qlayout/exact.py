@@ -7,6 +7,8 @@ reached time horizon under the selected objective.
 
 solve_horizons is the one horizon loop of every flow: the exact flow grows
 T geometrically, the transition-based and QAOA flows one block at a time.
+build_result is the one result builder of every flow: it replays the SWAPs
+into the mapping trajectory and recomputes the fidelity.
 """
 
 from __future__ import annotations
@@ -254,50 +256,67 @@ def apply_objective(model: sv.Model, vs: VariableSet, objective: str,
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
-           vs: VariableSet, solver_T: int, objective: str) -> SynthesisResult:
-    """Assignment -> SynthesisResult.
+def swap_step(row, edges, device: Device) -> tuple[int, ...]:
+    """The mapping row after SWAPs on `edges`, applied in the given order."""
+    out = list(row)
+    for k in edges:
+        a, b = device.edges[k]
+        for q, p in enumerate(out):
+            if p == a:
+                out[q] = b
+            elif p == b:
+                out[q] = a
+    return tuple(out)
 
-    Under the swap and depth objectives, SWAPs that finish after the last
-    input gate are dropped: they cannot affect the program. The fidelity
-    objective pays for every SWAP and measures each qubit at pi[T-1], so
-    there the SWAPs that finish before T-1 are kept, and the trajectory
-    runs on until their mapping change shows.
+
+def build_result(circuit: Circuit, device: Device, solver_T: int, initial,
+                 times, locations, swaps, depth_blocks: int | None = None
+                 ) -> SynthesisResult:
+    """The one constructor of every flow's SynthesisResult.
+
+    times[l] and locations[l] place gate l; swaps are sorted (finish, edge)
+    pairs. The trajectory replays the SWAPs from `initial` with swap_step,
+    slot by slot, up to slot max(1, depth, last finish + 2), so each SWAP's
+    mapping change shows; fidelity_scaled is recomputed by verify.metrics.
     """
-    a = verdict.assignment
-    times = [a[h] for h in vs.time]
-    last = max(times) if times else -1
-    depth_slots = last + 1 if times else 0
-    gates = tuple(
-        GatePlacement(gate_id=g.index, time=times[g.index], location=a[vs.space[g.index]])
-        for g in circuit.gates
-    )
-    keep_until = solver_T - 2 if objective == "fidelity" else last
-    swaps = []
-    for k, row in enumerate(vs.sigma):
-        for t, h in enumerate(row):
-            if a[h] and t <= keep_until:
-                swaps.append(SwapPlacement(edge=k, finish_time=t))
-    swaps.sort(key=lambda s: (s.finish_time, s.edge))
-    horizon = max(1, depth_slots)
-    if objective == "fidelity" and swaps:
-        horizon = max(horizon, swaps[-1].finish_time + 2)
-    traj = tuple(
-        tuple(a[vs.pi[q][t]] for q in range(circuit.num_qubits))
-        for t in range(horizon)
-    )
+    depth_slots = max(times) + 1 if times else 0
+    horizon = max(1, depth_slots, swaps[-1][0] + 2 if swaps else 0)
+    traj = [tuple(initial)]
+    for t in range(horizon - 1):
+        traj.append(swap_step(traj[-1], [k for f, k in swaps if f == t], device))
     base = SynthesisResult(
         solver_T=solver_T,
         depth_slots=depth_slots,
         swap_count=len(swaps),
         fidelity_scaled=0,
         initial_mapping=traj[0],
-        gates=gates,
-        swaps=tuple(swaps),
-        mapping_trajectory=traj,
+        gates=tuple(GatePlacement(gate_id=l, time=t, location=x)
+                    for l, (t, x) in enumerate(zip(times, locations))),
+        swaps=tuple(SwapPlacement(edge=k, finish_time=finish) for finish, k in swaps),
+        mapping_trajectory=tuple(traj),
+        depth_blocks=depth_blocks,
     )
     _, _, scaled, _ = verify.metrics(circuit, device, base)
     return replace(base, fidelity_scaled=scaled)
+
+
+def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
+           vs: VariableSet, solver_T: int, objective: str) -> SynthesisResult:
+    """Assignment -> SynthesisResult: pi at slot 0, the time and space
+    values and the SWAPs, handed to build_result.
+
+    A SWAP is kept when it finishes by slot last - 2, so its mapping change
+    shows by slot last - 1. last is T under the fidelity objective, which
+    pays for every SWAP and measures each qubit at pi[T-1], and the depth
+    otherwise: a later SWAP cannot affect the program.
+    """
+    a = verdict.assignment
+    times = [a[h] for h in vs.time]
+    last = solver_T if objective == "fidelity" else max(times, default=-1) + 1
+    swaps = sorted((t, k) for k, row in enumerate(vs.sigma)
+                   for t, h in enumerate(row) if a[h] and t <= last - 2)
+    return build_result(circuit, device, solver_T, [a[row[0]] for row in vs.pi],
+                        times, [a[h] for h in vs.space], swaps)
 
 
 @dataclass

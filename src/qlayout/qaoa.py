@@ -18,14 +18,7 @@ from collections import Counter
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
 from .exact import SynthesisTimeout
-from .transition import (
-    _block_order,
-    _schedule_core,
-    _schedule_result,
-    _schedule_tables,
-    _solve_coarse,
-    check_plan,
-)
+from .transition import _block_order, _schedule_plan, _solve_coarse
 
 
 def phase_separation_from_graph(edges, num_nodes: int | None = None) -> Circuit:
@@ -118,8 +111,9 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     physical node with no solver model, and the blocks are stitched by
     earliest node availability. Pass-1 SWAPs are carried over unchanged.
 
-    The stitch is transition._schedule_core run on the pass-2 gate order;
-    with no dependencies, only node availability places each gate.
+    The stitch is transition._schedule_plan run on the pass-2 gate order,
+    the path asap_schedule takes with index order; with no dependencies,
+    only node availability places each gate.
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before synthesis")
@@ -135,21 +129,19 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
 
     # pass 1: coarse blocks with no gate ordering at all
     plan, details = _solve_coarse(circuit, device, objective, S, timeout, max_T)
-    check_plan(plan, circuit, device)
-
-    tables = _schedule_tables(plan, circuit, device)
 
     # pass 2: minimum-depth gate order inside each block
     order: list[list[int]] = []
-    for b, block_gates in enumerate(_block_order(plan.gate_block, plan.num_blocks)):
+    for row, block_gates in zip(plan.block_mapping,
+                                _block_order(plan.gate_block, plan.num_blocks)):
         deadline = None if timeout is None else time.monotonic() + timeout
-        slots = _retime_block([tables.nodes[b][l] for l in block_gates], deadline)
+        pairs = [tuple(row[q] for q in circuit.gates[l].qubits) for l in block_gates]
+        slots = _retime_block(pairs, deadline)
         ranked = sorted(range(len(block_gates)), key=lambda i: (slots[i], block_gates[i]))
         order.append([block_gates[i] for i in ranked])
 
     # stitch: earliest node availability, pass-2 order preserved
-    gate_time, swaps = _schedule_core(tables, order, S)
-    result = _schedule_result(plan, circuit, device, tables, gate_time, swaps)
+    result = _schedule_plan(plan, circuit, device, S, order)
     if return_details:
         return result, plan, details
     return result

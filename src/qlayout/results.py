@@ -59,6 +59,13 @@ class SynthesisResult:
         return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _integer(x) -> int:
+    """x as an int; ResultError unless x is an integral number."""
+    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ResultError(f"result JSON: {x!r} is not an integer")
+
+
 def result_from_json(text: str) -> SynthesisResult:
     try:
         obj = json.loads(text)
@@ -66,24 +73,24 @@ def result_from_json(text: str) -> SynthesisResult:
         raise ResultError(f"result JSON: {exc}") from None
     try:
         gates = tuple(
-            GatePlacement(int(g["id"]), int(g["time"]), int(g["location"]))
+            GatePlacement(_integer(g["id"]), _integer(g["time"]), _integer(g["location"]))
             for g in obj["gates"]
         )
         swaps = tuple(
-            SwapPlacement(int(s["edge"]), int(s["finish_time"])) for s in obj["swaps"]
+            SwapPlacement(_integer(s["edge"]), _integer(s["finish_time"])) for s in obj["swaps"]
         )
         return SynthesisResult(
-            solver_T=int(obj["solver_T"]),
-            depth_slots=int(obj["depth_slots"]),
-            swap_count=int(obj["swap_count"]),
-            fidelity_scaled=int(obj["fidelity_scaled"]),
-            initial_mapping=tuple(int(p) for p in obj["initial_mapping"]),
+            solver_T=_integer(obj["solver_T"]),
+            depth_slots=_integer(obj["depth_slots"]),
+            swap_count=_integer(obj["swap_count"]),
+            fidelity_scaled=_integer(obj["fidelity_scaled"]),
+            initial_mapping=tuple(_integer(p) for p in obj["initial_mapping"]),
             gates=gates,
             swaps=swaps,
             mapping_trajectory=tuple(
-                tuple(int(p) for p in row) for row in obj["mapping_trajectory"]
+                tuple(_integer(p) for p in row) for row in obj["mapping_trajectory"]
             ),
-            depth_blocks=int(obj["depth_blocks"]) if "depth_blocks" in obj else None,
+            depth_blocks=_integer(obj["depth_blocks"]) if "depth_blocks" in obj else None,
         )
     except (KeyError, TypeError) as exc:
         raise ResultError(f"result JSON missing field: {exc}") from None

@@ -177,10 +177,6 @@ class Model:
         self._compiled = None
         return v.handle
 
-    @property
-    def num_variables(self) -> int:
-        return len(self._vars)
-
     def _var(self, handle) -> _Var:
         if not isinstance(handle, int) or not (0 <= handle < len(self._vars)):
             raise ModelError(f"unknown variable handle {handle!r}")

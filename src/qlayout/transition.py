@@ -9,8 +9,10 @@ with real S-slot SWAPs and emits a result that passes the full verifier.
 Each plan is compiled once into schedule tables (per-gate predecessors,
 per-block gate nodes and fired SWAPs). One node-availability scheduler,
 _schedule_core, runs on them: for the ASAP replay, for every block split
-the polish step scores, and for the QAOA flow's stitch. One helper,
-_schedule_result, turns its gate times and SWAPs into a SynthesisResult.
+the polish step scores, and for the QAOA flow's stitch. _schedule_plan is
+the one path from a plan and a per-block gate order to a result: it checks
+the plan, schedules it, and hands the gate times and SWAPs to
+exact.build_result, which replays the SWAPs into the trajectory.
 
 _solve_coarse, the coarse step of the TB and QAOA flows, runs the one
 horizon loop, exact.solve_horizons, on encode_tb and polishes its plan.
@@ -23,11 +25,17 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import solver as sv
-from . import verify
 from .circuit import Circuit
 from .device import Device, DeviceError, bipartition, enumerate_automorphisms
-from .exact import EncodingConfig, apply_objective, encode, solve_horizons
-from .results import GatePlacement, SwapPlacement, SynthesisResult, TransitionPlan
+from .exact import (
+    EncodingConfig,
+    apply_objective,
+    build_result,
+    encode,
+    solve_horizons,
+    swap_step,
+)
+from .results import SynthesisResult, TransitionPlan
 
 
 def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
@@ -294,24 +302,11 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
         fired[j] = edges
     # Replay: consecutive mappings must differ exactly by the fired SWAPs.
     for j in range(B - 1):
-        row = _swap_step(plan.block_mapping[j], sorted(fired.get(j, ())), device)
+        row = swap_step(plan.block_mapping[j], sorted(fired.get(j, ())), device)
         if row != tuple(plan.block_mapping[j + 1]):
             raise ValueError(
                 f"block {j + 1} mapping does not follow from block {j} "
                 f"through transition {j}")
-
-
-def _swap_step(row, edges, device: Device) -> tuple[int, ...]:
-    """The mapping row after SWAPs on `edges`, applied in the given order."""
-    out = list(row)
-    for k in edges:
-        a, b = device.edges[k]
-        for q, p in enumerate(out):
-            if p == a:
-                out[q] = b
-            elif p == b:
-                out[q] = a
-    return tuple(out)
 
 
 class _ScheduleTables(NamedTuple):
@@ -402,43 +397,21 @@ def _block_order(gate_block, num_blocks: int) -> list[list[int]]:
     return order
 
 
-def _schedule_result(plan: TransitionPlan, circuit: Circuit, device: Device,
-                    tables: _ScheduleTables, gate_time, swaps) -> SynthesisResult:
-    """Assemble the result of a scheduled plan: gate placements, SWAP
-    placements, the slot-by-slot mapping trajectory and the fidelity."""
-    placements = []
+def _schedule_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
+                   S: int, order) -> SynthesisResult:
+    """Check a plan, schedule its blocks' gates in `order` (per-block gate
+    lists in execution order) and build the result."""
+    if S < 1:
+        raise ValueError("S must be >= 1")
+    check_plan(plan, circuit, device)
+    tables = _schedule_tables(plan, circuit, device)
+    gate_time, swaps = _schedule_core(tables, order, S)
+    locations = []
     for g in circuit.gates:
         p, q = tables.nodes[plan.gate_block[g.index]][g.index]
-        loc = device.edge_index(p, q) if g.is_two_qubit else p
-        placements.append(GatePlacement(
-            gate_id=g.index, time=gate_time[g.index], location=loc))
-
-    depth_slots = max(gate_time) + 1 if circuit.num_gates else 0
-    horizon = max(1, depth_slots)
-    if swaps:
-        horizon = max(horizon, swaps[-1][0] + 2)
-    finish_at: dict[int, list[int]] = {}
-    for finish, k in swaps:
-        finish_at.setdefault(finish, []).append(k)
-    traj = [tuple(plan.block_mapping[0])]
-    for t in range(horizon - 1):
-        edges = finish_at.get(t)
-        traj.append(_swap_step(traj[-1], edges, device) if edges else traj[-1])
-
-    base = SynthesisResult(
-        solver_T=plan.num_blocks,
-        depth_slots=depth_slots,
-        swap_count=len(swaps),
-        fidelity_scaled=0,
-        initial_mapping=traj[0],
-        gates=tuple(placements),
-        swaps=tuple(SwapPlacement(edge=k, finish_time=finish)
-                    for finish, k in swaps),
-        mapping_trajectory=tuple(traj),
-        depth_blocks=plan.num_blocks,
-    )
-    _, _, scaled, _ = verify.metrics(circuit, device, base)
-    return replace(base, fidelity_scaled=scaled)
+        locations.append(device.edge_index(p, q) if g.is_two_qubit else p)
+    return build_result(circuit, device, plan.num_blocks, plan.block_mapping[0],
+                        gate_time, locations, swaps, plan.num_blocks)
 
 
 def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
@@ -451,13 +424,8 @@ def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
     to run alongside it. The trajectory extends past the last gate when a
     late SWAP still has a mapping step to show.
     """
-    if S < 1:
-        raise ValueError("S must be >= 1")
-    check_plan(plan, circuit, device)
-    tables = _schedule_tables(plan, circuit, device)
-    order = _block_order(plan.gate_block, plan.num_blocks)
-    gate_time, swaps = _schedule_core(tables, order, S)
-    return _schedule_result(plan, circuit, device, tables, gate_time, swaps)
+    return _schedule_plan(plan, circuit, device, S,
+                          _block_order(plan.gate_block, plan.num_blocks))
 
 
 def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,

@@ -30,6 +30,8 @@ def check_result(circuit: Circuit, device: Device, result: SynthesisResult, S: i
     """Return all violations (empty list means the result passes)."""
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before checking")
+    if S < 1:
+        raise ValueError("S must be >= 1")
     M = circuit.num_qubits
     N = device.num_physical
     K = device.num_edges

@@ -134,6 +134,53 @@ def test_verify_wrong_dimension_is_input_error(capsys, tmp_path):
     assert code == EXIT_INPUT
 
 
+def _verify_edited_pair_result(capsys, tmp_path, edit, *flags):
+    """synth `cx q0 q1; cx q0 q1` on qx2, edit its result, verify it."""
+    circ = tmp_path / "pair.gates"
+    circ.write_text("qubits 2\ncx q0 q1\ncx q0 q1\n")
+    out = tmp_path / "r.json"
+    run(capsys, "synth", "--circuit", str(circ), "--device", "qx2", "--out", str(out))
+    obj = json.loads(out.read_text())
+    edit(obj)
+    out.write_text(json.dumps(obj))
+    return run(capsys, "verify", "--circuit", str(circ), "--device", "qx2",
+               "--result", str(out), *flags)
+
+
+def _two_swaps_on_edge_0(obj):
+    obj["swaps"] = [{"edge": 0, "finish_time": 3}, {"edge": 0, "finish_time": 4}]
+    obj["swap_count"] = 2
+    obj["fidelity_scaled"] -= 2 * 3 * 20  # two SWAPs of three 0.98 gates
+
+
+def test_verify_swap_duration_below_one_is_input_error(capsys, tmp_path):
+    code, stdout, _ = _verify_edited_pair_result(
+        capsys, tmp_path, _two_swaps_on_edge_0, "--swap-duration", "3")
+    assert code == EXIT_UNSAT
+    assert any(json.loads(line)["family"] == "eq6" for line in stdout.splitlines())
+    for S in ("0", "-2"):
+        code, _, err = _verify_edited_pair_result(
+            capsys, tmp_path, _two_swaps_on_edge_0, "--swap-duration", S)
+        assert code == EXIT_INPUT
+        assert err.startswith("error:")
+
+
+def test_verify_non_integral_result_is_input_error(capsys, tmp_path):
+    def edit(obj):
+        obj["gates"][0]["time"] = 0.5
+    code, _, err = _verify_edited_pair_result(capsys, tmp_path, edit)
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
+def test_synth_non_integral_device_is_input_error(capsys, tmp_path):
+    dev = tmp_path / "dev.json"
+    dev.write_text('{"num_qubits": 2.7, "edges": [[0, 1]]}')
+    code, _, err = run(capsys, "synth", "--circuit", "or", "--device", str(dev))
+    assert code == EXIT_INPUT
+    assert err.startswith("error:")
+
+
 def test_bench_rows(capsys, tmp_path):
     manifest = tmp_path / "suite.csv"
     manifest.write_text(

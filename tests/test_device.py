@@ -83,6 +83,17 @@ def test_load_rejects_malformed():
         load_device("{}")
     with pytest.raises(DeviceError):
         load_device("[1, 2]")
+    # numbers and shapes are read strictly: nothing is floored or skipped
+    for doc in ['{"num_qubits": 2.7, "edges": [[0, 1]]}',
+                '{"num_qubits": 2, "edges": [[0, 1.5]]}',
+                '{"num_qubits": "x", "edges": []}',
+                '{"num_qubits": 2, "edges": 5}',
+                '{"num_qubits": 2, "edges": [[0, "a"]]}',
+                '{"num_qubits": 2, "edges": [[0, 1]], "fidelity": "x"}',
+                '{"num_qubits": 2, "edges": [[0, 1]], "fidelity": {"two": 0.9}}']:
+        with pytest.raises(DeviceError):
+            load_device(doc)
+    assert load_device('{"num_qubits": 2.0, "edges": [[0, 1.0]]}').edges == ((0, 1),)
 
 
 def test_scaled_log_fidelity_values():

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlayout import solver as sv
+from qlayout import exact, solver as sv
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device
 from qlayout.exact import (
@@ -124,12 +124,18 @@ def test_inputs_that_never_fit_end_before_any_solve(monkeypatch, flow, case):
     assert solves == []
 
 
-def test_fidelity_result_keeps_the_swaps_its_objective_paid_for():
+def _fidelity_repro():
     # measuring on node 1 costs far more than a SWAP, so the optimum moves a
-    # qubit off node 1 after the gate; the result must show that SWAP
+    # qubit off node 1 after the gate
     circ = load_circuit("qubits 2\ncx q0 q1\n")
     dev = build_device(3, [(0, 1), (1, 2)],
                        {"measure": [0.99, 0.3, 0.99], "two": [0.999, 0.999]})
+    return circ, dev
+
+
+def test_fidelity_result_keeps_the_swaps_its_objective_paid_for():
+    # the result must show the SWAP that moves a qubit off node 1
+    circ, dev = _fidelity_repro()
     result, details = synthesize(circ, dev, "fidelity", extra_t=4, return_details=True)
     assert result.swap_count > 0
     assert result.fidelity_scaled == details.objective_value
@@ -280,3 +286,53 @@ def test_exact_matches_oracle(seed, device_name, S):
         for objective in ("swap", "depth"):
             assert _optimum_at(circuit, device, objective, horizon, S) == \
                 oracle_optimal(circuit, device, objective, bounds=horizon, S=S), (horizon, objective)
+
+
+# The result builder replays the SWAPs that decode keeps; the replay must be
+# the model's own mapping at every slot.
+
+def test_swap_finishing_in_the_last_gate_slot_is_dropped():
+    # a SWAP on (2, 3) forced to finish in slot 1, the last gate's slot:
+    # the 2-slot trajectory could never show its mapping change
+    circ = load_circuit("qubits 2\ncx q0 q1\nh q0\n")
+    device = ORACLE_DEVICES["path"]
+    model, vs = encode(circ, device, EncodingConfig(T=2, S=1, objective="depth"))
+    model.require_clause([(vs.sigma[2][1], 1, True)])
+    apply_objective(model, vs, "depth", device, circ)
+    verdict = sv.solve(model)
+    assert verdict.status == sv.SAT and verdict.assignment[vs.sigma[2][1]] == 1
+    result = decode(circ, device, verdict, vs, 2, "depth")
+    assert result.depth_slots == len(result.mapping_trajectory) == 2
+    assert all(s.finish_time == 0 for s in result.swaps)
+    assert check_result(circ, device, result, S=1) == []
+
+
+def _decoded_runs(monkeypatch):
+    """Record (verdict, variables, result) of every exact.decode call."""
+    runs = []
+    real = exact.decode
+
+    def spy(circuit, device, verdict, vs, solver_T, objective):
+        result = real(circuit, device, verdict, vs, solver_T, objective)
+        runs.append((verdict, vs, result))
+        return result
+
+    monkeypatch.setattr(exact, "decode", spy)
+    return runs
+
+
+@pytest.mark.parametrize("run", [
+    lambda: synthesize(bundled_circuit("adder.gates"), bundled_device("qx2.json"), "swap"),
+    lambda: synthesize(bundled_circuit("adder.gates"), bundled_device("qx2.json"), "depth"),
+    lambda: synthesize(bundled_circuit("4mod5-v1_22.gates"), bundled_device("qx2.json"),
+                       "depth"),
+    lambda: synthesize(*_fidelity_repro(), "fidelity", extra_t=4),
+], ids=["adder-qx2-swap", "adder-qx2-depth", "4mod5-qx2-depth", "fidelity-extra-t"])
+def test_replayed_trajectory_equals_the_model_mapping(monkeypatch, run):
+    runs = _decoded_runs(monkeypatch)
+    run()
+    verdict, vs, result = runs[-1]
+    assert result.swaps
+    a = verdict.assignment
+    for t, row in enumerate(result.mapping_trajectory):
+        assert row == tuple(a[pi_q[t]] for pi_q in vs.pi), t

@@ -53,3 +53,15 @@ def test_parse_rejects_malformed():
     del obj["swap_count"]
     with pytest.raises(ResultError):
         result_from_json(json.dumps(obj))
+    # a non-integral number or a string is refused, never floored
+    for path, value in [(("gates", 0, "time"), 1.9), (("solver_T",), 2.5),
+                        (("initial_mapping", 0), 4.4), (("swaps", 0, "edge"), "1"),
+                        (("depth_blocks",), 1.5)]:
+        obj = json.loads(SAMPLE.to_json())
+        *head, last = path
+        target = obj
+        for key in head:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ResultError):
+            result_from_json(json.dumps(obj))

@@ -507,7 +507,7 @@ def test_ordering_edge_cases_brute_force(build):
     feasible, _ = _brute_force(m)
     for method in ("sat", "milp"):
         assert (solve(m, method=method).status == sv.SAT) == feasible
-    handles = range(m.num_variables)
+    handles = range(len(m._vars))
     for values in itertools.product(*[m._var(h).domain for h in handles]):
         pinned = build()
         for h, value in zip(handles, values):
@@ -579,7 +579,7 @@ def models(draw):
 
 def _brute_force(m):
     """(feasible?, best objective) over every assignment of the model."""
-    handles = range(m.num_variables)
+    handles = range(len(m._vars))
     best = None
     feasible = False
     for values in itertools.product(*[m._var(h).domain for h in handles]):

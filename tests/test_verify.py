@@ -51,6 +51,13 @@ def test_requires_preprocessing():
         check_result(raw, PATH3, GOOD)
 
 
+@pytest.mark.parametrize("S", [0, -2])
+def test_swap_duration_below_one_raises(S):
+    # for S < 1 the SWAP-window families would test nothing
+    with pytest.raises(ValueError, match="S must be >= 1"):
+        check_result(CIRC, PATH3, GOOD, S=S)
+
+
 def test_dimension_errors_raise():
     with pytest.raises(ValueError):
         check_result(CIRC, PATH3, replace(GOOD, mapping_trajectory=()))
