@@ -24,6 +24,8 @@ class Device:
     overlap_pairs: frozenset[tuple[int, int]]
     # incident[p] lists edge indices touching node p, ascending.
     incident: tuple[tuple[int, ...], ...]
+    # neighbours[p] lists the far end of each edge in incident[p], in order.
+    neighbours: tuple[tuple[int, ...], ...]
     f_measure: tuple[float, ...]
     f_single: tuple[float, ...]
     f_two: tuple[float, ...]
@@ -41,8 +43,8 @@ class Device:
 
 
 def _integer(x, what: str) -> int:
-    """x as an int; DeviceError unless x is an integral number."""
-    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+    """x as an int; DeviceError unless x is an integral number, not a bool."""
+    if isinstance(x, float) and x.is_integer() or type(x) is int:
         return int(x)
     raise DeviceError(f"{what} {x!r} is not an integer")
 
@@ -51,13 +53,13 @@ def _check_fidelity(values, count, label):
     if len(values) != count:
         raise DeviceError(f"fidelity list '{label}' has {len(values)} entries, expected {count}")
     for v in values:
-        if not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
+        if isinstance(v, bool) or not (isinstance(v, (int, float)) and 0.0 < v <= 1.0):
             raise DeviceError(f"fidelity list '{label}': value {v!r} outside (0, 1]")
     return tuple(float(v) for v in values)
 
 
 def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Device:
-    """Validate raw fields and precompute O and the per-node incidence lists."""
+    """Validate raw fields and precompute O and the per-node edge lists."""
     if num_physical < 0:
         raise DeviceError("negative node count")
     canon = []
@@ -79,6 +81,8 @@ def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Devi
     incident = tuple(
         tuple(k for k, e in enumerate(edges_t) if p in e) for p in range(num_physical)
     )
+    neighbours = tuple(tuple(sum(edges_t[k]) - p for k in ks)
+                       for p, ks in enumerate(incident))
     overlap = frozenset(
         (i, j)
         for i in range(len(edges_t))
@@ -100,6 +104,7 @@ def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Devi
         edges=edges_t,
         overlap_pairs=overlap,
         incident=incident,
+        neighbours=neighbours,
         f_measure=f0,
         f_single=f1,
         f_two=f2,
@@ -148,9 +153,7 @@ def bipartition(device: Device):
         frontier = [start]
         while frontier:
             p = frontier.pop()
-            for k in device.incident[p]:
-                a, b = device.edges[k]
-                q = a + b - p
+            for q in device.neighbours[p]:
                 if color[q] == -1:
                     color[q] = 1 - color[p]
                     frontier.append(q)

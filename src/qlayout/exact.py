@@ -1,14 +1,15 @@
 """Exact layout synthesis: constraint encoding, objectives, horizon loop.
 
-The model places every input gate in space and time on a fixed device,
-threading a time-indexed logical-to-physical mapping through inserted
-SWAP gates. Solved exactly, the decoded schedule is optimal for the
-reached time horizon under the selected objective.
+The model places every input gate in time on a fixed device, threading a
+time-indexed logical-to-physical mapping through inserted SWAP gates; the
+mapping at a gate's slot decides where it runs. Solved exactly, the decoded
+schedule is optimal for the reached time horizon under the objective.
 
 solve_horizons is the one horizon loop of every flow: the exact flow grows
 T geometrically, the transition-based and QAOA flows one block at a time.
 build_result is the one result builder of every flow: it replays the SWAPs
-into the mapping trajectory and recomputes the fidelity.
+into the mapping trajectory, reads each gate's node or edge off it at the
+gate's slot and recomputes the fidelity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import solver as sv
 from .circuit import Circuit
-from .device import Device, scaled_log_fidelity, swap_log_fidelity
+from .device import Device, DeviceError, scaled_log_fidelity, swap_log_fidelity
 from .results import GatePlacement, SwapPlacement, SynthesisResult
 from . import verify
 
@@ -57,13 +58,15 @@ class EncodingConfig:
 class VariableSet:
     pi: list  # pi[q][t] handle
     time: list  # time[l] handle
-    space: list  # space[l] handle
     sigma: list  # sigma[k][t] handle
 
 
 def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
            coarse: bool = False):
     """Emit the full constraint system; returns (model, variables).
+
+    A gate's location is no variable: pi at its slot fixes it (only
+    objective_fidelity adds location columns).
 
     coarse gives the transition-based block model: dependencies weaken to
     <= and the gate/SWAP occupancy family is dropped. Raises TCapExceeded
@@ -82,14 +85,9 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     m = sv.Model()
 
     pi = [[m.int_var(0, N - 1, f"pi_{q}_{t}") for t in range(T)] for q in range(M)]
-    time = []
-    space = []
-    for g in circuit.gates:
-        time.append(m.int_var(0, T - 1, f"t_{g.index}"))
-        hi = K - 1 if g.is_two_qubit else N - 1
-        space.append(m.int_var(0, hi, f"x_{g.index}"))
+    time = [m.int_var(0, T - 1, f"t_{g.index}") for g in circuit.gates]
     sigma = [[m.bool_var(f"sigma_{k}_{t}") for t in range(T)] for k in range(K)]
-    vs = VariableSet(pi=pi, time=time, space=space, sigma=sigma)
+    vs = VariableSet(pi=pi, time=time, sigma=sigma)
 
     # eq1: distinct logical qubits sit on distinct physical qubits
     # (at-most-one per node; tighter than pairwise disequalities)
@@ -109,29 +107,18 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     # require_clause: (handle, value, False) is a negated guard "handle !=
     # value", (handle, value, True) the consequent "handle == value".
 
-    # eq3: 1q gate space coordinate agrees with its operand's mapping
-    for g in circuit.gates:
-        if g.is_two_qubit:
-            continue
-        for t in range(T):
-            now = (time[g.index], t, False)
-            for p in range(N):
-                m.require_clause([now, (pi[g.qubits[0]][t], p, False),
-                                  (space[g.index], p, True)])
-
-    # eq4: 2q gate's edge hosts its operands, either orientation
-    # (each operand on an endpoint; eq1 injectivity forces opposite ends)
+    # eq3/eq4 by the mapping: a 2q gate's operand on p puts the other on a
+    # neighbour of p; a 1q gate needs no placement clause
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
-        tq, tqp = g.qubits
         for t in range(T):
             not_now = (time[g.index], t, False)
-            for k, (a, b) in enumerate(device.edges):
-                not_here = (space[g.index], k, False)
-                for q in (tq, tqp):
-                    m.require_clause([not_now, not_here,
-                                      (pi[q][t], a, True), (pi[q][t], b, True)])
+            for q, other in (g.qubits, g.qubits[::-1]):
+                for p in range(N):
+                    m.require_clause([not_now, (pi[q][t], p, False),
+                                      *[(pi[other][t], r, True)
+                                        for r in device.neighbours[p]]])
 
     # eq5: a SWAP takes S slots, none can finish before slot S-1
     for k in range(K):
@@ -157,10 +144,9 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
 
     if not coarse:
         # eq8/eq9 by node occupancy: swapping[p][t] holds while a SWAP on an
-        # edge at p runs in slot t, and a gate acting on p at t (a 1q gate
-        # on p, a 2q gate on an edge containing p) needs it off. A SWAP
-        # window so excludes exactly the gates on its endpoints and on the
-        # edges sharing a node with its own.
+        # edge at p runs in slot t, and a gate with an operand on p at t
+        # needs it off. A SWAP window so excludes exactly the gates on its
+        # endpoints and on the edges sharing a node with its own.
         swapping = [[m.bool_var(f"swapping_{p}_{t}") for t in range(T)] for p in range(N)]
         for k, (a, b) in enumerate(device.edges):
             for t in range(S - 1, T):
@@ -169,13 +155,12 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
                     m.require_clause([fired, (swapping[a][tp], 1, True)])
                     m.require_clause([fired, (swapping[b][tp], 1, True)])
         for g in circuit.gates:
-            sites = device.edges if g.is_two_qubit else [(p,) for p in range(N)]
             for t in range(T):
                 not_now = (time[g.index], t, False)
-                for x, nodes in enumerate(sites):
-                    not_here = (space[g.index], x, False)
-                    for p in nodes:
-                        m.require_clause([not_now, not_here, (swapping[p][t], 0, True)])
+                for q in g.qubits:
+                    for p in range(N):
+                        m.require_clause([not_now, (pi[q][t], p, False),
+                                          (swapping[p][t], 0, True)])
 
     # eq10: mapping is frozen across t -> t+1 unless an incident SWAP finishes
     for t in range(T - 1):
@@ -217,25 +202,33 @@ def objective_swap(model: sv.Model, vs: VariableSet):
 
 def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
                        circuit: Circuit):
-    """Maximize the integer-scaled log-fidelity sum."""
+    """Maximize the integer-scaled log-fidelity sum. Gate l's node or edge
+    x_l is tied to pi by [t_l != t, pi_q^t != p, x_l in sites(p)] per
+    operand q: sites(p) is {p} for a 1q gate, incident[p] for a 2q gate."""
     terms = []
+    N = device.num_physical
     T = len(vs.pi[0]) if vs.pi else 0
     for q in range(len(vs.pi)):
-        for p in range(device.num_physical):
+        for p in range(N):
             s0 = scaled_log_fidelity(device.f_measure[p])
             if s0:
                 terms.append((s0, (vs.pi[q][T - 1], p)))
     for g in circuit.gates:
         if g.is_two_qubit:
-            for k in range(device.num_edges):
-                s2 = scaled_log_fidelity(device.f_two[k])
-                if s2:
-                    terms.append((s2, (vs.space[g.index], k)))
+            sites, weights = device.incident, device.f_two
         else:
-            for p in range(device.num_physical):
-                s1 = scaled_log_fidelity(device.f_single[p])
-                if s1:
-                    terms.append((s1, (vs.space[g.index], p)))
+            sites, weights = [(p,) for p in range(N)], device.f_single
+        x = model.int_var(0, len(weights) - 1, f"x_{g.index}")
+        for t in range(T):
+            not_now = (vs.time[g.index], t, False)
+            for q in g.qubits:
+                for p in range(N):
+                    model.require_clause([not_now, (vs.pi[q][t], p, False),
+                                          *[(x, s, True) for s in sites[p]]])
+        for s, f in enumerate(weights):
+            w = scaled_log_fidelity(f)
+            if w:
+                terms.append((w, (x, s)))
     for k in range(len(vs.sigma)):
         w = swap_log_fidelity(device, k)
         if w:
@@ -270,28 +263,38 @@ def swap_step(row, edges, device: Device) -> tuple[int, ...]:
 
 
 def build_result(circuit: Circuit, device: Device, solver_T: int, initial,
-                 times, locations, swaps, depth_blocks: int | None = None
+                 times, swaps, depth_blocks: int | None = None
                  ) -> SynthesisResult:
     """The one constructor of every flow's SynthesisResult.
 
-    times[l] and locations[l] place gate l; swaps are sorted (finish, edge)
-    pairs. The trajectory replays the SWAPs from `initial` with swap_step,
-    slot by slot, up to slot max(1, depth, last finish + 2), so each SWAP's
-    mapping change shows; fidelity_scaled is recomputed by verify.metrics.
+    times[l] is gate l's slot; swaps are sorted (finish, edge) pairs. The
+    trajectory replays the SWAPs from `initial` with swap_step, slot by
+    slot, up to slot max(1, depth, last finish + 2), so each SWAP's mapping
+    change shows. Each gate's node or edge is read off it at the gate's slot
+    (non-adjacent operands mean a wrong model: SolverBackendError), and
+    fidelity_scaled is recomputed by verify.metrics.
     """
     depth_slots = max(times) + 1 if times else 0
     horizon = max(1, depth_slots, swaps[-1][0] + 2 if swaps else 0)
     traj = [tuple(initial)]
     for t in range(horizon - 1):
         traj.append(swap_step(traj[-1], [k for f, k in swaps if f == t], device))
+    gates = []
+    for g, t in zip(circuit.gates, times):
+        p, q = traj[t][g.qubits[0]], traj[t][g.qubits[-1]]
+        try:
+            x = device.edge_index(p, q) if g.is_two_qubit else p
+        except DeviceError:
+            raise sv.SolverBackendError(
+                f"gate {g.index} at slot {t}: p{p}, p{q} not adjacent") from None
+        gates.append(GatePlacement(gate_id=g.index, time=t, location=x))
     base = SynthesisResult(
         solver_T=solver_T,
         depth_slots=depth_slots,
         swap_count=len(swaps),
         fidelity_scaled=0,
         initial_mapping=traj[0],
-        gates=tuple(GatePlacement(gate_id=l, time=t, location=x)
-                    for l, (t, x) in enumerate(zip(times, locations))),
+        gates=tuple(gates),
         swaps=tuple(SwapPlacement(edge=k, finish_time=finish) for finish, k in swaps),
         mapping_trajectory=tuple(traj),
         depth_blocks=depth_blocks,
@@ -302,8 +305,8 @@ def build_result(circuit: Circuit, device: Device, solver_T: int, initial,
 
 def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
            vs: VariableSet, solver_T: int, objective: str) -> SynthesisResult:
-    """Assignment -> SynthesisResult: pi at slot 0, the time and space
-    values and the SWAPs, handed to build_result.
+    """Assignment -> SynthesisResult: pi at slot 0, the gate times and the
+    SWAPs, handed to build_result, which derives the gate locations.
 
     A SWAP is kept when it finishes by slot last - 2, so its mapping change
     shows by slot last - 1. last is T under the fidelity objective, which
@@ -316,7 +319,7 @@ def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
     swaps = sorted((t, k) for k, row in enumerate(vs.sigma)
                    for t, h in enumerate(row) if a[h] and t <= last - 2)
     return build_result(circuit, device, solver_T, [a[row[0]] for row in vs.pi],
-                        times, [a[h] for h in vs.space], swaps)
+                        times, swaps)
 
 
 @dataclass

@@ -60,8 +60,8 @@ class SynthesisResult:
 
 
 def _integer(x) -> int:
-    """x as an int; ResultError unless x is an integral number."""
-    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+    """x as an int; ResultError unless x is an integral number, not a bool."""
+    if isinstance(x, float) and x.is_integer() or type(x) is int:
         return int(x)
     raise ResultError(f"result JSON: {x!r} is not an integer")
 
@@ -92,8 +92,10 @@ def result_from_json(text: str) -> SynthesisResult:
             ),
             depth_blocks=_integer(obj["depth_blocks"]) if "depth_blocks" in obj else None,
         )
-    except (KeyError, TypeError) as exc:
-        raise ResultError(f"result JSON missing field: {exc}") from None
+    except KeyError as exc:
+        raise ResultError(f"result JSON missing field {exc}") from None
+    except TypeError as exc:
+        raise ResultError(f"result JSON field of the wrong type: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import solver as sv
 from .circuit import Circuit
-from .device import Device, DeviceError, bipartition, enumerate_automorphisms
+from .device import Device, bipartition, enumerate_automorphisms
 from .exact import (
     EncodingConfig,
     apply_objective,
@@ -186,9 +186,7 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
 
     if T < 2:
         return
-    closed = [[p] + [a + b - p for (a, b) in
-                     (device.edges[k] for k in device.incident[p])]
-              for p in range(N)]
+    closed = [[p, *device.neighbours[p]] for p in range(N)]
 
     # disjoint SWAPs move a qubit at most one hop per transition
     for q in range(M):
@@ -276,12 +274,10 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
             continue
         row = plan.block_mapping[plan.gate_block[g.index]]
         pq, pr = row[g.qubits[0]], row[g.qubits[1]]
-        try:
-            device.edge_index(pq, pr)
-        except DeviceError:
+        if pr not in device.neighbours[pq]:
             raise ValueError(
                 f"gate {g.index} operands sit on p{pq},p{pr}: not adjacent "
-                f"in block {plan.gate_block[g.index]}") from None
+                f"in block {plan.gate_block[g.index]}")
     last = -1
     fired: dict[int, frozenset[int]] = {}
     for j, edges in plan.transitions:
@@ -404,14 +400,9 @@ def _schedule_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     if S < 1:
         raise ValueError("S must be >= 1")
     check_plan(plan, circuit, device)
-    tables = _schedule_tables(plan, circuit, device)
-    gate_time, swaps = _schedule_core(tables, order, S)
-    locations = []
-    for g in circuit.gates:
-        p, q = tables.nodes[plan.gate_block[g.index]][g.index]
-        locations.append(device.edge_index(p, q) if g.is_two_qubit else p)
+    gate_time, swaps = _schedule_core(_schedule_tables(plan, circuit, device), order, S)
     return build_result(circuit, device, plan.num_blocks, plan.block_mapping[0],
-                        gate_time, locations, swaps, plan.num_blocks)
+                        gate_time, swaps, plan.num_blocks)
 
 
 def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
@@ -453,17 +444,9 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     tables = _schedule_tables(plan, circuit, device)
     preds, nodes = tables.preds, tables.nodes
 
-    feas: list[list[int]] = []
-    for g in circuit.gates:
-        ok = []
-        for b in range(B):
-            if g.is_two_qubit:
-                try:
-                    device.edge_index(*nodes[b][g.index])
-                except DeviceError:
-                    continue
-            ok.append(b)
-        feas.append(ok)
+    feas = [[b for b, (p, q) in enumerate(row[g.index] for row in nodes)
+             if not g.is_two_qubit or q in device.neighbours[p]]
+            for g in circuit.gates]
     branching = [len({nodes[b][l] for b in feas[l]}) > 1 for l in range(L)]
     if not any(branching):
         return plan

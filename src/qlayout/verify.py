@@ -76,6 +76,9 @@ def check_result(circuit: Circuit, device: Device, result: SynthesisResult, S: i
     for s in result.swaps:
         if not (0 <= s.edge < K):
             v.append(_violation("shape", s.finish_time, f"swap edge {s.edge} out of range"))
+        if s.finish_time >= horizon - 1:
+            v.append(_violation("shape", s.finish_time, f"swap on edge {s.edge} moves "
+                                f"the mapping past the trajectory's last slot"))
     try:
         _, _, scaled, _ = metrics(circuit, device, result)
         if scaled != result.fidelity_scaled:

@@ -45,6 +45,7 @@ def test_build_canonicalizes_edges():
 def test_incident_lists():
     d = build_device(3, [(0, 1), (1, 2)])
     assert d.incident == ((0,), (0, 1), (1,))
+    assert d.neighbours == ((1,), (0, 2), (1,))
 
 
 @pytest.mark.parametrize("nodes,edges", [
@@ -94,6 +95,15 @@ def test_load_rejects_malformed():
         with pytest.raises(DeviceError):
             load_device(doc)
     assert load_device('{"num_qubits": 2.0, "edges": [[0, 1.0]]}').edges == ((0, 1),)
+
+
+def test_load_rejects_json_booleans():
+    # a JSON true is a Python bool, which is an int; it is still no number
+    for doc in ['{"num_qubits": true, "edges": []}',
+                '{"num_qubits": 2, "edges": [[0, true]]}',
+                '{"num_qubits": 1, "edges": [], "fidelity": {"measure": [true]}}']:
+        with pytest.raises(DeviceError):
+            load_device(doc)
 
 
 def test_scaled_log_fidelity_values():

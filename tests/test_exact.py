@@ -186,7 +186,7 @@ def test_unknown_objective_rejected():
         EncodingConfig(T=1, epsilon=0.0)
 
 
-@pytest.mark.parametrize("objective", ["swap", "depth"])
+@pytest.mark.parametrize("objective", ["swap", "depth", "fidelity"])
 def test_engines_agree_on_exact_model(objective):
     # the MILP engine sees every clause row expanded to a linear row
     circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
@@ -199,6 +199,29 @@ def test_engines_agree_on_exact_model(objective):
     sat, milp = verdicts
     assert sat.status == milp.status == sv.SAT
     assert sat.objective_value == milp.objective_value
+
+
+# Model size with gates placed by the mapping: no location column, and the
+# compiled rows of the encoding that dropped them as a ceiling
+@pytest.mark.parametrize("circuit_name,device_name,T,rows", [
+    ("adder", "qx2", 16, 11084), ("or", "grid4x4", 9, 8485)])
+def test_model_size_ceiling(circuit_name, device_name, T, rows):
+    circuit = bundled_circuit(f"{circuit_name}.gates")
+    device = bundled_device(f"{device_name}.json")
+    for objective in ("swap", "depth"):
+        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
+        apply_objective(model, vs, objective, device, circuit)
+        assert not [v.name for v in model._vars if v.name.startswith("x_")]
+        if objective == "swap":
+            assert len(model._compile()[1]) <= rows
+
+
+def test_build_result_refuses_non_adjacent_operands():
+    # a model or plan that puts a 2q gate's operands on p0 and p2 is wrong;
+    # that is a backend fault, not a bad device file
+    circ = load_circuit("qubits 2\ncx q0 q1\n")
+    with pytest.raises(sv.SolverBackendError, match="not adjacent"):
+        exact.build_result(circ, PATH3, 1, (0, 2), [0], [])
 
 
 # Exact optima of the bundled reference rows (value of the objective's result

@@ -152,10 +152,11 @@ def test_prism_graph_schedule_is_pinned():
     assert check_result(circ, dev, result, S=1) == []
 
 
-def _model_retime_block(block_gates, circuit, device, locations, timeout):
-    """Reference: the block re-timing as a solver model, with edge
-    assignments pinned, SWAPs off and same-qubit gates kept apart, solved to
-    its minimum depth. Returns slot per block gate."""
+def _model_retime_block(block_gates, circuit, device, at, timeout):
+    """Reference: the block re-timing as a solver model, with qubit q pinned
+    to node at[q] at slot 0 and SWAPs off, so every gate's edge is fixed,
+    and same-qubit gates kept apart, solved to its minimum depth. Returns
+    slot per block gate."""
     L_b = len(block_gates)
     if L_b == 0:
         return []
@@ -169,8 +170,8 @@ def _model_retime_block(block_gates, circuit, device, locations, timeout):
     sub = preprocess(sub, user_deps=[])
     cfg = EncodingConfig(T=L_b, S=1, objective="depth")
     model, vs = encode(sub, device, cfg, coarse=True)
-    for i in range(L_b):
-        model.require_clause([(vs.space[i], locations[i], True)])
+    for q, p in enumerate(at):
+        model.require_clause([(vs.pi[q][0], p, True)])
     for row in vs.sigma:
         for h in row:
             model.require_clause([(h, 0, True)])
@@ -222,7 +223,7 @@ def test_retime_block_matches_model(seed, device_name):
     _assert_proper(pairs, slots)
     assert slots == _retime_block(pairs, None)
     reference = _model_retime_block(list(range(len(gates))), circuit, device,
-                                    locations, None)
+                                    at, None)
     assert max(slots, default=-1) == max(reference, default=-1)
 
 

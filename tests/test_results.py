@@ -1,5 +1,7 @@
 """Result serialization: exact round-trips, validation on parse."""
 
+import json
+
 import pytest
 
 from qlayout.results import (
@@ -48,7 +50,6 @@ def test_parse_rejects_malformed():
     with pytest.raises(ResultError):
         result_from_json("{}")
     # missing one required key
-    import json
     obj = json.loads(SAMPLE.to_json())
     del obj["swap_count"]
     with pytest.raises(ResultError):
@@ -65,3 +66,20 @@ def test_parse_rejects_malformed():
         target[last] = value
         with pytest.raises(ResultError):
             result_from_json(json.dumps(obj))
+
+
+def test_parse_rejects_json_booleans():
+    obj = json.loads(SAMPLE.to_json())
+    obj["gates"][0]["time"] = True
+    with pytest.raises(ResultError):
+        result_from_json(json.dumps(obj))
+
+
+def test_parse_errors_name_the_fault():
+    with pytest.raises(ResultError, match="wrong type") as exc:
+        result_from_json('{"gates": 5}')
+    assert "missing" not in str(exc.value)
+    obj = json.loads(SAMPLE.to_json())
+    del obj["swap_count"]
+    with pytest.raises(ResultError, match="missing field 'swap_count'"):
+        result_from_json(json.dumps(obj))

@@ -178,6 +178,16 @@ def test_shape_depth_and_count():
     assert "shape" in families(check_result(CIRC, PATH3, r))
 
 
+def test_shape_swap_past_the_trajectory():
+    # the SWAP's mapping change falls at slot 2, which a 2-slot trajectory
+    # does not show
+    path4 = build_device(4, [(0, 1), (1, 2), (2, 3)])
+    r = mk(CIRC, path4, [(0, 1), (0, 1)],
+           [GatePlacement(0, 0, 0), GatePlacement(1, 1, 0)],
+           [SwapPlacement(edge=2, finish_time=1)])
+    assert families(check_result(CIRC, path4, r, S=1)) == {"shape"}
+
+
 def test_empty_circuit_result():
     circ = load_circuit("qubits 2\n")
     r = mk(circ, PATH3, [(0, 1)], [], [])
