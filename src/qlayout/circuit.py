@@ -138,22 +138,30 @@ def derive_dependencies(circuit: Circuit, user_deps=None) -> Circuit:
     return replace(out, longest_chain=longest_dependency_chain(out))
 
 
-def longest_dependency_chain(circuit: Circuit) -> int:
-    """Length in gates of the longest path in the dependency DAG (0 when empty)."""
+def chain_depths(circuit: Circuit) -> tuple[list[int], list[int]]:
+    """(asap, tail) per gate: asap[l] is the length in gates of the longest
+    dependency chain ending just before l, tail[l] of the longest starting
+    just after l.
+
+    One forward and one backward pass over the dependency pairs: they are
+    sorted with l < l', so every pair into l comes before every pair out of
+    it.
+    """
     if circuit.dependencies is None:
         raise CircuitError("dependencies must be derived first")
-    n = circuit.num_gates
-    if n == 0:
-        return 0
-    preds: list[list[int]] = [[] for _ in range(n)]
+    asap = [0] * circuit.num_gates
+    tail = [0] * circuit.num_gates
     for l, lp in circuit.dependencies:
-        preds[lp].append(l)
-    chain = [1] * n
-    # Every edge satisfies l < l', so index order is a topological order.
-    for j in range(n):
-        if preds[j]:
-            chain[j] = 1 + max(chain[i] for i in preds[j])
-    return max(chain)
+        asap[lp] = max(asap[lp], asap[l] + 1)
+    for l, lp in reversed(circuit.dependencies):
+        tail[l] = max(tail[l], tail[lp] + 1)
+    return asap, tail
+
+
+def longest_dependency_chain(circuit: Circuit) -> int:
+    """Length in gates of the longest path in the dependency DAG (0 when empty)."""
+    asap, _ = chain_depths(circuit)
+    return max(asap, default=-1) + 1
 
 
 def preprocess(circuit: Circuit, user_deps=None) -> Circuit:

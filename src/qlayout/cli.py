@@ -9,8 +9,9 @@ Exit codes are part of the contract:
 `synth` prints one summary line "depth=<d> swaps=<c> fidelity=<f>" and
 writes the full result JSON when --out is given. `verify` prints each
 violation as a JSON object on its own line. `bench` runs every manifest
-row and emits a CSV table. `convert` rewrites an OpenQASM-2 subset into
-the native gate-list format.
+row and emits a CSV table. In qaoa mode, `synth`, `bench` and `verify`
+load the circuit as commuting: its gates have no dependencies. `convert`
+rewrites an OpenQASM-2 subset into the native gate-list format.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    circuit, device = _load_inputs(args.circuit, args.device)
+    circuit, device = _load_inputs(args.circuit, args.device, args.mode == "qaoa")
     try:
         result = result_from_json(_read_text(args.result))
         violations = check_result(circuit, device, result,
@@ -308,6 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a result file against a circuit")
     _add_io_flags(p, with_timeout=False)
+    p.add_argument("--mode", choices=MODES, default="exact",
+                   help="the mode that wrote the result; qaoa checks the "
+                        "circuit as commuting")
     p.add_argument("--result", required=True, help="result JSON file")
     p.set_defaults(func=cmd_verify)
 

@@ -2,8 +2,12 @@
 
 The model places every input gate in time on a fixed device, threading a
 time-indexed logical-to-physical mapping through inserted SWAP gates; the
-mapping at a gate's slot decides where it runs. Solved exactly, the decoded
-schedule is optimal for the reached time horizon under the objective.
+mapping at a gate's slot decides where it runs. Under strict dependencies
+gate l can only run in its window [asap(l), T-1-tail(l)] (longest chains
+before and after it, circuit.chain_depths), so its time variable spans that
+window and its clause families cover those slots alone. Solved exactly, the
+decoded schedule is optimal for the reached time horizon under the
+objective.
 
 solve_horizons is the one horizon loop of every flow: the exact flow grows
 T geometrically, the transition-based and QAOA flows one block at a time.
@@ -18,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import solver as sv
-from .circuit import Circuit
+from .circuit import Circuit, chain_depths
 from .device import Device, DeviceError, scaled_log_fidelity, swap_log_fidelity
 from .results import GatePlacement, SwapPlacement, SynthesisResult
 from . import verify
@@ -66,12 +70,16 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     """Emit the full constraint system; returns (model, variables).
 
     A gate's location is no variable: pi at its slot fixes it (only
-    objective_fidelity adds location columns).
+    objective_fidelity adds location columns). Gate l's time variable
+    spans its dependency window [asap(l), T-1-tail(l)], and the adjacency
+    and occupancy families loop over those slots only. Below the longest
+    chain no schedule fits: the model holds one empty clause.
 
     coarse gives the transition-based block model: dependencies weaken to
-    <= and the gate/SWAP occupancy family is dropped. Raises TCapExceeded
-    when no horizon can host the circuit: more qubits than device nodes,
-    or a two-qubit gate on a device without edges.
+    <= and the gate/SWAP occupancy family is dropped. A whole chain may
+    share one block there, so every gate keeps the full domain [0, T-1].
+    Raises TCapExceeded when no horizon can host the circuit: more qubits
+    than device nodes, or a two-qubit gate on a device without edges.
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before encoding")
@@ -84,8 +92,18 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     T, S = config.T, config.S
     m = sv.Model()
 
+    # Each gate's slots; below the longest chain some window would be
+    # empty, so the model gets one empty clause and keeps all T slots.
+    windows = [range(T)] * circuit.num_gates
+    if not coarse:
+        asap, tail = chain_depths(circuit)
+        if all(a + b < T for a, b in zip(asap, tail)):
+            windows = [range(a, T - b) for a, b in zip(asap, tail)]
+        else:
+            m.require_clause([])
+
     pi = [[m.int_var(0, N - 1, f"pi_{q}_{t}") for t in range(T)] for q in range(M)]
-    time = [m.int_var(0, T - 1, f"t_{g.index}") for g in circuit.gates]
+    time = [m.int_var(w[0], w[-1], f"t_{g.index}") for g, w in zip(circuit.gates, windows)]
     sigma = [[m.bool_var(f"sigma_{k}_{t}") for t in range(T)] for k in range(K)]
     vs = VariableSet(pi=pi, time=time, sigma=sigma)
 
@@ -112,7 +130,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
-        for t in range(T):
+        for t in windows[g.index]:
             not_now = (time[g.index], t, False)
             for q, other in (g.qubits, g.qubits[::-1]):
                 for p in range(N):
@@ -155,7 +173,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
                     m.require_clause([fired, (swapping[a][tp], 1, True)])
                     m.require_clause([fired, (swapping[b][tp], 1, True)])
         for g in circuit.gates:
-            for t in range(T):
+            for t in windows[g.index]:
                 not_now = (time[g.index], t, False)
                 for q in g.qubits:
                     for p in range(N):
@@ -185,9 +203,10 @@ def objective_depth(model: sv.Model, vs: VariableSet):
     if not vs.time:
         model.minimize([(1, model.int_var(0, 0, "d"))])
         return model
-    # d shares the time domain; d >= t_l for every input gate
-    hi = model._var(vs.time[0]).hi
-    d = model.int_var(0, hi, "d")
+    # d >= t_l for every input gate, so it starts at the latest window
+    # start and ends at the last slot
+    lo = max(model._var(h).lo for h in vs.time)
+    d = model.int_var(lo, len(vs.pi[0]) - 1, "d")
     for h in vs.time:
         model.require_order(h, d)
     model.minimize([(1, d)])
@@ -219,7 +238,7 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
         else:
             sites, weights = [(p,) for p in range(N)], device.f_single
         x = model.int_var(0, len(weights) - 1, f"x_{g.index}")
-        for t in range(T):
+        for t in model._var(vs.time[g.index]).domain:
             not_now = (vs.time[g.index], t, False)
             for q in g.qubits:
                 for p in range(N):

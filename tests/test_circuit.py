@@ -7,6 +7,7 @@ from qlayout.circuit import (
     Circuit,
     CircuitError,
     Gate,
+    chain_depths,
     derive_collisions,
     derive_dependencies,
     load_circuit,
@@ -165,3 +166,35 @@ def test_chain_bounds(text):
         assert c.longest_chain == 0
     else:
         assert 1 <= c.longest_chain <= c.num_gates
+
+
+def _dfs_path_lengths(num_gates, pairs, forward):
+    """Gates on the longest path out of each gate, the gate itself
+    excluded, along the pairs (forward) or against them, by DFS."""
+    step = [[] for _ in range(num_gates)]
+    for l, lp in pairs:
+        if forward:
+            step[l].append(lp)
+        else:
+            step[lp].append(l)
+    memo = {}
+
+    def dfs(l):
+        if l not in memo:
+            memo[l] = max((1 + dfs(n) for n in step[l]), default=0)
+        return memo[l]
+
+    return [dfs(l) for l in range(num_gates)]
+
+
+@given(programs(), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
+def test_chain_depths_are_longest_paths(text, raw_pairs):
+    # for the collision dependencies and for arbitrary user pairs
+    c = derive_collisions(parse_program(text))
+    n = c.num_gates
+    user = sorted({(min(a, b), max(a, b)) for a, b in raw_pairs if a != b and max(a, b) < n})
+    for circuit in (derive_dependencies(c), derive_dependencies(c, user)):
+        asap, tail = chain_depths(circuit)
+        assert asap == _dfs_path_lengths(n, circuit.dependencies, forward=False)
+        assert tail == _dfs_path_lengths(n, circuit.dependencies, forward=True)
+        assert circuit.longest_chain == max((a + 1 + b for a, b in zip(asap, tail)), default=0)

@@ -234,6 +234,22 @@ def test_qaoa_mode_takes_a_commuting_circuit(capsys, tmp_path, monkeypatch, comm
     assert check_result(commuting, device, results[0]) == []
 
 
+def test_verify_qaoa_mode_takes_a_synth_qaoa_result(capsys, tmp_path):
+    # gates 1 and 2 share q2 and run out of index order; only qaoa mode
+    # loads them as commuting
+    circ = tmp_path / "ring.gates"
+    circ.write_text("qubits 4\nzz q0 q1\nzz q1 q2\nzz q2 q3\nzz q3 q0\nzz q0 q2\n")
+    out = tmp_path / "r.json"
+    io = ("--circuit", str(circ), "--device", "grid2x3")
+    code, _, err = run(capsys, "synth", *io, "--mode", "qaoa", "--out", str(out))
+    assert code == EXIT_OK, err
+    code, stdout, err = run(capsys, "verify", *io, "--mode", "qaoa", "--result", str(out))
+    assert (code, stdout) == (EXIT_OK, ""), err
+    code, stdout, _ = run(capsys, "verify", *io, "--result", str(out))
+    assert code == EXIT_UNSAT
+    assert {json.loads(line)["family"] for line in stdout.splitlines()} == {"eq2"}
+
+
 def test_bench_empty_manifest(capsys, tmp_path):
     manifest = tmp_path / "suite.csv"
     manifest.write_text("circuit,device,mode,objective\n")

@@ -20,7 +20,7 @@ from qlayout.exact import (
 )
 from qlayout.oracle import OracleError, oracle_optimal
 from qlayout.qaoa import synthesize_qaoa
-from qlayout.transition import synthesize_tb
+from qlayout.transition import encode_tb, synthesize_tb
 from qlayout.verify import check_result, metrics
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
@@ -162,11 +162,12 @@ def test_fidelity_objective_matches_metrics():
         "two": [0.97, 0.96],
     })
     circ = load_circuit("qubits 2\ncx q0 q1\nh q1\ncx q0 q1\n")
-    result, details = synthesize(circ, dev, objective="fidelity",
-                                 return_details=True)
-    _, _, scaled, _ = metrics(circ, dev, result)
-    assert details.objective_value == scaled == result.fidelity_scaled
-    assert check_result(circ, dev, result) == []
+    for extra_t in (0, 2):  # 2: every gate has slack in its window
+        result, details = synthesize(circ, dev, objective="fidelity",
+                                     extra_t=extra_t, return_details=True)
+        _, _, scaled, _ = metrics(circ, dev, result)
+        assert details.objective_value == scaled == result.fidelity_scaled
+        assert check_result(circ, dev, result) == []
 
 
 def test_requires_preprocessing():
@@ -186,34 +187,76 @@ def test_unknown_objective_rejected():
         EncodingConfig(T=1, epsilon=0.0)
 
 
+# Two parallel dependency chains of lengths 3 and 2: at the longest chain
+# the short one has a slot of slack, and every gate more at T + 2.
+SLACK_TEXT = "qubits 4\ncx q0 q1\ncx q0 q1\ncx q0 q1\nh q2\ncx q2 q3\n"
+
+
 @pytest.mark.parametrize("objective", ["swap", "depth", "fidelity"])
 def test_engines_agree_on_exact_model(objective):
-    # the MILP engine sees every clause row expanded to a linear row
-    circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
-    T = max(1, circuit.longest_chain)
-    verdicts = []
-    for method in ("sat", "milp"):
-        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
-        apply_objective(model, vs, objective, device, circuit)
-        verdicts.append(sv.solve(model, method=method))
-    sat, milp = verdicts
-    assert sat.status == milp.status == sv.SAT
-    assert sat.objective_value == milp.objective_value
+    # the MILP engine sees every clause row expanded to a linear row; or at
+    # its longest chain, and the slack circuit two slots past its own
+    device = bundled_device("qx2.json")
+    for circuit, extra in ((bundled_circuit("or.gates"), 0), (load_circuit(SLACK_TEXT), 2)):
+        T = circuit.longest_chain + extra
+        verdicts = []
+        for method in ("sat", "milp"):
+            model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
+            apply_objective(model, vs, objective, device, circuit)
+            verdicts.append(sv.solve(model, method=method))
+        sat, milp = verdicts
+        assert sat.status == milp.status == sv.SAT
+        assert sat.objective_value == milp.objective_value
 
 
-# Model size with gates placed by the mapping: no location column, and the
-# compiled rows of the encoding that dropped them as a ceiling
-@pytest.mark.parametrize("circuit_name,device_name,T,rows", [
-    ("adder", "qx2", 16, 11084), ("or", "grid4x4", 9, 8485)])
-def test_model_size_ceiling(circuit_name, device_name, T, rows):
+# Model size with gates placed by the mapping, each gate's slots cut to its
+# dependency window: no location column outside the fidelity objective, and
+# the compiled rows of that encoding as a ceiling
+@pytest.mark.parametrize("circuit_name,device_name,objective,T,rows", [
+    ("adder", "qx2", "swap", 16, 3426), ("or", "grid4x4", "swap", 9, 5358),
+    ("4mod5-v1_22", "grid4x4", "swap", 14, 11703), ("or", "qx2", "fidelity", 9, 1465)])
+def test_model_size_ceiling(circuit_name, device_name, objective, T, rows):
     circuit = bundled_circuit(f"{circuit_name}.gates")
     device = bundled_device(f"{device_name}.json")
-    for objective in ("swap", "depth"):
-        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
-        apply_objective(model, vs, objective, device, circuit)
-        assert not [v.name for v in model._vars if v.name.startswith("x_")]
-        if objective == "swap":
+    for obj in (objective, "depth"):
+        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=obj))
+        apply_objective(model, vs, obj, device, circuit)
+        if obj != "fidelity":
+            assert not [v.name for v in model._vars if v.name.startswith("x_")]
+        if obj == objective:
             assert len(model._compile()[1]) <= rows
+
+
+# The coarse model keeps every slot for every gate: pinned compiled rows of
+# adder on grid2x3 at the first TB horizon and at the one that solves
+@pytest.mark.parametrize("objective,T,rows", [("swap", 1, 224), ("depth", 3, 1174)])
+def test_coarse_model_keeps_full_time_domains(objective, T, rows):
+    circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
+    model, vs = encode_tb(circuit, device, T, objective)
+    assert all(model._var(h).domain == range(T) for h in vs.time)
+    assert len(model._compile()[1]) == rows
+
+
+def test_time_domains_are_dependency_windows():
+    model, vs = encode(load_circuit(SLACK_TEXT), ORACLE_DEVICES["path"], EncodingConfig(T=5))
+    assert [model._var(h).domain for h in vs.time] == \
+        [range(0, 3), range(1, 4), range(2, 5), range(0, 4), range(1, 5)]
+
+
+@pytest.mark.parametrize("objective", ["swap", "depth", "fidelity"])
+def test_horizon_below_the_longest_chain_is_unsatisfiable(objective):
+    circuit = load_circuit("qubits 2\ncx q0 q1\nh q0\n")
+    model, vs = encode(circuit, PATH3, EncodingConfig(T=1, objective=objective))
+    apply_objective(model, vs, objective, PATH3, circuit)
+    assert sv.solve(model).status == sv.UNSAT
+
+
+def test_depth_bound_is_the_last_slot():
+    # gate 0's window ends at T-2; a depth bound read from it would make
+    # T=2 unsatisfiable and report solver_T 3
+    circuit = load_circuit("qubits 2\ncx q0 q1\nh q0\n")
+    result = synthesize(circuit, PATH3, "depth")
+    assert (result.solver_T, result.depth_slots) == (2, 2)
 
 
 def test_build_result_refuses_non_adjacent_operands():
@@ -295,7 +338,14 @@ def _optimum_at(circuit, device, objective, T, S):
 @given(seed=st.integers(0, 2**32 - 1), device_name=st.sampled_from(sorted(ORACLE_DEVICES)),
        S=st.sampled_from([1, 2, 3]))
 def test_exact_matches_oracle(seed, device_name, S):
-    circuit = load_circuit(_random_program(random.Random(seed)))
+    _check_against_oracle(_random_program(random.Random(seed)), device_name, S)
+
+
+def _check_against_oracle(text, device_name, S):
+    """Swap and depth optima at the first satisfiable horizon and two
+    slots past it equal the oracle's; an input the oracle says never fits
+    ends in TCapExceeded."""
+    circuit = load_circuit(text)
     device = ORACLE_DEVICES[device_name]
     config = EncodingConfig(T=1, S=S, max_T=12)
     try:
@@ -309,6 +359,22 @@ def test_exact_matches_oracle(seed, device_name, S):
         for objective in ("swap", "depth"):
             assert _optimum_at(circuit, device, objective, horizon, S) == \
                 oracle_optimal(circuit, device, objective, bounds=horizon, S=S), (horizon, objective)
+
+
+# Circuits with slack: parallel dependency chains of different lengths, so
+# most gates have more than one slot in their window.
+SLACK_PROGRAMS = [
+    SLACK_TEXT,
+    "qubits 3\ncx q0 q1\nh q0\ncx q0 q1\nh q1\nh q2\n",
+    "qubits 3\ncx q0 q1\ncx q1 q2\ncx q1 q2\ncx q1 q2\nh q0\n",
+]
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+@pytest.mark.parametrize("device_name", sorted(ORACLE_DEVICES))
+@pytest.mark.parametrize("text", SLACK_PROGRAMS, ids=range(len(SLACK_PROGRAMS)))
+def test_exact_matches_oracle_with_slack(text, device_name, S):
+    _check_against_oracle(text, device_name, S)
 
 
 # The result builder replays the SWAPs that decode keeps; the replay must be
