@@ -45,10 +45,6 @@ class Circuit:
     def num_gates(self) -> int:
         return len(self.gates)
 
-    @property
-    def num_two_qubit(self) -> int:
-        return sum(1 for g in self.gates if g.is_two_qubit)
-
 
 _QUBIT_RE = re.compile(r"^q(\d+)$")
 

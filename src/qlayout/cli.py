@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .circuit import Circuit, CircuitError, load_circuit
 from .device import Device, DeviceError, load_device
-from .exact import EncodingConfig, SynthesisTimeout, TCapExceeded, synthesize
+from .exact import OBJECTIVES, EncodingConfig, SynthesisTimeout, TCapExceeded, synthesize
 from .qaoa import synthesize_qaoa
 from .results import ResultError, result_from_json
 from .transition import synthesize_tb
@@ -40,7 +40,6 @@ EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 
 MODES = ("exact", "tb", "qaoa")
-OBJECTIVES = ("depth", "swap", "fidelity")
 
 
 class InputError(ValueError):

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 DEFAULT_MEASURE_FIDELITY = 0.99
 DEFAULT_SINGLE_FIDELITY = 0.99
 DEFAULT_TWO_FIDELITY = 0.98
+# enumerate_automorphisms gives up on groups larger than this.
+AUTOMORPHISM_CAP = 5000
 
 
 class DeviceError(ValueError):
@@ -142,41 +144,16 @@ def serialize_device(device: Device) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def bipartition(device: Device):
-    """2-coloring of the coupling graph, or None if it has an odd cycle."""
-    n = device.num_physical
-    color = [-1] * n
-    for start in range(n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for q in device.neighbours[p]:
-                if color[q] == -1:
-                    color[q] = 1 - color[p]
-                    frontier.append(q)
-                elif color[q] == color[p]:
-                    return None
-    return tuple(color)
-
-
-def enumerate_automorphisms(device: Device, cap: int = 5000):
+def enumerate_automorphisms(device: Device):
     """Every node permutation preserving the edge set, identity included.
 
-    Returns a list of N-tuples, or None when the group has more than cap
-    elements (callers should then treat the device as too symmetric to
-    exploit). Exhaustive backtracking pruned by iterated neighborhood
-    coloring; fine for the device sizes this toolkit targets.
+    Returns a list of N-tuples, or None when the group has more than
+    AUTOMORPHISM_CAP elements (callers should then treat the device as
+    too symmetric to exploit). Exhaustive backtracking pruned by iterated
+    neighborhood coloring; fine for the device sizes this toolkit targets.
     """
     N = device.num_physical
-    if N == 0:
-        return [()]
-    adj = [set() for _ in range(N)]
-    for a, b in device.edges:
-        adj[a].add(b)
-        adj[b].add(a)
+    adj = [set(ns) for ns in device.neighbours]
     # refine colors until stable; automorphisms preserve these classes
     color = [len(adj[p]) for p in range(N)]
     while True:
@@ -194,7 +171,7 @@ def enumerate_automorphisms(device: Device, cap: int = 5000):
 
     def extend(i: int) -> bool:
         if i == N:
-            if len(found) >= cap:
+            if len(found) >= AUTOMORPHISM_CAP:
                 return False
             found.append(tuple(img))
             return True

@@ -19,6 +19,7 @@ gate's slot and recomputes the fidelity.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from . import solver as sv
@@ -65,6 +66,39 @@ class VariableSet:
     sigma: list  # sigma[k][t] handle
 
 
+def _component_sizes(n: int, pairs) -> list[int]:
+    """Component sizes of the graph on 0..n-1 with edges `pairs`, largest
+    first."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return sorted(Counter(map(find, range(n))).values(), reverse=True)
+
+
+def _fits(circuit: Circuit, device: Device) -> bool:
+    """Whether some horizon can host the circuit: the interaction graph's
+    components pack into the device's connected components. A qubit never
+    leaves its device component, and SWAPs inside one bring any two of its
+    qubits together. Exact search, largest component first, each free size
+    tried once; one-qubit components fit wherever room is left."""
+    items = _component_sizes(circuit.num_qubits,
+                             [g.qubits for g in circuit.gates if g.is_two_qubit])
+
+    def pack(i: int, free: tuple) -> bool:
+        if i == len(items) or items[i] == 1:
+            return sum(free) >= len(items) - i
+        return any(pack(i + 1, free[:b] + (f - items[i],) + free[b + 1:])
+                   for b, f in enumerate(free) if f >= items[i] and f not in free[:b])
+
+    return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
+
+
 def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
            coarse: bool = False):
     """Emit the full constraint system; returns (model, variables).
@@ -78,17 +112,16 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     coarse gives the transition-based block model: dependencies weaken to
     <= and the gate/SWAP occupancy family is dropped. A whole chain may
     share one block there, so every gate keeps the full domain [0, T-1].
-    Raises TCapExceeded when no horizon can host the circuit: more qubits
-    than device nodes, or a two-qubit gate on a device without edges.
+    Raises TCapExceeded when no horizon can host the circuit (see _fits).
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before encoding")
     M = circuit.num_qubits
     N, K = device.num_physical, device.num_edges
-    if M > N:
-        raise TCapExceeded(f"{M} qubits cannot fit on {N} device nodes")
-    if circuit.num_two_qubit and K == 0:
-        raise TCapExceeded("two-qubit gates need a device with edges")
+    if not _fits(circuit, device):
+        raise TCapExceeded(
+            f"the circuit's interaction components cannot be packed into the "
+            f"device's connected components ({M} qubits, {N} nodes)")
     T, S = config.T, config.S
     m = sv.Model()
 

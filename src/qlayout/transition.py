@@ -20,13 +20,12 @@ horizon loop, exact.solve_horizons, on encode_tb and polishes its plan.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from typing import NamedTuple
 
 from . import solver as sv
 from .circuit import Circuit
-from .device import Device, bipartition, enumerate_automorphisms
+from .device import Device, enumerate_automorphisms
 from .exact import (
     EncodingConfig,
     apply_objective,
@@ -100,71 +99,18 @@ def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
                               *[(vs.pi[1][0], s, True) for s in sreps]])
 
 
-def _odd_cycles(circuit: Circuit, cap: int = 1500):
-    """Short odd cycles (length 3, 5, 7) of the interaction graph, each as
-    a tuple of gate-index lists, one list per cycle edge (a qubit pair may
-    be realized by several gates)."""
-    M = circuit.num_qubits
-    pair_gates: dict[tuple[int, int], list[int]] = {}
-    for g in circuit.gates:
-        if g.is_two_qubit:
-            a, b = sorted(g.qubits)
-            pair_gates.setdefault((a, b), []).append(g.index)
-    adj: list[list[int]] = [[] for _ in range(M)]
-    for a, b in pair_gates:
-        adj[a].append(b)
-        adj[b].append(a)
-
-    cycles = []
-    # canonical form: the start is the cycle minimum, second < last
-    for v in range(M):
-        stack = [(v, (v,))]
-        while stack:
-            p, path = stack.pop()
-            if len(path) in (3, 5, 7) and v in adj[p] and path[1] < path[-1]:
-                cycles.append(path)
-            if len(path) == 7:
-                continue
-            for q in adj[p]:
-                if q > v and q not in path:
-                    stack.append((q, path + (q,)))
-    cycles.sort(key=len)
-    out = []
-    for cyc in cycles[:cap]:
-        edges = [tuple(sorted((cyc[i], cyc[(i + 1) % len(cyc)])))
-                 for i in range(len(cyc))]
-        out.append(tuple(pair_gates[e] for e in edges))
-    return out
-
-
 def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
-    """Implied inequalities for the coarse model. All are consequences of
-    the base families (with S=1 the SWAPs of one transition are pairwise
-    node-disjoint), so they change no solution set, only the relaxation."""
+    """Cuts for the coarse model: the degree cut and the one-hop clauses.
+
+    The one-hop clauses follow from the base families: with S=1 the SWAPs of
+    one transition are pairwise node-disjoint, so a qubit moves at most one
+    hop. The degree cut does not: it counts a qubit's gates, not its distinct
+    partners, so it can refuse a block that runs two gates on one pair.
+    """
     N = device.num_physical
     M = circuit.num_qubits
     L = circuit.num_gates
     degree = [len(device.incident[p]) for p in range(N)]
-
-    # a block's interaction subgraph maps edge-preserving into the device,
-    # so on a bipartite device no block may hold a whole odd cycle
-    bipartite = device.num_edges > 0 and bipartition(device) is not None
-    odd_cycles = _odd_cycles(circuit) if bipartite else []
-    cycle_qubits: list[set[int]] = []
-    for gate_lists in odd_cycles:
-        qs: set[int] = set()
-        for gl in gate_lists:
-            for l in gl:
-                qs.update(circuit.gates[l].qubits)
-        cycle_qubits.append(qs)
-        combos = 1
-        for gl in gate_lists:
-            combos *= len(gl)
-        if combos > 8:
-            continue
-        for combo in itertools.product(*gate_lists):
-            for t in range(T):
-                model.require_clause([(vs.time[l], t, False) for l in combo])
 
     # a qubit whose block runs g of its gates needs g distinct neighbours,
     # so it cannot sit on a node of degree < g
@@ -184,37 +130,13 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
                 terms.append((L, (vs.pi[q][t], p)))
                 model.require_sum(terms, "<=", degree[p] + L)
 
-    if T < 2:
-        return
-    closed = [[p, *device.neighbours[p]] for p in range(N)]
-
     # disjoint SWAPs move a qubit at most one hop per transition
+    closed = [[p, *device.neighbours[p]] for p in range(N)]
     for q in range(M):
         for t in range(T - 1):
             for p in range(N):
                 model.require_clause([(vs.pi[q][t], p, False),
                                       *[(vs.pi[q][t + 1], pp, True) for pp in closed[p]]])
-
-    # each SWAP relocates at most two qubits
-    moved_all: list[list] = [[] for _ in range(M)]
-    for t in range(T - 1):
-        moved = [model.bool_var(f"mv_{q}_{t}") for q in range(M)]
-        for q in range(M):
-            moved_all[q].append(moved[q])
-            for p in range(N):
-                model.require_sum(
-                    [(1, moved[q]),
-                     (1, (vs.pi[q][t + 1], p)),
-                     (-1, (vs.pi[q][t], p))], ">=", 0)
-        balance = [(1, mv) for mv in moved]
-        balance += [(-2, vs.sigma[k][t]) for k in range(device.num_edges)]
-        model.require_sum(balance, "<=", 0)
-
-    # a never-moving odd cycle would pin one 2-coloring for all its edges,
-    # which an odd cycle cannot satisfy: someone on it has to move
-    for qs in cycle_qubits:
-        terms = [(1, mv) for q in qs for mv in moved_all[q]]
-        model.require_sum(terms, ">=", 1)
 
 
 def extract_plan(circuit: Circuit, device: Device, verdict: sv.Verdict,

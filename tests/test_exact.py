@@ -105,17 +105,23 @@ def test_unsat_at_cap():
         synthesize(circ, dev, config=cfg)
 
 
-def _never_fits(case):
-    if case == "more qubits than nodes":
-        return load_circuit("qubits 6\ncx q0 q1\ncx q2 q3\ncx q4 q5\n"), \
-            bundled_device("qx2.json")
-    return load_circuit("qubits 2\ncx q0 q1\n"), build_device(2, [])
+NEVER_FITS = {
+    "more qubits than nodes": ("qubits 6\ncx q0 q1\ncx q2 q3\ncx q4 q5\n",
+                               bundled_device("qx2.json")),
+    "edgeless device": ("qubits 2\ncx q0 q1\n", build_device(2, [])),
+    # one 4-qubit interaction component; the device's components hold 3 and 2
+    "components do not pack": ("qubits 4\ncx q0 q1\ncx q2 q3\ncx q2 q3\ncx q1 q2\nh q3\n",
+                               build_device(5, [(0, 1), (1, 2), (3, 4)])),
+}
 
 
-@pytest.mark.parametrize("case", ["more qubits than nodes", "edgeless device"])
+@pytest.mark.parametrize("case", sorted(NEVER_FITS))
 @pytest.mark.parametrize("flow", ["exact", "tb", "qaoa"])
 def test_inputs_that_never_fit_end_before_any_solve(monkeypatch, flow, case):
-    circuit, device = _never_fits(case)
+    text, device = NEVER_FITS[case]
+    if flow == "qaoa":  # the two-qubit gates, commuting
+        text = "".join(line for line in text.splitlines(True) if not line.startswith("h "))
+    circuit = load_circuit(text, user_deps=[] if flow == "qaoa" else None)
     solves = []
     monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
     run = {"exact": synthesize, "tb": synthesize_tb, "qaoa": synthesize_qaoa}[flow]
@@ -211,13 +217,25 @@ def test_engines_agree_on_exact_model(objective):
 
 # Model size with gates placed by the mapping, each gate's slots cut to its
 # dependency window: no location column outside the fidelity objective, and
-# the compiled rows of that encoding as a ceiling
-@pytest.mark.parametrize("circuit_name,device_name,objective,T,rows", [
-    ("adder", "qx2", "swap", 16, 3426), ("or", "grid4x4", "swap", 9, 5358),
-    ("4mod5-v1_22", "grid4x4", "swap", 14, 11703), ("or", "qx2", "fidelity", 9, 1465)])
-def test_model_size_ceiling(circuit_name, device_name, objective, T, rows):
+# the compiled rows of that encoding as a ceiling. The coarse (TB) row has
+# only the degree and one-hop cuts: no move-balance `mv_` column.
+def _size_case(*case, coarse=False):
+    return pytest.param(*case, coarse, id="-".join(map(str, case)) + ("-tb" if coarse else ""))
+
+
+@pytest.mark.parametrize("circuit_name,device_name,objective,T,rows,coarse", [
+    _size_case("adder", "qx2", "swap", 16, 3426), _size_case("or", "grid4x4", "swap", 9, 5358),
+    _size_case("4mod5-v1_22", "grid4x4", "swap", 14, 11703),
+    _size_case("or", "qx2", "fidelity", 9, 1465),
+    _size_case("adder", "grid2x3", "depth", 3, 1124, coarse=True)])
+def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coarse):
     circuit = bundled_circuit(f"{circuit_name}.gates")
     device = bundled_device(f"{device_name}.json")
+    if coarse:
+        model, _ = encode_tb(circuit, device, T, objective)
+        assert not [v.name for v in model._vars if v.name.startswith("mv_")]
+        assert len(model._compile()[1]) <= rows
+        return
     for obj in (objective, "depth"):
         model, vs = encode(circuit, device, EncodingConfig(T=T, objective=obj))
         apply_objective(model, vs, obj, device, circuit)
@@ -229,7 +247,7 @@ def test_model_size_ceiling(circuit_name, device_name, objective, T, rows):
 
 # The coarse model keeps every slot for every gate: pinned compiled rows of
 # adder on grid2x3 at the first TB horizon and at the one that solves
-@pytest.mark.parametrize("objective,T,rows", [("swap", 1, 224), ("depth", 3, 1174)])
+@pytest.mark.parametrize("objective,T,rows", [("swap", 1, 224), ("depth", 3, 1124)])
 def test_coarse_model_keeps_full_time_domains(objective, T, rows):
     circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
     model, vs = encode_tb(circuit, device, T, objective)

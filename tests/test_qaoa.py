@@ -142,13 +142,13 @@ def test_prism_graph_schedule_is_pinned():
     dev = bundled_device("grid2x3.json")
     result = synthesize_qaoa(circ, dev, objective="depth", S=1)
     assert [(g.gate_id, g.time, g.location) for g in result.gates] == [
-        (0, 0, 3), (1, 1, 6), (2, 2, 4), (3, 2, 0), (4, 0, 1), (5, 3, 3),
-        (6, 4, 2), (7, 3, 1), (8, 4, 6)]
+        (0, 0, 3), (1, 3, 1), (2, 1, 0), (3, 0, 4), (4, 3, 6), (5, 4, 3),
+        (6, 2, 2), (7, 1, 6), (8, 0, 1)]
     assert result.depth_slots == 5
-    assert [(s.edge, s.finish_time) for s in result.swaps] == [(2, 1), (5, 2)]
+    assert [(s.edge, s.finish_time) for s in result.swaps] == [(5, 2), (2, 3)]
     assert result.mapping_trajectory == (
-        (1, 4, 5, 2, 0, 3), (1, 4, 5, 2, 0, 3), (2, 4, 5, 1, 0, 3),
-        (2, 3, 5, 1, 0, 4), (2, 3, 5, 1, 0, 4))
+        (1, 4, 0, 2, 5, 3), (1, 4, 0, 2, 5, 3), (1, 4, 0, 2, 5, 3),
+        (1, 3, 0, 2, 5, 4), (2, 3, 0, 1, 5, 4))
     assert check_result(circ, dev, result, S=1) == []
 
 

@@ -2,15 +2,17 @@
 
 from dataclasses import replace
 from importlib import resources
+from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qlayout import _cdcl
 from qlayout import solver as sv
 from qlayout import transition
 from qlayout.circuit import Circuit, Gate, load_circuit, parse_program, preprocess
 from qlayout.device import DeviceError, build_device, load_device
+from qlayout.exact import OBJECTIVES, EncodingConfig, _fits, encode
 from qlayout.results import SwapPlacement, TransitionPlan
 from qlayout.transition import (
     _polish_plan,
@@ -426,3 +428,96 @@ def test_polish_budget_on_a_heavy_row(monkeypatch, node_budget):
     assert calls == len(ref_calls)
     if node_budget < 20000:
         assert calls == node_budget + 1
+
+
+# Soundness of what encode_tb adds to the coarse model, on random instances
+# within the oracle caps (M <= 4, L <= 6, N <= 5).
+
+CUT_DEVICES = [
+    build_device(4, [(0, 1), (1, 2), (2, 3)]),  # bipartite path
+    CYCLE4,  # bipartite and symmetric
+    build_device(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),  # odd cycle
+    build_device(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),  # odd cycle, pendant
+    build_device(5, [(0, 1), (1, 2), (3, 4)]),  # disconnected
+    # a weaker edge and measurement leave only part of the group for fidelity
+    build_device(4, [(0, 1), (1, 2), (2, 3), (3, 0)],
+                 {"measure": [0.9, 0.99, 0.99, 0.99], "two": [0.98, 0.98, 0.95, 0.98]}),
+]
+
+
+@st.composite
+def cut_instances(draw):
+    """A device and a circuit of up to 6 gates on 2-4 qubits that fits it:
+    one- and two-qubit gates with repeated pairs, dependencies derived or
+    none (a commuting circuit, as in the QAOA flow)."""
+    device = draw(st.sampled_from(CUT_DEVICES))
+    M = draw(st.integers(min_value=2, max_value=4))
+    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+    favourite = draw(st.sampled_from(pairs))
+    lines = [f"qubits {M}"]
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["1q", "pair", "repeat"]))
+        if kind == "1q":
+            lines.append(f"h q{draw(st.integers(min_value=0, max_value=M - 1))}")
+        else:
+            a, b = draw(st.sampled_from(pairs)) if kind == "pair" else favourite
+            lines.append(f"cx q{a} q{b}")
+    circuit = load_circuit("\n".join(lines) + "\n",
+                           user_deps=[] if draw(st.booleans()) else None)
+    assume(_fits(circuit, device))
+    return circuit, device
+
+
+class _ClauseRecorder:
+    """Stands in for the model in _coarse_cuts and keeps its clauses; the
+    degree cut's sums are dropped."""
+
+    def __init__(self):
+        self.clauses = []
+
+    def require_clause(self, lits):
+        self.clauses.append(list(lits))
+
+    def require_sum(self, terms, op, rhs):
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut_instances())
+def test_one_hop_clauses_follow_from_the_coarse_model(instance):
+    """Each clause _coarse_cuts adds to encode_tb's model at T = 2 and 3,
+    the one-hop family, is implied by the coarse model without cuts: with
+    the clause negated, that model is unsatisfiable.
+
+    The degree cut, the other family, is left out because it is unsound: it
+    counts a qubit's gates, not its distinct partners. The strict xfail
+    test_tb_repeated_pair_fits_one_block in perfbench/ covers it.
+    """
+    circuit, device = instance
+    for T in (2, 3):
+        config = EncodingConfig(T=T, S=1)
+        _, vs = encode(circuit, device, config, coarse=True)
+        cuts = _ClauseRecorder()
+        transition._coarse_cuts(cuts, vs, circuit, device, T)
+        assert len(cuts.clauses) == circuit.num_qubits * (T - 1) * device.num_physical
+        for clause in cuts.clauses:
+            base, _ = encode(circuit, device, config, coarse=True)
+            for handle, value, positive in clause:
+                base.require_clause([(handle, value, not positive)])
+            assert sv.solve(base).status == sv.UNSAT, clause
+
+
+@settings(max_examples=50, deadline=None)
+@given(cut_instances(), st.sampled_from(OBJECTIVES))
+def test_symmetry_clauses_keep_the_optimum(instance, objective):
+    # every horizon keeps its status and optimum without the clauses
+    circuit, device = instance
+
+    def optimum(T):
+        verdict = sv.solve(encode_tb(circuit, device, T, objective)[0])
+        return verdict.status, verdict.objective_value
+
+    for T in (1, 2, 3):
+        pinned = optimum(T)
+        with mock.patch.object(transition, "_symmetry_clauses", lambda *args: None):
+            assert optimum(T) == pinned, T
