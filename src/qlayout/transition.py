@@ -6,25 +6,28 @@ gate/SWAP conflict families dropped: a transition owns the block boundary.
 The solved assignment becomes a TransitionPlan; asap_schedule replays it
 with real S-slot SWAPs and emits a result that passes the full verifier.
 
-Each plan is compiled once into schedule tables (per-gate predecessors,
-per-block gate nodes and fired SWAPs). One node-availability scheduler,
-_schedule_core, runs on them: for the ASAP replay, for every block split
-the polish step scores, and for the QAOA flow's stitch. _schedule_plan is
+Each plan is compiled once into schedule tables (per-gate predecessors and
+dependency tails, per-block gate nodes and fired SWAPs). One
+node-availability scheduler, _schedule_core, runs on them: for the ASAP
+replay, for the block splits and partial splits the polish step bounds and
+scores, and for the QAOA flow's stitch. _schedule_plan is
 the one path from a plan and a per-block gate order to a result: it checks
 the plan, schedules it, and hands the gate times and SWAPs to
 exact.build_result, which replays the SWAPs into the trajectory.
 
-_solve_coarse, the coarse step of the TB and QAOA flows, runs the one
-horizon loop, exact.solve_horizons, on encode_tb and polishes its plan.
+_solve_coarse, the coarse step of the TB and QAOA flows, finds the device's
+symmetry pins once, runs the one horizon loop, exact.solve_horizons, on
+encode_tb with them, and polishes its plan.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 from typing import NamedTuple
 
 from . import solver as sv
-from .circuit import Circuit
+from .circuit import Circuit, chain_depths
 from .device import Device, enumerate_automorphisms
 from .exact import (
     EncodingConfig,
@@ -38,12 +41,19 @@ from .results import SynthesisResult, TransitionPlan
 
 
 def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
-              objective: str = "swap"):
-    """Emit the coarse block model; returns (model, variables)."""
+              objective: str = "swap", *, pins=None):
+    """Emit the coarse block model; returns (model, variables).
+
+    pins are the symmetry clauses of _symmetry_pins. They do not depend on
+    the horizon, so a flow finds them once and passes them to every
+    horizon; they are found here when None.
+    """
+    if pins is None:
+        pins = _symmetry_pins(circuit, device, objective)
     cfg = EncodingConfig(T=T_coarse, S=1, objective=objective)
     model, vs = encode(circuit, device, cfg, coarse=True)
     _coarse_cuts(model, vs, circuit, device, T_coarse)
-    _symmetry_clauses(model, vs, circuit, device, objective)
+    _symmetry_clauses(model, vs, pins)
     apply_objective(model, vs, objective, device, circuit)
     return model, vs
 
@@ -59,10 +69,10 @@ def _profile_invariant(device: Device, perm) -> bool:
     return True
 
 
-def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
-                      objective: str) -> None:
-    """Pin the row-0 placement of up to two qubits to orbit representatives
-    of the device's cost-preserving automorphisms.
+def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
+    """Clauses pinning the slot-0 placement of up to two qubits to orbit
+    representatives of the device's cost-preserving automorphisms, as lists
+    of (qubit, node, positive) literals on the slot-0 mapping.
 
     Relabeling a whole solution by such an automorphism yields another
     solution with the same block count, SWAP count, and objective value,
@@ -73,20 +83,20 @@ def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
     """
     M = circuit.num_qubits
     if M == 0:
-        return
+        return []
     perms = enumerate_automorphisms(device)
     if perms is None or len(perms) <= 1:
-        return
+        return []
     if objective == "fidelity":
         perms = [g for g in perms if _profile_invariant(device, g)]
         if len(perms) <= 1:
-            return
+            return []
     N = device.num_physical
     rep = [min(g[p] for g in perms) for p in range(N)]
     reps = sorted(set(rep))
-    model.require_clause([(vs.pi[0][0], r, True) for r in reps])
+    pins = [[(0, r, True) for r in reps]]
     if M < 2:
-        return
+        return pins
     for r in reps:
         stab = [g for g in perms if g[r] == r]
         if len(stab) <= 1:
@@ -95,8 +105,14 @@ def _symmetry_clauses(model, vs, circuit: Circuit, device: Device,
         sreps = sorted({min(g[p] for g in stab) for p in range(N) if p != r})
         if len(sreps) >= N - 1:
             continue
-        model.require_clause([(vs.pi[0][0], r, False),
-                              *[(vs.pi[1][0], s, True) for s in sreps]])
+        pins.append([(0, r, False), *[(1, s, True) for s in sreps]])
+    return pins
+
+
+def _symmetry_clauses(model, vs, pins) -> None:
+    """Add the symmetry clauses of _symmetry_pins to a coarse model."""
+    for clause in pins:
+        model.require_clause([(vs.pi[q][0], p, positive) for q, p, positive in clause])
 
 
 def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
@@ -237,6 +253,9 @@ class _ScheduleTables(NamedTuple):
     num_physical: int
     # preds[l]: the dependency predecessors of gate l, transitively reduced
     preds: list[list[int]]
+    # tail[l]: the longest dependency chain after gate l, in gates; a
+    # schedule runs at least that many slots after l
+    tail: list[int]
     # nodes[b][l]: gate l's physical nodes under block b's mapping; a
     # one-qubit gate lists its node twice
     nodes: list[list[tuple[int, int]]]
@@ -270,10 +289,12 @@ def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
     transitions = dict(plan.transitions)
     fired = [[(k, *device.edges[k]) for k in sorted(transitions.get(b, ()))]
              for b in range(plan.num_blocks)]
-    return _ScheduleTables(device.num_physical, preds, nodes, fired)
+    _, tail = chain_depths(circuit)
+    return _ScheduleTables(device.num_physical, preds, tail, nodes, fired)
 
 
-def _schedule_core(tables: _ScheduleTables, order, S: int):
+def _schedule_core(tables: _ScheduleTables, order, S: int,
+                   limit: int = sys.maxsize):
     """Node-availability simulation: the one scheduler behind asap_schedule,
     the plan polish step and the QAOA stitch.
 
@@ -282,8 +303,15 @@ def _schedule_core(tables: _ScheduleTables, order, S: int):
     after block b its SWAPs start, in edge order, once both endpoints are
     free, and hold them for S slots. Returns (gate_time, swaps), swaps as
     sorted (finish, edge) pairs.
+
+    The simulation is monotone: inserting a gate into `order` never makes a
+    gate or SWAP earlier, as every free slot it reads only grows. So once a
+    gate gets slot t, every full split that extends `order` runs at least
+    t + tail + 1 slots. The call returns None as soon as that bound reaches
+    `limit`.
     """
-    preds, nodes, fired = tables.preds, tables.nodes, tables.fired
+    preds, tail, nodes, fired = tables.preds, tables.tail, tables.nodes, tables.fired
+    cap = limit - 1
     node_free = [0] * tables.num_physical
     gate_time = [0] * len(preds)
     swaps = []
@@ -297,6 +325,8 @@ def _schedule_core(tables: _ScheduleTables, order, S: int):
             for i in preds[l]:
                 if gate_time[i] >= slot:
                     slot = gate_time[i] + 1
+            if slot + tail[l] >= cap:
+                return None
             gate_time[l] = slot
             node_free[p] = node_free[q] = slot + 1
         for k, p, q in fired[b]:
@@ -350,14 +380,29 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     block split among equally good ones; splits differ widely in scheduled
     depth. Only gates whose physical position changes between feasible
     blocks can matter, so the search branches on those alone, walking gates
-    in index order (a topological order) with dependency lower bounds.
-    Deterministic; gives up after node_budget leaves and keeps the best
-    seen (a budget of 0 keeps the plan).
+    in index order (a topological order) with dependency lower bounds. The
+    first split in walk order with the smallest depth wins, and the plan's
+    own split wins ties.
 
-    The schedule tables are built once; every split, the plan's own first,
-    is scored by one _schedule_core call on them. The walk keeps each
-    block's gate list in index order as it assigns and unassigns gates, so
-    a leaf hands it to the scheduler as is.
+    The walk is a branch-and-bound over _schedule_core's monotone bound (a
+    gate at slot t puts every full split that extends the scheduled one at
+    t + tail + 1 slots or more). It makes three sound cuts against the best
+    depth so far, so within the budget it returns the split the exhaustive
+    walk would:
+    - it stops once the best depth equals the longest dependency chain, a
+      lower bound on every split; the plan's own split is checked first;
+    - at a gate with more than one choice, it schedules the gates assigned
+      so far and every SWAP, and prunes the subtree when their bound
+      reaches the best depth;
+    - it stops scoring a leaf as soon as one gate's bound reaches it.
+    The walk keeps each block's gate list in index order as it assigns and
+    unassigns gates, so every prefix and leaf goes to the scheduler as is.
+
+    node_budget counts the leaves the walk reaches, scored in full or not;
+    at the budget it stops and keeps the best seen (a budget of 0 keeps the
+    plan). The pruned walk reaches a subsequence of the exhaustive walk's
+    leaves and skips only those that cannot win, so under a budget that
+    binds its depth is never worse.
     """
     B = plan.num_blocks
     L = circuit.num_gates
@@ -372,6 +417,11 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     branching = [len({nodes[b][l] for b in feas[l]}) > 1 for l in range(L)]
     if not any(branching):
         return plan
+    gate_time, _ = _schedule_core(tables, _block_order(plan.gate_block, B), S)
+    best_depth = max(gate_time) + 1
+    lower = max(tables.tail) + 1
+    if best_depth == lower:
+        return plan
     # choices[l][bound]: the blocks gate l may take when its predecessors'
     # latest block is `bound`; a gate whose position never changes takes
     # the first only
@@ -380,9 +430,7 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
         at_bound = [[b for b in feas[l] if b >= bound] for bound in range(B)]
         choices.append(at_bound if branching[l] else [c[:1] for c in at_bound])
 
-    best_blocks = list(plan.gate_block)
-    gate_time, _ = _schedule_core(tables, _block_order(best_blocks, B), S)
-    best_depth = max(gate_time) + 1
+    best_blocks = None
     blocks = [0] * L
     order: list[list[int]] = [[] for _ in range(B)]
     visited = 0
@@ -391,27 +439,29 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
         nonlocal best_depth, best_blocks, visited
         if l == L:
             visited += 1
-            gate_time, _ = _schedule_core(tables, order, S)
-            depth = max(gate_time) + 1
-            if depth < best_depth:
-                best_depth = depth
+            scored = _schedule_core(tables, order, S, best_depth)
+            if scored is not None:
+                best_depth = max(scored[0]) + 1
                 best_blocks = blocks[:]
             return
         bound = 0
         for i in preds[l]:
             if blocks[i] > bound:
                 bound = blocks[i]
-        for b in choices[l][bound]:
+        options = choices[l][bound]
+        if len(options) > 1 and _schedule_core(tables, order, S, best_depth) is None:
+            return
+        for b in options:
             blocks[l] = b
             order[b].append(l)
             walk(l + 1)
             order[b].pop()
-            if visited >= node_budget:
+            if visited >= node_budget or best_depth == lower:
                 return
 
     if node_budget > 0:
         walk(0)
-    if best_blocks == list(plan.gate_block):
+    if best_blocks is None:
         return plan
     return replace(plan, gate_block=tuple(best_blocks))
 
@@ -420,12 +470,14 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
                   timeout: float | None, max_T: int):
     """The coarse step of the TB and QAOA flows: grow the block count from
     1 until the block model is satisfiable, then extract and polish its
-    plan. Returns (plan, details)."""
+    plan. The symmetry pins are found once, for every horizon. Returns
+    (plan, details)."""
     if S < 1:
         raise ValueError("S must be >= 1")
+    pins = _symmetry_pins(circuit, device, objective)
     verdict, vs, details = solve_horizons(
-        lambda T: encode_tb(circuit, device, T, objective), 1, lambda T: T + 1,
-        objective, timeout, max_T)
+        lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1,
+        lambda T: T + 1, objective, timeout, max_T)
     plan = extract_plan(circuit, device, verdict, vs)
     return _polish_plan(plan, circuit, device, S), details
 

@@ -10,11 +10,20 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from qlayout import _cdcl
 from qlayout import solver as sv
 from qlayout import transition
-from qlayout.circuit import Circuit, Gate, load_circuit, parse_program, preprocess
+from qlayout.circuit import (
+    Circuit,
+    Gate,
+    chain_depths,
+    load_circuit,
+    longest_dependency_chain,
+    parse_program,
+    preprocess,
+)
 from qlayout.device import DeviceError, build_device, load_device
 from qlayout.exact import OBJECTIVES, EncodingConfig, _fits, encode
 from qlayout.results import SwapPlacement, TransitionPlan
 from qlayout.transition import (
+    _block_order,
     _polish_plan,
     asap_schedule,
     check_plan,
@@ -249,7 +258,8 @@ def test_heavy_polish_rows_keep_their_results():
 
 # Reference polish: the per-leaf scheduler that rebuilt its predecessor
 # lists, block buckets and SWAP records on every call, and the recursive
-# walk over it. The table-driven version must make the same choices.
+# exhaustive walk over it. The pruned walk must return its plan when the
+# budget does not bind, and never end deeper when it does.
 
 def _reference_schedule(gate_block, plan, circuit, device, S):
     preds = [[] for _ in range(circuit.num_gates)]
@@ -347,18 +357,30 @@ def _reference_polish(plan, circuit, device, S, node_budget, calls):
 
 
 def _counting_polish(monkeypatch, plan, circuit, device, S, node_budget):
-    """The table-driven polish, with its _schedule_core calls counted."""
+    """The pruned polish, with its full-split schedules counted: the plan's
+    own and one per leaf reached. The reference's `calls` count the same."""
     calls = []
     core = transition._schedule_core
 
-    def counted(*args):
-        calls.append(None)
-        return core(*args)
+    def counted(tables, order, *args):
+        if sum(map(len, order)) == circuit.num_gates:
+            calls.append(None)
+        return core(tables, order, *args)
 
     with monkeypatch.context() as m:
         m.setattr(transition, "_schedule_core", counted)
         polished = _polish_plan(plan, circuit, device, S, node_budget)
     return polished, len(calls)
+
+
+def _coarse_plan(circuit, device, objective):
+    """The unpolished plan of the first satisfiable coarse horizon."""
+    for T in range(1, 8):
+        model, vs = encode_tb(circuit, device, T, objective)
+        verdict = sv.solve(model)
+        if verdict.status == sv.SAT:
+            return extract_plan(circuit, device, verdict, vs)
+    raise AssertionError("no coarse horizon up to 7 blocks")
 
 
 @st.composite
@@ -387,47 +409,127 @@ def tb_plans(draw):
         user_deps = draw(st.lists(st.sampled_from(later), max_size=6)) if later else []
     circuit = preprocess(Circuit(num_qubits=M, gates=tuple(gates)), user_deps)
     objective = draw(st.sampled_from(["swap", "depth"]))
-    for T in range(1, 8):
-        model, vs = encode_tb(circuit, device, T, objective)
-        verdict = sv.solve(model)
-        if verdict.status == sv.SAT:
-            return circuit, device, extract_plan(circuit, device, verdict, vs)
-    raise AssertionError("no coarse horizon up to 7 blocks")
+    return circuit, device, _coarse_plan(circuit, device, objective)
+
+
+def _polished_depth(plan, circuit, device, S):
+    return asap_schedule(plan, circuit, device, S=S).depth_slots
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(tb_plans(), st.sampled_from([3, 1]), st.sampled_from([0, 1, 2, 3, 20000]))
+@given(tb_plans(), st.sampled_from([3, 1]), st.sampled_from([0, 1, 2, 3, 5, 20000]))
 def test_polish_matches_reference(monkeypatch, instance, S, node_budget):
+    # the pruned walk skips only leaves that cannot win: unbounded it returns
+    # the exhaustive walk's plan, and under a binding budget it reaches no
+    # more leaves and ends no deeper
     circuit, device, plan = instance
     ref_calls = []
     expected = _reference_polish(plan, circuit, device, S, node_budget, ref_calls)
     polished, calls = _counting_polish(monkeypatch, plan, circuit, device, S,
                                        node_budget)
-    assert polished == expected
-    assert calls == len(ref_calls)
+    if node_budget == 20000:
+        assert polished == expected
+    assert (_polished_depth(polished, circuit, device, S)
+            <= _polished_depth(expected, circuit, device, S))
+    assert calls <= len(ref_calls)
     check_plan(polished, circuit, device)
-    before = asap_schedule(plan, circuit, device, S=S)
     after = asap_schedule(polished, circuit, device, S=S)
-    assert after.depth_slots <= before.depth_slots
+    assert after.depth_slots <= _polished_depth(plan, circuit, device, S)
     assert check_result(circuit, device, after, S=S) == []
 
 
 @pytest.mark.parametrize("node_budget", [0, 1, 5, 20000])
 def test_polish_budget_on_a_heavy_row(monkeypatch, node_budget):
-    # adder/grid2x3/depth polishes over thousands of splits, so the small
-    # budgets stop the walk early
-    circ = bundled_circuit("adder.gates")
+    # the exhaustive walk scores thousands of splits on these rows, so the
+    # small budgets stop it early; qaoa5's is the row the prefix bound
+    # prunes least, as no split beats the plan's own depth there
     dev = bundled_device("grid2x3.json")
-    model, vs = encode_tb(circ, dev, 3, "depth")
-    plan = extract_plan(circ, dev, sv.solve(model), vs)
-    ref_calls = []
-    expected = _reference_polish(plan, circ, dev, 3, node_budget, ref_calls)
-    polished, calls = _counting_polish(monkeypatch, plan, circ, dev, 3, node_budget)
-    assert polished == expected
-    assert calls == len(ref_calls)
-    if node_budget < 20000:
-        assert calls == node_budget + 1
+    for name in ("adder", "qaoa5"):
+        circ = bundled_circuit(f"{name}.gates")
+        plan = _coarse_plan(circ, dev, "depth")
+        ref_calls = []
+        expected = _reference_polish(plan, circ, dev, 3, node_budget, ref_calls)
+        polished, calls = _counting_polish(monkeypatch, plan, circ, dev, 3,
+                                           node_budget)
+        if node_budget == 20000:
+            assert polished == expected, name
+        else:
+            assert len(ref_calls) == node_budget + 1, name
+        assert (_polished_depth(polished, circ, dev, 3)
+                <= _polished_depth(expected, circ, dev, 3)), name
+        assert calls <= len(ref_calls), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(tb_plans(), st.sampled_from([3, 1]), st.data())
+def test_polish_bounds_are_sound(instance, S, data):
+    # for a feasible split drawn at random, the longest dependency chain and
+    # the bound of every prefix of the split stay within its depth
+    circuit, device, plan = instance
+    B, L = plan.num_blocks, circuit.num_gates
+    feas = []
+    for g in circuit.gates:
+        sites = [[row[q] for q in g.qubits] for row in plan.block_mapping]
+        feas.append([b for b, ps in enumerate(sites)
+                     if len(ps) == 1 or ps[1] in device.neighbours[ps[0]]])
+    succs = [[] for _ in range(L)]
+    for l, lp in circuit.dependencies:
+        succs[l].append(lp)
+    # latest[l]: the last block gate l can take with its successors placed;
+    # the plan's own split keeps every latest[l] feasible
+    latest = [B - 1] * L
+    for l in reversed(range(L)):
+        top = min((latest[s] for s in succs[l]), default=B - 1)
+        latest[l] = max(b for b in feas[l] if b <= top)
+    split = [0] * L
+    for l in range(L):
+        low = max((split[i] for i, lp in circuit.dependencies if lp == l), default=0)
+        split[l] = data.draw(st.sampled_from(
+            [b for b in feas[l] if low <= b <= latest[l]]))
+    check_plan(replace(plan, gate_block=tuple(split)), circuit, device)
+
+    tables = transition._schedule_tables(plan, circuit, device)
+    gate_time, _ = transition._schedule_core(tables, _block_order(split, B), S)
+    depth = max(gate_time) + 1
+    assert longest_dependency_chain(circuit) <= depth
+    _, tail = chain_depths(circuit)
+    for k in range(1, L + 1):
+        prefix = _block_order(split[:k], B)
+        times, _ = transition._schedule_core(tables, prefix, S)
+        assert all(times[i] <= gate_time[i] for i in range(k))
+        bound = max(times[i] + tail[i] + 1 for i in range(k))
+        assert bound <= depth
+        # the limit cuts the prefix exactly at its bound
+        assert transition._schedule_core(tables, prefix, S, bound) is None
+        assert transition._schedule_core(tables, prefix, S, bound + 1) is not None
+
+
+def test_polish_stops_at_the_chain_bound(monkeypatch):
+    # adder/qx2/swap: the plan's own split already runs as long as the
+    # longest dependency chain, so no leaf can win; the exhaustive walk
+    # scored 68 of them
+    circ = bundled_circuit("adder.gates")
+    dev = bundled_device("qx2.json")
+    plan = _coarse_plan(circ, dev, "swap")
+    assert _polished_depth(plan, circ, dev, 3) == longest_dependency_chain(circ) == 16
+    schedules = []
+    core = transition._schedule_core
+    monkeypatch.setattr(transition, "_schedule_core",
+                        lambda *args: schedules.append(None) or core(*args))
+    assert _polish_plan(plan, circ, dev, 3) is plan
+    assert len(schedules) == 1
+
+
+def test_automorphisms_found_once_per_flow_call(monkeypatch):
+    # the symmetry pins do not depend on the horizon; the triangle tries two
+    calls = []
+    found = transition.enumerate_automorphisms
+    monkeypatch.setattr(transition, "enumerate_automorphisms",
+                        lambda device: calls.append(None) or found(device))
+    _, result = synthesize_tb(TRIANGLE, CYCLE4)
+    assert len(calls) == 1
+    assert check_result(TRIANGLE, CYCLE4, result) == []
 
 
 # Soundness of what encode_tb adds to the coarse model, on random instances
