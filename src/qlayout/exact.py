@@ -14,6 +14,12 @@ T geometrically, the transition-based and QAOA flows one block at a time.
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
 gate's slot and recomputes the fidelity.
+
+The symmetry pins live here too. _symmetry_pins finds the device's
+cost-preserving automorphisms and picks orbit representatives for the
+slot-0 placement of the first two qubits; encode adds them to the exact
+and the coarse model alike. Each flow finds them once per call and hands
+them to every horizon.
 """
 
 from __future__ import annotations
@@ -24,7 +30,13 @@ from dataclasses import dataclass, replace
 
 from . import solver as sv
 from .circuit import Circuit, chain_depths
-from .device import Device, DeviceError, scaled_log_fidelity, swap_log_fidelity
+from .device import (
+    Device,
+    DeviceError,
+    enumerate_automorphisms,
+    scaled_log_fidelity,
+    swap_log_fidelity,
+)
 from .results import GatePlacement, SwapPlacement, SynthesisResult
 from . import verify
 
@@ -99,8 +111,61 @@ def _fits(circuit: Circuit, device: Device) -> bool:
     return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
 
 
+def _profile_invariant(device: Device, perm) -> bool:
+    f0, f1, f2 = device.f_measure, device.f_single, device.f_two
+    for p in range(device.num_physical):
+        if f0[perm[p]] != f0[p] or f1[perm[p]] != f1[p]:
+            return False
+    for k, (a, b) in enumerate(device.edges):
+        if f2[device.edge_index(perm[a], perm[b])] != f2[k]:
+            return False
+    return True
+
+
+def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
+    """Clauses pinning the slot-0 placement of up to two qubits to orbit
+    representatives of the device's cost-preserving automorphisms, as lists
+    of (qubit, node, positive) literals on the slot-0 mapping; encode adds
+    them.
+
+    Relabeling a whole solution by such an automorphism yields another
+    solution with the same gate times, SWAP count, depth and objective
+    value (under fidelity only profile-preserving automorphisms count), so
+    restricting one solution per group orbit cannot change the optimum.
+    The first qubit may only start on an orbit representative; under each
+    representative with a nontrivial stabilizer, the second qubit is pinned
+    to stabilizer-orbit representatives.
+    """
+    M = circuit.num_qubits
+    if M == 0:
+        return []
+    perms = enumerate_automorphisms(device)
+    if perms is None or len(perms) <= 1:
+        return []
+    if objective == "fidelity":
+        perms = [g for g in perms if _profile_invariant(device, g)]
+        if len(perms) <= 1:
+            return []
+    N = device.num_physical
+    rep = [min(g[p] for g in perms) for p in range(N)]
+    reps = sorted(set(rep))
+    pins = [[(0, r, True) for r in reps]]
+    if M < 2:
+        return pins
+    for r in reps:
+        stab = [g for g in perms if g[r] == r]
+        if len(stab) <= 1:
+            continue
+        # injectivity keeps the second qubit off r, so drop r's own orbit
+        sreps = sorted({min(g[p] for g in stab) for p in range(N) if p != r})
+        if len(sreps) >= N - 1:
+            continue
+        pins.append([(0, r, False), *[(1, s, True) for s in sreps]])
+    return pins
+
+
 def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
-           coarse: bool = False):
+           coarse: bool = False, pins=()):
     """Emit the full constraint system; returns (model, variables).
 
     A gate's location is no variable: pi at its slot fixes it (only
@@ -112,6 +177,11 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     coarse gives the transition-based block model: dependencies weaken to
     <= and the gate/SWAP occupancy family is dropped. A whole chain may
     share one block there, so every gate keeps the full domain [0, T-1].
+
+    pins are the symmetry clauses of _symmetry_pins, added on the slot-0
+    mapping after the families above. They do not depend on the horizon,
+    so a flow finds them once and passes them to every horizon.
+
     Raises TCapExceeded when no horizon can host the circuit (see _fits).
     """
     if circuit.dependencies is None:
@@ -227,6 +297,9 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
             for q in range(M):
                 m.require_clause([(pi[q][t], a, False), fired, (pi[q][t + 1], b, True)])
                 m.require_clause([(pi[q][t], b, False), fired, (pi[q][t + 1], a, True)])
+
+    for clause in pins:
+        m.require_clause([(pi[q][0], p, positive) for q, p, positive in clause])
 
     return m, vs
 
@@ -434,15 +507,18 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
 
     extra_t forces additional growth steps after the first satisfiable T,
     keeping the best result seen (the first-satisfiable-T optimum is only
-    optimal up to that horizon).
+    optimal up to that horizon). The symmetry pins are found once, for
+    every horizon, under the objective applied.
     """
     if circuit.longest_chain is None:
         raise ValueError("circuit must be preprocessed before synthesis")
     if config is None:
         config = EncodingConfig(T=1, objective=objective)
+    pins = _symmetry_pins(circuit, device, objective)
 
     def build(T):
-        model, vs = encode(circuit, device, replace(config, T=T, objective=objective))
+        model, vs = encode(circuit, device, replace(config, T=T, objective=objective),
+                           pins=pins)
         apply_objective(model, vs, objective, device, circuit)
         return model, vs
 

@@ -16,8 +16,10 @@ the plan, schedules it, and hands the gate times and SWAPs to
 exact.build_result, which replays the SWAPs into the trajectory.
 
 _solve_coarse, the coarse step of the TB and QAOA flows, finds the device's
-symmetry pins once, runs the one horizon loop, exact.solve_horizons, on
-encode_tb with them, and polishes its plan.
+symmetry pins once with exact._symmetry_pins, runs the one horizon loop,
+exact.solve_horizons, on encode_tb with them, and polishes its plan.
+encode_tb hands the pins to exact.encode, which owns the pin clauses; the
+coarse model adds only its cuts.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from typing import NamedTuple
 
 from . import solver as sv
 from .circuit import Circuit, chain_depths
-from .device import Device, enumerate_automorphisms
+from .device import Device
 from .exact import (
     EncodingConfig,
+    _symmetry_pins,
     apply_objective,
     build_result,
     encode,
@@ -44,75 +47,16 @@ def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
               objective: str = "swap", *, pins=None):
     """Emit the coarse block model; returns (model, variables).
 
-    pins are the symmetry clauses of _symmetry_pins. They do not depend on
-    the horizon, so a flow finds them once and passes them to every
-    horizon; they are found here when None.
+    pins are the symmetry clauses of exact._symmetry_pins, handed to
+    encode; they are found here when None.
     """
     if pins is None:
         pins = _symmetry_pins(circuit, device, objective)
     cfg = EncodingConfig(T=T_coarse, S=1, objective=objective)
-    model, vs = encode(circuit, device, cfg, coarse=True)
+    model, vs = encode(circuit, device, cfg, coarse=True, pins=pins)
     _coarse_cuts(model, vs, circuit, device, T_coarse)
-    _symmetry_clauses(model, vs, pins)
     apply_objective(model, vs, objective, device, circuit)
     return model, vs
-
-
-def _profile_invariant(device: Device, perm) -> bool:
-    f0, f1, f2 = device.f_measure, device.f_single, device.f_two
-    for p in range(device.num_physical):
-        if f0[perm[p]] != f0[p] or f1[perm[p]] != f1[p]:
-            return False
-    for k, (a, b) in enumerate(device.edges):
-        if f2[device.edge_index(perm[a], perm[b])] != f2[k]:
-            return False
-    return True
-
-
-def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
-    """Clauses pinning the slot-0 placement of up to two qubits to orbit
-    representatives of the device's cost-preserving automorphisms, as lists
-    of (qubit, node, positive) literals on the slot-0 mapping.
-
-    Relabeling a whole solution by such an automorphism yields another
-    solution with the same block count, SWAP count, and objective value,
-    so restricting one solution per group orbit cannot change the optimum.
-    The first qubit may only start on an orbit representative; under each
-    representative with a nontrivial stabilizer, the second qubit is pinned
-    to stabilizer-orbit representatives.
-    """
-    M = circuit.num_qubits
-    if M == 0:
-        return []
-    perms = enumerate_automorphisms(device)
-    if perms is None or len(perms) <= 1:
-        return []
-    if objective == "fidelity":
-        perms = [g for g in perms if _profile_invariant(device, g)]
-        if len(perms) <= 1:
-            return []
-    N = device.num_physical
-    rep = [min(g[p] for g in perms) for p in range(N)]
-    reps = sorted(set(rep))
-    pins = [[(0, r, True) for r in reps]]
-    if M < 2:
-        return pins
-    for r in reps:
-        stab = [g for g in perms if g[r] == r]
-        if len(stab) <= 1:
-            continue
-        # injectivity keeps the second qubit off r, so drop r's own orbit
-        sreps = sorted({min(g[p] for g in stab) for p in range(N) if p != r})
-        if len(sreps) >= N - 1:
-            continue
-        pins.append([(0, r, False), *[(1, s, True) for s in sreps]])
-    return pins
-
-
-def _symmetry_clauses(model, vs, pins) -> None:
-    """Add the symmetry clauses of _symmetry_pins to a coarse model."""
-    for clause in pins:
-        model.require_clause([(vs.pi[q][0], p, positive) for q, p, positive in clause])
 
 
 def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:

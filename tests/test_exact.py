@@ -12,6 +12,7 @@ from qlayout.device import build_device, load_device
 from qlayout.exact import (
     EncodingConfig,
     TCapExceeded,
+    _symmetry_pins,
     apply_objective,
     decode,
     encode,
@@ -201,13 +202,17 @@ SLACK_TEXT = "qubits 4\ncx q0 q1\ncx q0 q1\ncx q0 q1\nh q2\ncx q2 q3\n"
 @pytest.mark.parametrize("objective", ["swap", "depth", "fidelity"])
 def test_engines_agree_on_exact_model(objective):
     # the MILP engine sees every clause row expanded to a linear row; or at
-    # its longest chain, and the slack circuit two slots past its own
+    # its longest chain, and the slack circuit two slots past its own, both
+    # with the symmetry pins synthesize adds
     device = bundled_device("qx2.json")
     for circuit, extra in ((bundled_circuit("or.gates"), 0), (load_circuit(SLACK_TEXT), 2)):
         T = circuit.longest_chain + extra
+        pins = _symmetry_pins(circuit, device, objective)
+        assert pins
         verdicts = []
         for method in ("sat", "milp"):
-            model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective))
+            model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective),
+                               pins=pins)
             apply_objective(model, vs, objective, device, circuit)
             verdicts.append(sv.solve(model, method=method))
         sat, milp = verdicts
@@ -287,7 +292,9 @@ def test_build_result_refuses_non_adjacent_operands():
 
 # Exact optima of the bundled reference rows (value of the objective's result
 # field, first satisfiable horizon), as in perfbench/expected_exact.json; the
-# 4mod5-v1_22/grid2x3/swap row was also confirmed with HiGHS at T=14.
+# 4mod5-v1_22/grid2x3/swap row was also confirmed with HiGHS at T=14. The
+# 4mod5-v1_22 rows on grid2x4 and grid4x4 are not in that file; they need
+# the symmetry pins to solve in about a second.
 BUNDLED_OPTIMA = [
     ("or", "qx2", "swap", 0, 9), ("or", "qx2", "depth", 9, 9),
     ("or", "grid2x3", "swap", 0, 9), ("or", "grid2x3", "depth", 9, 9),
@@ -297,6 +304,7 @@ BUNDLED_OPTIMA = [
     ("qaoa5", "grid2x3", "swap", 1, 15), ("qaoa5", "grid2x3", "depth", 15, 15),
     ("4mod5-v1_22", "qx2", "swap", 1, 14), ("4mod5-v1_22", "qx2", "depth", 14, 14),
     ("4mod5-v1_22", "grid2x3", "swap", 2, 14), ("4mod5-v1_22", "grid2x3", "depth", 14, 14),
+    ("4mod5-v1_22", "grid2x4", "swap", 2, 14), ("4mod5-v1_22", "grid4x4", "swap", 2, 14),
 ]
 
 
@@ -319,6 +327,9 @@ ORACLE_DEVICES = {
     "cycle": build_device(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
     "paw": build_device(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
     "split": build_device(5, [(0, 1), (1, 2), (3, 4)]),  # disconnected
+    "cycle5": build_device(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "star": build_device(5, [(0, 1), (0, 2), (0, 3), (0, 4)]),  # K1,4
+    "k4": build_device(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
 }
 
 
@@ -342,7 +353,9 @@ def _random_program(rng: random.Random) -> str:
 
 
 def _optimum_at(circuit, device, objective, T, S):
-    model, vs = encode(circuit, device, EncodingConfig(T=T, S=S, objective=objective))
+    # the model synthesize solves, symmetry pins included
+    model, vs = encode(circuit, device, EncodingConfig(T=T, S=S, objective=objective),
+                       pins=_symmetry_pins(circuit, device, objective))
     apply_objective(model, vs, objective, device, circuit)
     verdict = sv.solve(model)
     assert verdict.status == sv.SAT

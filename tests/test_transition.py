@@ -2,12 +2,11 @@
 
 from dataclasses import replace
 from importlib import resources
-from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from qlayout import _cdcl
+from qlayout import _cdcl, exact
 from qlayout import solver as sv
 from qlayout import transition
 from qlayout.circuit import (
@@ -523,11 +522,17 @@ def test_polish_stops_at_the_chain_bound(monkeypatch):
 
 def test_automorphisms_found_once_per_flow_call(monkeypatch):
     # the symmetry pins do not depend on the horizon; the triangle tries two
+    # TB horizons, and the exact flow with extra_t=2 at least three
     calls = []
-    found = transition.enumerate_automorphisms
-    monkeypatch.setattr(transition, "enumerate_automorphisms",
+    found = exact.enumerate_automorphisms
+    monkeypatch.setattr(exact, "enumerate_automorphisms",
                         lambda device: calls.append(None) or found(device))
     _, result = synthesize_tb(TRIANGLE, CYCLE4)
+    assert len(calls) == 1
+    assert check_result(TRIANGLE, CYCLE4, result) == []
+    calls.clear()
+    result, details = exact.synthesize(TRIANGLE, CYCLE4, extra_t=2, return_details=True)
+    assert len(details.tried_T) >= 3
     assert len(calls) == 1
     assert check_result(TRIANGLE, CYCLE4, result) == []
 
@@ -610,16 +615,28 @@ def test_one_hop_clauses_follow_from_the_coarse_model(instance):
 
 
 @settings(max_examples=50, deadline=None)
+@example(instance=(load_circuit("qubits 2\ncx q0 q1\n"), CUT_DEVICES[-1]),
+         objective="fidelity")  # the weak node 0 is no orbit representative
 @given(cut_instances(), st.sampled_from(OBJECTIVES))
 def test_symmetry_clauses_keep_the_optimum(instance, objective):
-    # every horizon keeps its status and optimum without the clauses
+    # every horizon keeps its status and optimum without the clauses: the
+    # coarse model at 1-3 blocks, the exact model at the longest chain and
+    # one and two slots past it
     circuit, device = instance
+    pins = exact._symmetry_pins(circuit, device, objective)
 
-    def optimum(T):
-        verdict = sv.solve(encode_tb(circuit, device, T, objective)[0])
+    def optimum(model):
+        verdict = sv.solve(model)
         return verdict.status, verdict.objective_value
 
+    def exact_model(T, pins):
+        model, vs = encode(circuit, device, EncodingConfig(T=T, objective=objective),
+                           pins=pins)
+        return exact.apply_objective(model, vs, objective, device, circuit)
+
     for T in (1, 2, 3):
-        pinned = optimum(T)
-        with mock.patch.object(transition, "_symmetry_clauses", lambda *args: None):
-            assert optimum(T) == pinned, T
+        assert optimum(encode_tb(circuit, device, T, objective, pins=pins)[0]) == \
+            optimum(encode_tb(circuit, device, T, objective, pins=())[0]), T
+    chain = circuit.longest_chain
+    for T in (chain, chain + 1, chain + 2):
+        assert optimum(exact_model(T, pins)) == optimum(exact_model(T, ())), T
