@@ -1,9 +1,11 @@
 """Conflict-driven search core over 0/1 columns.
 
-Takes two kinds of rows: clauses, given directly as literal lists
-(add_clause), and integer >=-rows sum(coef * column) >= b over binary
-columns (add_ge). Clauses, and >=-rows whose normalized form is a plain
-disjunction, are propagated with two watched literals; the remaining
+One loader (add_rows) takes two kinds of rows: clauses, literal lists
+appended to the clause store in bulk, and integer >=-rows sum(coef *
+column) >= b over binary columns. Clauses, and >=-rows whose normalized
+form is a disjunction or "all but one" (pairwise clauses), are propagated
+with two watched literals, set up by the next search() past the literals
+false at the root (a set of the negated level-0 trail); the remaining
 pseudo-Boolean rows are propagated by counting (track the largest value the
 left side can still reach; when that dips below the bound plus a literal's
 weight, the literal is forced). Conflicts are analyzed to a
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from itertools import combinations, groupby
 
 _UNSET = -1
 
@@ -88,16 +91,31 @@ class Searcher:
 
     # -- construction -------------------------------------------------------
 
-    def add_clause(self, lits: list[int]) -> None:
-        """Register the disjunction of lits, with no repeated literal and no
-        complementary pair; an empty one makes the search unsat. The list is
-        copied."""
-        self._pending_cl.append(self._new_clause(list(lits), learned=False,
-                                                 register=False))
+    def add_rows(self, rows) -> None:
+        """Register rows in order: literal lists with no repeated literal
+        and no complementary pair (an empty one makes the search unsat),
+        and >=-rows (terms, b), sum coef*x >= b over integer (coef, column)
+        terms, each column at most once. Clause rows are copied, since the
+        search reorders literals in place and a Model keeps its compiled
+        rows; each run of them is appended in bulk. `_root_scan` watches
+        the new clauses once the root-false literals are known."""
+        clauses = self.clauses
+        start = len(clauses)
+        for kind, run in groupby(rows, type):
+            if kind is list:
+                clauses += map(list.copy, run)
+            else:
+                for terms, b in run:
+                    self._add_ge(terms, b)
+        n = len(clauses) - start
+        self.cl_act += [0.0] * n
+        self.cl_learned += [False] * n
+        self._pending_cl += range(start, start + n)
 
-    def add_ge(self, terms: list[tuple[int, int]], b: int) -> None:
-        """Register sum coef*x >= b over integer (coef, column) terms, each
-        column at most once."""
+    def _add_ge(self, terms: list[tuple[int, int]], b: int) -> None:
+        """Lower sum coef*x >= b: a disjunction, or the pairwise clauses of
+        an "all but one" row, goes on the clause store (add_rows registers
+        it); any other row is attached for counting propagation."""
         # normalize to positive coefficients over literals
         lits, coefs = [], []
         for cf, col in terms:
@@ -115,28 +133,22 @@ class Searcher:
             return
         coefs = [min(cf, b) for cf in coefs]
         if b == 1:
-            # watches are registered by _root_scan once live lits are known
-            self._pending_cl.append(self._new_clause(lits, learned=False,
-                                                     register=False))
+            self.clauses.append(lits)
         elif b == len(lits) - 1 and all(cf == 1 for cf in coefs):
             # "all but one": equivalent to pairwise disjunctions, which give
             # conflict analysis short reasons where a counting row would not
-            for i in range(len(lits)):
-                for j in range(i + 1, len(lits)):
-                    self._pending_cl.append(self._new_clause(
-                        [lits[i], lits[j]], learned=False, register=False))
+            self.clauses += [[p, q] for p, q in combinations(lits, 2)]
         else:
             self._attach_pb(lits, coefs, b)
 
-    def _new_clause(self, lits: list[int], learned: bool,
-                    register: bool = True) -> int:
+    def _learn(self, lits: list[int]) -> int:
+        """Store a learned clause, watched on its first two literals."""
         ci = len(self.clauses)
         self.clauses.append(lits)
         self.cl_act.append(0.0)
-        self.cl_learned.append(learned)
-        if learned:
-            self.n_learned += 1
-        if register and len(lits) >= 2:
+        self.cl_learned.append(True)
+        self.n_learned += 1
+        if len(lits) >= 2:
             self.watches[lits[0]].append(ci)
             self.watches[lits[1]].append(ci)
         return ci
@@ -396,35 +408,35 @@ class Searcher:
     def _root_scan(self) -> bool:
         """Propagate pending rows at the root; False means unsat.
 
-        Pending clauses may carry literals already false at level 0. A
-        clause with none keeps its order and watches its first two literals.
-        A clause with some is reordered live literals first, root-false ones
-        last, so its two watch slots hold live literals and the watch loop
-        skips the root-false tail; one left with a single live literal
-        asserts it (the clause is not reordered then, nor watched)."""
+        Pending clauses may carry literals false at level 0: the set
+        `false`, grown with the trail during the scan. A clause with none
+        keeps its order and watches its first two literals. A clause with
+        some is reordered live literals first, root-false ones last, so its
+        two watch slots hold live literals and the watch loop skips the
+        root-false tail; one left with a single live literal asserts it (the
+        clause is not reordered then, nor watched)."""
         for pi in self._pending_pb:
             if not self._scan_pb(pi) or self._propagate() is not None:
                 return False
-        val, clauses, watches = self.val, self.clauses, self.watches
+        clauses, watches, trail = self.clauses, self.watches, self.trail
+        false = {lit ^ 1 for lit in trail} if self._pending_cl else None
         for ci in self._pending_cl:
             cl = clauses[ci]
-            live = cl
-            for lit in cl:
-                if val[lit >> 1] == lit & 1:
-                    live = [l for l in cl if val[l >> 1] != l & 1]
-                    break
+            live = cl if false.isdisjoint(cl) else [l for l in cl if l not in false]
             if len(live) >= 2:
                 if live is not cl:
-                    cl[:] = live + [l for l in cl if val[l >> 1] == l & 1]
+                    cl[:] = live + [l for l in cl if l in false]
                 watches[cl[0]].append(ci)
                 watches[cl[1]].append(ci)
                 continue
             if not live:
                 return False
-            if val[live[0] >> 1] == _UNSET:
+            if self.val[live[0] >> 1] == _UNSET:
+                known = len(trail)
                 self._assign(live[0], ci)
                 if self._propagate() is not None:
                     return False
+                false.update(lit ^ 1 for lit in trail[known:])
         self._pending_pb = []
         self._pending_cl = []
         return True
@@ -498,7 +510,7 @@ class Searcher:
                         if self.level[lits[j] >> 1] == bj:
                             lits[1], lits[j] = lits[j], lits[1]
                             break
-                ci = self._new_clause(lits, learned=True)
+                ci = self._learn(lits)
                 self._assign(lits[0], ci)
                 if self.conflicts % 256 == 0 and deadline is not None \
                         and time.monotonic() > deadline:

@@ -40,6 +40,7 @@ EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 
 MODES = ("exact", "tb", "qaoa")
+T_GROWTH = 0.3  # default horizon growth factor of the exact mode
 
 
 class InputError(ValueError):
@@ -96,6 +97,8 @@ def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
 
 
 def cmd_synth(args) -> int:
+    if args.mode != "exact" and (args.t_growth, args.extra_t) != (T_GROWTH, 0):
+        raise InputError(f"--t-growth and --extra-t apply to exact mode only, not {args.mode}")
     circuit, device = _load_inputs(args.circuit, args.device, args.mode == "qaoa")
     result = _run_synth(circuit, device, args.mode, args.objective,
                         args.swap_duration, args.t_growth, args.timeout,
@@ -298,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--objective", choices=OBJECTIVES, default="swap")
-    p.add_argument("--t-growth", type=float, default=0.3, metavar="EPSILON",
+    p.add_argument("--t-growth", type=float, default=T_GROWTH, metavar="EPSILON",
                    help="horizon growth factor between attempts (exact mode)")
     p.add_argument("--extra-t", type=int, default=0, metavar="N",
                    help="extra horizon growth steps after the first "
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="manifest: CSV (circuit,device,mode,objective) or JSON list")
     p.add_argument("--swap-duration", type=int, default=3, metavar="S")
-    p.add_argument("--t-growth", type=float, default=0.3, metavar="EPSILON")
+    p.add_argument("--t-growth", type=float, default=T_GROWTH, metavar="EPSILON")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
     p.set_defaults(func=cmd_bench)

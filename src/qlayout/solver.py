@@ -14,12 +14,13 @@ that description to two kinds of row over pure 0/1 columns:
     ("x >= v" literals, see `Model._compile`);
   * >=-rows (terms, b): sum(coef * column) >= b over integer (coef, col)
     terms. Every bounded int becomes a one-hot group of binary columns tied
-    by an exactly-one sum, so "x == v" is a single column; columns are
-    numbered as each variable is created. A sum becomes one >=-row per
-    bound it states, the upper bound's (negated) row first.
+    by an exactly-one sum (two rows `_compile` emits directly), so "x == v"
+    is a single column; columns are numbered as each variable is created.
+    A sum becomes one >=-row per bound it states, the upper bound's
+    (negated) row first, built once, at the call.
 
 The objective becomes a sparse list of integer (coef, col) terms to
-minimize, negated for maximization.
+minimize, negated for maximization, also at the call.
 
 The conflict-driven search core solves the rows (strong on tight
 feasibility questions, proves optima by tightening the incumbent until
@@ -67,20 +68,6 @@ class _Var:
         return range(self.lo, self.hi + 1)
 
 
-class _Clause:
-    """A require_clause assertion: its indicator literals, kept for replay,
-    and its clause row (None when it always holds)."""
-
-    __slots__ = ("lits", "row")
-
-    def __init__(self, lits: tuple, row: list[int] | None):
-        self.lits = lits
-        self.row = row
-
-    def __repr__(self) -> str:
-        return f"Clause{self.lits!r}"
-
-
 class _Order:
     """A require_order assertion: a + margin <= b over two handles."""
 
@@ -116,6 +103,8 @@ def _clause_row(lits) -> list[int] | None:
 
 def _integer(x, what: str) -> int:
     """x as an int; ModelError unless x is integral."""
+    if x.__class__ is int:
+        return x
     try:
         if x == int(x):
             return int(x)
@@ -131,19 +120,6 @@ class Verdict:
     objective_value: int | None = None
 
 
-def _eq_lit(var: _Var, value: int):
-    """Literal asserting var == value; False when value is outside the domain."""
-    if var.is_bool:
-        if value == 1:
-            return 2 * var.first_col
-        if value == 0:
-            return 2 * var.first_col + 1
-        return False
-    if var.lo <= value <= var.hi:
-        return 2 * (var.first_col + value - var.lo)
-    return False
-
-
 class Model:
     """Declarative model: variables, clauses and orderings, sums, one objective.
 
@@ -153,10 +129,17 @@ class Model:
 
     def __init__(self) -> None:
         self._vars: list[_Var] = []
+        self._lit_rules: list[tuple[int, int, int, int]] = []  # see _new_var
         self._ncols = 0  # columns of the variables created so far
+        # in order: a clause as its tuple of indicator literals, kept for
+        # replay, and an ordering as _Order; each clause's row (None when it
+        # always holds) is in _clause_rows, in the same order
         self._assertions: list = []
+        self._clause_rows: list[list[int] | None] = []
         self._sums: list[tuple[list, str, int]] = []
-        self._objective: tuple[str, list] | None = None
+        self._sum_rows: list[tuple[list, int]] = []  # the sums' >=-rows, in order
+        # (sense, terms, its (coef, col) terms to minimize) or None
+        self._objective: tuple[str, list, list] | None = None
         self._compiled = None
         self._aux_names: list[str] = []
 
@@ -171,7 +154,11 @@ class Model:
         return self._new_var(0, 1, True, name or f"b{len(self._vars)}")
 
     def _new_var(self, lo: int, hi: int, is_bool: bool, name: str) -> int:
-        v = _Var(len(self._vars), lo, hi, is_bool, name, self._ncols)
+        c = self._ncols
+        v = _Var(len(self._vars), lo, hi, is_bool, name, c)
+        # (lo, hi, base, step): "== v" is the literal base + step * v, so
+        # 2c+1-v for a bool and 2(c+v-lo) for an int (its column c+v-lo)
+        self._lit_rules.append((0, 1, 2 * c + 1, -1) if is_bool else (lo, hi, 2 * (c - lo), 2))
         self._ncols += 1 if is_bool else hi - lo + 1
         self._vars.append(v)
         self._compiled = None
@@ -195,33 +182,32 @@ class Model:
         always true, and a clause none of whose literals can hold makes the
         model unsatisfiable.
 
-        Each literal is resolved here, in one pass, to the row
-        `_clause_row([_eq_lit(...) ...])` would build; every handle is
-        checked, also those after a literal that makes the clause always
-        true.
+        Each literal is resolved here, once, from its handle's literal rule
+        (`_lit_rules`); every handle is checked, also those after a literal
+        that makes the clause always true.
         """
         lits = tuple(lits)
-        variables = self._vars
+        rules = self._lit_rules
         row: list[int] | None = []
         for handle, value, positive in lits:
-            if not isinstance(handle, int) or not (0 <= handle < len(variables)):
+            if not isinstance(handle, int) or not (0 <= handle < len(rules)):
                 raise ModelError(f"unknown variable handle {handle!r}")
             if row is None:
                 continue  # always true; the remaining handles are still checked
-            lit = _eq_lit(variables[handle], value)
-            if lit is False:  # value outside the domain: a constant literal
+            lo, hi, base, step = rules[handle]
+            if not lo <= value <= hi:  # value outside the domain: a constant literal
                 if not positive:
                     row = None
                 continue
-            if not positive:
-                lit ^= 1
+            lit = base + step * value if positive else (base + step * value) ^ 1
             if lit in row:
                 continue
             if lit ^ 1 in row:
                 row = None
             else:
                 row.append(lit)
-        self._assertions.append(_Clause(lits, row))
+        self._assertions.append(lits)
+        self._clause_rows.append(row)
         self._compiled = None
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
@@ -233,10 +219,18 @@ class Model:
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
         """Linear constraint over terms: (coef, handle) or (coef, (handle, value)),
-        with integer coefficients and bound."""
+        with integer coefficients and bound. Its >=-rows are built here."""
         if op not in ("<=", ">=", "=="):
             raise ModelError(f"bad sum op {op!r}")
-        self._sums.append((self._terms(terms), op, _integer(rhs, "bound")))
+        terms, coeffs, const = self._terms(terms)
+        rhs = _integer(rhs, "bound")
+        self._sums.append((terms, op, rhs))
+        # the upper bound's negated row first
+        row = [(coef, col) for col, coef in coeffs.items() if coef]
+        if op != ">=":
+            self._sum_rows.append(([(-coef, col) for coef, col in row], const - rhs))
+        if op != "<=":
+            self._sum_rows.append((row, rhs - const))
         self._compiled = None
 
     def minimize(self, terms) -> None:
@@ -246,21 +240,41 @@ class Model:
         self._set_objective("max", terms)
 
     def _set_objective(self, sense, terms) -> None:
-        self._objective = (sense, self._terms(terms))
+        # the constant part shifts every value alike; dropped
+        terms, coeffs, _ = self._terms(terms)
+        sign = 1 if sense == "min" else -1
+        objective = [(sign * coef, col) for col, coef in sorted(coeffs.items()) if coef]
+        self._objective = (sense, terms, objective)
         self._compiled = None
 
-    def _terms(self, terms) -> list:
-        """The terms with integer coefficients, every handle and value checked."""
-        out = []
+    def _terms(self, terms) -> tuple[list, dict, int]:
+        """The terms with integer coefficients, every handle and value
+        checked, and their sum as {col: coef} plus a constant ([b == 0] is
+        1 - b)."""
+        out: list = []
+        coeffs: dict[int, int] = {}
+        const = 0
         for coef, t in terms:
             if isinstance(t, tuple):
-                var = self._var(t[0])
-                if not (var.lo <= t[1] <= var.hi):
-                    raise ModelError(f"indicator value {t[1]} outside domain of {var.name}")
+                var, value = self._var(t[0]), t[1]
+                if not (var.lo <= value <= var.hi):
+                    raise ModelError(f"indicator value {value} outside domain of {var.name}")
             else:
-                self._var(t)
-            out.append((_integer(coef, "coefficient"), t))
-        return out
+                var, value = self._var(t), None
+            coef = _integer(coef, "coefficient")
+            out.append((coef, t))
+            col = var.first_col
+            if var.is_bool:
+                if value == 0:
+                    coef, const = -coef, const + coef
+            elif value is not None:
+                col += value - var.lo
+            else:
+                for i, v in enumerate(var.domain):
+                    coeffs[col + i] = coeffs.get(col + i, 0) + coef * v
+                continue
+            coeffs[col] = coeffs.get(col, 0) + coef
+        return out, coeffs, const
 
     # -- replay on concrete values (tests and every returned assignment) -------
 
@@ -277,12 +291,12 @@ class Model:
         """Replay every assertion on concrete values; returns violations."""
         bad = []
         for i, f in enumerate(self._assertions):
-            if f.__class__ is _Clause:
-                for handle, value, positive in f.lits:
+            if f.__class__ is tuple:
+                for handle, value, positive in f:
                     if (assignment[handle] == value) == positive:
                         break
                 else:
-                    bad.append(f"assertion {i}: {f!r}")
+                    bad.append(f"assertion {i}: Clause{f!r}")
             elif assignment[f.a] + f.margin > assignment[f.b]:
                 bad.append(f"assertion {i}: {f!r}")
         for i, (terms, op, rhs) in enumerate(self._sums):
@@ -306,7 +320,8 @@ class Model:
         never hold) or a >=-row (terms, b). Rows follow the exactly-one
         groups (two >=-rows each), then the assertions in order, then the
         sums; the objective is a list of (coef, col) terms in column order,
-        negated for maximization.
+        negated for maximization. Clause and sum rows and the objective
+        were built at their calls.
 
         Orderings lower to clauses over an order encoding. A literal
         ge(x, v) stands for "x >= v": a constant for v <= lo or v > hi, a
@@ -325,35 +340,6 @@ class Model:
         ncols = self._ncols
         rows: list = []
         self._aux_names = []
-
-        def columns(terms) -> tuple[dict, int]:
-            # sum(terms) as {col: coef} plus a constant; [b == 0] is 1 - b
-            coeffs: dict[int, int] = {}
-            const = 0
-            for coef, t in terms:
-                if isinstance(t, tuple):
-                    var, value = self._vars[t[0]], t[1]
-                    if var.is_bool and value == 0:
-                        coef, const = -coef, const + coef
-                    col = var.first_col + (0 if var.is_bool else value - var.lo)
-                    coeffs[col] = coeffs.get(col, 0) + coef
-                    continue
-                var = self._vars[t]
-                if var.is_bool:
-                    coeffs[var.first_col] = coeffs.get(var.first_col, 0) + coef
-                    continue
-                for v in var.domain:
-                    col = var.first_col + (v - var.lo)
-                    coeffs[col] = coeffs.get(col, 0) + coef * v
-            return coeffs, const
-
-        def add_sum(coeffs: dict, op: str, rhs: int):
-            # sum op rhs as >=-rows, the upper bound's negated row first
-            terms = [(coef, col) for col, coef in coeffs.items() if coef]
-            if op != ">=":
-                rows.append(([(-coef, col) for coef, col in terms], -rhs))
-            if op != "<=":
-                rows.append((terms, rhs))
 
         chains: dict[int, list] = {}  # int handle -> its ge literals
 
@@ -415,28 +401,23 @@ class Model:
                 return True
             return lit ^ 1
 
-        # exactly-one rows for every int variable's one-hot group
+        # exactly-one rows for every int variable's one-hot group, the
+        # upper bound's negated row first
         for v in self._vars:
             if not v.is_bool:
-                add_sum({v.first_col + i: 1 for i in range(v.hi - v.lo + 1)}, "==", 1)
+                cols = range(v.first_col, v.first_col + v.hi - v.lo + 1)
+                rows.append(([(-1, c) for c in cols], -1))
+                rows.append(([(1, c) for c in cols], 1))
 
+        clause_rows = iter(self._clause_rows)
         for f in self._assertions:
-            if f.__class__ is not _Clause:
+            if f.__class__ is not tuple:
                 add_ordering(self._vars[f.a], self._vars[f.b], f.margin)
-            elif f.row is not None:
-                rows.append(f.row)
+            elif (row := next(clause_rows)) is not None:
+                rows.append(row)
 
-        for terms, op, rhs in self._sums:
-            coeffs, const = columns(terms)
-            add_sum(coeffs, op, rhs - const)
-
-        objective = []
-        if self._objective is not None:
-            # the constant part shifts every value alike; dropped
-            sense = 1 if self._objective[0] == "min" else -1
-            coeffs, _ = columns(self._objective[1])
-            objective = [(sense * coef, col) for col, coef in sorted(coeffs.items()) if coef]
-
+        rows += self._sum_rows
+        objective = self._objective[2] if self._objective is not None else []
         self._compiled = (ncols, rows, objective)
         return self._compiled
 
@@ -486,11 +467,7 @@ def _extract(model: Model, x) -> Verdict:
 def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
     deadline = time.monotonic() + timeout if timeout is not None else None
     searcher = _cdcl.Searcher(ncols)
-    for row in rows:
-        if row.__class__ is list:
-            searcher.add_clause(row)
-        else:
-            searcher.add_ge(*row)
+    searcher.add_rows(rows)
     # decide objective columns first, preferring the cost-lowering phase;
     # the epsilon ladder keeps their relative order deterministic
     for rank, (coef, col) in enumerate(objective):
@@ -506,7 +483,7 @@ def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
     # tighten the incumbent until the strengthened model is unsatisfiable
     while objective:
         value = sum(coef * best[col] for coef, col in objective)
-        searcher.add_ge([(-coef, col) for coef, col in objective], 1 - value)
+        searcher.add_rows([([(-coef, col) for coef, col in objective], 1 - value)])
         status = searcher.search(deadline)
         if status == "timeout":
             return Verdict(status=TIMEOUT)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import _cdcl_reference as reference
 from qlayout import _cdcl
+from qlayout.solver import Model
 
 
 def _state(searcher, status):
@@ -41,11 +42,10 @@ def _load(pair, rows):
     searcher, ref = pair
     for row in rows:
         if isinstance(row, list):
-            searcher.add_clause(row)
+            searcher.add_rows([row])
             ref.add_clause(row)
         else:
-            for terms, b in _ge_rows(*row):
-                searcher.add_ge(terms, b)
+            searcher.add_rows(_ge_rows(*row))
             ref.add_linear(*row)
 
 
@@ -185,6 +185,101 @@ def test_hard_search_matches_reference(seed):
         _load(pair, [(objective, -math.inf, value - 1)])
 
 
+# -- compiled models: the bulk loader against row-by-row loading ---------------
+
+
+@st.composite
+def _models(draw):
+    """A Model with bools and ints of 1, 2, 3 and more values; clauses with
+    constant, repeated and complementary literals; orderings; sums; an
+    objective; and one unit clause among the other constraints, so that
+    the rows after it can carry literals false at the root."""
+    m = Model()
+    handles = []
+    for _ in range(draw(st.integers(2, 6))):
+        size = draw(st.sampled_from((0, 1, 2, 3, 4, 6)))  # 0: a bool
+        lo = draw(st.integers(-2, 2))
+        handles.append(m.bool_var() if size == 0 else m.int_var(lo, lo + size - 1))
+
+    def value(h):
+        var = m._var(h)
+        return draw(st.integers(var.lo, var.hi))
+
+    lit = st.tuples(st.sampled_from(handles), st.integers(-3, 6), st.booleans())
+    count = draw(st.integers(0, 12))
+    unit_at = draw(st.integers(0, count))
+    for i in range(count + 1):
+        if i == unit_at:
+            h = draw(st.sampled_from(handles))
+            m.require_clause([(h, value(h), True)])
+        if i == count:
+            break
+        kind = draw(st.sampled_from(("clause", "clause", "order", "sum")))
+        if kind == "clause":
+            lits = draw(st.lists(lit, max_size=5))
+            if lits and draw(st.booleans()):
+                lits += draw(st.lists(st.sampled_from(lits), max_size=2))  # repeats
+            if lits and draw(st.integers(0, 3)) == 0:
+                h, v, positive = draw(st.sampled_from(lits))
+                lits.append((h, v, not positive))  # a complementary pair
+            m.require_clause(draw(st.permutations(lits)))
+        elif kind == "order":
+            m.require_order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
+                            draw(st.integers(-1, 2)))
+        else:
+            picked = draw(st.lists(st.sampled_from(handles), min_size=1, max_size=4))
+            terms = [(draw(st.integers(-3, 3)), draw(st.sampled_from((h, (h, value(h))))))
+                     for h in picked]
+            m.require_sum(terms, draw(st.sampled_from(("<=", ">=", "=="))),
+                          draw(st.integers(-4, 8)))
+    if draw(st.booleans()):
+        terms = [(draw(st.integers(-3, 3)), h) for h in handles]
+        if draw(st.booleans()):
+            m.minimize(terms)
+        else:
+            m.maximize(terms)
+    return m
+
+
+def _linear_of(terms, b):
+    """The reference's add_linear arguments for the >=-row (terms, b)."""
+    return {col: cf for cf, col in terms}, b, math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(_models())
+def test_bulk_loaded_model_matches_row_by_row_reference(m):
+    # the sat engine's load, boost and incumbent-tightening sequence, with
+    # the rows loaded at once through add_rows and one at a time into the
+    # reference
+    ncols, rows, objective = m._compile()
+    rows_before = [list(r) if r.__class__ is list else (list(r[0]), r[1]) for r in rows]
+    searcher, ref = pair = _both(ncols)
+    searcher.add_rows(rows)
+    for row in rows:
+        if row.__class__ is list:
+            ref.add_clause(row)
+        else:
+            ref.add_linear(*_linear_of(*row))
+    assert searcher.clauses == ref.clauses
+    assert searcher._pending_cl == ref._pending_cl
+    for s in pair:
+        for rank, (coef, col) in enumerate(objective):
+            s.boost(col, amount=1.0 + (len(objective) - rank) * 1e-3,
+                    phase=1 if coef < 0 else 0)
+    while True:
+        status, *_, model = _search_both(pair)
+        assert (searcher.pb_lits, searcher.pb_b) == (ref.pb_lits, ref.pb_b)
+        if status != "sat" or not objective:
+            break
+        value = sum(coef * model[col] for coef, col in objective)
+        row = ([(-coef, col) for coef, col in objective], 1 - value)
+        searcher.add_rows([row])
+        ref.add_linear(*_linear_of(*row))
+    # the searcher reordered its own copies, never the model's rows
+    assert m._compile()[1] == rows_before
+
+
 # -- fixed cases ---------------------------------------------------------------
 
 
@@ -192,13 +287,12 @@ def _pigeonhole(pair, pigeons, holes):
     def var(i, h):
         return i * holes + h
 
-    for s in pair:
+    rows = [[2 * var(i, h) for h in range(holes)] for i in range(pigeons)]
+    for h in range(holes):
         for i in range(pigeons):
-            s.add_clause([2 * var(i, h) for h in range(holes)])
-        for h in range(holes):
-            for i in range(pigeons):
-                for j in range(i + 1, pigeons):
-                    s.add_clause([2 * var(i, h) + 1, 2 * var(j, h) + 1])
+            for j in range(i + 1, pigeons):
+                rows.append([2 * var(i, h) + 1, 2 * var(j, h) + 1])
+    _load(pair, rows)
 
 
 def test_pigeonhole_matches_reference_through_db_reduction():

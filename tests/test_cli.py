@@ -88,6 +88,27 @@ def test_synth_bad_value_is_input_error(capsys, flags):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", ["tb", "qaoa"])
+@pytest.mark.parametrize("flags", [
+    ("--extra-t", "5"),
+    ("--t-growth", "9"),
+    ("--extra-t", "5", "--t-growth", "9"),
+])
+def test_synth_exact_only_flags_rejected_in_other_modes(capsys, tmp_path, mode, flags):
+    # the TB and QAOA flows have no horizon growth to set: a non-default
+    # value is refused, not silently ignored
+    circuit = tmp_path / "pair.gates"
+    circuit.write_text("qubits 2\nzz q0 q1\n")
+    code, stdout, err = run(capsys, "synth", "--circuit", str(circuit), "--device", "qx2",
+                            "--mode", mode, *flags)
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert err.startswith("error:") and "exact mode only" in err
+    # the default values run as before
+    code, stdout, _ = run(capsys, "synth", "--circuit", str(circuit), "--device", "qx2",
+                          "--mode", mode, "--extra-t", "0", "--t-growth", "0.3")
+    assert code == EXIT_OK and stdout.startswith("depth=")
+
+
 def test_bench_malformed_circuit_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.gates"
     bad.write_text("qubits two\n")

@@ -1,0 +1,76 @@
+"""The benchmark's layer tracer still finds the program's seams.
+
+perfbench/tracing.py wraps functions by name and reads Model internals
+(`_assertions`, `_sums`, `_compiled`, `_aux_names`). A refactor that renamed
+one of them would make a per-layer metric read 0 without failing any run.
+This test loads the tracer as it is, without editing it, and runs one solve
+under it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from qlayout import solver as sv
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+# Sites the tracer still names but the program no longer has; their metrics
+# read 0 until the benchmark's site list is repaired.
+STALE_SITES = [
+    "transition.enumerate_automorphisms",
+    "qaoa.encode",
+    "qaoa.encode_tb",
+    "transition._symmetry_clauses",
+    "qaoa._polish_plan",
+]
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _model() -> sv.Model:
+    """Clauses, an ordering over two six-value ints (so their order chains
+    make three aux columns each), a sum and an objective (so the search
+    tightens)."""
+    m = sv.Model()
+    x = m.int_var(0, 5)
+    y = m.int_var(0, 5)
+    b = m.bool_var()
+    m.require_order(x, y, 2)
+    m.require_clause([(b, 1, True), (x, 3, True)])
+    m.require_sum([(1, x), (1, (b, 0))], ">=", 2)
+    m.maximize([(1, x), (-1, y)])
+    return m
+
+
+def test_tracer_reads_every_layer_of_a_solve():
+    tracing = _load_tracing()
+    solve = sv.solve
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == STALE_SITES
+        m = _model()
+        verdict = sv.solve(m)
+        spans = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert sv.solve is solve
+    assert verdict.status == sv.SAT and verdict.objective_value == -2
+    ncols, rows, _ = m._compile()
+    [info] = [s.info for s in spans if s.name == "solver.solve"]
+    assert info == tracing._solve_info(None, verdict, m) == {
+        "sat": True, "assertions": 3, "rows": len(rows), "cols": ncols,
+        "aux_cols": 6}
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["solver.rows"] == len(rows) > 0
+    assert metrics["solver.cols"] == ncols == 6 + 6 + 1 + 6
+    assert metrics["solver.solve_calls"] == 1
+    assert metrics["cdcl.search_calls"] >= 2  # the first model, then tightening
+    assert metrics["cdcl.decisions"] > 0
+    for layer in ("solver.compile_s", "solver.load_s", "solver.replay_s", "cdcl.search_s"):
+        assert metrics[layer] > 0, layer

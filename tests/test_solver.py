@@ -195,13 +195,18 @@ def test_require_clause_row_matches_literal_path(case):
     m, lits = case
     expected = []
     for handle, value, positive in lits:
-        lit = sv._eq_lit(m._var(handle), value)
+        # the literal of "var == value", False when value is outside the domain
+        var = m._var(handle)
+        if var.is_bool:
+            lit = {1: 2 * var.first_col, 0: 2 * var.first_col + 1}.get(value, False)
+        else:
+            lit = 2 * (var.first_col + value - var.lo) if var.lo <= value <= var.hi else False
         if not positive:
             lit = True if lit is False else lit ^ 1
         expected.append(lit)
     m.require_clause(lits)
-    assert m._assertions[-1].row == sv._clause_row(expected)
-    assert m._assertions[-1].lits == tuple(lits)
+    assert m._clause_rows[-1] == sv._clause_row(expected)
+    assert m._assertions[-1] == tuple(lits)
 
 
 @pytest.mark.parametrize("method", ["sat", "milp"])
@@ -304,7 +309,7 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     assert calls == [("timeout", 0)]
     # a later round whose deadline has passed stops too
     searcher = _cdcl.Searcher(2)
-    searcher.add_clause([0, 2])
+    searcher.add_rows([[0, 2]])
     assert searcher.search() == "sat"
     assert searcher.search(time.monotonic()) == "timeout"
 
@@ -385,11 +390,7 @@ def _root_searcher(m: Model) -> _cdcl.Searcher:
     them, after propagation at the root and before any decision."""
     ncols, rows, _ = m._compile()
     searcher = _cdcl.Searcher(ncols)
-    for row in rows:
-        if row.__class__ is list:
-            searcher.add_clause(row)
-        else:
-            searcher.add_ge(*row)
+    searcher.add_rows(rows)
     assert searcher._root_scan() and searcher._propagate() is None
     assert searcher.decisions == searcher.conflicts == 0
     return searcher
