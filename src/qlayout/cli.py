@@ -9,9 +9,10 @@ Exit codes are part of the contract:
 `synth` prints one summary line "depth=<d> swaps=<c> fidelity=<f>" and
 writes the full result JSON when --out is given. `verify` prints each
 violation as a JSON object on its own line. `bench` runs every manifest
-row and emits a CSV table. In qaoa mode, `synth`, `bench` and `verify`
-load the circuit as commuting: its gates have no dependencies. `convert`
-rewrites an OpenQASM-2 subset into the native gate-list format.
+row, exact rows at the default horizon growth, and emits a CSV table. In
+qaoa mode, `synth`, `bench` and `verify` load the circuit as commuting: its
+gates have no dependencies. `convert` rewrites an OpenQASM-2 subset into
+the native gate-list format.
 """
 
 from __future__ import annotations
@@ -170,8 +171,7 @@ def cmd_bench(args) -> int:
                                        row["mode"] == "qaoa")
         start = time.perf_counter()
         result = _run_synth(circuit, device, row["mode"], row["objective"],
-                            args.swap_duration, args.t_growth, args.timeout,
-                            extra_t=0)
+                            args.swap_duration, T_GROWTH, args.timeout, extra_t=0)
         elapsed = time.perf_counter() - start
         writer.writerow([row["circuit"], row["device"], row["mode"],
                          row["objective"], result.swap_count,
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="manifest: CSV (circuit,device,mode,objective) or JSON list")
     p.add_argument("--swap-duration", type=int, default=3, metavar="S")
-    p.add_argument("--t-growth", type=float, default=T_GROWTH, metavar="EPSILON")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
     p.set_defaults(func=cmd_bench)
@@ -335,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and an error line and exits 2 on a
+        # bad command line (exit 2 means "no satisfiable horizon" here), 0
+        # after --help
+        if exc.code:
+            return EXIT_INPUT
+        raise
     try:
         return args.func(args)
     except InputError as exc:

@@ -3,21 +3,24 @@
 The rest of the package describes models declaratively: bounded integer
 variables, booleans, three kinds of constraint (clauses over indicator
 literals, orderings between two variables, linear sums) and one optional
-linear objective. Every coefficient and bound is an integer: `require_sum`,
-`minimize` and `maximize` raise ModelError on any other. This module lowers
-that description to two kinds of row over pure 0/1 columns:
+linear objective. Every coefficient, bound, margin and indicator value is
+an integer: `require_order`, `require_sum`, `minimize` and `maximize` raise
+ModelError on any other. This module lowers that description, constraint by
+constraint at its call, to two kinds of row over pure 0/1 columns:
 
   * clause rows: literal lists in the search core's convention (2*c
     asserts column c is 1, 2*c+1 asserts it is 0). `require_clause`
     resolves its literals to that form once, at the call; an ordering
-    "a + margin <= b" becomes clause rows too, over an order encoding
-    ("x >= v" literals, see `Model._compile`);
+    "a + margin <= b" becomes clause rows too, at its call, over an order
+    encoding ("x >= v" literals, see `Model._ge`);
   * >=-rows (terms, b): sum(coef * column) >= b over integer (coef, col)
     terms. Every bounded int becomes a one-hot group of binary columns tied
-    by an exactly-one sum (two rows `_compile` emits directly), so "x == v"
-    is a single column; columns are numbered as each variable is created.
-    A sum becomes one >=-row per bound it states, the upper bound's
-    (negated) row first, built once, at the call.
+    by an exactly-one sum (two rows built as the int is created), so
+    "x == v" is a single column. A sum becomes one >=-row per bound it
+    states, the upper bound's (negated) row first, built once, at the call.
+
+Columns are numbered in the order they are made: a variable's as it is
+created, an order chain's aux columns as the first ordering needs them.
 
 The objective becomes a sparse list of integer (coef, col) terms to
 minimize, negated for maximization, also at the call.
@@ -123,25 +126,27 @@ class Verdict:
 class Model:
     """Declarative model: variables, clauses and orderings, sums, one objective.
 
-    Every mutator drops the compiled form, so a solve always sees the
+    Each call builds its rows at once and logs what it states for replay;
+    `_compile` only puts the row lists together, so a solve always sees the
     model as it stands.
     """
 
     def __init__(self) -> None:
         self._vars: list[_Var] = []
         self._lit_rules: list[tuple[int, int, int, int]] = []  # see _new_var
-        self._ncols = 0  # columns of the variables created so far
-        # in order: a clause as its tuple of indicator literals, kept for
-        # replay, and an ordering as _Order; each clause's row (None when it
-        # always holds) is in _clause_rows, in the same order
+        self._ncols = 0  # columns made so far: variables' and order chains'
+        # in order: a clause as its tuple of indicator literals and an
+        # ordering as _Order, kept for replay
         self._assertions: list = []
-        self._clause_rows: list[list[int] | None] = []
+        self._onehot_rows: list[tuple[list, int]] = []  # two per int, in order
+        self._rows: list[list[int]] = []  # clause, ordering and chain rows, in order
         self._sums: list[tuple[list, str, int]] = []
         self._sum_rows: list[tuple[list, int]] = []  # the sums' >=-rows, in order
         # (sense, terms, its (coef, col) terms to minimize) or None
         self._objective: tuple[str, list, list] | None = None
-        self._compiled = None
+        self._chains: dict[int, list] = {}  # int handle -> its "x >= v" literals
         self._aux_names: list[str] = []
+        self._compiled = None  # what _compile last returned
 
     # -- variable registration ------------------------------------------------
 
@@ -160,8 +165,12 @@ class Model:
         # 2c+1-v for a bool and 2(c+v-lo) for an int (its column c+v-lo)
         self._lit_rules.append((0, 1, 2 * c + 1, -1) if is_bool else (lo, hi, 2 * (c - lo), 2))
         self._ncols += 1 if is_bool else hi - lo + 1
+        if not is_bool:
+            # the one-hot group's exactly-one rows, the upper bound's negated row first
+            cols = range(c, self._ncols)
+            self._onehot_rows += (([(-1, col) for col in cols], -1),
+                                  ([(1, col) for col in cols], 1))
         self._vars.append(v)
-        self._compiled = None
         return v.handle
 
     def _var(self, handle) -> _Var:
@@ -179,8 +188,8 @@ class Model:
         handle's domain makes its literal a constant (false when positive,
         true when not). The literals become one clause row, in the order
         given: repeats collapse, a complementary pair makes the clause
-        always true, and a clause none of whose literals can hold makes the
-        model unsatisfiable.
+        always true (no row), and a clause none of whose literals can hold
+        makes the model unsatisfiable.
 
         Each literal is resolved here, once, from its handle's literal rule
         (`_lit_rules`); every handle is checked, also those after a literal
@@ -207,19 +216,72 @@ class Model:
             else:
                 row.append(lit)
         self._assertions.append(lits)
-        self._clause_rows.append(row)
-        self._compiled = None
+        if row is not None:
+            self._rows.append(row)
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
-        """Require a + margin <= b over two variable handles."""
-        self._var(a)
-        self._var(b)
+        """Require a + margin <= b over two variable handles, with an
+        integer margin.
+
+        Its rows are built here: for each value v of a, the clause
+        [not a >= v, b >= v + margin] over the order encoding (`_ge`), so a
+        value fixed on one side bounds the other by unit propagation alone.
+        """
+        va, vb = self._var(a), self._var(b)
+        margin = _integer(margin, "margin")
         self._assertions.append(_Order(a, b, margin))
-        self._compiled = None
+        for v in va.domain:
+            head = self._ge(va, v)  # never False: v is in a's domain
+            row = _clause_row([False if head is True else head ^ 1, self._ge(vb, v + margin)])
+            if row is not None:
+                self._rows.append(row)
+
+    def _ge(self, var: _Var, v: int):
+        """Literal for "var >= v" in the order encoding of Tamura et al.
+
+        A constant for v <= lo or v > hi, a bool's own column, "var != lo"
+        at v = lo + 1 and "var == hi" at v = hi. An int of four or more
+        values gets, the first time an ordering needs an inner value, one
+        aux column per inner value (the next free columns) and the chain
+        clauses ge(v+1) -> ge(v), var = v -> ge(v), var = v -> not ge(v+1)
+        and ge(v) and not ge(v+1) -> var = v, appended just before that
+        ordering's rows; later orderings share the chain.
+        """
+        if v <= var.lo:
+            return True
+        if v > var.hi:
+            return False
+        col = var.first_col
+        if var.is_bool:
+            return 2 * col
+        if v == var.lo + 1:
+            return 2 * col + 1  # var != lo
+        if v == var.hi:
+            return 2 * (col + v - var.lo)  # var == hi
+        chain = self._chains.get(var.handle)
+        if chain is None:
+            # chain[i] stands for "var >= lo + i", i in 1..n-1
+            n = var.hi - var.lo + 1
+            aux = self._ncols
+            self._ncols += n - 3
+            self._aux_names += ["ge"] * (n - 3)
+            chain = self._chains[var.handle] = (
+                [None, 2 * col + 1] + [2 * c for c in range(aux, aux + n - 3)]
+                + [2 * (col + n - 1)])
+            rows = self._rows
+            for i in range(1, n - 1):
+                eq = 2 * (col + i)
+                rows.append([chain[i + 1] ^ 1, chain[i]])  # ge(i+1) -> ge(i)
+                if i >= 2:
+                    rows.append([eq ^ 1, chain[i]])  # x = i -> ge(i)
+                if i <= n - 3:
+                    rows.append([eq ^ 1, chain[i + 1] ^ 1])  # x = i -> not ge(i+1)
+                rows.append([chain[i] ^ 1, chain[i + 1], eq])  # ge(i), not ge(i+1) -> x = i
+        return chain[v - var.lo]
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
         """Linear constraint over terms: (coef, handle) or (coef, (handle, value)),
-        with integer coefficients and bound. Its >=-rows are built here."""
+        with integer coefficients, values and bound. Its >=-rows are built here."""
         if op not in ("<=", ">=", "=="):
             raise ModelError(f"bad sum op {op!r}")
         terms, coeffs, const = self._terms(terms)
@@ -231,7 +293,6 @@ class Model:
             self._sum_rows.append(([(-coef, col) for coef, col in row], const - rhs))
         if op != "<=":
             self._sum_rows.append((row, rhs - const))
-        self._compiled = None
 
     def minimize(self, terms) -> None:
         self._set_objective("min", terms)
@@ -245,7 +306,6 @@ class Model:
         sign = 1 if sense == "min" else -1
         objective = [(sign * coef, col) for col, coef in sorted(coeffs.items()) if coef]
         self._objective = (sense, terms, objective)
-        self._compiled = None
 
     def _terms(self, terms) -> tuple[list, dict, int]:
         """The terms with integer coefficients, every handle and value
@@ -256,7 +316,7 @@ class Model:
         const = 0
         for coef, t in terms:
             if isinstance(t, tuple):
-                var, value = self._var(t[0]), t[1]
+                var, value = self._var(t[0]), _integer(t[1], "indicator value")
                 if not (var.lo <= value <= var.hi):
                     raise ModelError(f"indicator value {value} outside domain of {var.name}")
             else:
@@ -311,114 +371,22 @@ class Model:
             return None
         return self._sum_value(self._objective[1], assignment)
 
-    # -- compilation to 0/1 rows ------------------------------------------------
+    # -- the compiled form ------------------------------------------------------
 
     def _compile(self):
-        """Lower the model to (ncols, rows, objective).
+        """The model as (ncols, rows, objective), also kept in `_compiled`
+        for the benchmark's tracer to read.
 
         A row is either a clause row (a list of literals; an empty one can
         never hold) or a >=-row (terms, b). Rows follow the exactly-one
-        groups (two >=-rows each), then the assertions in order, then the
-        sums; the objective is a list of (coef, col) terms in column order,
-        negated for maximization. Clause and sum rows and the objective
-        were built at their calls.
-
-        Orderings lower to clauses over an order encoding. A literal
-        ge(x, v) stands for "x >= v": a constant for v <= lo or v > hi, a
-        bool's own column, "x != lo" at v = lo + 1 and "x == hi" at v = hi.
-        An int of four or more values gets, the first time an ordering
-        needs an inner value, one aux column per inner value and the chain
-        clauses ge(v+1) -> ge(v), x = v -> ge(v), x = v -> not ge(v+1) and
-        ge(v) and not ge(v+1) -> x = v, emitted just before that ordering's
-        rows; later orderings share the chain. a + margin <= b becomes, for
-        each v in a's domain, the clause [not ge(a, v), ge(b, v + margin)],
-        so a value fixed on one side bounds the other by unit propagation
-        alone.
+        groups (two >=-rows each), then the clause, ordering and order
+        chain rows in call order, then the sums; the objective is a list of
+        (coef, col) terms in column order, negated for maximization. Every
+        row and the objective were built at their calls.
         """
-        if self._compiled is not None:
-            return self._compiled
-        ncols = self._ncols
-        rows: list = []
-        self._aux_names = []
-
-        chains: dict[int, list] = {}  # int handle -> its ge literals
-
-        def ge(var: _Var, v: int):
-            """Literal for "var >= v": a constant outside (lo, hi], a column
-            of the var at either inner end, else an aux column of its chain."""
-            if v <= var.lo:
-                return True
-            if v > var.hi:
-                return False
-            if var.is_bool:
-                return 2 * var.first_col
-            if v == var.lo + 1:
-                return 2 * var.first_col + 1  # var != lo
-            if v == var.hi:
-                return 2 * (var.first_col + v - var.lo)  # var == hi
-            chain = chains.get(var.handle)
-            if chain is None:
-                chain = chains[var.handle] = order_chain(var)
-            return chain[v - var.lo]
-
-        def order_chain(var: _Var) -> list:
-            # lits[i] stands for "var >= lo + i", i in 1..n-1, over a domain
-            # of n >= 4 values: "var != lo", an aux column per inner value,
-            # "var == hi"; built once, shared by every ordering on var
-            n = var.hi - var.lo + 1
-            col = var.first_col
-            lits = ([None, 2 * col + 1] + [2 * new_aux() for _ in range(n - 3)]
-                    + [2 * (col + n - 1)])
-            for i in range(1, n - 1):
-                eq = 2 * (col + i)
-                rows.append([lits[i + 1] ^ 1, lits[i]])  # ge(i+1) -> ge(i)
-                if i >= 2:
-                    rows.append([eq ^ 1, lits[i]])  # x = i -> ge(i)
-                if i <= n - 3:
-                    rows.append([eq ^ 1, lits[i + 1] ^ 1])  # x = i -> not ge(i+1)
-                rows.append([lits[i] ^ 1, lits[i + 1], eq])  # ge(i), not ge(i+1) -> x = i
-            return lits
-
-        def add_ordering(a: _Var, b: _Var, margin: int):
-            # a + margin <= b: for each value v of a, a >= v forces
-            # b >= v + margin
-            for v in a.domain:
-                row = _clause_row([_flip(ge(a, v)), ge(b, v + margin)])
-                if row is not None:
-                    rows.append(row)
-
-        def new_aux() -> int:
-            nonlocal ncols
-            col = ncols
-            ncols += 1
-            self._aux_names.append("ge")
-            return col
-
-        def _flip(lit):
-            if lit is True:
-                return False
-            if lit is False:
-                return True
-            return lit ^ 1
-
-        # exactly-one rows for every int variable's one-hot group, the
-        # upper bound's negated row first
-        for v in self._vars:
-            if not v.is_bool:
-                cols = range(v.first_col, v.first_col + v.hi - v.lo + 1)
-                rows.append(([(-1, c) for c in cols], -1))
-                rows.append(([(1, c) for c in cols], 1))
-
-        clause_rows = iter(self._clause_rows)
-        for f in self._assertions:
-            if f.__class__ is not tuple:
-                add_ordering(self._vars[f.a], self._vars[f.b], f.margin)
-            elif (row := next(clause_rows)) is not None:
-                rows.append(row)
-
-        rows += self._sum_rows
         objective = self._objective[2] if self._objective is not None else []
-        self._compiled = (ncols, rows, objective)
+        self._compiled = (self._ncols, self._onehot_rows + self._rows + self._sum_rows,
+                          objective)
         return self._compiled
 
 

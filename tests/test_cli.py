@@ -109,6 +109,31 @@ def test_synth_exact_only_flags_rejected_in_other_modes(capsys, tmp_path, mode, 
     assert code == EXIT_OK and stdout.startswith("depth=")
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "--circuit", "or", "--device", "qx2", "--bogus"),
+    ("synth", "--circuit", "or", "--device", "qx2", "--objective", "nope"),
+    ("synth", "--circuit", "or", "--device", "qx2", "--timeout", "abc"),
+    ("synth", "--circuit", "or"),
+    ("bench", "--suite", "SUITE", "--t-growth", "9"),  # an exact-mode synth flag
+    (),
+], ids=["unknown-flag", "bad-choice", "bad-float", "missing-flag", "bench-t-growth",
+        "no-command"])
+def test_usage_errors_are_input_errors(capsys, tmp_path, argv):
+    # exit 2 means "no satisfiable horizon"; a mistyped command line is exit 1
+    manifest = tmp_path / "suite.csv"
+    manifest.write_text("circuit,device,mode,objective\nor,qx2,tb,swap\n")
+    argv = [str(manifest) if arg == "SUITE" else arg for arg in argv]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert err.startswith("usage: qlayout") and ": error: " in err.splitlines()[-1]
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0
+
+
 def test_bench_malformed_circuit_is_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.gates"
     bad.write_text("qubits two\n")

@@ -204,8 +204,11 @@ def test_require_clause_row_matches_literal_path(case):
         if not positive:
             lit = True if lit is False else lit ^ 1
         expected.append(lit)
+    n_rows = len(m._rows)
     m.require_clause(lits)
-    assert m._clause_rows[-1] == sv._clause_row(expected)
+    row = sv._clause_row(expected)
+    # a clause that always holds appends no row
+    assert m._rows[n_rows:] == ([] if row is None else [row])
     assert m._assertions[-1] == tuple(lits)
 
 
@@ -320,20 +323,40 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     lambda m, b: m.minimize([(1.5, b)]),
     lambda m, b: m.maximize([(1, b), (float("nan"), (b, 1))]),
     lambda m, b: m.require_sum([(1, b)], "<=", "1"),
-], ids=["bound", "coefficient", "minimize", "maximize", "string"])
+    lambda m, b: m.require_sum([(1, (b, 0.5))], ">=", 1),
+    lambda m, b: m.maximize([(1, (b, "1"))]),
+    lambda m, b: m.require_order(b, b, 1.5),
+    lambda m, b: m.require_order(b, b, "1"),
+], ids=["bound", "coefficient", "minimize", "maximize", "string", "indicator-value",
+        "indicator-string", "margin", "margin-string"])
 def test_non_integral_input_raises_model_error(build):
     m = Model()
     b = m.bool_var()
     m.minimize([(1, b)])
+    compiled = m._compile()
     with pytest.raises(ModelError):
         build(m, b)
     # the model is unchanged: the proven optimum is still b = 0
-    assert m._sums == []
+    assert m._sums == m._assertions == []
+    assert m._compile() == compiled
     assert solve(m).assignment == {b: 0}
     # integral floats are integers
     m.require_sum([(2.0, b)], ">=", 1.0)
     v = solve(m)
     assert v.assignment == {b: 1} and v.objective_value == 1
+
+    def twin(margin, value):
+        m = Model()
+        x, y = m.int_var(0, 5), m.int_var(0, 5)
+        m.require_order(x, y, margin)
+        m.require_sum([(1, (y, value))], ">=", 1)
+        m.maximize([(1, x)])
+        return m
+
+    # ... also as a margin and an indicator value
+    assert twin(2.0, 4.0)._compile() == twin(2, 4)._compile()
+    v = solve(twin(2.0, 4.0))
+    assert v.assignment == {0: 2, 1: 4} and v.objective_value == 2
 
 
 def test_unknown_method_rejected():
@@ -436,6 +459,25 @@ def test_orderings_share_one_chain_per_variable():
     assert all(row.__class__ is list for row in _non_group_rows(m))
     assert m._aux_names == ["ge"] * 4
     assert m._compile()[0] == 6 + 3 + 4 + 1 + 4
+
+
+def test_aux_columns_come_before_later_variables():
+    # an order chain's aux columns are made at the ordering that needs them,
+    # so a variable created after it gets the columns after them
+    m = Model()
+    x = m.int_var(0, 5)
+    y = m.int_var(0, 2)
+    m.require_order(y, x, 2)  # x >= 2, 3, 4: x's chain, columns 9..11
+    assert m._aux_names == ["ge"] * 3
+    z = m.int_var(1, 4)
+    assert m._var(z).first_col == 6 + 3 + 3
+    m.require_order(z, x)  # z >= 3: z's chain, column 16
+    m.require_order(x, z, -1)
+    assert m._compile()[0] == 6 + 3 + 3 + 4 + 1
+    m.minimize([(1, x), (-1, z)])
+    for method in ("sat", "milp"):
+        v = solve(m, method=method)
+        assert v.objective_value == _brute_force(m)[1] == 0
 
 
 def test_small_domains_add_no_aux_column():
@@ -542,10 +584,19 @@ def models(draw):
         value = draw(st.integers(min_value=var.lo - 1, max_value=var.hi + 1))
         return (h, value, draw(st.booleans()))
 
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    def orderings(pool):
         # margins past 0 and 1 too, and an ordering of a handle on itself
-        m.require_order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
-                        draw(st.integers(min_value=-1, max_value=2)))
+        for _ in range(draw(st.integers(min_value=0, max_value=3))):
+            m.require_order(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)),
+                            draw(st.integers(min_value=-1, max_value=2)))
+
+    orderings(handles)
+    # variables created after those orderings, with orderings of their own:
+    # their columns come after any aux columns made so far, and theirs after
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        lo = draw(st.integers(min_value=0, max_value=2))
+        handles.append(m.int_var(lo, lo + draw(st.integers(min_value=0, max_value=3))))
+        orderings(handles)
     for _ in range(draw(st.integers(min_value=0, max_value=6))):
         lits = [literal() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
         shape = draw(clause_shapes)
