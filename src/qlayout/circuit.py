@@ -2,7 +2,9 @@
 
 A circuit is an ordered list of opaque 1- and 2-qubit gates over M logical
 qubits. Layout synthesis only cares about gate arity and operand identity,
-so gate names are carried through untouched.
+so gate names are carried through untouched. preprocess derives, in one
+step, the dependencies (every pair of gates sharing a qubit, or the user's
+pairs) and the longest dependency chain.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class Gate:
 class Circuit:
     num_qubits: int
     gates: tuple[Gate, ...]
-    # (l, l') pairs with l < l', lexicographically sorted; None until derived.
-    collisions: tuple[tuple[int, int], ...] | None = None
+    # (l, l') pairs with l < l', lexicographically sorted; None until
+    # preprocess derives them along with longest_chain.
     dependencies: tuple[tuple[int, int], ...] | None = None
     longest_chain: int | None = None
 
@@ -100,40 +102,6 @@ def parse_program(text: str) -> Circuit:
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
 
 
-def derive_collisions(circuit: Circuit) -> Circuit:
-    """Populate the collision list: all gate pairs sharing a logical qubit."""
-    pairs = []
-    gates = circuit.gates
-    for j in range(len(gates)):
-        qs = set(gates[j].qubits)
-        for i in range(j):
-            if qs.intersection(gates[i].qubits):
-                pairs.append((i, j))
-    pairs.sort()
-    return replace(circuit, collisions=tuple(pairs))
-
-
-def derive_dependencies(circuit: Circuit, user_deps=None) -> Circuit:
-    """Populate dependencies: the collision list by default, user pairs otherwise.
-
-    Passing an explicit empty list declares all gates free to commute.
-    """
-    if circuit.collisions is None:
-        raise CircuitError("collisions must be derived before dependencies")
-    if user_deps is None:
-        deps = circuit.collisions
-    else:
-        seen = set()
-        for pair in user_deps:
-            l, lp = pair
-            if not (0 <= l < lp < circuit.num_gates):
-                raise CircuitError(f"dependency {pair}: need 0 <= l < l' < L")
-            seen.add((l, lp))
-        deps = tuple(sorted(seen))
-    out = replace(circuit, dependencies=deps)
-    return replace(out, longest_chain=longest_dependency_chain(out))
-
-
 def chain_depths(circuit: Circuit) -> tuple[list[int], list[int]]:
     """(asap, tail) per gate: asap[l] is the length in gates of the longest
     dependency chain ending just before l, tail[l] of the longest starting
@@ -144,7 +112,7 @@ def chain_depths(circuit: Circuit) -> tuple[list[int], list[int]]:
     it.
     """
     if circuit.dependencies is None:
-        raise CircuitError("dependencies must be derived first")
+        raise CircuitError("circuit must be preprocessed first")
     asap = [0] * circuit.num_gates
     tail = [0] * circuit.num_gates
     for l, lp in circuit.dependencies:
@@ -154,15 +122,27 @@ def chain_depths(circuit: Circuit) -> tuple[list[int], list[int]]:
     return asap, tail
 
 
-def longest_dependency_chain(circuit: Circuit) -> int:
-    """Length in gates of the longest path in the dependency DAG (0 when empty)."""
-    asap, _ = chain_depths(circuit)
-    return max(asap, default=-1) + 1
-
-
 def preprocess(circuit: Circuit, user_deps=None) -> Circuit:
-    """Convenience: collisions, dependencies, and chain length in one call."""
-    return derive_dependencies(derive_collisions(circuit), user_deps)
+    """Set the dependencies and the longest chain, in gates (0 when empty).
+
+    The dependencies are every pair of gates sharing a logical qubit by
+    default, the user's pairs otherwise; an explicit empty list declares
+    all gates free to commute.
+    """
+    gates = circuit.gates
+    if user_deps is None:
+        deps = {(i, j) for j, g in enumerate(gates) for i in range(j)
+                if gates[i].qubits[0] in g.qubits or gates[i].qubits[-1] in g.qubits}
+    else:
+        deps = set()
+        for pair in user_deps:
+            l, lp = pair
+            if not (0 <= l < lp < circuit.num_gates):
+                raise CircuitError(f"dependency {pair}: need 0 <= l < l' < L")
+            deps.add((l, lp))
+    out = replace(circuit, dependencies=tuple(sorted(deps)))
+    asap, _ = chain_depths(out)
+    return replace(out, longest_chain=max(asap, default=-1) + 1)
 
 
 def load_circuit(text: str, user_deps=None) -> Circuit:

@@ -151,6 +151,9 @@ def _manifest_rows(path: str) -> list[dict]:
             raise InputError(
                 f"manifest row {i}: need circuit, device, mode, objective"
             ) from None
+        for key, value in entry.items():
+            if not isinstance(value, str):
+                raise InputError(f"manifest row {i}: {key} must be a string, not {value!r}")
         if entry["mode"] not in MODES:
             raise InputError(f"manifest row {i}: unknown mode {entry['mode']!r}")
         if entry["objective"] not in OBJECTIVES:

@@ -5,9 +5,12 @@ time-indexed logical-to-physical mapping through inserted SWAP gates; the
 mapping at a gate's slot decides where it runs. Under strict dependencies
 gate l can only run in its window [asap(l), T-1-tail(l)] (longest chains
 before and after it, circuit.chain_depths), so its time variable spans that
-window and its clause families cover those slots alone. Solved exactly, the
-decoded schedule is optimal for the reached time horizon under the
-objective.
+window and its clause families cover those slots alone. A SWAP takes S
+slots, so none finishes before slot S-1: eq5's unit rows fix those sigma
+columns to 0, and the SWAP families (eq6, eq7, eq10's SWAP literals, eq11)
+start at slot S-1, stating nothing the root already decides. Solved
+exactly, the decoded schedule is optimal for the reached time horizon under
+the objective.
 
 solve_horizons is the one horizon loop of every flow: the exact flow grows
 T geometrically, the transition-based and QAOA flows one block at a time.
@@ -241,7 +244,8 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
                                       *[(pi[other][t], r, True)
                                         for r in device.neighbours[p]]])
 
-    # eq5: a SWAP takes S slots, none can finish before slot S-1
+    # eq5: a SWAP takes S slots, none can finish before slot S-1; these
+    # unit rows decide sigma there, so the SWAP families below start at S-1
     for k in range(K):
         for t in range(min(S - 1, T)):
             m.require_clause([(sigma[k][t], 0, True)])
@@ -249,16 +253,13 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     # eq6: SWAPs on one edge never overlap
     for k in range(K):
         for t in range(S - 1, T):
-            for tp in range(t - S + 1, t):
-                if tp >= 0:
-                    m.require_clause([(sigma[k][t], 1, False), (sigma[k][tp], 0, True)])
+            for tp in range(max(t - S + 1, S - 1), t):
+                m.require_clause([(sigma[k][t], 1, False), (sigma[k][tp], 0, True)])
 
     # eq7: SWAPs on overlapping edges never overlap (both directions)
     for k, kp in sorted(device.overlap_pairs):
         for t in range(S - 1, T):
-            for tp in range(t - S + 1, t + 1):
-                if tp < 0:
-                    continue
+            for tp in range(max(t - S + 1, S - 1), t + 1):
                 m.require_clause([(sigma[k][t], 1, False), (sigma[kp][tp], 0, True)])
                 if tp < t:
                     m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
@@ -283,15 +284,18 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
                         m.require_clause([not_now, (pi[q][t], p, False),
                                           (swapping[p][t], 0, True)])
 
-    # eq10: mapping is frozen across t -> t+1 unless an incident SWAP finishes
+    # eq10: mapping is frozen across t -> t+1 unless an incident SWAP
+    # finishes; below slot S-1 none can, so no SWAP literal is listed
     for t in range(T - 1):
         for p in range(N):
-            fired = [(sigma[k][t], 0, False) for k in device.incident[p]]
+            fired = [(sigma[k][t], 0, False) for k in device.incident[p]
+                     if t >= S - 1]
             for q in range(M):
                 m.require_clause([(pi[q][t], p, False), *fired, (pi[q][t + 1], p, True)])
 
-    # eq11: a finishing SWAP carries the mapping across its edge
-    for t in range(T - 1):
+    # eq11: a finishing SWAP carries the mapping across its edge, from the
+    # first slot a SWAP can finish at
+    for t in range(S - 1, T - 1):
         for k, (a, b) in enumerate(device.edges):
             fired = (sigma[k][t], 1, False)
             for q in range(M):
@@ -470,11 +474,14 @@ def solve_horizons(build, T: int, grow, objective: str,
     with the objective applied; the loop solves horizons T, grow(T), ...,
     each clamped to max_T, so max_T is the last one tried.
 
-    It stops extra_t satisfiable horizons after the first, keeping the
-    strictly best verdict (the first of equal ones). Returns (verdict,
+    It stops extra_t >= 0 satisfiable horizons after the first, keeping the
+    strictly best verdict (the first of equal ones); a negative extra_t
+    raises ValueError before any build. Returns (verdict,
     variables, details); raises TCapExceeded when no horizon tried is
     satisfiable and SynthesisTimeout when a solve runs out of time.
     """
+    if extra_t < 0:
+        raise ValueError(f"extra_t must be >= 0, not {extra_t}")
     tried = []
     best = None
     while T <= max_T:

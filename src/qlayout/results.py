@@ -106,5 +106,6 @@ class TransitionPlan:
     gate_block: tuple[int, ...]  # per-gate coarse time
     # block_mapping[b][q] = physical node of logical q during block b.
     block_mapping: tuple[tuple[int, ...], ...]
-    # (between-block index j, edges): SWAPs between block j and j+1.
-    transitions: tuple[tuple[int, frozenset[int]], ...]
+    # transitions[j] = edges of the SWAPs between block j and j+1, one
+    # entry per block boundary (num_blocks - 1 of them), empty or not.
+    transitions: tuple[frozenset[int], ...]

@@ -151,9 +151,10 @@ class Model:
     # -- variable registration ------------------------------------------------
 
     def int_var(self, lo: int, hi: int, name: str = "") -> int:
+        lo, hi = _integer(lo, "lower bound"), _integer(hi, "upper bound")
         if hi < lo:
             raise ModelError(f"empty domain [{lo}, {hi}] for {name or 'int var'}")
-        return self._new_var(int(lo), int(hi), False, name or f"x{len(self._vars)}")
+        return self._new_var(lo, hi, False, name or f"x{len(self._vars)}")
 
     def bool_var(self, name: str = "") -> int:
         return self._new_var(0, 1, True, name or f"b{len(self._vars)}")
@@ -397,8 +398,11 @@ def solve(model: Model, timeout: float | None = None,
     method "sat" runs the conflict-driven core (strong on feasibility
     boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
     and bound, the cross-check engine. Both return identical verdict
-    semantics.
+    semantics. timeout is None (no budget) or a number of seconds >= 0;
+    anything else, NaN included, raises ValueError.
     """
+    if timeout is not None and not (isinstance(timeout, (int, float)) and timeout >= 0):
+        raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
     if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
     ncols, rows, objective = model._compile()

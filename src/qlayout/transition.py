@@ -44,14 +44,12 @@ from .results import SynthesisResult, TransitionPlan
 
 
 def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
-              objective: str = "swap", *, pins=None):
+              objective: str, *, pins):
     """Emit the coarse block model; returns (model, variables).
 
-    pins are the symmetry clauses of exact._symmetry_pins, handed to
-    encode; they are found here when None.
+    pins are the symmetry clauses of exact._symmetry_pins under `objective`,
+    handed to encode; the flows find them once, in _solve_coarse.
     """
-    if pins is None:
-        pins = _symmetry_pins(circuit, device, objective)
     cfg = EncodingConfig(T=T_coarse, S=1, objective=objective)
     model, vs = encode(circuit, device, cfg, coarse=True, pins=pins)
     _coarse_cuts(model, vs, circuit, device, T_coarse)
@@ -102,7 +100,8 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
 def extract_plan(circuit: Circuit, device: Device, verdict: sv.Verdict,
                  vs) -> TransitionPlan:
     """Assignment -> TransitionPlan. Blocks past the last gate are dropped,
-    along with any transition variables fired after the final block."""
+    along with any transition variables fired after the final block; every
+    boundary between the blocks kept gets its SWAP set, empty or not."""
     a = verdict.assignment
     times = [a[h] for h in vs.time]
     B = max(times) + 1 if times else 1
@@ -110,18 +109,14 @@ def extract_plan(circuit: Circuit, device: Device, verdict: sv.Verdict,
         tuple(a[vs.pi[q][t]] for q in range(circuit.num_qubits))
         for t in range(B)
     )
-    transitions = []
-    for j in range(B - 1):
-        edges = frozenset(
-            k for k in range(device.num_edges) if a[vs.sigma[k][j]]
-        )
-        if edges:
-            transitions.append((j, edges))
+    transitions = tuple(
+        frozenset(k for k in range(device.num_edges) if a[vs.sigma[k][j]])
+        for j in range(B - 1))
     return TransitionPlan(
         num_blocks=B,
         gate_block=tuple(times),
         block_mapping=mappings,
-        transitions=tuple(transitions),
+        transitions=transitions,
     )
 
 
@@ -160,14 +155,9 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
             raise ValueError(
                 f"gate {g.index} operands sit on p{pq},p{pr}: not adjacent "
                 f"in block {plan.gate_block[g.index]}")
-    last = -1
-    fired: dict[int, frozenset[int]] = {}
-    for j, edges in plan.transitions:
-        if not 0 <= j < B - 1:
-            raise ValueError(f"transition index {j} outside 0..{B - 2}")
-        if j <= last:
-            raise ValueError("transition indices must be strictly ascending")
-        last = j
+    if len(plan.transitions) != B - 1:
+        raise ValueError(f"plan has {len(plan.transitions)} transitions for {B} blocks")
+    for j, edges in enumerate(plan.transitions):
         used: set[int] = set()
         for k in edges:
             if not 0 <= k < device.num_edges:
@@ -177,10 +167,8 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
                 raise ValueError(f"transition {j}: SWAP edges overlap on a node")
             used.add(a)
             used.add(b)
-        fired[j] = edges
-    # Replay: consecutive mappings must differ exactly by the fired SWAPs.
-    for j in range(B - 1):
-        row = swap_step(plan.block_mapping[j], sorted(fired.get(j, ())), device)
+        # consecutive mappings must differ exactly by the fired SWAPs
+        row = swap_step(plan.block_mapping[j], sorted(edges), device)
         if row != tuple(plan.block_mapping[j + 1]):
             raise ValueError(
                 f"block {j + 1} mapping does not follow from block {j} "
@@ -230,9 +218,8 @@ def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
                     if not any(ancestors[j] >> i & 1 for j in preds[l])]
     nodes = [[(row[g.qubits[0]], row[g.qubits[-1]]) for g in circuit.gates]
              for row in plan.block_mapping]
-    transitions = dict(plan.transitions)
-    fired = [[(k, *device.edges[k]) for k in sorted(transitions.get(b, ()))]
-             for b in range(plan.num_blocks)]
+    fired = [[(k, *device.edges[k]) for k in sorted(edges)]
+             for edges in (*plan.transitions, ())]
     _, tail = chain_depths(circuit)
     return _ScheduleTables(device.num_physical, preds, tail, nodes, fired)
 

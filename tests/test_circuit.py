@@ -8,10 +8,7 @@ from qlayout.circuit import (
     CircuitError,
     Gate,
     chain_depths,
-    derive_collisions,
-    derive_dependencies,
     load_circuit,
-    longest_dependency_chain,
     parse_program,
     preprocess,
 )
@@ -64,43 +61,50 @@ def test_parse_rejects(text):
 
 
 def test_collisions_shared_qubit_pairs():
-    c = derive_collisions(parse_program(OR_TEXT))
+    c = preprocess(parse_program(OR_TEXT))
     # q2 appears in gates 2,3,4,5,6; q1 in 1,4; q0 in 0,6
-    assert (2, 3) in c.collisions
-    assert (1, 4) in c.collisions
-    assert (0, 6) in c.collisions
-    assert (0, 1) not in c.collisions
-    assert all(l < lp for l, lp in c.collisions)
-    assert list(c.collisions) == sorted(c.collisions)
+    assert (2, 3) in c.dependencies
+    assert (1, 4) in c.dependencies
+    assert (0, 6) in c.dependencies
+    assert (0, 1) not in c.dependencies
+    assert all(l < lp for l, lp in c.dependencies)
+    assert list(c.dependencies) == sorted(c.dependencies)
+
+
+def _shared_qubit_pairs(circuit):
+    gates = circuit.gates
+    return tuple((i, j) for i in range(len(gates)) for j in range(i + 1, len(gates))
+                 if set(gates[i].qubits) & set(gates[j].qubits))
 
 
 def test_dependencies_default_to_collisions():
+    # the default dependencies are every pair of gates sharing a qubit
     c = preprocess(parse_program(OR_TEXT))
-    assert c.dependencies == c.collisions
+    assert c.dependencies == _shared_qubit_pairs(c)
 
 
 def test_user_dependencies_override():
-    c = derive_collisions(parse_program(OR_TEXT))
-    c = derive_dependencies(c, user_deps=[(0, 1)])
+    c = preprocess(parse_program(OR_TEXT), user_deps=[(0, 1)])
     assert c.dependencies == ((0, 1),)
     assert c.longest_chain == 2
 
 
 def test_empty_user_dependencies_mean_full_commutation():
-    c = derive_collisions(parse_program(OR_TEXT))
-    c = derive_dependencies(c, user_deps=[])
+    c = preprocess(parse_program(OR_TEXT), user_deps=[])
     assert c.dependencies == ()
     assert c.longest_chain == 1
 
 
 def test_user_dependency_validation():
-    c = derive_collisions(parse_program(OR_TEXT))
+    c = parse_program(OR_TEXT)
     with pytest.raises(CircuitError):
-        derive_dependencies(c, user_deps=[(3, 3)])
+        preprocess(c, user_deps=[(3, 3)])
     with pytest.raises(CircuitError):
-        derive_dependencies(c, user_deps=[(5, 2)])
+        preprocess(c, user_deps=[(5, 2)])
     with pytest.raises(CircuitError):
-        derive_dependencies(c, user_deps=[(0, 99)])
+        preprocess(c, user_deps=[(0, 99)])
+    # repeated pairs collapse, and the pairs are sorted
+    assert preprocess(c, user_deps=[(4, 6), (0, 1), (4, 6)]).dependencies == ((0, 1), (4, 6))
 
 
 def test_longest_chain_or_circuit():
@@ -116,14 +120,14 @@ def test_longest_chain_empty():
 
 def test_chain_requires_dependencies():
     c = parse_program(OR_TEXT)
+    assert c.dependencies is None and c.longest_chain is None
     with pytest.raises(CircuitError):
-        longest_dependency_chain(c)
+        chain_depths(c)
 
 
 def test_load_circuit_is_preprocessed():
     c = load_circuit(OR_TEXT)
-    assert c.collisions is not None
-    assert c.dependencies is not None
+    assert c.dependencies == _shared_qubit_pairs(c)
     assert c.longest_chain == 5
 
 
@@ -189,11 +193,14 @@ def _dfs_path_lengths(num_gates, pairs, forward):
 
 @given(programs(), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12))
 def test_chain_depths_are_longest_paths(text, raw_pairs):
-    # for the collision dependencies and for arbitrary user pairs
-    c = derive_collisions(parse_program(text))
+    # for the shared-qubit dependencies and for arbitrary user pairs
+    c = parse_program(text)
     n = c.num_gates
-    user = sorted({(min(a, b), max(a, b)) for a, b in raw_pairs if a != b and max(a, b) < n})
-    for circuit in (derive_dependencies(c), derive_dependencies(c, user)):
+    user = [(min(a, b), max(a, b)) for a, b in raw_pairs if a != b and max(a, b) < n]
+    default, declared = preprocess(c), preprocess(c, user)
+    assert default.dependencies == _shared_qubit_pairs(c)
+    assert declared.dependencies == tuple(sorted(set(user)))
+    for circuit in (default, declared):
         asap, tail = chain_depths(circuit)
         assert asap == _dfs_path_lengths(n, circuit.dependencies, forward=False)
         assert tail == _dfs_path_lengths(n, circuit.dependencies, forward=True)

@@ -80,6 +80,10 @@ def test_synth_unsat_at_cap_exit(capsys, tmp_path):
     ("--swap-duration", "0"),
     ("--t-growth", "0"),
     ("--mode", "tb", "--swap-duration", "0"),
+    ("--extra-t", "-1"),
+    ("--timeout", "-1"),
+    ("--timeout", "nan"),
+    ("--mode", "tb", "--timeout", "nan"),
 ])
 def test_synth_bad_value_is_input_error(capsys, flags):
     code, _, err = run(capsys, "synth", "--circuit", "or", "--device", "qx2",
@@ -302,6 +306,18 @@ def test_bench_empty_manifest(capsys, tmp_path):
     code, stdout, _ = run(capsys, "bench", "--suite", str(manifest))
     assert code == EXIT_OK
     assert stdout.strip() == "benchmark,device,mode,objective,swaps,depth,fidelity,runtime"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("circuit", 5), ("circuit", None), ("circuit", ["or"]), ("device", None),
+    ("device", ["qx2"]), ("mode", ["exact"]), ("objective", 1)])
+def test_bench_non_string_manifest_field_is_input_error(capsys, tmp_path, field, value):
+    row = {"circuit": "or", "device": "qx2", "mode": "exact", "objective": "swap"}
+    manifest = tmp_path / "suite.json"
+    manifest.write_text(json.dumps([row, {**row, field: value}]))
+    code, stdout, err = run(capsys, "bench", "--suite", str(manifest))
+    assert (code, stdout) == (EXIT_INPUT, "")
+    assert err.startswith("error: manifest row 1") and field in err
 
 
 def test_bench_bad_manifest(capsys, tmp_path):

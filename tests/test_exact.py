@@ -97,6 +97,18 @@ def test_extra_t_keeps_best():
     assert widened.swap_count <= base.swap_count
 
 
+def test_negative_extra_t_is_refused_before_any_build(monkeypatch):
+    circ = load_circuit("qubits 3\ncx q0 q1\ncx q1 q2\ncx q0 q2\n")
+    builds = []
+    encode_ = exact.encode
+    monkeypatch.setattr(exact, "encode", lambda *a, **k: builds.append(1) or encode_(*a, **k))
+    with pytest.raises(ValueError, match="extra_t"):
+        synthesize(circ, PATH3, objective="swap", extra_t=-1)
+    assert builds == []
+    assert synthesize(circ, PATH3, objective="swap", extra_t=0).swap_count == 1
+    assert builds
+
+
 def test_unsat_at_cap():
     # a 2-qubit gate can never run on an edgeless device
     circ = load_circuit("qubits 2\ncx q0 q1\n")
@@ -229,15 +241,16 @@ def _size_case(*case, coarse=False):
 
 
 @pytest.mark.parametrize("circuit_name,device_name,objective,T,rows,coarse", [
-    _size_case("adder", "qx2", "swap", 16, 3426), _size_case("or", "grid4x4", "swap", 9, 5358),
-    _size_case("4mod5-v1_22", "grid4x4", "swap", 14, 11703),
-    _size_case("or", "qx2", "fidelity", 9, 1465),
+    _size_case("adder", "qx2", "swap", 16, 3252), _size_case("or", "grid4x4", "swap", 9, 4686),
+    _size_case("4mod5-v1_22", "grid4x4", "swap", 14, 10839),
+    _size_case("or", "qx2", "fidelity", 9, 1315),
     _size_case("adder", "grid2x3", "depth", 3, 1124, coarse=True)])
 def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coarse):
     circuit = bundled_circuit(f"{circuit_name}.gates")
     device = bundled_device(f"{device_name}.json")
     if coarse:
-        model, _ = encode_tb(circuit, device, T, objective)
+        model, _ = encode_tb(circuit, device, T, objective,
+                             pins=_symmetry_pins(circuit, device, objective))
         assert not [v.name for v in model._vars if v.name.startswith("mv_")]
         assert len(model._compile()[1]) <= rows
         return
@@ -255,9 +268,30 @@ def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coars
 @pytest.mark.parametrize("objective,T,rows", [("swap", 1, 224), ("depth", 3, 1124)])
 def test_coarse_model_keeps_full_time_domains(objective, T, rows):
     circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
-    model, vs = encode_tb(circuit, device, T, objective)
+    model, vs = encode_tb(circuit, device, T, objective,
+                          pins=_symmetry_pins(circuit, device, objective))
     assert all(model._var(h).domain == range(T) for h in vs.time)
     assert len(model._compile()[1]) == rows
+
+
+@pytest.mark.parametrize("S", [1, 2, 3])
+def test_no_row_restates_the_early_swap_slots(S):
+    # eq5's unit rows fix sigma at every finish slot below S-1; no other
+    # row mentions those columns, and each still has its objective term
+    circuit, device = bundled_circuit("adder.gates"), bundled_device("qx2.json")
+    T = circuit.longest_chain + 2
+    model, vs = encode(circuit, device, EncodingConfig(T=T, S=S))
+    apply_objective(model, vs, "swap", device, circuit)
+    early = {model._var(row[t]).first_col for row in vs.sigma for t in range(S - 1)}
+    assert len(early) == device.num_edges * (S - 1)
+    units = 0
+    for row in model._compile()[1]:
+        cols = [lit >> 1 for lit in row] if isinstance(row, list) else [c for _, c in row[0]]
+        if early.intersection(cols):
+            assert isinstance(row, list) and len(row) == 1, row
+            units += 1
+    assert units == len(early)
+    assert early <= {col for _, col in model._compile()[2]}
 
 
 def test_time_domains_are_dependency_windows():

@@ -129,7 +129,7 @@ def test_swaps_carried_verbatim_from_pass1():
     dev = bundled_device("qx2.json")
     result, plan, details = synthesize_qaoa(circ, dev, objective="swap", S=1,
                                             return_details=True)
-    planned = sorted(k for _, ks in plan.transitions for k in ks)
+    planned = sorted(k for ks in plan.transitions for k in ks)
     assert sorted(s.edge for s in result.swaps) == planned
     assert result.depth_blocks == plan.num_blocks
 
@@ -310,5 +310,5 @@ def test_random_cubic_graphs(seed, case):
     result, plan, _ = synthesize_qaoa(circ, dev, objective=objective, S=1,
                                       return_details=True)
     assert check_result(circ, dev, result, S=1) == []
-    planned = sorted(k for _, ks in plan.transitions for k in ks)
+    planned = sorted(k for ks in plan.transitions for k in ks)
     assert sorted(s.edge for s in result.swaps) == planned

@@ -327,8 +327,10 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     lambda m, b: m.maximize([(1, (b, "1"))]),
     lambda m, b: m.require_order(b, b, 1.5),
     lambda m, b: m.require_order(b, b, "1"),
+    lambda m, b: m.int_var(0.5, 2.7),  # int() would make it 0..2
+    lambda m, b: m.int_var("0", "3"),
 ], ids=["bound", "coefficient", "minimize", "maximize", "string", "indicator-value",
-        "indicator-string", "margin", "margin-string"])
+        "indicator-string", "margin", "margin-string", "int-bounds", "int-bounds-string"])
 def test_non_integral_input_raises_model_error(build):
     m = Model()
     b = m.bool_var()
@@ -357,6 +359,29 @@ def test_non_integral_input_raises_model_error(build):
     assert twin(2.0, 4.0)._compile() == twin(2, 4)._compile()
     v = solve(twin(2.0, 4.0))
     assert v.assignment == {0: 2, 1: 4} and v.objective_value == 2
+
+    def ranged(lo, hi):
+        m = Model()
+        x = m.int_var(lo, hi)
+        m.minimize([(1, x)])
+        return m
+
+    # ... and as int bounds
+    assert ranged(0.0, 3.0)._compile() == ranged(0, 3)._compile()
+    assert ranged(0.0, 3.0)._var(0).domain == range(0, 4)
+    assert solve(ranged(1.0, 3.0)).assignment == {0: 1}
+
+
+@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan"), "1"])
+def test_timeout_must_be_a_number_at_least_zero(monkeypatch, timeout):
+    # NaN would fail every deadline comparison and so lift the budget; a
+    # negative one is refused rather than reported as a solver timeout
+    searches = []
+    monkeypatch.setattr(_cdcl.Searcher, "search", lambda *args: searches.append(1))
+    for method in ("sat", "milp"):
+        with pytest.raises(ValueError, match="timeout"):
+            solve(_chain_model(), timeout=timeout, method=method)
+    assert searches == []
 
 
 def test_unknown_method_rejected():

@@ -14,7 +14,6 @@ from qlayout.circuit import (
     Gate,
     chain_depths,
     load_circuit,
-    longest_dependency_chain,
     parse_program,
     preprocess,
 )
@@ -45,17 +44,23 @@ def bundled_circuit(name):
     return load_circuit((resources.files("qlayout") / "data" / name).read_text())
 
 
+def _encode_tb(circuit, device, T, objective="swap"):
+    """encode_tb with the symmetry pins the flows find for it."""
+    return encode_tb(circuit, device, T, objective,
+                     pins=exact._symmetry_pins(circuit, device, objective))
+
+
 def test_triangle_coarse_horizons():
-    m1, _ = encode_tb(TRIANGLE, PATH3, 1)
+    m1, _ = _encode_tb(TRIANGLE, PATH3, 1)
     assert sv.solve(m1).status == sv.UNSAT
-    m2, vs2 = encode_tb(TRIANGLE, PATH3, 2)
+    m2, vs2 = _encode_tb(TRIANGLE, PATH3, 2)
     verdict = sv.solve(m2)
     assert verdict.status == sv.SAT
     assert verdict.objective_value == 1
     plan = extract_plan(TRIANGLE, PATH3, verdict, vs2)
     check_plan(plan, TRIANGLE, PATH3)
     assert plan.num_blocks == 2
-    assert sum(len(e) for _, e in plan.transitions) == 1
+    assert len(plan.transitions) == 1 and len(plan.transitions[0]) == 1
 
 
 def test_triangle_end_to_end():
@@ -149,7 +154,7 @@ def test_check_plan_catches_overlapping_transition_swaps():
         num_blocks=2,
         gate_block=(0, 1),
         block_mapping=((0, 1), (0, 1)),
-        transitions=((0, frozenset({0, 1})),),  # edges 0,1 share node 1
+        transitions=(frozenset({0, 1}),),  # edges 0,1 share node 1
     )
     with pytest.raises(ValueError):
         check_plan(plan, circ, PATH3)
@@ -161,10 +166,26 @@ def test_check_plan_catches_wrong_mapping_step():
         num_blocks=2,
         gate_block=(0, 1),
         block_mapping=((0, 1), (0, 1)),  # swap on edge 0 not applied
-        transitions=((0, frozenset({0})),),
+        transitions=(frozenset({0}),),
     )
     with pytest.raises(ValueError):
         check_plan(plan, circ, PATH3)
+
+
+def test_check_plan_needs_one_transition_per_boundary():
+    # every block boundary has its SWAP set, an empty one included
+    circ = load_circuit("qubits 2\ncx q0 q1\ncx q0 q1\n")
+    plan = TransitionPlan(
+        num_blocks=2,
+        gate_block=(0, 1),
+        block_mapping=((0, 1), (0, 1)),
+        transitions=(frozenset(),),
+    )
+    check_plan(plan, circ, PATH3)
+    assert asap_schedule(plan, circ, PATH3).swap_count == 0
+    for transitions in ((), (frozenset(), frozenset())):
+        with pytest.raises(ValueError, match="transitions for 2 blocks"):
+            check_plan(replace(plan, transitions=transitions), circ, PATH3)
 
 
 def test_asap_single_block_packs_parallel_gates():
@@ -188,7 +209,7 @@ def test_asap_transition_swap_window():
         num_blocks=2,
         gate_block=(0, 1),
         block_mapping=((0, 1), (1, 0)),
-        transitions=((0, frozenset({0})),),
+        transitions=(frozenset({0}),),
     )
     result = asap_schedule(plan, circ, PATH3, S=3)
     assert result.swap_count == 1
@@ -267,7 +288,7 @@ def _reference_schedule(gate_block, plan, circuit, device, S):
     by_block = [[] for _ in range(plan.num_blocks)]
     for l, b in enumerate(gate_block):
         by_block[b].append(l)
-    fired = dict(plan.transitions)
+    fired = (*plan.transitions, frozenset())
     node_free = [0] * device.num_physical
     gate_time = [0] * circuit.num_gates
     swaps = []
@@ -281,7 +302,7 @@ def _reference_schedule(gate_block, plan, circuit, device, S):
             gate_time[l] = slot
             for p in nodes:
                 node_free[p] = slot + 1
-        for k in sorted(fired.get(b, ())):
+        for k in sorted(fired[b]):
             a, bb = device.edges[k]
             finish = max(node_free[a], node_free[bb]) + S - 1
             swaps.append(SwapPlacement(edge=k, finish_time=finish))
@@ -375,7 +396,7 @@ def _counting_polish(monkeypatch, plan, circuit, device, S, node_budget):
 def _coarse_plan(circuit, device, objective):
     """The unpolished plan of the first satisfiable coarse horizon."""
     for T in range(1, 8):
-        model, vs = encode_tb(circuit, device, T, objective)
+        model, vs = _encode_tb(circuit, device, T, objective)
         verdict = sv.solve(model)
         if verdict.status == sv.SAT:
             return extract_plan(circuit, device, verdict, vs)
@@ -491,7 +512,7 @@ def test_polish_bounds_are_sound(instance, S, data):
     tables = transition._schedule_tables(plan, circuit, device)
     gate_time, _ = transition._schedule_core(tables, _block_order(split, B), S)
     depth = max(gate_time) + 1
-    assert longest_dependency_chain(circuit) <= depth
+    assert circuit.longest_chain <= depth
     _, tail = chain_depths(circuit)
     for k in range(1, L + 1):
         prefix = _block_order(split[:k], B)
@@ -511,7 +532,7 @@ def test_polish_stops_at_the_chain_bound(monkeypatch):
     circ = bundled_circuit("adder.gates")
     dev = bundled_device("qx2.json")
     plan = _coarse_plan(circ, dev, "swap")
-    assert _polished_depth(plan, circ, dev, 3) == longest_dependency_chain(circ) == 16
+    assert _polished_depth(plan, circ, dev, 3) == circ.longest_chain == 16
     schedules = []
     core = transition._schedule_core
     monkeypatch.setattr(transition, "_schedule_core",
