@@ -64,12 +64,16 @@ class EncodingConfig:
     max_T: int = 256
 
     def __post_init__(self):
+        for name in ("T", "S", "max_T"):
+            if getattr(self, name).__class__ is not int:
+                raise ValueError(f"{name} must be an int, not {getattr(self, name)!r}")
         if self.T < 1:
             raise ValueError("T must be >= 1")
         if self.S < 1:
             raise ValueError("S must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)
+                and self.epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, not {self.epsilon!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
 
@@ -199,7 +203,8 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     m = sv.Model()
 
     # Each gate's slots; below the longest chain some window would be
-    # empty, so the model gets one empty clause and keeps all T slots.
+    # empty, so the model gets one empty clause, a one-off with no literal
+    # to read, and keeps all T slots.
     windows = [range(T)] * circuit.num_gates
     if not coarse:
         asap, tail = chain_depths(circuit)
@@ -227,42 +232,45 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     for l, lp in circuit.dependencies:
         m.require_order(time[l], time[lp], margin)
 
-    # Clause families below are written as literal lists for
-    # require_clause: (handle, value, False) is a negated guard "handle !=
-    # value", (handle, value, True) the consequent "handle == value".
+    # The clause families below are rows of literals, one require_clauses
+    # call per family, read off the literal lists of Model.lits:
+    # at[q][t][p] is "pi_q^t == p", when[l] lists "t_l == t" over gate l's
+    # window, and off[k][t] is "sigma_k^t == 0", so "sigma_k^t == 1" is
+    # off[k][t] ^ 1. A negated guard "x != v" is its "x == v" literal ^ 1.
+    at = [[m.lits(h) for h in row] for row in pi]
+    when = [m.lits(h) for h in time]
+    off = [[m.lits(h)[0] for h in row] for row in sigma]
 
     # eq3/eq4 by the mapping: a 2q gate's operand on p puts the other on a
     # neighbour of p; a 1q gate needs no placement clause
+    rows = []
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
-        for t in windows[g.index]:
-            not_now = (time[g.index], t, False)
+        for t, now in zip(windows[g.index], when[g.index]):
             for q, other in (g.qubits, g.qubits[::-1]):
-                for p in range(N):
-                    m.require_clause([not_now, (pi[q][t], p, False),
-                                      *[(pi[other][t], r, True)
-                                        for r in device.neighbours[p]]])
+                here, there = at[q][t], at[other][t]
+                rows += [[now ^ 1, here[p] ^ 1, *map(there.__getitem__, device.neighbours[p])]
+                         for p in range(N)]
+    m.require_clauses(rows)
 
     # eq5: a SWAP takes S slots, none can finish before slot S-1; these
     # unit rows decide sigma there, so the SWAP families below start at S-1
-    for k in range(K):
-        for t in range(min(S - 1, T)):
-            m.require_clause([(sigma[k][t], 0, True)])
+    m.require_clauses([[off[k][t]] for k in range(K) for t in range(min(S - 1, T))])
 
     # eq6: SWAPs on one edge never overlap
-    for k in range(K):
-        for t in range(S - 1, T):
-            for tp in range(max(t - S + 1, S - 1), t):
-                m.require_clause([(sigma[k][t], 1, False), (sigma[k][tp], 0, True)])
+    m.require_clauses([[off[k][t], off[k][tp]] for k in range(K) for t in range(S - 1, T)
+                       for tp in range(max(t - S + 1, S - 1), t)])
 
     # eq7: SWAPs on overlapping edges never overlap (both directions)
+    rows = []
     for k, kp in sorted(device.overlap_pairs):
         for t in range(S - 1, T):
             for tp in range(max(t - S + 1, S - 1), t + 1):
-                m.require_clause([(sigma[k][t], 1, False), (sigma[kp][tp], 0, True)])
+                rows.append([off[k][t], off[kp][tp]])
                 if tp < t:
-                    m.require_clause([(sigma[kp][t], 1, False), (sigma[k][tp], 0, True)])
+                    rows.append([off[kp][t], off[k][tp]])
+    m.require_clauses(rows)
 
     if not coarse:
         # eq8/eq9 by node occupancy: swapping[p][t] holds while a SWAP on an
@@ -270,40 +278,42 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
         # needs it off. A SWAP window so excludes exactly the gates on its
         # endpoints and on the edges sharing a node with its own.
         swapping = [[m.bool_var(f"swapping_{p}_{t}") for t in range(T)] for p in range(N)]
+        busy = [[m.lits(h)[1] for h in row] for row in swapping]
+        rows = []
         for k, (a, b) in enumerate(device.edges):
             for t in range(S - 1, T):
-                fired = (sigma[k][t], 1, False)
+                fired = off[k][t]
                 for tp in range(t - S + 1, t + 1):
-                    m.require_clause([fired, (swapping[a][tp], 1, True)])
-                    m.require_clause([fired, (swapping[b][tp], 1, True)])
+                    rows += ([fired, busy[a][tp]], [fired, busy[b][tp]])
         for g in circuit.gates:
-            for t in windows[g.index]:
-                not_now = (time[g.index], t, False)
+            for t, now in zip(windows[g.index], when[g.index]):
                 for q in g.qubits:
-                    for p in range(N):
-                        m.require_clause([not_now, (pi[q][t], p, False),
-                                          (swapping[p][t], 0, True)])
+                    here = at[q][t]
+                    rows += [[now ^ 1, here[p] ^ 1, busy[p][t] ^ 1] for p in range(N)]
+        m.require_clauses(rows)
 
     # eq10: mapping is frozen across t -> t+1 unless an incident SWAP
     # finishes; below slot S-1 none can, so no SWAP literal is listed
+    rows = []
     for t in range(T - 1):
         for p in range(N):
-            fired = [(sigma[k][t], 0, False) for k in device.incident[p]
-                     if t >= S - 1]
-            for q in range(M):
-                m.require_clause([(pi[q][t], p, False), *fired, (pi[q][t + 1], p, True)])
+            fired = [off[k][t] ^ 1 for k in device.incident[p]] if t >= S - 1 else []
+            rows += [[at[q][t][p] ^ 1, *fired, at[q][t + 1][p]] for q in range(M)]
+    m.require_clauses(rows)
 
     # eq11: a finishing SWAP carries the mapping across its edge, from the
     # first slot a SWAP can finish at
+    rows = []
     for t in range(S - 1, T - 1):
         for k, (a, b) in enumerate(device.edges):
-            fired = (sigma[k][t], 1, False)
+            fired = off[k][t]
             for q in range(M):
-                m.require_clause([(pi[q][t], a, False), fired, (pi[q][t + 1], b, True)])
-                m.require_clause([(pi[q][t], b, False), fired, (pi[q][t + 1], a, True)])
+                now, nxt = at[q][t], at[q][t + 1]
+                rows += ([now[a] ^ 1, fired, nxt[b]], [now[b] ^ 1, fired, nxt[a]])
+    m.require_clauses(rows)
 
-    for clause in pins:
-        m.require_clause([(pi[q][0], p, positive) for q, p, positive in clause])
+    m.require_clauses([[at[q][0][p] if positive else at[q][0][p] ^ 1
+                        for q, p, positive in clause] for clause in pins])
 
     return m, vs
 
@@ -342,22 +352,25 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
             s0 = scaled_log_fidelity(device.f_measure[p])
             if s0:
                 terms.append((s0, (vs.pi[q][T - 1], p)))
+    at = [[model.lits(h) for h in row] for row in vs.pi]
+    rows = []
     for g in circuit.gates:
         if g.is_two_qubit:
             sites, weights = device.incident, device.f_two
         else:
             sites, weights = [(p,) for p in range(N)], device.f_single
         x = model.int_var(0, len(weights) - 1, f"x_{g.index}")
-        for t in model._var(vs.time[g.index]).domain:
-            not_now = (vs.time[g.index], t, False)
+        placed = model.lits(x).__getitem__  # placed(s) is "x_l == s"
+        tl = vs.time[g.index]
+        for t, now in zip(model._var(tl).domain, model.lits(tl)):
             for q in g.qubits:
-                for p in range(N):
-                    model.require_clause([not_now, (vs.pi[q][t], p, False),
-                                          *[(x, s, True) for s in sites[p]]])
+                here = at[q][t]
+                rows += [[now ^ 1, here[p] ^ 1, *map(placed, sites[p])] for p in range(N)]
         for s, f in enumerate(weights):
             w = scaled_log_fidelity(f)
             if w:
                 terms.append((w, (x, s)))
+    model.require_clauses(rows)
     for k in range(len(vs.sigma)):
         w = swap_log_fidelity(device, k)
         if w:

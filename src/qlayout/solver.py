@@ -9,10 +9,14 @@ ModelError on any other. This module lowers that description, constraint by
 constraint at its call, to two kinds of row over pure 0/1 columns:
 
   * clause rows: literal lists in the search core's convention (2*c
-    asserts column c is 1, 2*c+1 asserts it is 0). `require_clause`
-    resolves its literals to that form once, at the call; an ordering
+    asserts column c is 1, 2*c+1 asserts it is 0). `Model.lits(handle)`
+    lists the literal of "handle == v" for each value v of its domain, and
+    "handle != v" is that literal ^ 1; a clause family is written from
+    those lists and handed over whole to `require_clauses`, which checks it
+    once and keeps its rows. `require_clause` resolves one clause of
+    (handle, value, positive) triples to such a row. An ordering
     "a + margin <= b" becomes clause rows too, at its call, over an order
-    encoding ("x >= v" literals, see `Model._ge`);
+    encoding ("x >= v" literals on aux columns, see `Model._ge`);
   * >=-rows (terms, b): sum(coef * column) >= b over integer (coef, col)
     terms. Every bounded int becomes a one-hot group of binary columns tied
     by an exactly-one sum (two rows built as the int is created), so
@@ -32,15 +36,18 @@ stays as an independent cross-check engine for tests and reference optima
 (`method="milp"`): it reads a clause as the >=-row sum(lits) >= 1, and
 numpy and scipy are imported only when it runs. Either way reported optima
 are exact, which the synthesis layers rely on; every satisfying assignment
-is replayed against the declarative model before it is returned. A
-backend anomaly raises SolverBackendError and is never reported
+is replayed against the declarative model before it is returned: each
+clause row on the assignment's column image, each ordering and sum on the
+values. A backend anomaly raises SolverBackendError and is never reported
 "unsatisfiable".
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain, compress, groupby
 
 from . import _cdcl
 
@@ -83,6 +90,11 @@ class _Order:
 
     def __repr__(self) -> str:
         return f"Order(x{self.a} + {self.margin} <= x{self.b})"
+
+
+_INT = frozenset({int})
+_column = (1).__rrshift__  # _column(lit) is lit >> 1, the literal's column
+_NOT = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
 
 
 def _clause_row(lits) -> list[int] | None:
@@ -128,14 +140,14 @@ class Model:
 
     Each call builds its rows at once and logs what it states for replay;
     `_compile` only puts the row lists together, so a solve always sees the
-    model as it stands.
+    model as it stands. A clause is written over the literals of `lits`
+    and stated by `require_clauses`, a whole family per call.
     """
 
     def __init__(self) -> None:
         self._vars: list[_Var] = []
-        self._lit_rules: list[tuple[int, int, int, int]] = []  # see _new_var
         self._ncols = 0  # columns made so far: variables' and order chains'
-        # in order: a clause as its tuple of indicator literals and an
+        # in order: a clause as the literal list it was stated with and an
         # ordering as _Order, kept for replay
         self._assertions: list = []
         self._onehot_rows: list[tuple[list, int]] = []  # two per int, in order
@@ -146,6 +158,7 @@ class Model:
         self._objective: tuple[str, list, list] | None = None
         self._chains: dict[int, list] = {}  # int handle -> its "x >= v" literals
         self._aux_names: list[str] = []
+        self._aux_lits: set[int] = set()  # both literals of every aux column
         self._compiled = None  # what _compile last returned
 
     # -- variable registration ------------------------------------------------
@@ -162,9 +175,6 @@ class Model:
     def _new_var(self, lo: int, hi: int, is_bool: bool, name: str) -> int:
         c = self._ncols
         v = _Var(len(self._vars), lo, hi, is_bool, name, c)
-        # (lo, hi, base, step): "== v" is the literal base + step * v, so
-        # 2c+1-v for a bool and 2(c+v-lo) for an int (its column c+v-lo)
-        self._lit_rules.append((0, 1, 2 * c + 1, -1) if is_bool else (lo, hi, 2 * (c - lo), 2))
         self._ncols += 1 if is_bool else hi - lo + 1
         if not is_bool:
             # the one-hot group's exactly-one rows, the upper bound's negated row first
@@ -175,50 +185,72 @@ class Model:
         return v.handle
 
     def _var(self, handle) -> _Var:
-        if not isinstance(handle, int) or not (0 <= handle < len(self._vars)):
+        # a bool is an int to Python, but no handle
+        if handle.__class__ is not int or not (0 <= handle < len(self._vars)):
             raise ModelError(f"unknown variable handle {handle!r}")
         return self._vars[handle]
 
+    def lits(self, handle) -> list[int]:
+        """The literal of "handle == v" for each value v of its domain, low
+        end first: [== 0, == 1] for a bool. "handle != v" is the literal ^ 1.
+
+        It reads the layout `_extract` reads back: a bool's column holds its
+        value, an int's column first_col + v - lo is set when it is v.
+        """
+        v = self._var(handle)
+        c = v.first_col
+        if v.is_bool:
+            return [2 * c + 1, 2 * c]
+        return list(range(2 * c, 2 * (c + v.hi - v.lo) + 1, 2))
+
     # -- constraint registration ----------------------------------------------
+
+    def require_clauses(self, rows) -> None:
+        """Require of each row that at least one of its literals holds.
+
+        Each row lists literals from `lits` or their complements (lit ^ 1).
+        The whole family is checked first: a literal that is no int (a bool
+        neither), is negative, is past the last column or is on an order
+        chain's aux column raises ModelError, and nothing is kept. Each row
+        is then logged for replay as given and becomes a clause row in
+        order: repeats collapse, a row with a complementary pair always
+        holds (no clause row), and an empty row can never hold.
+        """
+        rows = list(map(list, rows))
+        flat = [*chain.from_iterable(rows)]
+        if flat and not (_INT.issuperset(map(type, flat)) and min(flat) >= 0
+                         and max(flat) < 2 * self._ncols and self._aux_lits.isdisjoint(flat)):
+            bad = next(lit for lit in flat if lit.__class__ is not int
+                       or not 0 <= lit < 2 * self._ncols or lit in self._aux_lits)
+            raise ModelError(f"clause literal {bad!r} is no literal of a variable column")
+        self._assertions += rows
+        kept = self._rows
+        for row in rows:
+            if len({*map(_column, row)}) < len(row):  # a repeat or a complementary pair
+                row = _clause_row(row)
+                if row is None:
+                    continue
+            kept.append(row)
 
     def require_clause(self, lits) -> None:
         """Require that at least one indicator literal holds.
 
         Each literal is a (handle, value, positive) triple: "handle == value"
         when positive, "handle != value" when not. A value outside the
-        handle's domain makes its literal a constant (false when positive,
-        true when not). The literals become one clause row, in the order
-        given: repeats collapse, a complementary pair makes the clause
-        always true (no row), and a clause none of whose literals can hold
-        makes the model unsatisfiable.
-
-        Each literal is resolved here, once, from its handle's literal rule
-        (`_lit_rules`); every handle is checked, also those after a literal
-        that makes the clause always true.
+        handle's domain makes its literal a constant: false when positive
+        (dropped), true when not (stated as a complementary pair on the
+        handle's first column). Every handle is checked before the row, in
+        the order given, goes to `require_clauses`.
         """
-        lits = tuple(lits)
-        rules = self._lit_rules
-        row: list[int] | None = []
+        row: list[int] = []
         for handle, value, positive in lits:
-            if not isinstance(handle, int) or not (0 <= handle < len(rules)):
-                raise ModelError(f"unknown variable handle {handle!r}")
-            if row is None:
-                continue  # always true; the remaining handles are still checked
-            lo, hi, base, step = rules[handle]
-            if not lo <= value <= hi:  # value outside the domain: a constant literal
-                if not positive:
-                    row = None
-                continue
-            lit = base + step * value if positive else (base + step * value) ^ 1
-            if lit in row:
-                continue
-            if lit ^ 1 in row:
-                row = None
-            else:
-                row.append(lit)
-        self._assertions.append(lits)
-        if row is not None:
-            self._rows.append(row)
+            table = self.lits(handle)
+            lo, value = self._vars[handle].lo, _integer(value, "indicator value")
+            if lo <= value < lo + len(table):
+                row.append(table[value - lo] if positive else table[value - lo] ^ 1)
+            elif not positive:
+                row += (table[0], table[0] ^ 1)
+        self.require_clauses([row])
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
         """Require a + margin <= b over two variable handles, with an
@@ -266,6 +298,7 @@ class Model:
             aux = self._ncols
             self._ncols += n - 3
             self._aux_names += ["ge"] * (n - 3)
+            self._aux_lits.update(range(2 * aux, 2 * (aux + n - 3)))
             chain = self._chains[var.handle] = (
                 [None, 2 * col + 1] + [2 * c for c in range(aux, aux + n - 3)]
                 + [2 * (col + n - 1)])
@@ -348,18 +381,57 @@ class Model:
                 total += coef * assignment[t]
         return total
 
+    def _holding(self, assignment: dict) -> set[int]:
+        """The literals that hold on the assignment's column image: each
+        int's value column is set and each bool's column holds its value,
+        as `_extract` reads them. An aux column reads 0; no clause row
+        names one."""
+        cols = bytearray(self._ncols)
+        for v in self._vars:
+            value = assignment[v.handle]
+            if v.is_bool:
+                cols[v.first_col] = value == 1
+            elif v.lo <= value <= v.hi:
+                cols[v.first_col + value - v.lo] = 1
+        image = bytearray(2 * self._ncols)
+        image[::2] = cols
+        image[1::2] = cols.translate(_NOT)
+        return set(compress(range(2 * self._ncols), image))
+
+    def _named(self, row) -> tuple:
+        """A clause row as its (handle, value, positive) literals."""
+        starts = [v.first_col for v in self._vars]
+        named = []
+        for lit in row:
+            v = self._vars[bisect_right(starts, lit >> 1) - 1]
+            table = self.lits(v.handle)
+            if lit in table:
+                named.append((v.handle, v.lo + table.index(lit), True))
+            else:
+                named.append((v.handle, v.lo + table.index(lit ^ 1), False))
+        return tuple(named)
+
     def check_assignment(self, assignment: dict) -> list[str]:
-        """Replay every assertion on concrete values; returns violations."""
+        """Replay every assertion on concrete values; returns violations.
+
+        A clause is checked on the assignment's column image (`_holding`)
+        and named by its (handle, value, positive) literals; an ordering and
+        a sum on the values.
+        """
         bad = []
-        for i, f in enumerate(self._assertions):
-            if f.__class__ is tuple:
-                for handle, value, positive in f:
-                    if (assignment[handle] == value) == positive:
-                        break
-                else:
-                    bad.append(f"assertion {i}: Clause{f!r}")
-            elif assignment[f.a] + f.margin > assignment[f.b]:
-                bad.append(f"assertion {i}: {f!r}")
+        holding = self._holding(assignment)
+        at = 0  # index of the run's first assertion
+        for kind, run in groupby(self._assertions, type):
+            run = list(run)
+            if kind is list:
+                # a run of clause rows is named only if one of them fails
+                if any(map(holding.isdisjoint, run)):
+                    bad += [f"assertion {i}: Clause{self._named(f)!r}"
+                            for i, f in enumerate(run, at) if holding.isdisjoint(f)]
+            else:
+                bad += [f"assertion {i}: {f!r}" for i, f in enumerate(run, at)
+                        if assignment[f.a] + f.margin > assignment[f.b]]
+            at += len(run)
         for i, (terms, op, rhs) in enumerate(self._sums):
             total = self._sum_value(terms, assignment)
             ok = (total <= rhs) if op == "<=" else (total >= rhs) if op == ">=" else (total == rhs)

@@ -89,12 +89,11 @@ def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
                 model.require_sum(terms, "<=", degree[p] + L)
 
     # disjoint SWAPs move a qubit at most one hop per transition
+    # ([pi_q^t != p] or pi_q^{t+1} in {p} + neighbours(p), over Model.lits)
     closed = [[p, *device.neighbours[p]] for p in range(N)]
-    for q in range(M):
-        for t in range(T - 1):
-            for p in range(N):
-                model.require_clause([(vs.pi[q][t], p, False),
-                                      *[(vs.pi[q][t + 1], pp, True) for pp in closed[p]]])
+    at = [[model.lits(h) for h in row] for row in vs.pi]
+    model.require_clauses([[at[q][t][p] ^ 1, *map(at[q][t + 1].__getitem__, closed[p])]
+                           for q in range(M) for t in range(T - 1) for p in range(N)])
 
 
 def extract_plan(circuit: Circuit, device: Device, verdict: sv.Verdict,
@@ -276,12 +275,19 @@ def _block_order(gate_block, num_blocks: int) -> list[list[int]]:
     return order
 
 
+def _check_slots(S) -> None:
+    """ValueError unless the SWAP duration S is an int of at least 1 slot."""
+    if S.__class__ is not int:
+        raise ValueError(f"S must be an int, not {S!r}")
+    if S < 1:
+        raise ValueError("S must be >= 1")
+
+
 def _schedule_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
                    S: int, order) -> SynthesisResult:
     """Check a plan, schedule its blocks' gates in `order` (per-block gate
     lists in execution order) and build the result."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    _check_slots(S)
     check_plan(plan, circuit, device)
     gate_time, swaps = _schedule_core(_schedule_tables(plan, circuit, device), order, S)
     return build_result(circuit, device, plan.num_blocks, plan.block_mapping[0],
@@ -403,8 +409,7 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
     1 until the block model is satisfiable, then extract and polish its
     plan. The symmetry pins are found once, for every horizon. Returns
     (plan, details)."""
-    if S < 1:
-        raise ValueError("S must be >= 1")
+    _check_slots(S)
     pins = _symmetry_pins(circuit, device, objective)
     verdict, vs, details = solve_horizons(
         lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1,

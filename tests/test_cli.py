@@ -84,6 +84,9 @@ def test_synth_unsat_at_cap_exit(capsys, tmp_path):
     ("--timeout", "-1"),
     ("--timeout", "nan"),
     ("--mode", "tb", "--timeout", "nan"),
+    ("--t-growth", "inf", "--extra-t", "1"),
+    ("--t-growth", "nan", "--extra-t", "1"),
+    ("--t-growth", "nan"),
 ])
 def test_synth_bad_value_is_input_error(capsys, flags):
     code, _, err = run(capsys, "synth", "--circuit", "or", "--device", "qx2",

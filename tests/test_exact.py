@@ -1,5 +1,6 @@
 """Exact synthesizer: optimality, growth policy, decode contract."""
 
+import math
 import random
 from importlib import resources
 
@@ -204,6 +205,23 @@ def test_unknown_objective_rejected():
         EncodingConfig(T=1, S=0)
     with pytest.raises(ValueError):
         EncodingConfig(T=1, epsilon=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("T", 2.5), ("T", True), ("S", 1.5), ("S", 3.0), ("max_T", 12.0), ("max_T", False),
+    ("epsilon", math.inf), ("epsilon", math.nan), ("epsilon", -math.inf), ("epsilon", "0.3"),
+])
+def test_config_refuses_non_integral_and_non_finite_values(field, value):
+    # an infinite growth factor once overflowed in grow_T, a NaN one failed
+    # only after solving, and S=1.5 reached the model as a float
+    with pytest.raises(ValueError, match=field):
+        EncodingConfig(**{"T": 1, field: value})
+
+
+def test_exact_flow_refuses_a_non_int_swap_duration():
+    with pytest.raises(ValueError, match="S must be an int"):
+        synthesize(bundled_circuit("adder.gates"), bundled_device("qx2.json"),
+                   config=EncodingConfig(T=1, S=1.5))
 
 
 # Two parallel dependency chains of lengths 3 and 2: at the longest chain

@@ -103,6 +103,16 @@ def test_rejects_unpreprocessed_and_dependent():
         synthesize_qaoa(load_circuit("qubits 2\nh q0\n"), dev)
 
 
+@pytest.mark.parametrize("S", [1.5, True])
+def test_rejects_a_non_int_swap_duration_before_solving(monkeypatch, S):
+    solves = []
+    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
+    circ = phase_separation_from_graph([(0, 1), (1, 2), (0, 2), (2, 3), (0, 3)])
+    with pytest.raises(ValueError, match="S must be an int"):
+        synthesize_qaoa(circ, bundled_device("qx2.json"), S=S)
+    assert solves == []
+
+
 @pytest.mark.parametrize("S", [0, -2])
 def test_rejects_swap_duration_below_one_before_solving(monkeypatch, S):
     solves = []

@@ -193,7 +193,7 @@ def _indicator_lits(draw):
 @given(_indicator_lits())
 def test_require_clause_row_matches_literal_path(case):
     m, lits = case
-    expected = []
+    expected, logged = [], []
     for handle, value, positive in lits:
         # the literal of "var == value", False when value is outside the domain
         var = m._var(handle)
@@ -204,12 +204,120 @@ def test_require_clause_row_matches_literal_path(case):
         if not positive:
             lit = True if lit is False else lit ^ 1
         expected.append(lit)
+        # the row handed to require_clauses: a false constant is dropped and
+        # a true one is a complementary pair on the handle's first column
+        if lit is True:
+            logged += [m.lits(handle)[0], m.lits(handle)[0] ^ 1]
+        elif lit is not False:
+            logged.append(lit)
     n_rows = len(m._rows)
     m.require_clause(lits)
     row = sv._clause_row(expected)
     # a clause that always holds appends no row
     assert m._rows[n_rows:] == ([] if row is None else [row])
-    assert m._assertions[-1] == tuple(lits)
+    assert m._assertions[-1] == logged
+    assert sv._clause_row(logged) == row
+
+
+def _lits_layout_model():
+    """A bool, an int with lo != 0, an ordering that makes x's order chain
+    (three aux columns), and an int created after those aux columns."""
+    m = Model()
+    b = m.bool_var()
+    x = m.int_var(-2, 3)
+    y = m.int_var(0, 1)
+    m.require_order(y, x, 2)  # x >= 2, 3 are inner values: aux columns
+    w = m.int_var(4, 6)
+    assert m._aux_names == ["ge"] * 3
+    return m, (b, x, y, w)
+
+
+def test_lits_follow_the_layout_extract_reads():
+    m, handles = _lits_layout_model()
+    b, x, y, w = handles
+    assert m.lits(b) == [1, 0]  # [b == 0, b == 1] on column 0
+    assert m.lits(x) == [2, 4, 6, 8, 10, 12]  # columns 1..6, low end first
+    assert m.lits(w) == [2 * c for c in range(12, 15)]  # after the aux columns 9..11
+    ncols = m._compile()[0]
+    for values in itertools.product(*[m._var(h).domain for h in handles]):
+        assignment = dict(zip(handles, values))
+        if m.check_assignment(assignment):
+            continue
+        # set each variable's "== value" literal, as a solver would
+        cols = [0] * ncols
+        for h, value in assignment.items():
+            lit = m.lits(h)[value - m._var(h).lo]
+            cols[lit >> 1] = 1 - (lit & 1)
+        # the order chain's aux columns 9..11 stand for x >= 0, 1, 2
+        for v, c in enumerate(range(9, 12)):
+            cols[c] = int(assignment[x] >= v)
+        assert sv._extract(m, cols).assignment == assignment
+
+
+def test_extract_refuses_a_vector_that_breaks_a_clause_row():
+    m = Model()
+    x = m.int_var(0, 3)
+    b = m.bool_var()
+    m.require_clauses([[m.lits(x)[1], m.lits(b)[1]]])  # x == 1 or b == 1
+    m.require_clause([(x, 2, False)])
+    assert m.check_assignment({x: 1, b: 0}) == []
+    assert m.check_assignment({x: 2, b: 0}) == [
+        "assertion 0: Clause((0, 1, True), (1, 1, True))",
+        "assertion 1: Clause((0, 2, False),)"]
+    cols = [0.0] * m._compile()[0]
+    cols[2] = 1.0  # x == 2, b == 0
+    with pytest.raises(SolverBackendError):
+        sv._extract(m, cols)
+
+
+def test_require_clauses_collapses_repeats_and_drops_tautologies():
+    m = Model()
+    x = m.int_var(0, 2)
+    b = m.bool_var()
+    lx, lb = m.lits(x), m.lits(b)
+    m.require_clauses([(lx[1], lx[1], lb[1]), [lx[0], lx[0] ^ 1], [], [lb[0]]])
+    # one log entry per row, each as given; the tautology loads no row
+    assert m._assertions == [[lx[1], lx[1], lb[1]], [lx[0], lx[0] ^ 1], [], [lb[0]]]
+    assert m._rows == [[lx[1], lb[1]], [], [lb[0]]]
+    assert solve(m).status == sv.UNSAT
+
+
+@pytest.mark.parametrize("bad", [
+    2.0, True, "4", None,  # not an int
+    -1,  # negative
+    "past",  # one past the last column
+    "aux",  # an order chain's aux column
+])
+def test_require_clauses_refuses_a_bad_literal_atomically(bad):
+    m, (b, x, y, w) = _lits_layout_model()
+    m.require_clauses([[m.lits(b)[1]]])
+    bad = {"past": 2 * m._compile()[0], "aux": 2 * 9 + 1}.get(bad, bad)
+    before = (list(m._assertions), list(m._rows), m._compile())
+    with pytest.raises(ModelError):
+        # a good row first: nothing of the family is kept
+        m.require_clauses([[m.lits(x)[0]], [m.lits(w)[2], bad]])
+    assert (m._assertions, m._rows, m._compile()) == before
+
+
+@pytest.mark.parametrize("state", [
+    lambda m, a: m.require_order(True, a),
+    lambda m, a: m.require_order(a, False, 1),
+    lambda m, a: m.require_sum([(1, True)], ">=", 1),
+    lambda m, a: m.require_sum([(1, (False, 0))], ">=", 1),
+    lambda m, a: m.require_clause([(False, 1, True)]),
+    lambda m, a: m.lits(True),
+    lambda m, a: m.minimize([(1, True)]),
+], ids=["order-a", "order-b", "sum", "sum-indicator", "clause", "lits", "objective"])
+def test_a_bool_is_no_handle(state):
+    # True and False are ints to Python; as handles they would name
+    # variables 1 and 0, which nobody asked for
+    m = Model()
+    m.bool_var()
+    a = m.int_var(0, 5)
+    before = (list(m._assertions), list(m._sums), m._compile(), m._objective)
+    with pytest.raises(ModelError):
+        state(m, a)
+    assert (m._assertions, m._sums, m._compile(), m._objective) == before
 
 
 @pytest.mark.parametrize("method", ["sat", "milp"])

@@ -19,6 +19,8 @@ from qlayout.circuit import (
 )
 from qlayout.device import DeviceError, build_device, load_device
 from qlayout.exact import OBJECTIVES, EncodingConfig, _fits, encode
+from qlayout.oracle import oracle_optimal
+from qlayout.qaoa import synthesize_qaoa
 from qlayout.results import SwapPlacement, TransitionPlan
 from qlayout.transition import (
     _block_order,
@@ -30,6 +32,7 @@ from qlayout.transition import (
     synthesize_tb,
 )
 from qlayout.verify import check_result
+from test_exact import ORACLE_DEVICES
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
 CYCLE4 = build_device(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -80,6 +83,19 @@ def test_rejects_swap_duration_below_one_before_solving(monkeypatch):
     monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
     with pytest.raises(ValueError, match="S must be >= 1"):
         synthesize_tb(TRIANGLE, PATH3, S=0)
+    assert solves == []
+
+
+@pytest.mark.parametrize("S", [1.5, 3.0, True, "3"])
+def test_rejects_a_non_int_swap_duration_before_solving(monkeypatch, S):
+    # S=1.5 once reached the scheduler and failed there as a backend error
+    plan, _ = synthesize_tb(TRIANGLE, PATH3)
+    with pytest.raises(ValueError, match="S must be an int"):
+        asap_schedule(plan, TRIANGLE, PATH3, S=S)
+    solves = []
+    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
+    with pytest.raises(ValueError, match="S must be an int"):
+        synthesize_tb(bundled_circuit("adder.gates"), bundled_device("qx2.json"), S=S)
     assert solves == []
 
 
@@ -597,14 +613,23 @@ def cut_instances(draw):
 
 
 class _ClauseRecorder:
-    """Stands in for the model in _coarse_cuts and keeps its clauses; the
-    degree cut's sums are dropped."""
+    """Stands in for the model in _coarse_cuts and keeps its clause rows,
+    decoded through `lits` into (handle, value, positive) literals; the
+    degree cut's sums are dropped. Literal lists come from `model`, a coarse
+    model of the same layout."""
 
-    def __init__(self):
+    def __init__(self, model, vs):
+        self.lits = model.lits
+        self.named = {}
+        for row in vs.pi:
+            for h in row:
+                for value, lit in enumerate(model.lits(h)):  # pi spans 0..N-1
+                    self.named[lit] = (h, value, True)
+                    self.named[lit ^ 1] = (h, value, False)
         self.clauses = []
 
-    def require_clause(self, lits):
-        self.clauses.append(list(lits))
+    def require_clauses(self, rows):
+        self.clauses += [[self.named[lit] for lit in row] for row in rows]
 
     def require_sum(self, terms, op, rhs):
         pass
@@ -624,8 +649,8 @@ def test_one_hop_clauses_follow_from_the_coarse_model(instance):
     circuit, device = instance
     for T in (2, 3):
         config = EncodingConfig(T=T, S=1)
-        _, vs = encode(circuit, device, config, coarse=True)
-        cuts = _ClauseRecorder()
+        model, vs = encode(circuit, device, config, coarse=True)
+        cuts = _ClauseRecorder(model, vs)
         transition._coarse_cuts(cuts, vs, circuit, device, T)
         assert len(cuts.clauses) == circuit.num_qubits * (T - 1) * device.num_physical
         for clause in cuts.clauses:
@@ -661,3 +686,41 @@ def test_symmetry_clauses_keep_the_optimum(instance, objective):
     chain = circuit.longest_chain
     for T in (chain, chain + 1, chain + 2):
         assert optimum(exact_model(T, pins)) == optimum(exact_model(T, ())), T
+
+
+# Every TB and QAOA result is a schedule the verifier accepts, so none may
+# use fewer SWAPs than the oracle's slot-free minimum over all schedules.
+
+GUARD_DEVICES = CUT_DEVICES + [ORACLE_DEVICES[name] for name in sorted(ORACLE_DEVICES)]
+
+
+@st.composite
+def guard_instances(draw):
+    """A device and an input that fits it, within the oracle caps: for TB a
+    circuit of one- and two-qubit gates with derived dependencies, for QAOA
+    a commuting circuit of two-qubit gates."""
+    device = draw(st.sampled_from(GUARD_DEVICES))
+    flow = draw(st.sampled_from(["tb", "qaoa"]))
+    M = draw(st.integers(min_value=2, max_value=4))
+    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+    gate = st.sampled_from(pairs)
+    if flow == "tb":
+        gate = gate | st.integers(min_value=0, max_value=M - 1)
+    lines = [f"qubits {M}"]
+    for g in draw(st.lists(gate, min_size=1, max_size=6)):
+        lines.append(f"h q{g}" if isinstance(g, int) else f"cx q{g[0]} q{g[1]}")
+    circuit = load_circuit("\n".join(lines) + "\n", user_deps=[] if flow == "qaoa" else None)
+    assume(_fits(circuit, device))
+    return circuit, device, flow
+
+
+@settings(max_examples=100, deadline=None)
+@given(guard_instances(), st.sampled_from([1, 3]))
+def test_tb_and_qaoa_never_beat_the_oracle(instance, S):
+    circuit, device, flow = instance
+    if flow == "tb":
+        _, result = synthesize_tb(circuit, device, "swap", S=S)
+    else:
+        result = synthesize_qaoa(circuit, device, "swap", S=S)
+    assert check_result(circuit, device, result, S=S) == []
+    assert result.swap_count >= oracle_optimal(circuit, device, "swap", bounds=None)
