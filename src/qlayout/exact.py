@@ -118,13 +118,23 @@ def _fits(circuit: Circuit, device: Device) -> bool:
     return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
 
 
-def _profile_invariant(device: Device, perm) -> bool:
-    f0, f1, f2 = device.f_measure, device.f_single, device.f_two
+def _scaled_profile(device: Device) -> tuple[list[int], list[int], list[int]]:
+    """The fidelity profile as the objective sees it: the scaled_log_fidelity
+    weights of each node's measurement and one-qubit gate and of each edge's
+    two-qubit gate. Two sites weigh the same when these integers are equal."""
+    return tuple([scaled_log_fidelity(f) for f in fs]
+                 for fs in (device.f_measure, device.f_single, device.f_two))
+
+
+def _profile_invariant(device: Device, perm, profile) -> bool:
+    """Whether perm maps every site to one of the same scaled weight;
+    profile is _scaled_profile(device)."""
+    w0, w1, w2 = profile
     for p in range(device.num_physical):
-        if f0[perm[p]] != f0[p] or f1[perm[p]] != f1[p]:
+        if w0[perm[p]] != w0[p] or w1[perm[p]] != w1[p]:
             return False
     for k, (a, b) in enumerate(device.edges):
-        if f2[device.edge_index(perm[a], perm[b])] != f2[k]:
+        if w2[device.edge_index(perm[a], perm[b])] != w2[k]:
             return False
     return True
 
@@ -150,7 +160,8 @@ def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
     if perms is None or len(perms) <= 1:
         return []
     if objective == "fidelity":
-        perms = [g for g in perms if _profile_invariant(device, g)]
+        profile = _scaled_profile(device)
+        perms = [g for g in perms if _profile_invariant(device, g, profile)]
         if len(perms) <= 1:
             return []
     N = device.num_physical
@@ -176,10 +187,11 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     """Emit the full constraint system; returns (model, variables).
 
     A gate's location is no variable: pi at its slot fixes it (only
-    objective_fidelity adds location columns). Gate l's time variable
-    spans its dependency window [asap(l), T-1-tail(l)], and the adjacency
-    and occupancy families loop over those slots only. Below the longest
-    chain no schedule fits: the model holds one empty clause.
+    objective_fidelity adds location columns, where a gate's sites weigh
+    differently). Gate l's time variable spans its dependency window
+    [asap(l), T-1-tail(l)], and the adjacency and occupancy families loop
+    over those slots only. Below the longest chain no schedule fits: the
+    model holds one empty clause.
 
     coarse gives the transition-based block model: dependencies weaken to
     <= and the gate/SWAP occupancy family is dropped. A whole chain may
@@ -341,24 +353,37 @@ def objective_swap(model: sv.Model, vs: VariableSet):
 
 def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
                        circuit: Circuit):
-    """Maximize the integer-scaled log-fidelity sum. Gate l's node or edge
-    x_l is tied to pi by [t_l != t, pi_q^t != p, x_l in sites(p)] per
-    operand q: sites(p) is {p} for a 1q gate, incident[p] for a 2q gate."""
-    terms = []
+    """Maximize the integer-scaled log-fidelity sum.
+
+    Each weight class of _scaled_profile (measurement per node, one-qubit
+    gates per node, two-qubit gates per edge) whose weights are all equal
+    folds into a constant: each qubit adds the measurement weight and each
+    gate of that kind its gate weight, with no column or row. Otherwise the
+    measurement weighs pi_q^{T-1}, and a gate gets its node or edge as a
+    column x_l tied to pi by [t_l != t, pi_q^t != p, x_l in sites(p)] per
+    operand q: sites(p) is {p} for a 1q gate, incident[p] for a 2q gate.
+    Every SWAP keeps its term. A nonzero constant rides on a one-value
+    int, so the objective value is the whole fidelity.
+    """
+    measure, single, two = _scaled_profile(device)
     N = device.num_physical
     T = len(vs.pi[0]) if vs.pi else 0
-    for q in range(len(vs.pi)):
-        for p in range(N):
-            s0 = scaled_log_fidelity(device.f_measure[p])
-            if s0:
-                terms.append((s0, (vs.pi[q][T - 1], p)))
+    const = 0
+    terms = []
+    if len(set(measure)) == 1:
+        const += len(vs.pi) * measure[0]
+    else:
+        terms += [(w, (row[T - 1], p)) for row in vs.pi for p, w in enumerate(measure) if w]
     at = [[model.lits(h) for h in row] for row in vs.pi]
     rows = []
     for g in circuit.gates:
         if g.is_two_qubit:
-            sites, weights = device.incident, device.f_two
+            sites, weights = device.incident, two
         else:
-            sites, weights = [(p,) for p in range(N)], device.f_single
+            sites, weights = [(p,) for p in range(N)], single
+        if len(set(weights)) == 1:
+            const += weights[0]
+            continue
         x = model.int_var(0, len(weights) - 1, f"x_{g.index}")
         placed = model.lits(x).__getitem__  # placed(s) is "x_l == s"
         tl = vs.time[g.index]
@@ -366,16 +391,15 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
             for q in g.qubits:
                 here = at[q][t]
                 rows += [[now ^ 1, here[p] ^ 1, *map(placed, sites[p])] for p in range(N)]
-        for s, f in enumerate(weights):
-            w = scaled_log_fidelity(f)
-            if w:
-                terms.append((w, (x, s)))
+        terms += [(w, (x, s)) for s, w in enumerate(weights) if w]
     model.require_clauses(rows)
     for k in range(len(vs.sigma)):
         w = swap_log_fidelity(device, k)
         if w:
             for t in range(len(vs.sigma[k])):
                 terms.append((w, vs.sigma[k][t]))
+    if const:
+        terms.append((1, model.int_var(const, const, "fidelity_const")))
     model.maximize(terms)
     return model
 

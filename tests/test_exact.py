@@ -261,7 +261,7 @@ def _size_case(*case, coarse=False):
 @pytest.mark.parametrize("circuit_name,device_name,objective,T,rows,coarse", [
     _size_case("adder", "qx2", "swap", 16, 3252), _size_case("or", "grid4x4", "swap", 9, 4686),
     _size_case("4mod5-v1_22", "grid4x4", "swap", 14, 10839),
-    _size_case("or", "qx2", "fidelity", 9, 1315),
+    _size_case("or", "qx2", "fidelity", 9, 1205),
     _size_case("adder", "grid2x3", "depth", 3, 1124, coarse=True)])
 def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coarse):
     circuit = bundled_circuit(f"{circuit_name}.gates")
@@ -368,6 +368,27 @@ def test_bundled_exact_optima(circuit_name, device_name, objective, value, T):
     result = synthesize(circuit, device, objective)
     got = result.swap_count if objective == "swap" else result.depth_slots
     assert (got, result.solver_T) == (value, T)
+    assert check_result(circuit, device, result) == []
+
+
+# Fidelity optima of the bundled rows (fidelity_scaled, first satisfiable
+# horizon); the first three are in perfbench/expected_exact.json, confirmed
+# with HiGHS. The objective value is the result's fidelity.
+FIDELITY_OPTIMA = [
+    ("or", "qx2", -170, 9), ("or", "grid2x3", -170, 9), ("4mod5-v1_22", "qx2", -450, 14),
+    ("adder", "qx2", -470, 16), ("qaoa5", "qx2", -450, 15), ("or", "grid2x4", -170, 9),
+    ("adder", "grid2x3", -410, 16),
+]
+
+
+@pytest.mark.parametrize("circuit_name,device_name,value,T", FIDELITY_OPTIMA,
+                         ids=lambda x: str(x))
+def test_bundled_fidelity_optima(circuit_name, device_name, value, T):
+    circuit = bundled_circuit(f"{circuit_name}.gates")
+    device = bundled_device(f"{device_name}.json")
+    result, details = synthesize(circuit, device, "fidelity", return_details=True)
+    assert (result.fidelity_scaled, result.solver_T) == (value, T)
+    assert details.objective_value == result.fidelity_scaled
     assert check_result(circuit, device, result) == []
 
 
