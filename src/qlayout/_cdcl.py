@@ -1,18 +1,17 @@
 """Conflict-driven search core over 0/1 columns.
 
-One loader (add_rows) takes two kinds of rows: clauses, literal lists
-appended to the clause store in bulk, and integer >=-rows sum(coef *
-column) >= b over binary columns. Clauses, and >=-rows whose normalized
-form is a disjunction or "all but one" (pairwise clauses), are propagated
-with two watched literals, set up by the next search() past the literals
-false at the root (a set of the negated level-0 trail); the remaining
-pseudo-Boolean rows are propagated by counting (track the largest value the
-left side can still reach; when that dips below the bound plus a literal's
-weight, the literal is forced). Conflicts are analyzed to a
-first-unique-implication-point clause, which is learned and drives
-non-chronological backjumping. Activity-ordered decisions with phase
-saving, Luby restarts, and periodic deletion of inactive learned clauses
-round out a standard small CDCL engine.
+One loader (add_rows) takes the two kinds of rows a Model compiles to:
+clauses, literal lists appended to the clause store in bulk, and
+pseudo-Boolean rows (lits, coefs, b), sum(coef * lit) >= b with positive
+coefficients. Clauses are propagated with two watched literals, set up by
+the next search() past the literals false at the root (a set of the
+negated level-0 trail); pseudo-Boolean rows are propagated by counting
+(track the largest value the left side can still reach; when that dips
+below the bound plus a literal's weight, the literal is forced). Conflicts
+are analyzed to a first-unique-implication-point clause, which is learned
+and drives non-chronological backjumping. Activity-ordered decisions with
+phase saving, Luby restarts, and periodic deletion of inactive learned
+clauses round out a standard small CDCL engine.
 
 Everything is deterministic: ties break on index, no randomization.
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from itertools import combinations, groupby
+from itertools import groupby
 
 _UNSET = -1
 
@@ -92,54 +91,28 @@ class Searcher:
     # -- construction -------------------------------------------------------
 
     def add_rows(self, rows) -> None:
-        """Register rows in order: literal lists with no repeated literal
-        and no complementary pair (an empty one makes the search unsat),
-        and >=-rows (terms, b), sum coef*x >= b over integer (coef, column)
-        terms, each column at most once. Clause rows are copied, since the
-        search reorders literals in place and a Model keeps its compiled
-        rows; each run of them is appended in bulk. `_root_scan` watches
-        the new clauses once the root-false literals are known."""
+        """Register rows in order, as a Model compiles them: clauses (no
+        repeated literal, no complementary pair; an empty one makes the
+        search unsat) and PB tuples (lits, coefs, b) over distinct columns.
+        Each run of clauses is copied in bulk, since the search reorders
+        literals in place, and `_root_scan` watches them once the root-false
+        literals are known. A PB row whose coefficients sum below b can
+        never hold: it is not attached, and every search is unsat."""
         clauses = self.clauses
         start = len(clauses)
         for kind, run in groupby(rows, type):
             if kind is list:
                 clauses += map(list.copy, run)
-            else:
-                for terms, b in run:
-                    self._add_ge(terms, b)
+                continue
+            for lits, coefs, b in run:
+                if sum(coefs) < b:
+                    self.hard_unsat = True
+                else:
+                    self._attach_pb(lits, coefs, b)
         n = len(clauses) - start
         self.cl_act += [0.0] * n
         self.cl_learned += [False] * n
         self._pending_cl += range(start, start + n)
-
-    def _add_ge(self, terms: list[tuple[int, int]], b: int) -> None:
-        """Lower sum coef*x >= b: a disjunction, or the pairwise clauses of
-        an "all but one" row, goes on the clause store (add_rows registers
-        it); any other row is attached for counting propagation."""
-        # normalize to positive coefficients over literals
-        lits, coefs = [], []
-        for cf, col in terms:
-            if cf > 0:
-                lits.append(2 * col)
-                coefs.append(cf)
-            elif cf < 0:
-                lits.append(2 * col + 1)
-                coefs.append(-cf)
-                b += -cf
-        if b <= 0:
-            return
-        if sum(coefs) < b:
-            self.hard_unsat = True
-            return
-        coefs = [min(cf, b) for cf in coefs]
-        if b == 1:
-            self.clauses.append(lits)
-        elif b == len(lits) - 1 and all(cf == 1 for cf in coefs):
-            # "all but one": equivalent to pairwise disjunctions, which give
-            # conflict analysis short reasons where a counting row would not
-            self.clauses += [[p, q] for p, q in combinations(lits, 2)]
-        else:
-            self._attach_pb(lits, coefs, b)
 
     def _learn(self, lits: list[int]) -> int:
         """Store a learned clause, watched on its first two literals."""

@@ -6,7 +6,7 @@ literals, orderings between two variables, linear sums) and one optional
 linear objective. Every coefficient, bound, margin and indicator value is
 an integer: `require_order`, `require_sum`, `minimize` and `maximize` raise
 ModelError on any other. This module lowers that description, constraint by
-constraint at its call, to two kinds of row over pure 0/1 columns:
+constraint at its call, to the search core's two kinds of row over 0/1 columns:
 
   * clause rows: literal lists in the search core's convention (2*c
     asserts column c is 1, 2*c+1 asserts it is 0). `Model.lits(handle)`
@@ -16,12 +16,12 @@ constraint at its call, to two kinds of row over pure 0/1 columns:
     once and keeps its rows. `require_clause` resolves one clause of
     (handle, value, positive) triples to such a row. An ordering
     "a + margin <= b" becomes clause rows too, at its call, over an order
-    encoding ("x >= v" literals on aux columns, see `Model._ge`);
-  * >=-rows (terms, b): sum(coef * column) >= b over integer (coef, col)
-    terms. Every bounded int becomes a one-hot group of binary columns tied
-    by an exactly-one sum (two rows built as the int is created), so
-    "x == v" is a single column. A sum becomes one >=-row per bound it
-    states, the upper bound's (negated) row first, built once, at the call.
+    encoding ("x >= v" literals on aux columns, see `Model._ge`). An int
+    is a one-hot group of binary columns, so "x == v" is one column; its
+    exactly-one is its pairwise "not both" clauses, then "at least one";
+  * pseudo-Boolean (PB) rows (lits, coefs, b): sum(coef * lit) >= b with
+    positive coefficients no larger than b. A sum states one >=-row per
+    bound, the upper bound's (negated) row first, each through `_core_rows`.
 
 Columns are numbered in the order they are made: a variable's as it is
 created, an order chain's aux columns as the first ordering needs them.
@@ -33,7 +33,7 @@ The conflict-driven search core solves the rows (strong on tight
 feasibility questions, proves optima by tightening the incumbent until
 unsatisfiable). scipy's MILP interface (HiGHS), run with a zero MIP gap,
 stays as an independent cross-check engine for tests and reference optima
-(`method="milp"`): it reads a clause as the >=-row sum(lits) >= 1, and
+(`method="milp"`): it reads each row back as a linear row (`_ge_row`), and
 numpy and scipy are imported only when it runs. Either way reported optima
 are exact, which the synthesis layers rely on; every satisfying assignment
 is replayed against the declarative model before it is returned: each
@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, compress, groupby
+from itertools import chain, combinations, compress, groupby
 
 from . import _cdcl
 
@@ -116,6 +116,35 @@ def _clause_row(lits) -> list[int] | None:
     return row
 
 
+def _core_rows(terms, b) -> list:
+    """The core's rows for sum(coef * column) >= b over integer (coef, col)
+    terms, columns distinct: none if it always holds, itself unclipped if it
+    never can, else, coefficients clipped to b, a clause (b == 1), the
+    pairwise clauses of an "all but one" row, or one PB row (lits, coefs, b)."""
+    # normalize to positive coefficients over literals
+    lits, coefs = [], []
+    for cf, col in terms:
+        if cf > 0:
+            lits.append(2 * col)
+            coefs.append(cf)
+        elif cf < 0:
+            lits.append(2 * col + 1)
+            coefs.append(-cf)
+            b += -cf
+    if b <= 0:
+        return []
+    if sum(coefs) < b:
+        return [(lits, coefs, b)]
+    coefs = [min(cf, b) for cf in coefs]
+    if b == 1:
+        return [lits]
+    if b == len(lits) - 1 and all(cf == 1 for cf in coefs):
+        # "all but one": equivalent to pairwise disjunctions, which give
+        # conflict analysis short reasons where a counting row would not
+        return [*map(list, combinations(lits, 2))]
+    return [(lits, coefs, b)]
+
+
 def _integer(x, what: str) -> int:
     """x as an int; ModelError unless x is integral."""
     if x.__class__ is int:
@@ -150,10 +179,10 @@ class Model:
         # in order: a clause as the literal list it was stated with and an
         # ordering as _Order, kept for replay
         self._assertions: list = []
-        self._onehot_rows: list[tuple[list, int]] = []  # two per int, in order
+        self._onehot_rows: list[list[int]] = []  # the ints' exactly-one clauses, in order
         self._rows: list[list[int]] = []  # clause, ordering and chain rows, in order
         self._sums: list[tuple[list, str, int]] = []
-        self._sum_rows: list[tuple[list, int]] = []  # the sums' >=-rows, in order
+        self._sum_rows: list = []  # the sums' clause and PB rows, in order
         # (sense, terms, its (coef, col) terms to minimize) or None
         self._objective: tuple[str, list, list] | None = None
         self._chains: dict[int, list] = {}  # int handle -> its "x >= v" literals
@@ -177,10 +206,10 @@ class Model:
         v = _Var(len(self._vars), lo, hi, is_bool, name, c)
         self._ncols += 1 if is_bool else hi - lo + 1
         if not is_bool:
-            # the one-hot group's exactly-one rows, the upper bound's negated row first
-            cols = range(c, self._ncols)
-            self._onehot_rows += (([(-1, col) for col in cols], -1),
-                                  ([(1, col) for col in cols], 1))
+            # the one-hot group's exactly-one: no two of its columns, then one
+            rows = self._onehot_rows
+            rows += map(list, combinations(range(2 * c + 1, 2 * self._ncols, 2), 2))
+            rows.append(list(range(2 * c, 2 * self._ncols, 2)))
         self._vars.append(v)
         return v.handle
 
@@ -315,7 +344,7 @@ class Model:
 
     def require_sum(self, terms, op: str, rhs: int) -> None:
         """Linear constraint over terms: (coef, handle) or (coef, (handle, value)),
-        with integer coefficients, values and bound. Its >=-rows are built here."""
+        with integer coefficients, values and bound. Its rows are built here."""
         if op not in ("<=", ">=", "=="):
             raise ModelError(f"bad sum op {op!r}")
         terms, coeffs, const = self._terms(terms)
@@ -324,9 +353,9 @@ class Model:
         # the upper bound's negated row first
         row = [(coef, col) for col, coef in coeffs.items() if coef]
         if op != ">=":
-            self._sum_rows.append(([(-coef, col) for coef, col in row], const - rhs))
+            self._sum_rows += _core_rows([(-coef, col) for coef, col in row], const - rhs)
         if op != "<=":
-            self._sum_rows.append((row, rhs - const))
+            self._sum_rows += _core_rows(row, rhs - const)
 
     def minimize(self, terms) -> None:
         self._set_objective("min", terms)
@@ -448,14 +477,11 @@ class Model:
 
     def _compile(self):
         """The model as (ncols, rows, objective), also kept in `_compiled`
-        for the benchmark's tracer to read.
-
-        A row is either a clause row (a list of literals; an empty one can
-        never hold) or a >=-row (terms, b). Rows follow the exactly-one
-        groups (two >=-rows each), then the clause, ordering and order
-        chain rows in call order, then the sums; the objective is a list of
-        (coef, col) terms in column order, negated for maximization. Every
-        row and the objective were built at their calls.
+        for the benchmark's tracer to read: the core's rows, the ints'
+        exactly-one clauses first, then the clause, ordering and order chain
+        rows in call order, then the sums' rows; the objective's (coef, col)
+        terms in column order, negated for maximization. Every row and the
+        objective were built at their calls.
         """
         objective = self._objective[2] if self._objective is not None else []
         self._compiled = (self._ncols, self._onehot_rows + self._rows + self._sum_rows,
@@ -471,9 +497,10 @@ def solve(model: Model, timeout: float | None = None,
     boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
     and bound, the cross-check engine. Both return identical verdict
     semantics. timeout is None (no budget) or a number of seconds >= 0;
-    anything else, NaN included, raises ValueError.
+    anything else, NaN and bools included, raises ValueError.
     """
-    if timeout is not None and not (isinstance(timeout, (int, float)) and timeout >= 0):
+    if timeout is not None and (isinstance(timeout, bool) or not (
+            isinstance(timeout, (int, float)) and timeout >= 0)):
         raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
     if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
@@ -527,7 +554,7 @@ def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
     # tighten the incumbent until the strengthened model is unsatisfiable
     while objective:
         value = sum(coef * best[col] for coef, col in objective)
-        searcher.add_rows([([(-coef, col) for coef, col in objective], 1 - value)])
+        searcher.add_rows(_core_rows([(-coef, col) for coef, col in objective], 1 - value))
         status = searcher.search(deadline)
         if status == "timeout":
             return Verdict(status=TIMEOUT)
@@ -538,12 +565,11 @@ def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
 
 
 def _ge_row(row) -> tuple[list, int]:
-    """A row as its >=-row (terms, b); a clause is sum(lits) >= 1, where a
-    negative literal 2*c+1 stands for 1 - column c."""
-    if row.__class__ is not list:
-        return row
-    return ([(-1, lit >> 1) if lit & 1 else (1, lit >> 1) for lit in row],
-            1 - sum(lit & 1 for lit in row))
+    """A row as its >=-row (terms, b) over columns: a clause is sum(lits) >=
+    1, and a negative literal 2*c+1 stands for 1 - column c."""
+    lits, coefs, b = (row, [1] * len(row), 1) if row.__class__ is list else row
+    terms = [(-cf, lit >> 1) if lit & 1 else (cf, lit >> 1) for lit, cf in zip(lits, coefs)]
+    return terms, b - sum(cf for lit, cf in zip(lits, coefs) if lit & 1)
 
 
 def _solve_milp(model: Model, ncols, rows, objective, timeout) -> Verdict:

@@ -1,5 +1,7 @@
 """CDCL search core: every search decision matches a frozen reference copy."""
 
+import copy
+import itertools
 import math
 import random
 
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import _cdcl_reference as reference
 from qlayout import _cdcl
-from qlayout.solver import Model
+from qlayout import solver as sv
+from qlayout.solver import Model, _core_rows
 
 
 def _state(searcher, status):
@@ -38,14 +41,15 @@ def _ge_rows(coeffs, lb, ub):
 
 def _load(pair, rows):
     """Clause rows go to both searchers; a linear row (coeffs, lb, ub) goes
-    to the searcher as its >=-rows and to the reference's add_linear."""
+    to the searcher as the core rows of its >=-rows, as a Model states
+    them, and to the reference's add_linear."""
     searcher, ref = pair
     for row in rows:
         if isinstance(row, list):
             searcher.add_rows([row])
             ref.add_clause(row)
         else:
-            searcher.add_rows(_ge_rows(*row))
+            searcher.add_rows([r for terms, b in _ge_rows(*row) for r in _core_rows(terms, b)])
             ref.add_linear(*row)
 
 
@@ -74,8 +78,8 @@ def _clause(draw, nvars):
 
 @st.composite
 def _linear(draw, nvars, kinds=("one", "all_but_one", "pb", "pb")):
-    """(coeffs, lb, ub) of one of the row kinds Searcher.add_ge
-    normalizes differently: a disjunction (b == 1), "all but one" (pairwise
+    """(coeffs, lb, ub) of one of the row kinds `_core_rows` lowers
+    differently: a disjunction (b == 1), "all but one" (pairwise
     clauses), a counting row with mixed coefficients, or a row no
     assignment meets ("infeasible")."""
     cols = draw(_columns(nvars))
@@ -185,6 +189,60 @@ def test_hard_search_matches_reference(seed):
         _load(pair, [(objective, -math.inf, value - 1)])
 
 
+# -- the Model's normalizer against the reference's and brute force -----------
+
+
+@st.composite
+def _ge_row_cases(draw):
+    """(ncols, terms, b) of a >=-row over at most six columns, some with a
+    zero coefficient: any bound from always-holds to infeasible, or a
+    disjunction, an "all but one" row or a row whose coefficients clip."""
+    ncols = draw(st.integers(1, 6))
+    cols = draw(st.lists(st.integers(0, ncols - 1), max_size=ncols, unique=True))
+    kind = draw(st.sampled_from(("any", "one", "all_but_one", "clip")))
+    size = {"any": st.integers(-5, 5), "one": st.integers(-3, 3),
+            "all_but_one": st.sampled_from((-1, 1)), "clip": st.integers(-6, 6)}[kind]
+    terms = [(draw(size), col) for col in cols]
+    low = sum(cf for cf, _ in terms if cf < 0)
+    high = sum(cf for cf, _ in terms if cf > 0)
+    # b - low is the bound once negative terms sit on negative literals
+    b = {"any": draw(st.integers(low - 2, high + 2)), "one": low + 1,
+         "all_but_one": low + len(terms) - 1, "clip": low + draw(st.integers(1, 3))}[kind]
+    return ncols, terms, b
+
+
+def _holds(lit, point):
+    return point[lit >> 1] != lit & 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ge_row_cases())
+def test_core_rows_match_reference_and_brute_force(case):
+    ncols, terms, b = case
+    rows = _core_rows(terms, b)
+    ref = reference.Searcher(ncols)
+    ref._add_ge(terms, b)
+    clauses = [r for r in rows if r.__class__ is list]
+    pb = [r for r in rows if r.__class__ is tuple]
+    attached = [r for r in pb if sum(r[1]) >= r[2]]
+    assert len(clauses) + len(pb) == len(rows) and len(pb) <= 1
+    # the reference stores the same clauses and attaches the same PB row, or
+    # flags a row that can never hold
+    assert clauses == ref.clauses
+    assert attached == list(zip(ref.pb_lits, ref.pb_coefs, ref.pb_b))
+    assert (pb != attached) == ref.hard_unsat
+    if pb != attached:  # unclipped: every coefficient's size, as stated
+        assert rows == pb and pb[0][1] == [abs(cf) for cf, _ in terms if cf]
+    assert all(0 < cf <= bound for _, coefs, bound in attached for cf in coefs)
+    # the rows accept exactly the 0/1 points where the row holds
+    for point in itertools.product((0, 1), repeat=ncols):
+        holds = sum(cf * point[col] for cf, col in terms) >= b
+        accepted = all(any(_holds(lit, point) for lit in row) for row in clauses) and all(
+            sum(cf for lit, cf in zip(lits, coefs) if _holds(lit, point)) >= bound
+            for lits, coefs, bound in pb)
+        assert accepted == holds, point
+
+
 # -- compiled models: the bulk loader against row-by-row loading ---------------
 
 
@@ -251,18 +309,19 @@ def _linear_of(terms, b):
 def test_bulk_loaded_model_matches_row_by_row_reference(m):
     # the sat engine's load, boost and incumbent-tightening sequence, with
     # the rows loaded at once through add_rows and one at a time into the
-    # reference
+    # reference: a PB row through add_linear, as its >=-row over columns
     ncols, rows, objective = m._compile()
-    rows_before = [list(r) if r.__class__ is list else (list(r[0]), r[1]) for r in rows]
+    rows_before = copy.deepcopy(rows)
     searcher, ref = pair = _both(ncols)
     searcher.add_rows(rows)
     for row in rows:
         if row.__class__ is list:
             ref.add_clause(row)
         else:
-            ref.add_linear(*_linear_of(*row))
+            ref.add_linear(*_linear_of(*sv._ge_row(row)))
     assert searcher.clauses == ref.clauses
     assert searcher._pending_cl == ref._pending_cl
+    assert searcher.hard_unsat == ref.hard_unsat
     for s in pair:
         for rank, (coef, col) in enumerate(objective):
             s.boost(col, amount=1.0 + (len(objective) - rank) * 1e-3,
@@ -274,7 +333,7 @@ def test_bulk_loaded_model_matches_row_by_row_reference(m):
             break
         value = sum(coef * model[col] for coef, col in objective)
         row = ([(-coef, col) for coef, col in objective], 1 - value)
-        searcher.add_rows([row])
+        searcher.add_rows(_core_rows(*row))
         ref.add_linear(*_linear_of(*row))
     # the searcher reordered its own copies, never the model's rows
     assert m._compile()[1] == rows_before

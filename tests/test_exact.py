@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlayout import exact, solver as sv
+from qlayout import _cdcl, exact, solver as sv
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device
 from qlayout.exact import (
@@ -21,7 +21,7 @@ from qlayout.exact import (
     synthesize,
 )
 from qlayout.oracle import OracleError, oracle_optimal
-from qlayout.qaoa import synthesize_qaoa
+from qlayout.qaoa import phase_separation_from_graph, synthesize_qaoa
 from qlayout.transition import encode_tb, synthesize_tb
 from qlayout.verify import check_result, metrics
 
@@ -252,17 +252,20 @@ def test_engines_agree_on_exact_model(objective):
 
 # Model size with gates placed by the mapping, each gate's slots cut to its
 # dependency window: no location column outside the fidelity objective, and
-# the compiled rows of that encoding as a ceiling. The coarse (TB) row has
-# only the degree and one-hop cuts: no move-balance `mv_` column.
-def _size_case(*case, coarse=False):
-    return pytest.param(*case, coarse, id="-".join(map(str, case)) + ("-tb" if coarse else ""))
+# the compiled rows of that encoding (the rows the search core loads) as a
+# ceiling. The coarse (TB) row has only the degree and one-hop cuts: no
+# move-balance `mv_` column. The ids leave out the ceiling.
+def _size_case(*case, rows, coarse=False):
+    return pytest.param(*case, rows, coarse,
+                        id="-".join(map(str, case)) + ("-tb" if coarse else ""))
 
 
 @pytest.mark.parametrize("circuit_name,device_name,objective,T,rows,coarse", [
-    _size_case("adder", "qx2", "swap", 16, 3252), _size_case("or", "grid4x4", "swap", 9, 4686),
-    _size_case("4mod5-v1_22", "grid4x4", "swap", 14, 10839),
-    _size_case("or", "qx2", "fidelity", 9, 1205),
-    _size_case("adder", "grid2x3", "depth", 3, 1124, coarse=True)])
+    _size_case("adder", "qx2", "swap", 16, rows=4316),
+    _size_case("or", "grid4x4", "swap", 9, rows=8183),
+    _size_case("4mod5-v1_22", "grid4x4", "swap", 14, rows=21220),
+    _size_case("or", "qx2", "fidelity", 9, rows=1533),
+    _size_case("adder", "grid2x3", "depth", 3, rows=1438, coarse=True)])
 def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coarse):
     circuit = bundled_circuit(f"{circuit_name}.gates")
     device = bundled_device(f"{device_name}.json")
@@ -283,13 +286,54 @@ def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coars
 
 # The coarse model keeps every slot for every gate: pinned compiled rows of
 # adder on grid2x3 at the first TB horizon and at the one that solves
-@pytest.mark.parametrize("objective,T,rows", [("swap", 1, 224), ("depth", 3, 1124)])
+@pytest.mark.parametrize("objective,T,rows", [("swap", 1, 283), ("depth", 3, 1438)],
+                         ids=["swap-1", "depth-3"])
 def test_coarse_model_keeps_full_time_domains(objective, T, rows):
     circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
     model, vs = encode_tb(circuit, device, T, objective,
                           pins=_symmetry_pins(circuit, device, objective))
     assert all(model._var(h).domain == range(T) for h in vs.time)
     assert len(model._compile()[1]) == rows
+
+
+def _flow_model(flow):
+    """The exact model of adder/qx2/swap, the coarse model of
+    adder/grid2x3/depth, and the QAOA coarse model of a 3-regular graph on
+    six nodes over grid2x3, each at a horizon that solves."""
+    if flow == "exact":
+        circuit, device = bundled_circuit("adder.gates"), bundled_device("qx2.json")
+        model, vs = encode(circuit, device, EncodingConfig(T=circuit.longest_chain),
+                           pins=_symmetry_pins(circuit, device, "swap"))
+        apply_objective(model, vs, "swap", device, circuit)
+        return model
+    if flow == "tb":
+        circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
+        objective, T = "depth", 3
+    else:
+        prism = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+        circuit, device = phase_separation_from_graph(prism), bundled_device("grid2x3.json")
+        objective, T = "swap", 2
+    return encode_tb(circuit, device, T, objective,
+                     pins=_symmetry_pins(circuit, device, objective))[0]
+
+
+@pytest.mark.parametrize("flow", ["exact", "tb", "qaoa"])
+def test_core_loads_exactly_the_compiled_rows(flow):
+    # the Model states the core's two row kinds, and add_rows only stores
+    # them: the clause store is the clause rows in order, the counting rows
+    # are the PB rows in order
+    model = _flow_model(flow)
+    ncols, rows, _ = model._compile()
+    clauses = [row for row in rows if row.__class__ is list]
+    pb = [row for row in rows if row.__class__ is not list]
+    assert all(row.__class__ is tuple and len(row) == 3 for row in pb)
+    assert (len(pb) > 0) == (flow == "tb")  # the degree cuts are counting rows
+    searcher = _cdcl.Searcher(ncols)
+    searcher.add_rows(rows)
+    assert searcher.clauses == clauses
+    assert list(zip(searcher.pb_lits, searcher.pb_coefs, searcher.pb_b)) == pb
+    assert not searcher.hard_unsat
+    assert sv.solve(model).status == sv.SAT
 
 
 @pytest.mark.parametrize("S", [1, 2, 3])
@@ -304,7 +348,7 @@ def test_no_row_restates_the_early_swap_slots(S):
     assert len(early) == device.num_edges * (S - 1)
     units = 0
     for row in model._compile()[1]:
-        cols = [lit >> 1 for lit in row] if isinstance(row, list) else [c for _, c in row[0]]
+        cols = [lit >> 1 for lit in (row if isinstance(row, list) else row[0])]
         if early.intersection(cols):
             assert isinstance(row, list) and len(row) == 1, row
             units += 1

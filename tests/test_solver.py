@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qlayout
 from qlayout import _cdcl
@@ -120,11 +120,14 @@ def test_sums_compile_to_integer_ge_rows():
     m.maximize([(3, (x, 2)), (-1, b)])
     ncols, rows, objective = m._compile()
     assert ncols == 4
-    # each == becomes two >=-rows, the upper bound's negated row first: the
-    # order the search core has always loaded them in
+    # x's exactly-one is its pairwise "not both" clauses, then "at least
+    # one"; the == (x - 2*b == 2) becomes two >=-rows, the upper bound's
+    # negated row first, each a PB row over literals: x - 2*b <= 2 is
+    # 2*[b] + [x != 1] + 2*[x != 2] + 3*[x != 3] >= 4, and x - 2*b >= 2 the
+    # same over [b == 0] and x's value literals
     assert rows == [
-        ([(-1, 0), (-1, 1), (-1, 2)], -1), ([(1, 0), (1, 1), (1, 2)], 1),
-        ([(2, 3), (-1, 0), (-2, 1), (-3, 2)], -2), ([(-2, 3), (1, 0), (2, 1), (3, 2)], 2),
+        [1, 3], [1, 5], [3, 5], [0, 2, 4],
+        ([6, 1, 3, 5], [2, 1, 2, 3], 4), ([7, 0, 2, 4], [2, 1, 2, 3], 4),
     ]
     assert objective == [(-3, 1), (1, 3)]  # maximized: negated, in column order
     v = solve(m)
@@ -147,8 +150,8 @@ def test_require_clause_constant_clauses():
     m.require_clause([(x, 5, False)])  # always holds
     m.require_clause([(x, 1, True), (x, 1, False)])  # complementary pair
     m.require_clause([(x, 2, True), (x, 2, True)])  # repeat collapses
-    # after x's exactly-one rows, only the clause "x == 2" (column 2) loads
-    assert m._compile()[1][2:] == [[2 * 2]]
+    # after x's exactly-one clauses, only the clause "x == 2" (column 2) loads
+    assert m._compile()[1][4:] == [[2 * 2]]
     assert solve(m).assignment == {x: 2}
     m.require_clause([(x, 5, True)])  # can never hold
     assert solve(m).status == sv.UNSAT
@@ -480,10 +483,11 @@ def test_non_integral_input_raises_model_error(build):
     assert solve(ranged(1.0, 3.0)).assignment == {0: 1}
 
 
-@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan"), "1"])
+@pytest.mark.parametrize("timeout", [-1, -0.5, float("nan"), "1", True, False])
 def test_timeout_must_be_a_number_at_least_zero(monkeypatch, timeout):
     # NaN would fail every deadline comparison and so lift the budget; a
-    # negative one is refused rather than reported as a solver timeout
+    # negative one is refused rather than reported as a solver timeout, and
+    # a bool is no number of seconds (True would run for 1 s)
     searches = []
     monkeypatch.setattr(_cdcl.Searcher, "search", lambda *args: searches.append(1))
     for method in ("sat", "milp"):
@@ -571,11 +575,16 @@ def test_ordering_propagates_at_the_root(x_dom, y_dom, strict):
 
 
 def _non_group_rows(m: Model) -> list:
-    """Rows after the exactly-one rows (two each) of the model's int variables."""
+    """Rows after the exactly-one clauses of the model's int variables: each
+    int's pairwise "not both" clauses, then its "at least one" clause."""
     rows = m._compile()[1]
-    n_groups = 2 * sum(1 for v in m._vars if not v.is_bool)
-    assert all(row.__class__ is tuple for row in rows[:n_groups])
-    return rows[n_groups:]
+    groups = []
+    for v in m._vars:
+        if not v.is_bool:
+            lits = m.lits(v.handle)
+            groups += [[p ^ 1, q ^ 1] for p, q in itertools.combinations(lits, 2)] + [lits]
+    assert rows[:len(groups)] == groups
+    return rows[len(groups):]
 
 
 def test_orderings_share_one_chain_per_variable():
@@ -589,7 +598,10 @@ def test_orderings_share_one_chain_per_variable():
     m.require_order(x, z, 1)
     m.require_order(y, x)
     m.require_order(x, b)
-    assert all(row.__class__ is list for row in _non_group_rows(m))
+    rows = _non_group_rows(m)
+    assert all(row.__class__ is list for row in rows) and len(rows) == 42
+    # x, y and z's exactly-one: 15 + 1, 3 + 1 and 6 + 1 clauses
+    assert len(m._compile()[1]) == 16 + 4 + 7 + 42
     assert m._aux_names == ["ge"] * 4
     assert m._compile()[0] == 6 + 3 + 4 + 1 + 4
 
@@ -624,7 +636,10 @@ def test_small_domains_add_no_aux_column():
     m.require_order(z, x, 1)
     m.require_order(b, x, 1)
     m.require_order(z, y)
-    assert all(row.__class__ is list for row in _non_group_rows(m))
+    rows = _non_group_rows(m)
+    assert all(row.__class__ is list for row in rows) and len(rows) == 6
+    # x and y's exactly-one: 3 + 1 clauses each; one-value z's: its unit clause
+    assert len(m._compile()[1]) == 4 + 4 + 1 + 6
     assert m._aux_names == []
     assert m._compile()[0] == 3 + 3 + 1 + 1
 
@@ -779,8 +794,29 @@ def _brute_force(m):
     return feasible, best
 
 
+def _clipped_pb_model():
+    """5*b - c + [x == 2] >= 2, stated as one PB row over b, not c and
+    x == 2 whose coefficient 5 is clipped to its bound 3."""
+    m = Model()
+    x, b, c = m.int_var(0, 3), m.bool_var(), m.bool_var()
+    m.require_sum([(5, b), (-1, c), (1, (x, 2))], ">=", 2)
+    m.minimize([(1, x), (2, b), (-1, c)])
+    return m
+
+
+def test_milp_reads_a_clipped_pb_row_with_a_negated_literal():
+    m = _clipped_pb_model()
+    row = m._compile()[1][-1]
+    assert row == ([2 * 4, 2 * 5 + 1, 2 * 2], [3, 1, 1], 3)
+    # the MILP engine reads it over columns: 3*b - c + [x == 2] >= 2
+    assert sv._ge_row(row) == ([(3, 4), (-1, 5), (1, 2)], 2)
+    assert solve(m, method="milp") == solve(m, method="sat") == \
+        Verdict(sv.SAT, {0: 0, 1: 1, 2: 1}, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(models())
+@example(_clipped_pb_model())
 def test_engines_agree(m):
     va = solve(m, method="sat")
     vb = solve(m, method="milp")
