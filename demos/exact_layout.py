@@ -9,7 +9,6 @@ the independent verifier.
 from importlib import resources
 
 from qlayout import (
-    EncodingConfig,
     check_result,
     load_circuit,
     load_device,
@@ -28,8 +27,7 @@ def main() -> None:
     print(f"circuit: {circuit.num_qubits} qubits, {circuit.num_gates} gates")
     print(f"device:  {device.num_physical} sites, {len(device.edges)} edges")
 
-    result = synthesize(circuit, device, objective="swap",
-                        config=EncodingConfig(T=1))
+    result = synthesize(circuit, device, objective="swap")
 
     print(f"\nswaps={result.swap_count} depth={result.depth_slots} "
           f"fidelity={result.fidelity_scaled}")

@@ -13,7 +13,6 @@ perfect and larger is better.
 import math
 
 from qlayout import (
-    EncodingConfig,
     build_device,
     load_circuit,
     metrics,
@@ -35,8 +34,7 @@ def main() -> None:
     circuit = load_circuit(CIRCUIT)
 
     for objective in ("swap", "fidelity"):
-        result = synthesize(circuit, device, objective=objective,
-                            config=EncodingConfig(T=1))
+        result = synthesize(circuit, device, objective=objective)
         depth, swaps, scaled, real = metrics(circuit, device, result)
         used = sorted({device.edges[g.location] for g in result.gates}
                       | {device.edges[s.edge] for s in result.swaps})

@@ -10,7 +10,7 @@ depth is whatever the post-scheduler produces, not a proven optimum.
 import time
 from importlib import resources
 
-from qlayout import EncodingConfig, load_circuit, load_device, synthesize, synthesize_tb
+from qlayout import load_circuit, load_device, synthesize, synthesize_tb
 
 
 def bundled(name: str) -> str:
@@ -22,8 +22,7 @@ def main() -> None:
     device = load_device(bundled("qx2.json"))
 
     t0 = time.perf_counter()
-    exact = synthesize(circuit, device, objective="swap",
-                       config=EncodingConfig(T=1))
+    exact = synthesize(circuit, device, objective="swap")
     t_exact = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -9,10 +9,9 @@ Exit codes are part of the contract:
 `synth` prints one summary line "depth=<d> swaps=<c> fidelity=<f>" and
 writes the full result JSON when --out is given. `verify` prints each
 violation as a JSON object on its own line. `bench` runs every manifest
-row, exact rows at the default horizon growth, and emits a CSV table. In
-qaoa mode, `synth`, `bench` and `verify` load the circuit as commuting: its
-gates have no dependencies. `convert` rewrites an OpenQASM-2 subset into
-the native gate-list format.
+row and emits a CSV table. In qaoa mode, `synth`, `bench` and `verify`
+load the circuit as commuting: its gates have no dependencies. `convert`
+rewrites an OpenQASM-2 subset into the native gate-list format.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ EXIT_UNSAT = 2
 EXIT_TIMEOUT = 3
 
 MODES = ("exact", "tb", "qaoa")
-T_GROWTH = 0.3  # default horizon growth factor of the exact mode
 
 
 class InputError(ValueError):
@@ -80,11 +78,10 @@ def _load_inputs(circuit_name: str, device_name: str,
 
 
 def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
-               S: int, epsilon: float, timeout: float | None, extra_t: int):
+               S: int, timeout: float | None, extra_t: int):
     try:
         if mode == "exact":
-            cfg = EncodingConfig(T=1, S=S, epsilon=epsilon, objective=objective,
-                                 timeout=timeout)
+            cfg = EncodingConfig(T=1, S=S, objective=objective, timeout=timeout)
             return synthesize(circuit, device, objective, config=cfg,
                               extra_t=extra_t)
         if mode == "tb":
@@ -98,12 +95,11 @@ def _run_synth(circuit: Circuit, device: Device, mode: str, objective: str,
 
 
 def cmd_synth(args) -> int:
-    if args.mode != "exact" and (args.t_growth, args.extra_t) != (T_GROWTH, 0):
-        raise InputError(f"--t-growth and --extra-t apply to exact mode only, not {args.mode}")
+    if args.mode != "exact" and args.extra_t != 0:
+        raise InputError(f"--extra-t applies to exact mode only, not {args.mode}")
     circuit, device = _load_inputs(args.circuit, args.device, args.mode == "qaoa")
     result = _run_synth(circuit, device, args.mode, args.objective,
-                        args.swap_duration, args.t_growth, args.timeout,
-                        args.extra_t)
+                        args.swap_duration, args.timeout, args.extra_t)
     if args.out:
         try:
             Path(args.out).write_text(result.to_json())
@@ -174,7 +170,7 @@ def cmd_bench(args) -> int:
                                        row["mode"] == "qaoa")
         start = time.perf_counter()
         result = _run_synth(circuit, device, row["mode"], row["objective"],
-                            args.swap_duration, T_GROWTH, args.timeout, extra_t=0)
+                            args.swap_duration, args.timeout, extra_t=0)
         elapsed = time.perf_counter() - start
         writer.writerow([row["circuit"], row["device"], row["mode"],
                          row["objective"], result.swap_count,
@@ -304,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--objective", choices=OBJECTIVES, default="swap")
-    p.add_argument("--t-growth", type=float, default=T_GROWTH, metavar="EPSILON",
-                   help="horizon growth factor between attempts (exact mode)")
     p.add_argument("--extra-t", type=int, default=0, metavar="N",
                    help="extra horizon growth steps after the first "
                         "satisfiable T (exact mode)")

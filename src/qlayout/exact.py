@@ -58,7 +58,6 @@ class TCapExceeded(RuntimeError):
 class EncodingConfig:
     T: int
     S: int = 3
-    epsilon: float = 0.3
     objective: str = "swap"
     timeout: float | None = None
     max_T: int = 256
@@ -71,9 +70,6 @@ class EncodingConfig:
             raise ValueError("T must be >= 1")
         if self.S < 1:
             raise ValueError("S must be >= 1")
-        if not (isinstance(self.epsilon, (int, float)) and math.isfinite(self.epsilon)
-                and self.epsilon > 0):
-            raise ValueError(f"epsilon must be a finite number > 0, not {self.epsilon!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective must be one of {OBJECTIVES}")
 
@@ -215,15 +211,14 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     m = sv.Model()
 
     # Each gate's slots; below the longest chain some window would be
-    # empty, so the model gets one empty clause, a one-off with no literal
-    # to read, and keeps all T slots.
+    # empty, so the model gets one empty clause and keeps all T slots.
     windows = [range(T)] * circuit.num_gates
     if not coarse:
         asap, tail = chain_depths(circuit)
         if all(a + b < T for a, b in zip(asap, tail)):
             windows = [range(a, T - b) for a, b in zip(asap, tail)]
         else:
-            m.require_clause([])
+            m.require_clauses([[]])
 
     pi = [[m.int_var(0, N - 1, f"pi_{q}_{t}") for t in range(T)] for q in range(M)]
     time = [m.int_var(w[0], w[-1], f"t_{g.index}") for g, w in zip(circuit.gates, windows)]
@@ -496,9 +491,10 @@ class SynthesisDetails:
     solver_T: int
 
 
-def grow_T(T: int, epsilon: float) -> int:
-    nxt = math.ceil(T * (1.0 + epsilon) - 1e-9)
-    return nxt if nxt > T else T + 1
+def grow_T(T: int) -> int:
+    """The exact flow's next horizon after T >= 1: T grown by 30%, rounded
+    up, so always past T."""
+    return math.ceil(T * 1.3 - 1e-9)
 
 
 def _better(objective: str, new: int, old: int) -> bool:
@@ -512,13 +508,16 @@ def solve_horizons(build, T: int, grow, objective: str,
     each clamped to max_T, so max_T is the last one tried.
 
     It stops extra_t >= 0 satisfiable horizons after the first, keeping the
-    strictly best verdict (the first of equal ones); a negative extra_t
-    raises ValueError before any build. Returns (verdict,
-    variables, details); raises TCapExceeded when no horizon tried is
-    satisfiable and SynthesisTimeout when a solve runs out of time.
+    strictly best verdict (the first of equal ones). A negative extra_t, or
+    a max_T that is no int (a bool neither), raises ValueError before any
+    build. Returns (verdict, variables, details); raises TCapExceeded when
+    no horizon tried is satisfiable and SynthesisTimeout when a solve runs
+    out of time.
     """
     if extra_t < 0:
         raise ValueError(f"extra_t must be >= 0, not {extra_t}")
+    if max_T.__class__ is not int:
+        raise ValueError(f"max_T must be an int, not {max_T!r}")
     tried = []
     best = None
     while T <= max_T:
@@ -567,8 +566,8 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         return model, vs
 
     verdict, vs, details = solve_horizons(
-        build, max(1, circuit.longest_chain), lambda T: grow_T(T, config.epsilon),
-        objective, config.timeout, config.max_T, extra_t)
+        build, max(1, circuit.longest_chain), grow_T, objective, config.timeout,
+        config.max_T, extra_t)
     result = decode(circuit, device, verdict, vs, details.solver_T, objective)
     if return_details:
         return result, details

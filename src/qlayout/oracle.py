@@ -251,6 +251,8 @@ def oracle_optimal(circuit: Circuit, device: Device, cost_kind: str,
     schedules to that many slots (matching a synthesizer run at a known
     time horizon).
     cost_kind "depth": minimum occupied slots; bounds caps the deepening.
+    bounds is None or an int and S an int of at least 1 (a bool is
+    neither); anything else raises ValueError.
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before the oracle runs")
@@ -263,18 +265,22 @@ def oracle_optimal(circuit: Circuit, device: Device, cost_kind: str,
             % (MAX_LOGICAL, MAX_GATES, MAX_PHYSICAL))
     if circuit.num_qubits > device.num_physical:
         raise OracleError("more logical qubits than physical nodes")
+    if S.__class__ is not int:
+        raise ValueError(f"S must be an int, not {S!r}")
     if S < 1:
         raise ValueError("swap duration must be at least 1 slot")
+    if bounds is not None and bounds.__class__ is not int:
+        raise ValueError(f"bounds must be None or an int, not {bounds!r}")
 
     if cost_kind == "swap":
         if bounds is None:
             return _slot_free_min_swaps(circuit, device)
-        got = _SlotSearch(circuit, device, S).search(int(bounds), minimize=True)
+        got = _SlotSearch(circuit, device, S).search(bounds, minimize=True)
         if got is INF:
             raise OracleError(f"no schedule fits in {bounds} slots")
         return got
 
-    cap = (int(bounds) if bounds is not None
+    cap = (bounds if bounds is not None
            else circuit.longest_chain + (S + 1) * (3 * circuit.num_gates + 3))
     got = _SlotSearch(circuit, device, S).min_depth(circuit.longest_chain, cap)
     if got is None:

@@ -3,22 +3,22 @@
 The rest of the package describes models declaratively: bounded integer
 variables, booleans, three kinds of constraint (clauses over indicator
 literals, orderings between two variables, linear sums) and one optional
-linear objective. Every coefficient, bound, margin and indicator value is
-an integer: `require_order`, `require_sum`, `minimize` and `maximize` raise
-ModelError on any other. This module lowers that description, constraint by
-constraint at its call, to the search core's two kinds of row over 0/1 columns:
+linear objective. Every domain bound, coefficient, sum bound, margin and
+indicator value is an integer, and no bool: `int_var`, `require_order`,
+`require_sum`, `minimize` and `maximize` raise ModelError on any other.
+This module lowers that description, constraint by constraint at its
+call, to the search core's two kinds of row over 0/1 columns:
 
   * clause rows: literal lists in the search core's convention (2*c
     asserts column c is 1, 2*c+1 asserts it is 0). `Model.lits(handle)`
     lists the literal of "handle == v" for each value v of its domain, and
     "handle != v" is that literal ^ 1; a clause family is written from
     those lists and handed over whole to `require_clauses`, which checks it
-    once and keeps its rows. `require_clause` resolves one clause of
-    (handle, value, positive) triples to such a row. An ordering
-    "a + margin <= b" becomes clause rows too, at its call, over an order
-    encoding ("x >= v" literals on aux columns, see `Model._ge`). An int
-    is a one-hot group of binary columns, so "x == v" is one column; its
-    exactly-one is its pairwise "not both" clauses, then "at least one";
+    once and keeps its rows. An ordering "a + margin <= b" becomes clause
+    rows too, at its call, over an order encoding ("x >= v" literals on aux
+    columns, see `Model._ge`). An int is a one-hot group of binary
+    columns, so "x == v" is one column; its exactly-one is its pairwise
+    "not both" clauses, then "at least one";
   * pseudo-Boolean (PB) rows (lits, coefs, b): sum(coef * lit) >= b with
     positive coefficients no larger than b. A sum states one >=-row per
     bound, the upper bound's (negated) row first, each through `_core_rows`.
@@ -146,11 +146,11 @@ def _core_rows(terms, b) -> list:
 
 
 def _integer(x, what: str) -> int:
-    """x as an int; ModelError unless x is integral."""
+    """x as an int; ModelError unless x is integral and no bool."""
     if x.__class__ is int:
         return x
     try:
-        if x == int(x):
+        if x.__class__ is not bool and x == int(x):
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -260,26 +260,6 @@ class Model:
                 if row is None:
                     continue
             kept.append(row)
-
-    def require_clause(self, lits) -> None:
-        """Require that at least one indicator literal holds.
-
-        Each literal is a (handle, value, positive) triple: "handle == value"
-        when positive, "handle != value" when not. A value outside the
-        handle's domain makes its literal a constant: false when positive
-        (dropped), true when not (stated as a complementary pair on the
-        handle's first column). Every handle is checked before the row, in
-        the order given, goes to `require_clauses`.
-        """
-        row: list[int] = []
-        for handle, value, positive in lits:
-            table = self.lits(handle)
-            lo, value = self._vars[handle].lo, _integer(value, "indicator value")
-            if lo <= value < lo + len(table):
-                row.append(table[value - lo] if positive else table[value - lo] ^ 1)
-            elif not positive:
-                row += (table[0], table[0] ^ 1)
-        self.require_clauses([row])
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
         """Require a + margin <= b over two variable handles, with an

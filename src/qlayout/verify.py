@@ -27,9 +27,13 @@ def _violation(family: str, time, detail: str) -> dict:
 
 
 def check_result(circuit: Circuit, device: Device, result: SynthesisResult, S: int = 3) -> list[dict]:
-    """Return all violations (empty list means the result passes)."""
+    """Return all violations (empty list means the result passes). The SWAP
+    duration S is an int (no bool) of at least 1 slot; anything else
+    raises ValueError."""
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before checking")
+    if S.__class__ is not int:
+        raise ValueError(f"S must be an int, not {S!r}")
     if S < 1:
         raise ValueError("S must be >= 1")
     M = circuit.num_qubits

@@ -249,7 +249,7 @@ def test_core_rows_match_reference_and_brute_force(case):
 @st.composite
 def _models(draw):
     """A Model with bools and ints of 1, 2, 3 and more values; clauses with
-    constant, repeated and complementary literals; orderings; sums; an
+    repeated and complementary literals; orderings; sums; an
     objective; and one unit clause among the other constraints, so that
     the rows after it can carry literals false at the root."""
     m = Model()
@@ -263,13 +263,15 @@ def _models(draw):
         var = m._var(h)
         return draw(st.integers(var.lo, var.hi))
 
-    lit = st.tuples(st.sampled_from(handles), st.integers(-3, 6), st.booleans())
+    # "h == v" or, ^ 1, "h != v" for a value v of h's domain
+    pool = [lit for h in handles for lit in m.lits(h)]
+    lit = st.sampled_from(pool + [lit ^ 1 for lit in pool])
     count = draw(st.integers(0, 12))
     unit_at = draw(st.integers(0, count))
     for i in range(count + 1):
         if i == unit_at:
             h = draw(st.sampled_from(handles))
-            m.require_clause([(h, value(h), True)])
+            m.require_clauses([[m.lits(h)[value(h) - m._var(h).lo]]])
         if i == count:
             break
         kind = draw(st.sampled_from(("clause", "clause", "order", "sum")))
@@ -278,9 +280,8 @@ def _models(draw):
             if lits and draw(st.booleans()):
                 lits += draw(st.lists(st.sampled_from(lits), max_size=2))  # repeats
             if lits and draw(st.integers(0, 3)) == 0:
-                h, v, positive = draw(st.sampled_from(lits))
-                lits.append((h, v, not positive))  # a complementary pair
-            m.require_clause(draw(st.permutations(lits)))
+                lits.append(draw(st.sampled_from(lits)) ^ 1)  # a complementary pair
+            m.require_clauses([draw(st.permutations(lits))])
         elif kind == "order":
             m.require_order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
                             draw(st.integers(-1, 2)))

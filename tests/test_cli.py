@@ -78,15 +78,15 @@ def test_synth_unsat_at_cap_exit(capsys, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ("--swap-duration", "0"),
-    ("--t-growth", "0"),
+    ("--swap-duration", "-1"),
     ("--mode", "tb", "--swap-duration", "0"),
     ("--extra-t", "-1"),
     ("--timeout", "-1"),
     ("--timeout", "nan"),
     ("--mode", "tb", "--timeout", "nan"),
-    ("--t-growth", "inf", "--extra-t", "1"),
-    ("--t-growth", "nan", "--extra-t", "1"),
-    ("--t-growth", "nan"),
+    ("--timeout", "nan", "--extra-t", "1"),
+    ("--timeout", "-1", "--extra-t", "1"),
+    ("--mode", "tb", "--swap-duration", "-1"),
 ])
 def test_synth_bad_value_is_input_error(capsys, flags):
     code, _, err = run(capsys, "synth", "--circuit", "or", "--device", "qx2",
@@ -98,8 +98,8 @@ def test_synth_bad_value_is_input_error(capsys, flags):
 @pytest.mark.parametrize("mode", ["tb", "qaoa"])
 @pytest.mark.parametrize("flags", [
     ("--extra-t", "5"),
-    ("--t-growth", "9"),
-    ("--extra-t", "5", "--t-growth", "9"),
+    ("--extra-t", "1"),
+    ("--extra-t", "-1"),
 ])
 def test_synth_exact_only_flags_rejected_in_other_modes(capsys, tmp_path, mode, flags):
     # the TB and QAOA flows have no horizon growth to set: a non-default
@@ -112,7 +112,7 @@ def test_synth_exact_only_flags_rejected_in_other_modes(capsys, tmp_path, mode, 
     assert err.startswith("error:") and "exact mode only" in err
     # the default values run as before
     code, stdout, _ = run(capsys, "synth", "--circuit", str(circuit), "--device", "qx2",
-                          "--mode", mode, "--extra-t", "0", "--t-growth", "0.3")
+                          "--mode", mode, "--extra-t", "0")
     assert code == EXIT_OK and stdout.startswith("depth=")
 
 
@@ -121,10 +121,12 @@ def test_synth_exact_only_flags_rejected_in_other_modes(capsys, tmp_path, mode, 
     ("synth", "--circuit", "or", "--device", "qx2", "--objective", "nope"),
     ("synth", "--circuit", "or", "--device", "qx2", "--timeout", "abc"),
     ("synth", "--circuit", "or"),
-    ("bench", "--suite", "SUITE", "--t-growth", "9"),  # an exact-mode synth flag
+    ("bench", "--suite", "SUITE", "--t-growth", "9"),
+    # the horizon growth is fixed: no command takes --t-growth
+    ("synth", "--circuit", "or", "--device", "qx2", "--t-growth", "0.3"),
     (),
 ], ids=["unknown-flag", "bad-choice", "bad-float", "missing-flag", "bench-t-growth",
-        "no-command"])
+        "synth-t-growth", "no-command"])
 def test_usage_errors_are_input_errors(capsys, tmp_path, argv):
     # exit 2 means "no satisfiable horizon"; a mistyped command line is exit 1
     manifest = tmp_path / "suite.csv"

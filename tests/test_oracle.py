@@ -82,6 +82,18 @@ def test_inputs_validated():
         oracle_optimal(TRIANGLE_CIRC, PATH3, "volume")
 
 
+@pytest.mark.parametrize("kw", [
+    {"S": 2.5}, {"S": True}, {"S": 1.0},
+    {"bounds": 7.9}, {"bounds": 7.0}, {"bounds": True}, {"bounds": "7"},
+], ids=["S-float", "S-bool", "S-integral-float", "bounds-float", "bounds-integral-float",
+        "bounds-bool", "bounds-string"])
+@pytest.mark.parametrize("cost_kind", ["swap", "depth"])
+def test_non_int_swap_duration_and_bounds_rejected(cost_kind, kw):
+    # a horizon or a SWAP duration is a whole number of slots: refused, not rounded
+    with pytest.raises(ValueError, match="S must be an int|bounds must be None or an int"):
+        oracle_optimal(TRIANGLE_CIRC, PATH3, cost_kind, **kw)
+
+
 def test_more_qubits_than_nodes_rejected():
     circ = load_circuit("qubits 3\ncx q0 q1\n")
     tiny = build_device(2, [(0, 1)])

@@ -41,7 +41,7 @@ def _model() -> sv.Model:
     y = m.int_var(0, 5)
     b = m.bool_var()
     m.require_order(x, y, 2)
-    m.require_clause([(b, 1, True), (x, 3, True)])
+    m.require_clauses([[m.lits(b)[1], m.lits(x)[3]]])
     m.require_sum([(1, x), (1, (b, 0))], ">=", 2)
     m.maximize([(1, x), (-1, y)])
     return m

@@ -180,16 +180,13 @@ def _model_retime_block(block_gates, circuit, device, at, timeout):
     sub = preprocess(sub, user_deps=[])
     cfg = EncodingConfig(T=L_b, S=1, objective="depth")
     model, vs = encode(sub, device, cfg, coarse=True)
-    for q, p in enumerate(at):
-        model.require_clause([(vs.pi[q][0], p, True)])
-    for row in vs.sigma:
-        for h in row:
-            model.require_clause([(h, 0, True)])
-    for i in range(L_b):
-        for j in range(i + 1, L_b):
-            if set(sub.gates[i].qubits) & set(sub.gates[j].qubits):
-                for t in range(L_b):
-                    model.require_clause([(vs.time[i], t, False), (vs.time[j], t, False)])
+    model.require_clauses([[model.lits(vs.pi[q][0])[p]] for q, p in enumerate(at)])
+    model.require_clauses([[model.lits(h)[0]] for row in vs.sigma for h in row])
+    when = [model.lits(h) for h in vs.time]  # the coarse model's times span 0..L_b-1
+    model.require_clauses([[when[i][t] ^ 1, when[j][t] ^ 1]
+                           for i in range(L_b) for j in range(i + 1, L_b)
+                           if set(sub.gates[i].qubits) & set(sub.gates[j].qubits)
+                           for t in range(L_b)])
     apply_objective(model, vs, "depth", device, sub)
     verdict = sv.solve(model, timeout=timeout)
     assert verdict.status == sv.SAT

@@ -28,7 +28,7 @@ def test_int_var_domain_validation():
         m.int_var(3, 2)
     x = m.int_var(0, 4)
     with pytest.raises(ModelError):
-        m.require_clause([(x, 1, True), (99, 1, True)])
+        m.lits(99)
     with pytest.raises(ModelError):
         m.require_sum([(1, (x, 9))], "<=", 1)
     with pytest.raises(ModelError):
@@ -44,7 +44,7 @@ def test_empty_model_sat():
 def test_single_eq():
     m = Model()
     x = m.int_var(2, 7)
-    m.require_clause([(x, 5, True)])
+    m.require_clauses([[m.lits(x)[5 - 2]]])
     v = solve(m)
     assert v.status == sv.SAT
     assert v.assignment[x] == 5
@@ -53,8 +53,8 @@ def test_single_eq():
 def test_contradiction_unsat():
     m = Model()
     x = m.int_var(0, 3)
-    m.require_clause([(x, 1, True)])
-    m.require_clause([(x, 1, False)])
+    is_one = m.lits(x)[1]
+    m.require_clauses([[is_one], [is_one ^ 1]])
     assert solve(m).status == sv.UNSAT
 
 
@@ -147,36 +147,39 @@ def test_objective_exact_minimum():
 def test_require_clause_constant_clauses():
     m = Model()
     x = m.int_var(0, 2)
-    m.require_clause([(x, 5, False)])  # always holds
-    m.require_clause([(x, 1, True), (x, 1, False)])  # complementary pair
-    m.require_clause([(x, 2, True), (x, 2, True)])  # repeat collapses
+    lx = m.lits(x)
+    m.require_clauses([[lx[1], lx[1] ^ 1]])  # a complementary pair: always holds
+    m.require_clauses([[lx[2], lx[2]]])  # a repeat collapses
     # after x's exactly-one clauses, only the clause "x == 2" (column 2) loads
     assert m._compile()[1][4:] == [[2 * 2]]
     assert solve(m).assignment == {x: 2}
-    m.require_clause([(x, 5, True)])  # can never hold
+    m.require_clauses([[]])  # can never hold
     assert solve(m).status == sv.UNSAT
     assert solve(m, method="milp").status == sv.UNSAT
 
 
 @pytest.mark.parametrize("always_true", [
-    [(0, 5, False)],  # a constant-true literal
-    [(0, 1, True), (0, 1, False)],  # a complementary pair
-    [(1, 1, True), (1, 0, True)],  # a complementary pair over a bool
+    [4, 5],  # x == 2 or x != 2
+    [2, 3],  # x == 1 or x != 1
+    [6, 7],  # b == 1 or b == 0
 ])
 @pytest.mark.parametrize("bad", [99, -1, "x", None])
 def test_require_clause_checks_handles_after_an_always_true_literal(always_true, bad):
+    # a row that always holds loads nothing, but its literals are checked
+    # all the same: 99 is past the last column, -1 negative, "x" and None
+    # no literal at all
     m = Model()
-    m.int_var(0, 2)
-    m.bool_var()
+    x, b = m.int_var(0, 2), m.bool_var()
+    assert m.lits(x) + m.lits(b) == [0, 2, 4, 7, 6]
     with pytest.raises(ModelError):
-        m.require_clause(always_true + [(bad, 1, True)])
-    assert m._assertions == []
+        m.require_clauses([always_true + [bad]])
+    assert m._assertions == m._rows == []
 
 
 @st.composite
 def _indicator_lits(draw):
-    """A model with bools and offset-domain ints, and a literal list over
-    them: values in and out of each domain, repeats and negations."""
+    """A model with bools and offset-domain ints, and a row of literals
+    from `lits` and their complements: repeats and complementary pairs."""
     m = Model()
     handles = []
     for _ in range(draw(st.integers(1, 4))):
@@ -185,8 +188,8 @@ def _indicator_lits(draw):
         else:
             lo = draw(st.integers(-3, 3))
             handles.append(m.int_var(lo, lo + draw(st.integers(0, 3))))
-    lit = st.tuples(st.sampled_from(handles), st.integers(-5, 7), st.booleans())
-    lits = draw(st.lists(lit, max_size=8))
+    pool = [lit for h in handles for lit in m.lits(h)]
+    lits = draw(st.lists(st.sampled_from(pool + [lit ^ 1 for lit in pool]), max_size=8))
     if lits and draw(st.booleans()):
         lits += draw(st.lists(st.sampled_from(lits), max_size=3))  # repeats
     return m, draw(st.permutations(lits))
@@ -195,31 +198,15 @@ def _indicator_lits(draw):
 @settings(max_examples=200, deadline=None)
 @given(_indicator_lits())
 def test_require_clause_row_matches_literal_path(case):
+    # require_clauses keeps a row of distinct columns as it is and sends
+    # any other through _clause_row: either way the row _clause_row gives
     m, lits = case
-    expected, logged = [], []
-    for handle, value, positive in lits:
-        # the literal of "var == value", False when value is outside the domain
-        var = m._var(handle)
-        if var.is_bool:
-            lit = {1: 2 * var.first_col, 0: 2 * var.first_col + 1}.get(value, False)
-        else:
-            lit = 2 * (var.first_col + value - var.lo) if var.lo <= value <= var.hi else False
-        if not positive:
-            lit = True if lit is False else lit ^ 1
-        expected.append(lit)
-        # the row handed to require_clauses: a false constant is dropped and
-        # a true one is a complementary pair on the handle's first column
-        if lit is True:
-            logged += [m.lits(handle)[0], m.lits(handle)[0] ^ 1]
-        elif lit is not False:
-            logged.append(lit)
     n_rows = len(m._rows)
-    m.require_clause(lits)
-    row = sv._clause_row(expected)
+    m.require_clauses([lits])
+    row = sv._clause_row(lits)
     # a clause that always holds appends no row
     assert m._rows[n_rows:] == ([] if row is None else [row])
-    assert m._assertions[-1] == logged
-    assert sv._clause_row(logged) == row
+    assert m._assertions[-1] == lits
 
 
 def _lits_layout_model():
@@ -262,7 +249,7 @@ def test_extract_refuses_a_vector_that_breaks_a_clause_row():
     x = m.int_var(0, 3)
     b = m.bool_var()
     m.require_clauses([[m.lits(x)[1], m.lits(b)[1]]])  # x == 1 or b == 1
-    m.require_clause([(x, 2, False)])
+    m.require_clauses([[m.lits(x)[2] ^ 1]])  # x != 2
     assert m.check_assignment({x: 1, b: 0}) == []
     assert m.check_assignment({x: 2, b: 0}) == [
         "assertion 0: Clause((0, 1, True), (1, 1, True))",
@@ -307,7 +294,7 @@ def test_require_clauses_refuses_a_bad_literal_atomically(bad):
     lambda m, a: m.require_order(a, False, 1),
     lambda m, a: m.require_sum([(1, True)], ">=", 1),
     lambda m, a: m.require_sum([(1, (False, 0))], ">=", 1),
-    lambda m, a: m.require_clause([(False, 1, True)]),
+    lambda m, a: m.require_clauses([[False]]),  # as a literal: column 0 is 1
     lambda m, a: m.lits(True),
     lambda m, a: m.minimize([(1, True)]),
 ], ids=["order-a", "order-b", "sum", "sum-indicator", "clause", "lits", "objective"])
@@ -334,8 +321,7 @@ def test_mutation_after_solve_recompiles(method):
     assert v.assignment == {x: 3} and v.objective_value == 3
     # variables and constraints added after a solve take part in the next
     b = m.bool_var()
-    m.require_clause([(b, 1, True)])
-    m.require_clause([(x, 3, False)])
+    m.require_clauses([[m.lits(b)[1]], [m.lits(x)[3] ^ 1]])
     m.require_sum([(1, b), (1, x)], "<=", 2)
     v = solve(m, method=method)
     assert v.assignment == {x: 1, b: 1} and v.objective_value == 1
@@ -364,19 +350,17 @@ def test_bool_zero_indicator_terms(method):
 def test_unsat_beats_objective():
     m = Model()
     x = m.int_var(0, 1)
-    m.require_clause([(x, 0, True)])
-    m.require_clause([(x, 1, True)])
+    m.require_clauses([[m.lits(x)[0]], [m.lits(x)[1]]])
     m.minimize([(1, x)])
     assert solve(m).status == sv.UNSAT
 
 
 def _pigeons(n_pigeons: int, n_holes: int) -> Model:
     m = Model()
-    ps = [m.int_var(0, n_holes - 1) for _ in range(n_pigeons)]
-    for i in range(n_pigeons):
-        for j in range(i + 1, n_pigeons):
-            for hole in range(n_holes):
-                m.require_clause([(ps[i], hole, False), (ps[j], hole, False)])
+    ps = [m.lits(m.int_var(0, n_holes - 1)) for _ in range(n_pigeons)]
+    m.require_clauses([[ps[i][hole] ^ 1, ps[j][hole] ^ 1]
+                       for i, j in itertools.combinations(range(n_pigeons), 2)
+                       for hole in range(n_holes)])
     return m
 
 
@@ -440,8 +424,16 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     lambda m, b: m.require_order(b, b, "1"),
     lambda m, b: m.int_var(0.5, 2.7),  # int() would make it 0..2
     lambda m, b: m.int_var("0", "3"),
+    # a bool is an int to Python, but no integer here
+    lambda m, b: m.int_var(True, 3),  # would be 1..3
+    lambda m, b: m.require_sum([(True, b)], ">=", 1),
+    lambda m, b: m.require_sum([(1, b)], ">=", True),
+    lambda m, b: m.require_order(b, b, False),
+    lambda m, b: m.maximize([(1, (b, True))]),
 ], ids=["bound", "coefficient", "minimize", "maximize", "string", "indicator-value",
-        "indicator-string", "margin", "margin-string", "int-bounds", "int-bounds-string"])
+        "indicator-string", "margin", "margin-string", "int-bounds", "int-bounds-string",
+        "int-bounds-bool", "coefficient-bool", "bound-bool", "margin-bool",
+        "indicator-value-bool"])
 def test_non_integral_input_raises_model_error(build):
     m = Model()
     b = m.bool_var()
@@ -567,7 +559,7 @@ def test_ordering_propagates_at_the_root(x_dom, y_dom, strict):
         x = m.int_var(*x_dom)
         y = m.int_var(*y_dom)
         m.require_order(x, y, margin)
-        m.require_clause([(x, u, True)])
+        m.require_clauses([[m.lits(x)[u - x_dom[0]]]])
         val = _root_searcher(m).val
         first = m._var(y).first_col
         below = range(y_dom[0], u + margin)
@@ -702,14 +694,14 @@ def test_ordering_edge_cases_brute_force(build):
     for values in itertools.product(*[m._var(h).domain for h in handles]):
         pinned = build()
         for h, value in zip(handles, values):
-            pinned.require_clause([(h, value, True)])
+            pinned.require_clauses([[pinned.lits(h)[value - pinned._var(h).lo]]])
         allowed = not m.check_assignment(dict(zip(handles, values)))
         assert (solve(pinned, method="sat").status == sv.SAT) == allowed, values
 
 
 # random-model agreement between the two engines
 
-clause_shapes = st.sampled_from(["plain", "plain", "plain", "repeat", "tautology", "false"])
+clause_shapes = st.sampled_from(["plain", "plain", "plain", "repeat", "tautology", "empty"])
 
 
 @st.composite
@@ -726,11 +718,9 @@ def models(draw):
         handles.append(m.bool_var())
 
     def literal():
-        h = draw(st.sampled_from(handles))
-        var = m._var(h)
-        # one step past either end of the domain gives a constant literal
-        value = draw(st.integers(min_value=var.lo - 1, max_value=var.hi + 1))
-        return (h, value, draw(st.booleans()))
+        # "h == v" or "h != v" for a value v of h's domain
+        lit = draw(st.sampled_from(m.lits(draw(st.sampled_from(handles)))))
+        return lit ^ draw(st.integers(min_value=0, max_value=1))
 
     def orderings(pool):
         # margins past 0 and 1 too, and an ordering of a handle on itself
@@ -751,11 +741,10 @@ def models(draw):
         if shape == "repeat":
             lits.append(lits[0])
         elif shape == "tautology":
-            h, value, positive = lits[0]
-            lits.append((h, value, not positive))
-        elif shape == "false":
-            lits = [(h, m._var(h).hi + 1, True) for h, _, _ in lits]
-        m.require_clause(lits)
+            lits.append(lits[0] ^ 1)
+        elif shape == "empty":
+            lits = []  # can never hold
+        m.require_clauses([lits])
     def term(h):
         # a handle's value, or an indicator on one value of its domain
         coef = draw(st.integers(min_value=-2, max_value=3))

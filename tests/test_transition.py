@@ -613,23 +613,17 @@ def cut_instances(draw):
 
 
 class _ClauseRecorder:
-    """Stands in for the model in _coarse_cuts and keeps its clause rows,
-    decoded through `lits` into (handle, value, positive) literals; the
-    degree cut's sums are dropped. Literal lists come from `model`, a coarse
-    model of the same layout."""
+    """Stands in for the model in _coarse_cuts and keeps its clause rows;
+    the degree cut's sums are dropped. Literal lists come from `model`, a
+    coarse model of the same layout, so the rows hold that layout's
+    literals."""
 
-    def __init__(self, model, vs):
+    def __init__(self, model):
         self.lits = model.lits
-        self.named = {}
-        for row in vs.pi:
-            for h in row:
-                for value, lit in enumerate(model.lits(h)):  # pi spans 0..N-1
-                    self.named[lit] = (h, value, True)
-                    self.named[lit ^ 1] = (h, value, False)
         self.clauses = []
 
     def require_clauses(self, rows):
-        self.clauses += [[self.named[lit] for lit in row] for row in rows]
+        self.clauses += map(list, rows)
 
     def require_sum(self, terms, op, rhs):
         pass
@@ -650,13 +644,12 @@ def test_one_hop_clauses_follow_from_the_coarse_model(instance):
     for T in (2, 3):
         config = EncodingConfig(T=T, S=1)
         model, vs = encode(circuit, device, config, coarse=True)
-        cuts = _ClauseRecorder(model, vs)
+        cuts = _ClauseRecorder(model)
         transition._coarse_cuts(cuts, vs, circuit, device, T)
         assert len(cuts.clauses) == circuit.num_qubits * (T - 1) * device.num_physical
         for clause in cuts.clauses:
             base, _ = encode(circuit, device, config, coarse=True)
-            for handle, value, positive in clause:
-                base.require_clause([(handle, value, not positive)])
+            base.require_clauses([[lit ^ 1] for lit in clause])
             assert sv.solve(base).status == sv.UNSAT, clause
 
 
@@ -686,6 +679,42 @@ def test_symmetry_clauses_keep_the_optimum(instance, objective):
     chain = circuit.longest_chain
     for T in (chain, chain + 1, chain + 2):
         assert optimum(exact_model(T, pins)) == optimum(exact_model(T, ())), T
+
+
+@pytest.mark.parametrize("circuit_name", ["or", "adder", "qaoa5", "4mod5-v1_22"])
+@pytest.mark.parametrize("device_name", ["qx2", "grid2x3", "grid2x4"])
+def test_no_clause_family_repeats_a_column_in_a_row(circuit_name, device_name):
+    """Every clause row the exact model (each objective, at the longest
+    chain) and the coarse model (T = 2) state names each column once: no
+    repeat and no complementary pair for require_clauses to collapse. The
+    model logs each stated row as given, before any collapse."""
+    circuit = bundled_circuit(f"{circuit_name}.gates")
+    device = bundled_device(f"{device_name}.json")
+    for objective in OBJECTIVES:
+        pins = exact._symmetry_pins(circuit, device, objective)
+        config = EncodingConfig(T=circuit.longest_chain, objective=objective)
+        model, vs = encode(circuit, device, config, pins=pins)
+        exact.apply_objective(model, vs, objective, device, circuit)
+        coarse, _ = encode_tb(circuit, device, 2, objective, pins=pins)
+        for m in (model, coarse):
+            rows = [row for row in m._assertions if row.__class__ is list]
+            assert rows and all(len({lit >> 1 for lit in row}) == len(row) for row in rows)
+
+
+@pytest.mark.parametrize("max_T", [2.5, 3.0, True])
+@pytest.mark.parametrize("run", [synthesize_tb, synthesize_qaoa], ids=["tb", "qaoa"])
+def test_tb_and_qaoa_refuse_a_max_T_that_is_no_int(monkeypatch, run, max_T):
+    # refused before any build, as EncodingConfig refuses it for the exact flow
+    circuit = load_circuit("qubits 2\ncx q0 q1\n")
+    builds = []
+    encode_tb_ = transition.encode_tb
+    monkeypatch.setattr(transition, "encode_tb",
+                        lambda *a, **k: builds.append(1) or encode_tb_(*a, **k))
+    with pytest.raises(ValueError, match="max_T must be an int"):
+        run(circuit, PATH3, max_T=max_T)
+    assert builds == []
+    run(circuit, PATH3, max_T=1)
+    assert builds == [1]
 
 
 # Every TB and QAOA result is a schedule the verifier accepts, so none may

@@ -62,6 +62,13 @@ def test_swap_duration_below_one_raises(S):
         check_result(CIRC, PATH3, GOOD, S=S)
 
 
+@pytest.mark.parametrize("S", [2.5, 1.0, True, "1", None])
+def test_swap_duration_that_is_no_int_raises(S):
+    # no flow takes such an S, so there is no verdict to give for one
+    with pytest.raises(ValueError, match="S must be an int"):
+        check_result(CIRC, PATH3, GOOD, S=S)
+
+
 def test_dimension_errors_raise():
     with pytest.raises(ValueError):
         check_result(CIRC, PATH3, replace(GOOD, mapping_trajectory=()))
