@@ -14,6 +14,13 @@ the objective.
 
 solve_horizons is the one horizon loop of every flow: the exact flow grows
 T geometrically, the transition-based and QAOA flows one block at a time.
+When the circuit's interaction graph embeds in the coupling graph
+(_embedding, a subgraph search), the exact flow needs no model for the
+swap, depth and uniform-profile fidelity objectives: that placement,
+scheduled ASAP, meets the objective's bound at the first horizon. The
+transition-based and QAOA flows start at two blocks when the graph does
+not embed, as one block holds no SWAP.
+
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
 gate's slot and recomputes the fidelity.
@@ -28,6 +35,7 @@ them to every horizon.
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -112,6 +120,67 @@ def _fits(circuit: Circuit, device: Device) -> bool:
                    for b, f in enumerate(free) if f >= items[i] and f not in free[:b])
 
     return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
+
+
+def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
+    """A placement that needs no SWAP: a distinct node per qubit with the
+    operands of every two-qubit gate on an edge, or None when none exists.
+
+    An exact, deterministic backtracking subgraph-monomorphism search. The
+    qubits of two-qubit gates are walked in connected order, most placed
+    partners first, then most partners. A qubit's candidates are the free
+    neighbours of its first placed partner's node (any free node for a
+    component's first qubit) of degree at least its partner count and
+    adjacent to every placed partner's node. Qubits with no two-qubit gate
+    then fill the free nodes in index order. Raises SynthesisTimeout once
+    `deadline` (time.monotonic) has passed, checked on the first search
+    node and every 256 after.
+    """
+    M, N = circuit.num_qubits, device.num_physical
+    if M > N:
+        return None
+    partners = [set() for _ in range(M)]
+    for g in circuit.gates:
+        if g.is_two_qubit:
+            a, b = g.qubits
+            partners[a].add(b)
+            partners[b].add(a)
+    adj = device.neighbours
+    order = []
+    rest = [q for q in range(M) if partners[q]]
+    while rest:
+        q = max(rest, key=lambda q: (len(partners[q].intersection(order)),
+                                     len(partners[q]), -q))
+        rest.remove(q)
+        order.append(q)
+    placed_before = [[r for r in order[:i] if r in partners[q]]
+                     for i, q in enumerate(order)]
+    node = [-1] * M
+    used = [False] * N
+    searched = 0
+
+    def place(i: int) -> bool:
+        nonlocal searched
+        if searched % 256 == 0 and deadline is not None and time.monotonic() >= deadline:
+            raise SynthesisTimeout("time budget passed searching for a placement")
+        searched += 1
+        if i == len(order):
+            return True
+        q, placed = order[i], placed_before[i]
+        for p in adj[node[placed[0]]] if placed else range(N):
+            if used[p] or len(adj[p]) < len(partners[q]) \
+                    or any(node[r] not in adj[p] for r in placed[1:]):
+                continue
+            node[q], used[p] = p, True
+            if place(i + 1):
+                return True
+            used[p] = False
+        return False
+
+    if not place(0):
+        return None
+    free = iter([p for p in range(N) if not used[p]])
+    return tuple(p if p >= 0 else next(free) for p in node)
 
 
 def _scaled_profile(device: Device) -> tuple[list[int], list[int], list[int]]:
@@ -501,6 +570,17 @@ def _better(objective: str, new: int, old: int) -> bool:
     return new > old if objective == "fidelity" else new < old
 
 
+def _check_loop_inputs(timeout, max_T, extra_t: int = 0) -> None:
+    """The horizon loop's input checks, which every flow makes before any
+    search: a negative extra_t, a max_T that is no int (a bool neither) or
+    a timeout that sv.check_timeout refuses raises ValueError."""
+    if extra_t < 0:
+        raise ValueError(f"extra_t must be >= 0, not {extra_t}")
+    if max_T.__class__ is not int:
+        raise ValueError(f"max_T must be an int, not {max_T!r}")
+    sv.check_timeout(timeout)
+
+
 def solve_horizons(build, T: int, grow, objective: str,
                    timeout: float | None, max_T: int, extra_t: int = 0):
     """The horizon loop of every flow. build(T) returns (model, variables)
@@ -508,16 +588,12 @@ def solve_horizons(build, T: int, grow, objective: str,
     each clamped to max_T, so max_T is the last one tried.
 
     It stops extra_t >= 0 satisfiable horizons after the first, keeping the
-    strictly best verdict (the first of equal ones). A negative extra_t, or
-    a max_T that is no int (a bool neither), raises ValueError before any
-    build. Returns (verdict, variables, details); raises TCapExceeded when
-    no horizon tried is satisfiable and SynthesisTimeout when a solve runs
-    out of time.
+    strictly best verdict (the first of equal ones). Its inputs are checked
+    by _check_loop_inputs before any build. Returns (verdict, variables,
+    details); raises TCapExceeded when no horizon tried is satisfiable and
+    SynthesisTimeout when a solve runs out of time.
     """
-    if extra_t < 0:
-        raise ValueError(f"extra_t must be >= 0, not {extra_t}")
-    if max_T.__class__ is not int:
-        raise ValueError(f"max_T must be an int, not {max_T!r}")
+    _check_loop_inputs(timeout, max_T, extra_t)
     tried = []
     best = None
     while T <= max_T:
@@ -545,30 +621,52 @@ def solve_horizons(build, T: int, grow, objective: str,
 def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
                config: EncodingConfig | None = None, extra_t: int = 0,
                return_details: bool = False):
-    """Grow T geometrically from the longest dependency chain until the
-    model is satisfiable; decode the optimal assignment at that horizon.
+    """The exact flow: an optimal result at the first satisfiable horizon,
+    from T0 = max(1, longest dependency chain).
 
+    When the circuit fits the device with no SWAP (_embedding), and the
+    objective is swap, depth, or fidelity with every weight class of
+    _scaled_profile uniform, that placement with the gates at their ASAP
+    slots meets the objective's bound at T0: 0 SWAPs, depth equal to the
+    longest chain, and fidelity its constant, as no SWAP term is positive.
+    It is returned with no model and no solve, and with the details the
+    solver would prove: solver_T and tried_T are T0. extra_t cannot
+    improve a value that already meets its bound, so no later horizon is
+    tried.
+
+    Otherwise T grows geometrically from T0 until the model is
+    satisfiable, and the optimal assignment at that horizon is decoded.
     extra_t forces additional growth steps after the first satisfiable T,
     keeping the best result seen (the first-satisfiable-T optimum is only
     optimal up to that horizon). The symmetry pins are found once, for
     every horizon, under the objective applied.
+
+    Every input is checked before either path.
     """
     if circuit.longest_chain is None:
         raise ValueError("circuit must be preprocessed before synthesis")
-    if config is None:
-        config = EncodingConfig(T=1, objective=objective)
+    config = replace(config or EncodingConfig(T=1), objective=objective)
+    _check_loop_inputs(config.timeout, config.max_T, extra_t)
+    T0 = max(1, circuit.longest_chain)
+    if T0 <= config.max_T and (objective != "fidelity" or all(
+            len(set(ws)) <= 1 for ws in _scaled_profile(device))):
+        deadline = None if config.timeout is None else time.monotonic() + config.timeout
+        placement = _embedding(circuit, device, deadline)
+        if placement is not None:
+            asap, _ = chain_depths(circuit)
+            result = build_result(circuit, device, T0, placement, asap, [])
+            value = {"swap": 0, "depth": max(asap, default=0),
+                     "fidelity": result.fidelity_scaled}[objective]
+            details = SynthesisDetails(value, [T0], T0)
+            return (result, details) if return_details else result
     pins = _symmetry_pins(circuit, device, objective)
 
     def build(T):
-        model, vs = encode(circuit, device, replace(config, T=T, objective=objective),
-                           pins=pins)
+        model, vs = encode(circuit, device, replace(config, T=T), pins=pins)
         apply_objective(model, vs, objective, device, circuit)
         return model, vs
 
     verdict, vs, details = solve_horizons(
-        build, max(1, circuit.longest_chain), grow_T, objective, config.timeout,
-        config.max_T, extra_t)
+        build, T0, grow_T, objective, config.timeout, config.max_T, extra_t)
     result = decode(circuit, device, verdict, vs, details.solver_T, objective)
-    if return_details:
-        return result, details
-    return result
+    return (result, details) if return_details else result

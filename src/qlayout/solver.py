@@ -469,6 +469,14 @@ class Model:
         return self._compiled
 
 
+def check_timeout(timeout) -> None:
+    """A time budget is None (no budget) or a number of seconds >= 0;
+    anything else, NaN and bools included, raises ValueError."""
+    if timeout is not None and (isinstance(timeout, bool) or not (
+            isinstance(timeout, (int, float)) and timeout >= 0)):
+        raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
+
+
 def solve(model: Model, timeout: float | None = None,
           method: str = "sat") -> Verdict:
     """Solve to proven optimality; never best-effort.
@@ -476,12 +484,9 @@ def solve(model: Model, timeout: float | None = None,
     method "sat" runs the conflict-driven core (strong on feasibility
     boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
     and bound, the cross-check engine. Both return identical verdict
-    semantics. timeout is None (no budget) or a number of seconds >= 0;
-    anything else, NaN and bools included, raises ValueError.
+    semantics. timeout is checked by check_timeout.
     """
-    if timeout is not None and (isinstance(timeout, bool) or not (
-            isinstance(timeout, (int, float)) and timeout >= 0)):
-        raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
+    check_timeout(timeout)
     if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
     ncols, rows, objective = model._compile()

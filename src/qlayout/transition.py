@@ -17,7 +17,8 @@ exact.build_result, which replays the SWAPs into the trajectory.
 
 _solve_coarse, the coarse step of the TB and QAOA flows, finds the device's
 symmetry pins once with exact._symmetry_pins, runs the one horizon loop,
-exact.solve_horizons, on encode_tb with them, and polishes its plan.
+exact.solve_horizons, on encode_tb with them, from two blocks when the
+interaction graph does not embed (exact._embedding), and polishes its plan.
 encode_tb hands the pins to exact.encode, which owns the pin clauses; the
 coarse model adds only its cuts.
 """
@@ -25,6 +26,7 @@ coarse model adds only its cuts.
 from __future__ import annotations
 
 import sys
+import time
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -33,6 +35,8 @@ from .circuit import Circuit, chain_depths
 from .device import Device
 from .exact import (
     EncodingConfig,
+    _check_loop_inputs,
+    _embedding,
     _symmetry_pins,
     apply_objective,
     build_result,
@@ -407,12 +411,18 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
                   timeout: float | None, max_T: int):
     """The coarse step of the TB and QAOA flows: grow the block count from
     1 until the block model is satisfiable, then extract and polish its
-    plan. The symmetry pins are found once, for every horizon. Returns
+    plan. One block holds no SWAP, so the count starts at 2 when the
+    interaction graph does not embed in the coupling graph
+    (exact._embedding); when it does, the one-block model still decides.
+    The symmetry pins are found once, for every horizon. Returns
     (plan, details)."""
     _check_slots(S)
+    _check_loop_inputs(timeout, max_T)
+    deadline = None if timeout is None else time.monotonic() + timeout
+    first = 1 if _embedding(circuit, device, deadline) is not None else 2
     pins = _symmetry_pins(circuit, device, objective)
     verdict, vs, details = solve_horizons(
-        lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1,
+        lambda T: encode_tb(circuit, device, T, objective, pins=pins), first,
         lambda T: T + 1, objective, timeout, max_T)
     plan = extract_plan(circuit, device, verdict, vs)
     return _polish_plan(plan, circuit, device, S), details

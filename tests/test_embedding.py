@@ -1,0 +1,254 @@
+"""Perfect layouts: the subgraph embedding search, and the exact flow's
+answer without a model when the circuit fits the device with no SWAP."""
+
+import math
+from itertools import permutations
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from qlayout import exact, solver as sv, transition
+from qlayout.circuit import load_circuit
+from qlayout.device import build_device
+from qlayout.exact import (
+    OBJECTIVES,
+    SynthesisTimeout,
+    TCapExceeded,
+    _embedding,
+    _fits,
+    _scaled_profile,
+    apply_objective,
+    decode,
+    encode,
+    grow_T,
+    solve_horizons,
+    synthesize,
+)
+from qlayout.qaoa import phase_separation_from_graph, synthesize_qaoa
+from qlayout.transition import encode_tb, synthesize_tb
+from qlayout.verify import check_result
+
+from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device
+from test_transition import CUT_DEVICES, CYCLE4, TRIANGLE
+
+EMBED_DEVICES = CUT_DEVICES + [ORACLE_DEVICES[name] for name in sorted(ORACLE_DEVICES)]
+
+# the ring of demos/fidelity_objective.py: one bad link, so the two-qubit
+# gates weigh differently by edge
+RING = build_device(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                    {"measure": [0.99] * 4, "single": [0.999] * 4,
+                     "two": [0.99, 0.99, 0.99, 0.50]})
+PAIR = load_circuit("qubits 2\ncx q0 q1\n")
+
+
+def _value(result, objective):
+    return {"swap": result.swap_count, "depth": result.depth_slots,
+            "fidelity": result.fidelity_scaled}[objective]
+
+
+def _uniform(device):
+    return all(len(set(ws)) <= 1 for ws in _scaled_profile(device))
+
+
+def _brute_force_embeds(circuit, device):
+    pairs = {frozenset(g.qubits) for g in circuit.gates if g.is_two_qubit}
+    edges = set(map(frozenset, device.edges))
+    return any(all(frozenset(perm[q] for q in pair) in edges for pair in pairs)
+               for perm in permutations(range(device.num_physical), circuit.num_qubits))
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    encode_ = exact.encode
+    monkeypatch.setattr(exact, "encode",
+                        lambda *a, **k: builds.append(a[2].T) or encode_(*a, **k))
+    return builds
+
+
+@st.composite
+def embed_instances(draw):
+    """A device and a circuit of up to 7 gates on 1 to N qubits: one-qubit
+    gates, repeated pairs and qubits no gate touches."""
+    device = draw(st.sampled_from(EMBED_DEVICES))
+    M = draw(st.integers(min_value=1, max_value=device.num_physical))
+    pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
+    lines = [f"qubits {M}"]
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        if pairs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(pairs))
+            lines.append(f"cx q{a} q{b}")
+        else:
+            lines.append(f"h q{draw(st.integers(min_value=0, max_value=M - 1))}")
+    return load_circuit("\n".join(lines) + "\n"), device
+
+
+@settings(max_examples=150, deadline=None)
+@example(instance=(TRIANGLE, CYCLE4))  # the third qubit must neighbour both others
+@example(instance=(load_circuit("qubits 4\ncx q0 q1\ncx q2 q3\n"),
+                   ORACLE_DEVICES["split"]))
+@example(instance=(load_circuit("qubits 5\ncx q0 q1\ncx q0 q2\ncx q0 q3\nh q4\n"),
+                   ORACLE_DEVICES["star"]))
+@given(embed_instances())
+def test_embedding_is_exact(instance):
+    """_embedding finds a placement exactly when a brute-force search over
+    every injective placement does. Where it finds none, the one-block
+    coarse model is unsatisfiable. Where it finds one, the exact model's
+    horizon loop proves the value, objective value and horizon the flow
+    reports without a model, under swap, depth and uniform fidelity."""
+    circuit, device = instance
+    placement = _embedding(circuit, device)
+    assert (placement is not None) == _brute_force_embeds(circuit, device)
+    if placement is None:
+        if not _fits(circuit, device):  # no horizon at all
+            with pytest.raises(TCapExceeded):
+                encode_tb(circuit, device, 1, "swap", pins=())
+            return
+        model, _ = encode_tb(circuit, device, 1, "swap", pins=())
+        assert sv.solve(model).status == sv.UNSAT
+        return
+    assert len(placement) == circuit.num_qubits == len(set(placement))
+    assert all(0 <= p < device.num_physical for p in placement)
+    edges = set(map(frozenset, device.edges))
+    assert all(frozenset(placement[q] for q in g.qubits) in edges
+               for g in circuit.gates if g.is_two_qubit)
+    for objective in OBJECTIVES:
+        if objective == "fidelity" and not _uniform(device):
+            continue
+
+        def build(T):
+            model, vs = encode(circuit, device,
+                               exact.EncodingConfig(T=T, objective=objective))
+            apply_objective(model, vs, objective, device, circuit)
+            return model, vs
+
+        verdict, vs, proven = solve_horizons(
+            build, max(1, circuit.longest_chain), grow_T, objective, None, 256)
+        expected = decode(circuit, device, verdict, vs, proven.solver_T, objective)
+        result, details = synthesize(circuit, device, objective, return_details=True)
+        assert check_result(circuit, device, result) == []
+        assert result.swap_count == 0
+        assert result.initial_mapping == placement
+        assert _value(result, objective) == _value(expected, objective)
+        assert details == proven
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_perfect_layout_builds_no_model(monkeypatch, objective):
+    builds = _count_builds(monkeypatch)
+    circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
+    result, details = synthesize(circuit, device, objective, return_details=True)
+    assert builds == []
+    assert check_result(circuit, device, result) == []
+    assert (result.swap_count, result.depth_slots, result.solver_T) == (0, 9, 9)
+    assert (details.tried_T, details.solver_T) == ([9], 9)
+    assert details.objective_value == {"swap": 0, "depth": 8, "fidelity": -170}[objective]
+    # no later horizon can beat a value at its bound
+    assert synthesize(circuit, device, objective, extra_t=2) == result
+    assert builds == []
+
+
+@pytest.mark.parametrize("circuit, device, objective", [
+    (bundled_circuit("4mod5-v1_22.gates"), bundled_device("qx2.json"), "depth"),
+    (TRIANGLE, RING, "fidelity"),  # the demo: no embedding
+    (PAIR, RING, "fidelity"),  # embeds, but the edges weigh differently
+], ids=["4mod5-v1_22/qx2/depth", "ring/triangle/fidelity", "ring/pair/fidelity"])
+def test_inputs_without_a_perfect_layout_build_a_model(monkeypatch, circuit, device,
+                                                       objective):
+    builds = _count_builds(monkeypatch)
+    result, details = synthesize(circuit, device, objective, return_details=True)
+    assert builds == details.tried_T
+    assert check_result(circuit, device, result) == []
+
+
+def test_ring_pair_under_swap_builds_no_model(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    assert synthesize(PAIR, RING, "swap").swap_count == 0
+    assert builds == []
+    # the fidelity optimum keeps the pair off the bad link, (0, 3)
+    result = synthesize(PAIR, RING, "fidelity")
+    assert set(result.initial_mapping) != {0, 3}
+
+
+@pytest.mark.parametrize("device_name", ["qx2.json", "grid2x3.json"])
+def test_or_depth_optimum_needs_no_swap(device_name):
+    circuit, device = bundled_circuit("or.gates"), bundled_device(device_name)
+    result = synthesize(circuit, device, "depth")
+    assert (result.depth_slots, result.swap_count) == (9, 0)
+    assert check_result(circuit, device, result) == []
+
+
+def test_perfect_layout_keeps_the_time_budget(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
+    with pytest.raises(SynthesisTimeout):
+        synthesize(circuit, device, config=exact.EncodingConfig(T=1, timeout=0))
+    with pytest.raises(TCapExceeded):
+        synthesize(circuit, device, config=exact.EncodingConfig(T=1, max_T=8))
+    assert builds == []
+
+
+@pytest.mark.parametrize("extra_t, timeout", [(-1, None), (0, -1), (0, math.nan),
+                                              (0, True)])
+def test_perfect_layout_checks_its_inputs_first(monkeypatch, extra_t, timeout):
+    builds = _count_builds(monkeypatch)
+    circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
+    with pytest.raises(ValueError, match="extra_t" if extra_t else "timeout"):
+        synthesize(circuit, device, extra_t=extra_t,
+                   config=exact.EncodingConfig(T=1, timeout=timeout))
+    with pytest.raises(ValueError, match="objective"):
+        synthesize(circuit, device, "makespan")
+    assert builds == []
+
+
+def _coarse_horizons(monkeypatch):
+    """The horizon of every coarse model built, and the solve count."""
+    horizons, solves = [], []
+    encode_tb_, solve = transition.encode_tb, sv.solve
+    monkeypatch.setattr(transition, "encode_tb",
+                        lambda c, d, T, *a, **k: horizons.append(T) or encode_tb_(c, d, T, *a, **k))
+    monkeypatch.setattr(sv, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    return horizons, solves
+
+
+K4 = phase_separation_from_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@pytest.mark.parametrize("flow, circuit, device", [
+    ("tb", TRIANGLE, CYCLE4),
+    ("tb", bundled_circuit("adder.gates"), bundled_device("qx2.json")),
+    ("qaoa", K4, bundled_device("qx2.json")),
+], ids=["tb/triangle/cycle4", "tb/adder/qx2", "qaoa/k4/qx2"])
+def test_coarse_flows_skip_one_block_when_the_graph_does_not_embed(monkeypatch, flow,
+                                                                   circuit, device):
+    assert _embedding(circuit, device) is None
+    horizons, solves = _coarse_horizons(monkeypatch)
+    if flow == "tb":
+        _, result = synthesize_tb(circuit, device)
+    else:
+        result = synthesize_qaoa(circuit, device)
+    assert result.swap_count >= 1
+    assert horizons[0] == 2 and len(solves) == len(horizons)
+    assert check_result(circuit, device, result, S=3 if flow == "tb" else 1) == []
+
+
+def test_coarse_flows_keep_one_block_when_the_graph_embeds(monkeypatch):
+    # the one-block coarse model still decides, with its cuts
+    horizons, _ = _coarse_horizons(monkeypatch)
+    synthesize_tb(bundled_circuit("or.gates"), bundled_device("qx2.json"))
+    assert horizons == [1]
+    horizons.clear()
+    synthesize_qaoa(phase_separation_from_graph([(0, 1), (1, 2), (2, 0)]),
+                    bundled_device("qx2.json"))
+    assert horizons == [1]
+
+
+def test_coarse_flows_check_the_budget_before_the_embedding(monkeypatch):
+    # a timeout the solver refuses is refused before the placement search
+    # could read it as spent; no horizon reaches a solve either way
+    horizons, solves = _coarse_horizons(monkeypatch)
+    for timeout in (-1, math.nan):
+        with pytest.raises(ValueError, match="timeout"):
+            synthesize_tb(TRIANGLE, CYCLE4, timeout=timeout, max_T=1)
+    with pytest.raises(SynthesisTimeout):
+        synthesize_tb(TRIANGLE, CYCLE4, timeout=0)
+    assert horizons == solves == []
