@@ -19,7 +19,12 @@ When the circuit's interaction graph embeds in the coupling graph
 swap, depth and uniform-profile fidelity objectives: that placement,
 scheduled ASAP, meets the objective's bound at the first horizon. The
 transition-based and QAOA flows start at two blocks when the graph does
-not embed, as one block holds no SWAP.
+not embed, as one block holds no SWAP. When it does not embed, every
+solution needs a SWAP and, at any horizon, the longest chain's slots; under
+swap the exact flow first runs the coarse flow, and a TB schedule with 1
+SWAP at that depth meets both bounds and needs no exact model
+(_one_swap_certificate). The loop also hands each solve the lower bound it
+has proven, so the core stops tightening an incumbent that reaches it.
 
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
@@ -582,23 +587,36 @@ def _check_loop_inputs(timeout, max_T, extra_t: int = 0) -> None:
 
 
 def solve_horizons(build, T: int, grow, objective: str,
-                   timeout: float | None, max_T: int, extra_t: int = 0):
+                   timeout: float | None, max_T: int, extra_t: int = 0,
+                   min_swaps: int = 0):
     """The horizon loop of every flow. build(T) returns (model, variables)
     with the objective applied; the loop solves horizons T, grow(T), ...,
-    each clamped to max_T, so max_T is the last one tried.
+    each clamped to max_T, so max_T is the last one tried. T is the first
+    horizon that can be satisfiable.
 
     It stops extra_t >= 0 satisfiable horizons after the first, keeping the
     strictly best verdict (the first of equal ones). Its inputs are checked
     by _check_loop_inputs before any build. Returns (verdict, variables,
     details); raises TCapExceeded when no horizon tried is satisfiable and
     SynthesisTimeout when a solve runs out of time.
+
+    Each solve gets the lower bound the loop has proven on the objective,
+    so the core stops tightening an incumbent that reaches it (sv.solve):
+    - swap: min_swaps, a SWAP count the caller has proven every solution
+      at every horizon needs (1 when _embedding finds no placement);
+    - depth: the last gate's slot (block, in the coarse model) is T - 1 or
+      later, as no horizon below the first is satisfiable; after an
+      unsatisfiable horizon T it is T or later, since a solution whose gates
+      all end by slot T - 1 truncates to one at horizon T;
+    - fidelity: none.
     """
     _check_loop_inputs(timeout, max_T, extra_t)
+    bound = {"swap": min_swaps, "depth": T - 1}.get(objective)
     tried = []
     best = None
     while T <= max_T:
         model, vs = build(T)
-        verdict = sv.solve(model, timeout=timeout)
+        verdict = sv.solve(model, timeout=timeout, bound=bound)
         tried.append(T)
         if verdict.status == sv.TIMEOUT:
             raise SynthesisTimeout(f"solver hit time budget at T={T}")
@@ -609,6 +627,8 @@ def solve_horizons(build, T: int, grow, objective: str,
             extra_t -= 1
             if extra_t < 0:
                 break
+        elif objective == "depth":
+            bound = T
         if T == max_T:
             break
         T = min(grow(T), max_T)
@@ -616,6 +636,37 @@ def solve_horizons(build, T: int, grow, objective: str,
         raise TCapExceeded(f"no satisfiable horizon up to max_T={max_T}")
     verdict, vs, solver_T = best
     return verdict, vs, SynthesisDetails(verdict.objective_value, tried, solver_T)
+
+
+def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConfig,
+                          pins, T0: int) -> SynthesisResult | None:
+    """The TB flow's schedule under swap when it meets both lower bounds,
+    with the solver_T the exact model proves, else None.
+
+    The caller's _embedding found no placement, so every solution at every
+    horizon has at least 1 SWAP, and none is shorter than T0 slots. A TB
+    schedule is a valid exact-time schedule; with 1 SWAP and depth T0 it is
+    a solution of the exact model at T0 (its SWAP finishes before the last
+    gate, or dropping it would leave a placement), so that model is
+    satisfiable at T0, the first horizon, with optimum 1. The pins do not
+    change this: an automorphic image of the schedule meets the pinned
+    model's bounds with the same SWAP count.
+
+    The coarse flow (transition._solve_coarse) runs once with the caller's
+    pins from two blocks; a TCapExceeded there returns None, a
+    SynthesisTimeout propagates.
+    """
+    from .transition import _solve_coarse, asap_schedule  # transition imports this module
+
+    try:
+        plan, _ = _solve_coarse(circuit, device, "swap", config.S, config.timeout,
+                                config.max_T, pins=pins, embeds=False)
+    except TCapExceeded:
+        return None
+    tb = asap_schedule(plan, circuit, device, config.S)
+    if tb.swap_count != 1 or tb.depth_slots != T0:
+        return None
+    return replace(tb, solver_T=T0, depth_blocks=None)
 
 
 def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
@@ -630,24 +681,31 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     slots meets the objective's bound at T0: 0 SWAPs, depth equal to the
     longest chain, and fidelity its constant, as no SWAP term is positive.
     It is returned with no model and no solve, and with the details the
-    solver would prove: solver_T and tried_T are T0. extra_t cannot
-    improve a value that already meets its bound, so no later horizon is
-    tried.
+    solver would prove: solver_T and tried_T are T0.
+
+    When it does not, under swap, every solution needs at least 1 SWAP and
+    T0 slots. The transition-based flow runs once; if its schedule has 1
+    SWAP and depth T0, it meets both bounds and is returned with no exact
+    model, as the solver would report it: value 1, solver_T and tried_T T0
+    (_one_swap_certificate). Depth and fidelity are not certified this way.
+    In both cases extra_t cannot improve a value that already meets its
+    bound, so no later horizon is tried.
 
     Otherwise T grows geometrically from T0 until the model is
     satisfiable, and the optimal assignment at that horizon is decoded.
     extra_t forces additional growth steps after the first satisfiable T,
     keeping the best result seen (the first-satisfiable-T optimum is only
-    optimal up to that horizon). The symmetry pins are found once, for
-    every horizon, under the objective applied.
+    optimal up to that horizon). The symmetry pins are found once, for the
+    TB attempt and every horizon, under the objective applied.
 
-    Every input is checked before either path.
+    Every input is checked before any path.
     """
     if circuit.longest_chain is None:
         raise ValueError("circuit must be preprocessed before synthesis")
     config = replace(config or EncodingConfig(T=1), objective=objective)
     _check_loop_inputs(config.timeout, config.max_T, extra_t)
     T0 = max(1, circuit.longest_chain)
+    min_swaps = 0
     if T0 <= config.max_T and (objective != "fidelity" or all(
             len(set(ws)) <= 1 for ws in _scaled_profile(device))):
         deadline = None if config.timeout is None else time.monotonic() + config.timeout
@@ -659,7 +717,13 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
                      "fidelity": result.fidelity_scaled}[objective]
             details = SynthesisDetails(value, [T0], T0)
             return (result, details) if return_details else result
+        min_swaps = 1
     pins = _symmetry_pins(circuit, device, objective)
+    if objective == "swap" and min_swaps:
+        result = _one_swap_certificate(circuit, device, config, pins, T0)
+        if result is not None:
+            details = SynthesisDetails(1, [T0], T0)
+            return (result, details) if return_details else result
 
     def build(T):
         model, vs = encode(circuit, device, replace(config, T=T), pins=pins)
@@ -667,6 +731,6 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         return model, vs
 
     verdict, vs, details = solve_horizons(
-        build, T0, grow_T, objective, config.timeout, config.max_T, extra_t)
+        build, T0, grow_T, objective, config.timeout, config.max_T, extra_t, min_swaps)
     result = decode(circuit, device, verdict, vs, details.solver_T, objective)
     return (result, details) if return_details else result

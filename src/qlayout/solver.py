@@ -183,8 +183,9 @@ class Model:
         self._rows: list[list[int]] = []  # clause, ordering and chain rows, in order
         self._sums: list[tuple[list, str, int]] = []
         self._sum_rows: list = []  # the sums' clause and PB rows, in order
-        # (sense, terms, its (coef, col) terms to minimize) or None
-        self._objective: tuple[str, list, list] | None = None
+        # (sense, terms, its (coef, col) terms to minimize, the constant
+        # part of its value) or None
+        self._objective: tuple[str, list, list, int] | None = None
         self._chains: dict[int, list] = {}  # int handle -> its "x >= v" literals
         self._aux_names: list[str] = []
         self._aux_lits: set[int] = set()  # both literals of every aux column
@@ -344,11 +345,11 @@ class Model:
         self._set_objective("max", terms)
 
     def _set_objective(self, sense, terms) -> None:
-        # the constant part shifts every value alike; dropped
-        terms, coeffs, _ = self._terms(terms)
+        # the constant part shifts every value alike: kept out of the terms
+        terms, coeffs, const = self._terms(terms)
         sign = 1 if sense == "min" else -1
         objective = [(sign * coef, col) for col, coef in sorted(coeffs.items()) if coef]
-        self._objective = (sense, terms, objective)
+        self._objective = (sense, terms, objective, const)
 
     def _terms(self, terms) -> tuple[list, dict, int]:
         """The terms with integer coefficients, every handle and value
@@ -478,13 +479,18 @@ def check_timeout(timeout) -> None:
 
 
 def solve(model: Model, timeout: float | None = None,
-          method: str = "sat") -> Verdict:
+          method: str = "sat", bound: int | None = None) -> Verdict:
     """Solve to proven optimality; never best-effort.
 
     method "sat" runs the conflict-driven core (strong on feasibility
     boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
     and bound, the cross-check engine. Both return identical verdict
     semantics. timeout is checked by check_timeout.
+
+    bound is an objective value the caller has proven no assignment beats,
+    or None. The core stops tightening its incumbent once it reaches the
+    bound: the next search could only prove the model unsatisfiable, so the
+    verdict is the one it returns without the bound.
     """
     check_timeout(timeout)
     if method not in ("sat", "milp"):
@@ -499,7 +505,7 @@ def solve(model: Model, timeout: float | None = None,
         return Verdict(status=SAT, assignment=assignment, objective_value=obj)
     if method == "milp":
         return _solve_milp(model, ncols, rows, objective, timeout)
-    return _solve_sat(model, ncols, rows, objective, timeout)
+    return _solve_sat(model, ncols, rows, objective, timeout, bound)
 
 
 def _extract(model: Model, x) -> Verdict:
@@ -520,7 +526,7 @@ def _extract(model: Model, x) -> Verdict:
     return Verdict(status=SAT, assignment=assignment, objective_value=obj)
 
 
-def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
+def _solve_sat(model: Model, ncols, rows, objective, timeout, bound) -> Verdict:
     deadline = time.monotonic() + timeout if timeout is not None else None
     searcher = _cdcl.Searcher(ncols)
     searcher.add_rows(rows)
@@ -536,9 +542,17 @@ def _solve_sat(model: Model, ncols, rows, objective, timeout) -> Verdict:
     if status == "timeout":
         return Verdict(status=TIMEOUT)
     best = searcher.model()
-    # tighten the incumbent until the strengthened model is unsatisfiable
+    # tighten the incumbent until the strengthened model is unsatisfiable,
+    # or until it reaches the bound: the objective terms are the value less
+    # its constant, negated for maximization
+    stop = None
+    if bound is not None and objective:
+        sense, _, _, const = model._objective
+        stop = (bound - const) * (1 if sense == "min" else -1)
     while objective:
         value = sum(coef * best[col] for coef, col in objective)
+        if stop is not None and value <= stop:
+            break
         searcher.add_rows(_core_rows([(-coef, col) for coef, col in objective], 1 - value))
         status = searcher.search(deadline)
         if status == "timeout":

@@ -15,8 +15,9 @@ the one path from a plan and a per-block gate order to a result: it checks
 the plan, schedules it, and hands the gate times and SWAPs to
 exact.build_result, which replays the SWAPs into the trajectory.
 
-_solve_coarse, the coarse step of the TB and QAOA flows, finds the device's
-symmetry pins once with exact._symmetry_pins, runs the one horizon loop,
+_solve_coarse, the coarse step of the TB and QAOA flows and of the exact
+flow's one-SWAP certificate, finds the device's symmetry pins once with
+exact._symmetry_pins (or takes the caller's), runs the one horizon loop,
 exact.solve_horizons, on encode_tb with them, from two blocks when the
 interaction graph does not embed (exact._embedding), and polishes its plan.
 encode_tb hands the pins to exact.encode, which owns the pin clauses; the
@@ -408,22 +409,29 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
 
 def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
-                  timeout: float | None, max_T: int):
-    """The coarse step of the TB and QAOA flows: grow the block count from
-    1 until the block model is satisfiable, then extract and polish its
-    plan. One block holds no SWAP, so the count starts at 2 when the
-    interaction graph does not embed in the coupling graph
-    (exact._embedding); when it does, the one-block model still decides.
-    The symmetry pins are found once, for every horizon. Returns
-    (plan, details)."""
+                  timeout: float | None, max_T: int, *, pins=None,
+                  embeds: bool | None = None):
+    """The coarse step of the TB and QAOA flows and of the exact flow's
+    one-SWAP certificate: grow the block count from 1 until the block model
+    is satisfiable, then extract and polish its plan. One block holds no
+    SWAP, so the count starts at 2, and every plan needs a SWAP, when the
+    interaction graph does not embed in the coupling graph; when it does,
+    the one-block model still decides.
+
+    embeds is that verdict and pins the symmetry pins under `objective`,
+    found here with exact._embedding and exact._symmetry_pins when the
+    caller passes None; either way they are found once, for every horizon.
+    Returns (plan, details)."""
     _check_slots(S)
     _check_loop_inputs(timeout, max_T)
-    deadline = None if timeout is None else time.monotonic() + timeout
-    first = 1 if _embedding(circuit, device, deadline) is not None else 2
-    pins = _symmetry_pins(circuit, device, objective)
+    if embeds is None:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        embeds = _embedding(circuit, device, deadline) is not None
+    if pins is None:
+        pins = _symmetry_pins(circuit, device, objective)
     verdict, vs, details = solve_horizons(
-        lambda T: encode_tb(circuit, device, T, objective, pins=pins), first,
-        lambda T: T + 1, objective, timeout, max_T)
+        lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1 if embeds else 2,
+        lambda T: T + 1, objective, timeout, max_T, min_swaps=0 if embeds else 1)
     plan = extract_plan(circuit, device, verdict, vs)
     return _polish_plan(plan, circuit, device, S), details
 

@@ -551,12 +551,12 @@ def _decoded_runs(monkeypatch):
 
 
 @pytest.mark.parametrize("run", [
-    lambda: synthesize(bundled_circuit("adder.gates"), bundled_device("qx2.json"), "swap"),
+    lambda: synthesize(bundled_circuit("qaoa5.gates"), bundled_device("grid2x3.json"), "swap"),
     lambda: synthesize(bundled_circuit("adder.gates"), bundled_device("qx2.json"), "depth"),
     lambda: synthesize(bundled_circuit("4mod5-v1_22.gates"), bundled_device("qx2.json"),
                        "depth"),
     lambda: synthesize(*_fidelity_repro(), "fidelity", extra_t=4),
-], ids=["adder-qx2-swap", "adder-qx2-depth", "4mod5-qx2-depth", "fidelity-extra-t"])
+], ids=["qaoa5-grid2x3-swap", "adder-qx2-depth", "4mod5-qx2-depth", "fidelity-extra-t"])
 def test_replayed_trajectory_equals_the_model_mapping(monkeypatch, run):
     runs = _decoded_runs(monkeypatch)
     run()

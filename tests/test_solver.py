@@ -817,3 +817,33 @@ def test_engines_agree(m):
         # both assignments must replay cleanly against the model
         assert m.check_assignment(va.assignment) == []
         assert m.check_assignment(vb.assignment) == []
+
+
+def _with_search_calls(run):
+    """run()'s result and the number of Searcher.search calls it made."""
+    calls = []
+    search = _cdcl.Searcher.search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_cdcl.Searcher, "search",
+                   lambda self, deadline=None: calls.append(None) or search(self, deadline))
+        result = run()
+    return result, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(models(), st.integers(min_value=0, max_value=3))
+@example(_clipped_pb_model(), 0)
+def test_a_proven_bound_keeps_the_verdict(m, slack):
+    """A bound no assignment beats, at the optimum or `slack` short of it,
+    leaves the verdict as it is. At the optimum it spares the final search,
+    the one that proves the tightened model unsatisfiable; the objective's
+    constant part and a maximization count as for the value."""
+    plain, searches = _with_search_calls(lambda: solve(m))
+    if plain.status != sv.SAT or plain.objective_value is None:
+        return
+    sign = 1 if m._objective[0] == "min" else -1
+    bound = plain.objective_value - sign * slack
+    bounded, bounded_searches = _with_search_calls(lambda: solve(m, bound=bound))
+    assert bounded == plain
+    if slack == 0 and m._compile()[2]:
+        assert bounded_searches == searches - 1

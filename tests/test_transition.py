@@ -33,6 +33,7 @@ from qlayout.transition import (
 )
 from qlayout.verify import check_result
 from test_exact import ORACLE_DEVICES
+from test_solver import _with_search_calls
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
 CYCLE4 = build_device(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -271,16 +272,57 @@ def _search_work(monkeypatch, run):
 
 
 def test_tb_runs_faster_than_exact_on_adder(monkeypatch):
-    from qlayout.exact import synthesize
     circ = bundled_circuit("adder.gates")
     dev = bundled_device("qx2.json")
+    pins = exact._symmetry_pins(circ, dev, "swap")
+
+    def build(T):
+        model, vs = encode(circ, dev, EncodingConfig(T=T), pins=pins)
+        return exact.apply_objective(model, vs, "swap", dev, circ), vs
+
     _, tb_work = _search_work(
         monkeypatch, lambda: synthesize_tb(circ, dev, objective="swap"))
-    exact_result, exact_work = _search_work(
-        monkeypatch, lambda: synthesize(circ, dev, objective="swap"))
-    assert exact_result.swap_count == 1
+    # the exact model the flow solved on this row before the TB schedule
+    # certified it: the horizon loop from T0 with the pins
+    (verdict, _, details), exact_work = _search_work(
+        monkeypatch, lambda: exact.solve_horizons(
+            build, circ.longest_chain, exact.grow_T, "swap", None, 256, min_swaps=1))
+    assert (verdict.objective_value, details.solver_T) == (1, 16)
     # 61 + 3,265 against 4,976 + 238,172 when this test was written
     assert tb_work < exact_work
+    # and the exact flow now answers the row from TB, with no exact model
+    builds = []
+    encode_ = exact.encode
+    monkeypatch.setattr(exact, "encode", lambda *a, **k: builds.append(a[2].T) or encode_(*a, **k))
+    result = exact.synthesize(circ, dev, "swap")
+    assert builds == []
+    assert (result.swap_count, result.solver_T) == (1, 16)
+
+
+def test_proven_bounds_keep_every_result(monkeypatch):
+    """The lower bounds the horizon loop hands each solve (1 SWAP off an
+    embedding, the depth below the first satisfiable horizon) spare
+    searches and change no result: with the bound dropped, every flow
+    returns the same results."""
+    from qlayout.qaoa import phase_separation_from_graph
+
+    prism = phase_separation_from_graph(
+        [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+    grid, qx2 = bundled_device("grid2x3.json"), bundled_device("qx2.json")
+    runs = [lambda: synthesize_qaoa(prism, grid, objective=objective, S=1)
+            for objective in ("swap", "depth")]
+    for name in ("adder", "4mod5-v1_22"):
+        circ = bundled_circuit(f"{name}.gates")
+        runs += [lambda circ=circ, objective=objective: synthesize_tb(circ, grid, objective)
+                 for objective in ("swap", "depth")]
+        runs.append(lambda circ=circ: exact.synthesize(circ, qx2, "depth"))
+
+    bounded, bounded_calls = _with_search_calls(lambda: [run() for run in runs])
+    solve = sv.solve
+    monkeypatch.setattr(sv, "solve", lambda model, timeout=None, bound=None: solve(model, timeout))
+    plain, plain_calls = _with_search_calls(lambda: [run() for run in runs])
+    assert bounded == plain
+    assert bounded_calls < plain_calls
 
 
 def test_heavy_polish_rows_keep_their_results():
