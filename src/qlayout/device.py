@@ -1,4 +1,7 @@
-"""Coupling-graph model: edges, overlap structure, and fidelity profile."""
+"""Coupling-graph model: edges, overlap structure, and fidelity profile.
+
+The graph searches over a device, for subgraph embeddings and for its
+automorphisms, are one search in exact (exact._placements)."""
 
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ from dataclasses import dataclass
 DEFAULT_MEASURE_FIDELITY = 0.99
 DEFAULT_SINGLE_FIDELITY = 0.99
 DEFAULT_TWO_FIDELITY = 0.98
-# enumerate_automorphisms gives up on groups larger than this.
-AUTOMORPHISM_CAP = 5000
 
 
 class DeviceError(ValueError):
@@ -92,6 +93,10 @@ def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Devi
         if set(edges_t[i]) & set(edges_t[j])
     )
     fidelity = fidelity or {}
+    unknown = sorted(set(fidelity) - {"measure", "single", "two"})
+    if unknown:
+        raise DeviceError(f"unknown fidelity keys {unknown}; expected 'measure', "
+                          "'single' and 'two'")
     f0 = _check_fidelity(
         fidelity.get("measure", [DEFAULT_MEASURE_FIDELITY] * num_physical),
         num_physical, "measure")
@@ -142,58 +147,6 @@ def serialize_device(device: Device) -> str:
         },
     }
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def enumerate_automorphisms(device: Device):
-    """Every node permutation preserving the edge set, identity included.
-
-    Returns a list of N-tuples, or None when the group has more than
-    AUTOMORPHISM_CAP elements (callers should then treat the device as
-    too symmetric to exploit). Exhaustive backtracking pruned by iterated
-    neighborhood coloring; fine for the device sizes this toolkit targets.
-    """
-    N = device.num_physical
-    adj = [set(ns) for ns in device.neighbours]
-    # refine colors until stable; automorphisms preserve these classes
-    color = [len(adj[p]) for p in range(N)]
-    while True:
-        sig = [(color[p], tuple(sorted(color[q] for q in adj[p])))
-               for p in range(N)]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[s] for s in sig]
-        if new == color:
-            break
-        color = new
-    order = sorted(range(N), key=lambda p: (color[p], p))
-    img = [-1] * N
-    used = [False] * N
-    found: list[tuple[int, ...]] = []
-
-    def extend(i: int) -> bool:
-        if i == N:
-            if len(found) >= AUTOMORPHISM_CAP:
-                return False
-            found.append(tuple(img))
-            return True
-        p = order[i]
-        for t in range(N):
-            if used[t] or color[t] != color[p]:
-                continue
-            if any((order[j] in adj[p]) != (img[order[j]] in adj[t])
-                   for j in range(i)):
-                continue
-            img[p] = t
-            used[t] = True
-            ok = extend(i + 1)
-            used[t] = False
-            img[p] = -1
-            if not ok:
-                return False
-        return True
-
-    if not extend(0):
-        return None
-    return sorted(found)
 
 
 def scaled_log_fidelity(f: float) -> int:

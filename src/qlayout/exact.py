@@ -33,8 +33,13 @@ gate's slot and recomputes the fidelity.
 The symmetry pins live here too. _symmetry_pins finds the device's
 cost-preserving automorphisms and picks orbit representatives for the
 slot-0 placement of the first two qubits; encode adds them to the exact
-and the coarse model alike. Each flow finds them once per call and hands
-them to every horizon.
+and the coarse model alike. Each flow finds them once per call, within its
+time budget, and hands them to every horizon.
+
+_placements is the one graph search: it yields every injective placement
+of a pattern graph on the device that puts each pattern edge on a device
+edge. _embedding takes its first placement of the interaction graph, and
+enumerate_automorphisms its placements of the device in itself.
 """
 
 from __future__ import annotations
@@ -43,20 +48,17 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import islice, permutations
 
 from . import solver as sv
 from .circuit import Circuit, chain_depths
-from .device import (
-    Device,
-    DeviceError,
-    enumerate_automorphisms,
-    scaled_log_fidelity,
-    swap_log_fidelity,
-)
+from .device import Device, DeviceError, scaled_log_fidelity, swap_log_fidelity
 from .results import GatePlacement, SwapPlacement, SynthesisResult
 from . import verify
 
 OBJECTIVES = ("depth", "swap", "fidelity")
+# enumerate_automorphisms gives up on groups larger than this.
+AUTOMORPHISM_CAP = 5000
 
 
 class SynthesisTimeout(RuntimeError):
@@ -127,29 +129,24 @@ def _fits(circuit: Circuit, device: Device) -> bool:
     return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
 
 
-def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
-    """A placement that needs no SWAP: a distinct node per qubit with the
-    operands of every two-qubit gate on an edge, or None when none exists.
+def _placements(partners, device: Device, deadline: float | None):
+    """Every placement of the pattern graph on the device: a distinct node
+    per pattern node, with each pattern edge (q, r in partners[q]) on a
+    device edge, as tuples of nodes indexed by pattern node.
 
     An exact, deterministic backtracking subgraph-monomorphism search. The
-    qubits of two-qubit gates are walked in connected order, most placed
-    partners first, then most partners. A qubit's candidates are the free
-    neighbours of its first placed partner's node (any free node for a
-    component's first qubit) of degree at least its partner count and
-    adjacent to every placed partner's node. Qubits with no two-qubit gate
-    then fill the free nodes in index order. Raises SynthesisTimeout once
-    `deadline` (time.monotonic) has passed, checked on the first search
-    node and every 256 after.
+    pattern nodes with partners are walked in connected order, most placed
+    partners first, then most partners. A node's candidates are the free
+    neighbours of its first placed partner's image (any free node for a
+    component's first node) of degree at least its partner count and
+    adjacent to every placed partner's image. Partner-less nodes then fill
+    the free device nodes in every order, index order first. Raises
+    SynthesisTimeout once `deadline` (time.monotonic) has passed, checked
+    on the first search node and every 256 after.
     """
-    M, N = circuit.num_qubits, device.num_physical
+    M, N = len(partners), device.num_physical
     if M > N:
-        return None
-    partners = [set() for _ in range(M)]
-    for g in circuit.gates:
-        if g.is_two_qubit:
-            a, b = g.qubits
-            partners[a].add(b)
-            partners[b].add(a)
+        return
     adj = device.neighbours
     order = []
     rest = [q for q in range(M) if partners[q]]
@@ -160,32 +157,61 @@ def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
         order.append(q)
     placed_before = [[r for r in order[:i] if r in partners[q]]
                      for i, q in enumerate(order)]
+    lonely = [q for q in range(M) if not partners[q]]
     node = [-1] * M
     used = [False] * N
     searched = 0
 
-    def place(i: int) -> bool:
+    def place(i: int):
         nonlocal searched
         if searched % 256 == 0 and deadline is not None and time.monotonic() >= deadline:
             raise SynthesisTimeout("time budget passed searching for a placement")
         searched += 1
         if i == len(order):
-            return True
+            for fill in permutations([p for p in range(N) if not used[p]], len(lonely)):
+                for q, p in zip(lonely, fill):
+                    node[q] = p
+                yield tuple(node)
+            return
         q, placed = order[i], placed_before[i]
         for p in adj[node[placed[0]]] if placed else range(N):
             if used[p] or len(adj[p]) < len(partners[q]) \
                     or any(node[r] not in adj[p] for r in placed[1:]):
                 continue
             node[q], used[p] = p, True
-            if place(i + 1):
-                return True
+            yield from place(i + 1)
             used[p] = False
-        return False
 
-    if not place(0):
-        return None
-    free = iter([p for p in range(N) if not used[p]])
-    return tuple(p if p >= 0 else next(free) for p in node)
+    yield from place(0)
+
+
+def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
+    """A placement that needs no SWAP: a distinct node per qubit with the
+    operands of every two-qubit gate on an edge, or None when none exists.
+    It is _placements' first, so qubits with no two-qubit gate take the
+    free nodes in index order."""
+    partners = [set() for _ in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        if g.is_two_qubit:
+            a, b = g.qubits
+            partners[a].add(b)
+            partners[b].add(a)
+    return next(_placements(partners, device, deadline), None)
+
+
+def enumerate_automorphisms(device: Device, deadline: float | None = None):
+    """Every node permutation preserving the edge set, identity included,
+    sorted; None when the group has more than AUTOMORPHISM_CAP elements
+    (too symmetric to exploit).
+
+    These are _placements of the device in itself: an injective map of a
+    finite graph into itself that sends every edge to an edge maps the
+    edge set one-to-one into itself, so onto it, and every automorphism
+    passes the search's filters. Raises SynthesisTimeout past `deadline`.
+    """
+    found = list(islice(_placements([set(ns) for ns in device.neighbours], device,
+                                    deadline), AUTOMORPHISM_CAP + 1))
+    return None if len(found) > AUTOMORPHISM_CAP else sorted(found)
 
 
 def _scaled_profile(device: Device) -> tuple[list[int], list[int], list[int]]:
@@ -209,11 +235,12 @@ def _profile_invariant(device: Device, perm, profile) -> bool:
     return True
 
 
-def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
+def _symmetry_pins(circuit: Circuit, device: Device, objective: str,
+                   deadline: float | None = None):
     """Clauses pinning the slot-0 placement of up to two qubits to orbit
     representatives of the device's cost-preserving automorphisms, as lists
     of (qubit, node, positive) literals on the slot-0 mapping; encode adds
-    them.
+    them. The automorphism search raises SynthesisTimeout past `deadline`.
 
     Relabeling a whole solution by such an automorphism yields another
     solution with the same gate times, SWAP count, depth and objective
@@ -226,7 +253,7 @@ def _symmetry_pins(circuit: Circuit, device: Device, objective: str):
     M = circuit.num_qubits
     if M == 0:
         return []
-    perms = enumerate_automorphisms(device)
+    perms = enumerate_automorphisms(device, deadline)
     if perms is None or len(perms) <= 1:
         return []
     if objective == "fidelity":
@@ -577,12 +604,13 @@ def _better(objective: str, new: int, old: int) -> bool:
 
 def _check_loop_inputs(timeout, max_T, extra_t: int = 0) -> None:
     """The horizon loop's input checks, which every flow makes before any
-    search: a negative extra_t, a max_T that is no int (a bool neither) or
-    a timeout that sv.check_timeout refuses raises ValueError."""
+    search: an extra_t or max_T that is no int (a bool neither), a negative
+    extra_t or a timeout that sv.check_timeout refuses raises ValueError."""
+    for name, value in (("extra_t", extra_t), ("max_T", max_T)):
+        if value.__class__ is not int:
+            raise ValueError(f"{name} must be an int, not {value!r}")
     if extra_t < 0:
         raise ValueError(f"extra_t must be >= 0, not {extra_t}")
-    if max_T.__class__ is not int:
-        raise ValueError(f"max_T must be an int, not {max_T!r}")
     sv.check_timeout(timeout)
 
 
@@ -705,10 +733,10 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     config = replace(config or EncodingConfig(T=1), objective=objective)
     _check_loop_inputs(config.timeout, config.max_T, extra_t)
     T0 = max(1, circuit.longest_chain)
+    deadline = None if config.timeout is None else time.monotonic() + config.timeout
     min_swaps = 0
     if T0 <= config.max_T and (objective != "fidelity" or all(
             len(set(ws)) <= 1 for ws in _scaled_profile(device))):
-        deadline = None if config.timeout is None else time.monotonic() + config.timeout
         placement = _embedding(circuit, device, deadline)
         if placement is not None:
             asap, _ = chain_depths(circuit)
@@ -718,7 +746,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
             details = SynthesisDetails(value, [T0], T0)
             return (result, details) if return_details else result
         min_swaps = 1
-    pins = _symmetry_pins(circuit, device, objective)
+    pins = _symmetry_pins(circuit, device, objective, deadline)
     if objective == "swap" and min_swaps:
         result = _one_swap_certificate(circuit, device, config, pins, T0)
         if result is not None:

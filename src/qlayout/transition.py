@@ -424,11 +424,11 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
     Returns (plan, details)."""
     _check_slots(S)
     _check_loop_inputs(timeout, max_T)
+    deadline = None if timeout is None else time.monotonic() + timeout
     if embeds is None:
-        deadline = None if timeout is None else time.monotonic() + timeout
         embeds = _embedding(circuit, device, deadline) is not None
     if pins is None:
-        pins = _symmetry_pins(circuit, device, objective)
+        pins = _symmetry_pins(circuit, device, objective, deadline)
     verdict, vs, details = solve_horizons(
         lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1 if embeds else 2,
         lambda T: T + 1, objective, timeout, max_T, min_swaps=0 if embeds else 1)
@@ -438,8 +438,10 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
 
 def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
                   S: int = 3, timeout: float | None = None, max_T: int = 256):
-    """Grow the coarse horizon one block at a time from 1 until the block
-    model is satisfiable, then schedule the optimal plan at exact time.
+    """Grow the coarse horizon one block at a time, from 1 when the
+    interaction graph embeds in the coupling graph and from 2 otherwise,
+    until the block model is satisfiable, then schedule the optimal plan at
+    exact time.
 
     The solved plan's block split is refined first: the coarse model cannot
     see exact-time slots, so among equal-objective splits the one with the

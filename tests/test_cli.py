@@ -237,6 +237,15 @@ def test_synth_non_integral_device_is_input_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_synth_unknown_fidelity_key_is_input_error(capsys, tmp_path):
+    # a misspelt key would otherwise leave the uniform profile in place
+    dev = tmp_path / "dev.json"
+    dev.write_text('{"num_qubits": 2, "edges": [[0, 1]], "fidelity": {"two_qubit": [0.5]}}')
+    code, _, err = run(capsys, "synth", "--circuit", "or", "--device", str(dev))
+    assert code == EXIT_INPUT
+    assert "two_qubit" in err
+
+
 def test_bench_rows(capsys, tmp_path):
     manifest = tmp_path / "suite.csv"
     manifest.write_text(

@@ -69,6 +69,18 @@ def test_fidelity_validation():
         build_device(2, [(0, 1)], {"measure": [0.9, 0.0]})
 
 
+def test_unknown_fidelity_keys_are_refused():
+    for fidelity in ({"two_qubit": [0.5]}, {"two": [0.9], "Measure": [0.9, 0.9]}):
+        with pytest.raises(DeviceError, match="unknown fidelity key"):
+            build_device(2, [(0, 1)], fidelity)
+    with pytest.raises(DeviceError, match="two_qubit"):
+        load_device('{"num_qubits": 2, "edges": [[0, 1]], "fidelity": {"two_qubit": [0.5]}}')
+    # top-level keys other than the device's own stay allowed
+    d = load_device('{"name": "pair", "num_qubits": 2, "edges": [[0, 1]], '
+                    '"fidelity": {"two": [0.5]}}')
+    assert d.f_two == (0.5,)
+
+
 def test_serialize_roundtrip():
     d = load_device(bundled("qx2.json"))
     text = serialize_device(d)

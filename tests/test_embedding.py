@@ -1,8 +1,10 @@
-"""Perfect layouts: the subgraph embedding search, and the exact flow's
-answer without a model when the circuit fits the device with no SWAP."""
+"""The one subgraph search, exact._placements, and what it answers: perfect
+layouts (the exact flow's answer without a model when the circuit fits the
+device with no SWAP) and the device's automorphisms."""
 
 import math
-from itertools import permutations
+import time
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,10 +18,12 @@ from qlayout.exact import (
     TCapExceeded,
     _embedding,
     _fits,
+    _symmetry_pins,
     _scaled_profile,
     apply_objective,
     decode,
     encode,
+    enumerate_automorphisms,
     grow_T,
     solve_horizons,
     synthesize,
@@ -252,3 +256,91 @@ def test_coarse_flows_check_the_budget_before_the_embedding(monkeypatch):
     with pytest.raises(SynthesisTimeout):
         synthesize_tb(TRIANGLE, CYCLE4, timeout=0)
     assert horizons == solves == []
+
+
+# The device's automorphisms are _placements of the device in itself.
+
+# a random cubic graph on 24 nodes, frozen: every node has degree 3, so
+# colour refinement splits no class and a search pruned by it alone
+# backtracks for minutes
+CUBIC24 = build_device(24, [
+    (0, 2), (0, 17), (0, 22), (1, 9), (1, 20), (1, 22), (2, 10), (2, 14), (3, 4),
+    (3, 6), (3, 16), (4, 12), (4, 16), (5, 10), (5, 12), (5, 18), (6, 21), (6, 22),
+    (7, 15), (7, 19), (7, 20), (8, 11), (8, 14), (8, 17), (9, 10), (9, 12), (11, 13),
+    (11, 14), (13, 19), (13, 23), (15, 17), (15, 23), (16, 19), (18, 21), (18, 23),
+    (20, 21)])
+
+
+def _brute_force_automorphisms(device):
+    """Every node permutation mapping the edge set onto itself, sorted, or
+    None past the cap."""
+    edges = set(map(frozenset, device.edges))
+    found = [perm for perm in permutations(range(device.num_physical))
+             if {frozenset(perm[p] for p in e) for e in edges} == edges]
+    return None if len(found) > exact.AUTOMORPHISM_CAP else found
+
+
+@pytest.mark.parametrize("device", EMBED_DEVICES + [
+    bundled_device(f"{name}.json") for name in ("qx2", "grid2x3", "grid2x4")])
+def test_automorphisms_equal_brute_force_on_the_test_devices(device):
+    assert enumerate_automorphisms(device) == _brute_force_automorphisms(device)
+
+
+@st.composite
+def graphs(draw):
+    """A graph on 1 to 7 nodes, isolated nodes included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return build_device(n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@example(device=build_device(4, [(0, 1)]))  # two isolated nodes trade places
+@example(device=build_device(7, []))  # 5,040 permutations: past the cap
+@given(graphs())
+def test_automorphisms_equal_brute_force(device):
+    assert enumerate_automorphisms(device) == _brute_force_automorphisms(device)
+
+
+@pytest.mark.parametrize("name, size", [("qx2", 8), ("grid2x3", 4), ("grid2x4", 4),
+                                        ("grid4x4", 8)])
+def test_bundled_device_groups(name, size):
+    perms = enumerate_automorphisms(bundled_device(f"{name}.json"))
+    assert len(perms) == size
+    assert perms[0] == tuple(range(len(perms[0])))
+
+
+def test_groups_past_the_cap_are_none(monkeypatch):
+    assert enumerate_automorphisms(build_device(8, [])) is None  # 8! elements
+    qx2 = bundled_device("qx2.json")
+    monkeypatch.setattr(exact, "AUTOMORPHISM_CAP", 8)
+    assert len(enumerate_automorphisms(qx2)) == 8
+    monkeypatch.setattr(exact, "AUTOMORPHISM_CAP", 7)
+    assert enumerate_automorphisms(qx2) is None
+    assert _symmetry_pins(TRIANGLE, qx2, "swap") == []
+
+
+def test_automorphism_search_keeps_the_deadline():
+    with pytest.raises(SynthesisTimeout):
+        enumerate_automorphisms(CYCLE4, deadline=time.monotonic())
+    with pytest.raises(SynthesisTimeout):
+        _symmetry_pins(TRIANGLE, CYCLE4, "swap", deadline=time.monotonic())
+    start = time.monotonic()
+    assert enumerate_automorphisms(CUBIC24, deadline=start + 10) == [tuple(range(24))]
+    assert time.monotonic() - start < 10
+
+
+def test_flows_hand_their_budget_to_the_automorphism_search(monkeypatch):
+    deadlines = []
+    found = exact.enumerate_automorphisms
+    monkeypatch.setattr(exact, "enumerate_automorphisms",
+                        lambda device, deadline: deadlines.append(deadline)
+                        or found(device, deadline))
+    adder, qx2 = bundled_circuit("adder.gates"), bundled_device("qx2.json")
+    start = time.monotonic()
+    synthesize(adder, qx2, config=exact.EncodingConfig(T=1, timeout=60))
+    synthesize_tb(adder, qx2, timeout=60)
+    synthesize_qaoa(K4, qx2, timeout=60)
+    assert len(deadlines) == 3
+    assert all(start < d <= time.monotonic() + 60 for d in deadlines)

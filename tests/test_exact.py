@@ -106,6 +106,17 @@ def test_negative_extra_t_is_refused_before_any_build(monkeypatch):
     assert builds
 
 
+@pytest.mark.parametrize("extra_t", [1.5, 0.5, True, "1"])
+def test_non_int_extra_t_is_refused_before_any_build(monkeypatch, extra_t):
+    circ = load_circuit("qubits 3\ncx q0 q1\ncx q1 q2\ncx q0 q2\n")
+    builds = []
+    encode_ = exact.encode
+    monkeypatch.setattr(exact, "encode", lambda *a, **k: builds.append(1) or encode_(*a, **k))
+    with pytest.raises(ValueError, match="extra_t"):
+        synthesize(circ, PATH3, objective="swap", extra_t=extra_t)
+    assert builds == []
+
+
 def test_unsat_at_cap():
     # a 2-qubit gate can never run on an edgeless device
     circ = load_circuit("qubits 2\ncx q0 q1\n")

@@ -605,7 +605,7 @@ def test_automorphisms_found_once_per_flow_call(monkeypatch):
     calls = []
     found = exact.enumerate_automorphisms
     monkeypatch.setattr(exact, "enumerate_automorphisms",
-                        lambda device: calls.append(None) or found(device))
+                        lambda device, deadline: calls.append(None) or found(device, deadline))
     _, result = synthesize_tb(TRIANGLE, CYCLE4)
     assert len(calls) == 1
     assert check_result(TRIANGLE, CYCLE4, result) == []
