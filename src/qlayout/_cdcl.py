@@ -91,13 +91,16 @@ class Searcher:
     # -- construction -------------------------------------------------------
 
     def add_rows(self, rows) -> None:
-        """Register rows in order, as a Model compiles them: clauses (no
-        repeated literal, no complementary pair; an empty one makes the
-        search unsat) and PB tuples (lits, coefs, b) over distinct columns.
-        Each run of clauses is copied in bulk, since the search reorders
-        literals in place, and `_root_scan` watches them once the root-false
-        literals are known. A PB row whose coefficients sum below b can
-        never hold: it is not attached, and every search is unsat."""
+        """Register rows in order, as a Model compiles them: clauses and PB
+        tuples (lits, coefs, b) over distinct columns. Each run of clauses
+        is copied in bulk, since the search reorders literals in place, and
+        `_root_scan` watches them once the root-false literals are known.
+        An empty clause, or a PB row whose coefficients sum below b (not
+        attached), can never hold: every search is unsat. A repeated literal
+        may be watched twice, each visit handled as for any clause, and
+        counts once in `_analyze` (through `seen`); a clause with a
+        complementary pair always has a true literal, so it is never unit
+        and never conflicting."""
         clauses = self.clauses
         start = len(clauses)
         for kind, run in groupby(rows, type):

@@ -48,6 +48,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, permutations
 
 from . import solver as sv
@@ -96,9 +97,10 @@ class VariableSet:
     sigma: list  # sigma[k][t] handle
 
 
-def _component_sizes(n: int, pairs) -> list[int]:
+@lru_cache(maxsize=64)
+def _component_sizes(n: int, pairs: tuple) -> tuple[int, ...]:
     """Component sizes of the graph on 0..n-1 with edges `pairs`, largest
-    first."""
+    first; cached, as each flow call asks them of its device."""
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -108,17 +110,20 @@ def _component_sizes(n: int, pairs) -> list[int]:
 
     for a, b in pairs:
         root[find(a)] = find(b)
-    return sorted(Counter(map(find, range(n))).values(), reverse=True)
+    return tuple(sorted(Counter(map(find, range(n))).values(), reverse=True))
 
 
 def _fits(circuit: Circuit, device: Device) -> bool:
     """Whether some horizon can host the circuit: the interaction graph's
-    components pack into the device's connected components. A qubit never
-    leaves its device component, and SWAPs inside one bring any two of its
-    qubits together. Exact search, largest component first, each free size
-    tried once; one-qubit components fit wherever room is left."""
+    components pack into the device's connected components, as a qubit
+    never leaves its device component and SWAPs inside one bring any two of
+    its qubits together. They do when the largest holds every qubit; else
+    exact search, largest component first, each free size tried once."""
+    free = _component_sizes(device.num_physical, device.edges)
+    if circuit.num_qubits <= max(free, default=0):
+        return True
     items = _component_sizes(circuit.num_qubits,
-                             [g.qubits for g in circuit.gates if g.is_two_qubit])
+                             tuple(g.qubits for g in circuit.gates if g.is_two_qubit))
 
     def pack(i: int, free: tuple) -> bool:
         if i == len(items) or items[i] == 1:
@@ -126,7 +131,13 @@ def _fits(circuit: Circuit, device: Device) -> bool:
         return any(pack(i + 1, free[:b] + (f - items[i],) + free[b + 1:])
                    for b, f in enumerate(free) if f >= items[i] and f not in free[:b])
 
-    return pack(0, tuple(_component_sizes(device.num_physical, device.edges)))
+    return pack(0, free)
+
+
+def _check_fits(circuit: Circuit, device: Device) -> None:
+    """TCapExceeded unless _fits; each flow's check before any search."""
+    if not _fits(circuit, device):
+        raise TCapExceeded("the circuit's interaction graph never fits the device's components")
 
 
 def _placements(partners, device: Device, deadline: float | None):
@@ -298,16 +309,13 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     mapping after the families above. They do not depend on the horizon,
     so a flow finds them once and passes them to every horizon.
 
-    Raises TCapExceeded when no horizon can host the circuit (see _fits).
+    A circuit that never fits (see _fits) gets an unsatisfiable model (a
+    ModelError on a device with no node); the flows refuse it first.
     """
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before encoding")
     M = circuit.num_qubits
     N, K = device.num_physical, device.num_edges
-    if not _fits(circuit, device):
-        raise TCapExceeded(
-            f"the circuit's interaction components cannot be packed into the "
-            f"device's connected components ({M} qubits, {N} nodes)")
     T, S = config.T, config.S
     m = sv.Model()
 
@@ -726,12 +734,13 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     optimal up to that horizon). The symmetry pins are found once, for the
     TB attempt and every horizon, under the objective applied.
 
-    Every input is checked before any path.
+    Every input, and the fit (_check_fits), is checked before any path.
     """
     if circuit.longest_chain is None:
         raise ValueError("circuit must be preprocessed before synthesis")
     config = replace(config or EncodingConfig(T=1), objective=objective)
     _check_loop_inputs(config.timeout, config.max_T, extra_t)
+    _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
     deadline = None if config.timeout is None else time.monotonic() + config.timeout
     min_swaps = 0

@@ -13,12 +13,14 @@ call, to the search core's two kinds of row over 0/1 columns:
     asserts column c is 1, 2*c+1 asserts it is 0). `Model.lits(handle)`
     lists the literal of "handle == v" for each value v of its domain, and
     "handle != v" is that literal ^ 1; a clause family is written from
-    those lists and handed over whole to `require_clauses`, which checks it
-    once and keeps its rows. An ordering "a + margin <= b" becomes clause
-    rows too, at its call, over an order encoding ("x >= v" literals on aux
-    columns, see `Model._ge`). An int is a one-hot group of binary
-    columns, so "x == v" is one column; its exactly-one is its pairwise
-    "not both" clauses, then "at least one";
+    those lists and handed over whole to `require_clauses`, which checks its
+    literals once and keeps its rows as written: no family states a repeat
+    or a complementary pair, and both engines are sound on one (see
+    `_cdcl.Searcher.add_rows`; HiGHS sums duplicate entries). An ordering
+    "a + margin <= b" becomes clause rows too, at its call, over an order
+    encoding ("x >= v" literals on aux columns, see `Model._ge`). An int is
+    a one-hot group of binary columns, so "x == v" is one column; its
+    exactly-one is its pairwise "not both" clauses, then "at least one";
   * pseudo-Boolean (PB) rows (lits, coefs, b): sum(coef * lit) >= b with
     positive coefficients no larger than b. A sum states one >=-row per
     bound, the upper bound's (negated) row first, each through `_core_rows`.
@@ -93,27 +95,7 @@ class _Order:
 
 
 _INT = frozenset({int})
-_column = (1).__rrshift__  # _column(lit) is lit >> 1, the literal's column
 _NOT = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
-
-
-def _clause_row(lits) -> list[int] | None:
-    """Clause row of a disjunction of literals and True/False constants.
-
-    Repeated literals collapse and False constants drop out. Returns None
-    when the clause always holds (a True constant or a complementary pair);
-    an empty row means the clause can never hold.
-    """
-    row: list[int] = []
-    for lit in lits:
-        if lit is True:
-            return None
-        if lit is False or lit in row:
-            continue
-        if lit ^ 1 in row:
-            return None
-        row.append(lit)
-    return row
 
 
 def _core_rows(terms, b) -> list:
@@ -242,9 +224,9 @@ class Model:
         The whole family is checked first: a literal that is no int (a bool
         neither), is negative, is past the last column or is on an order
         chain's aux column raises ModelError, and nothing is kept. Each row
-        is then logged for replay as given and becomes a clause row in
-        order: repeats collapse, a row with a complementary pair always
-        holds (no clause row), and an empty row can never hold.
+        is then logged for replay and becomes a clause row, both as given
+        and in order. An empty row can never hold; a row with a repeat or
+        a complementary pair is kept as it is (see the module docstring).
         """
         rows = list(map(list, rows))
         flat = [*chain.from_iterable(rows)]
@@ -254,13 +236,7 @@ class Model:
                        or not 0 <= lit < 2 * self._ncols or lit in self._aux_lits)
             raise ModelError(f"clause literal {bad!r} is no literal of a variable column")
         self._assertions += rows
-        kept = self._rows
-        for row in rows:
-            if len({*map(_column, row)}) < len(row):  # a repeat or a complementary pair
-                row = _clause_row(row)
-                if row is None:
-                    continue
-            kept.append(row)
+        self._rows += rows
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
         """Require a + margin <= b over two variable handles, with an
@@ -269,15 +245,21 @@ class Model:
         Its rows are built here: for each value v of a, the clause
         [not a >= v, b >= v + margin] over the order encoding (`_ge`), so a
         value fixed on one side bounds the other by unit propagation alone.
+        A True "b >= v + margin" states no row; a False one, or a True
+        "a >= v", drops its literal, so a row may be empty.
         """
         va, vb = self._var(a), self._var(b)
         margin = _integer(margin, "margin")
         self._assertions.append(_Order(a, b, margin))
         for v in va.domain:
             head = self._ge(va, v)  # never False: v is in a's domain
-            row = _clause_row([False if head is True else head ^ 1, self._ge(vb, v + margin)])
-            if row is not None:
-                self._rows.append(row)
+            tail = self._ge(vb, v + margin)
+            if tail is True:
+                continue
+            row = [] if head is True else [head ^ 1]
+            if tail is not False:
+                row.append(tail)
+            self._rows.append(row)
 
     def _ge(self, var: _Var, v: int):
         """Literal for "var >= v" in the order encoding of Tamura et al.

@@ -35,7 +35,9 @@ from . import solver as sv
 from .circuit import Circuit, chain_depths
 from .device import Device
 from .exact import (
+    OBJECTIVES,
     EncodingConfig,
+    _check_fits,
     _check_loop_inputs,
     _embedding,
     _symmetry_pins,
@@ -419,13 +421,16 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
     the one-block model still decides.
 
     embeds is that verdict and pins the symmetry pins under `objective`,
-    found here with exact._embedding and exact._symmetry_pins when the
-    caller passes None; either way they are found once, for every horizon.
-    Returns (plan, details)."""
+    found once, for every horizon, with exact._embedding (after
+    exact._check_fits) and exact._symmetry_pins when the caller passes
+    None. An unknown objective is refused first. Returns (plan, details)."""
     _check_slots(S)
+    if objective not in OBJECTIVES:
+        raise ValueError(f"objective must be one of {OBJECTIVES}")
     _check_loop_inputs(timeout, max_T)
     deadline = None if timeout is None else time.monotonic() + timeout
     if embeds is None:
+        _check_fits(circuit, device)
         embeds = _embedding(circuit, device, deadline) is not None
     if pins is None:
         pins = _symmetry_pins(circuit, device, objective, deadline)

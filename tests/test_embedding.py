@@ -17,7 +17,6 @@ from qlayout.exact import (
     SynthesisTimeout,
     TCapExceeded,
     _embedding,
-    _fits,
     _symmetry_pins,
     _scaled_profile,
     apply_objective,
@@ -92,21 +91,21 @@ def embed_instances(draw):
                    ORACLE_DEVICES["split"]))
 @example(instance=(load_circuit("qubits 5\ncx q0 q1\ncx q0 q2\ncx q0 q3\nh q4\n"),
                    ORACLE_DEVICES["star"]))
+@example(instance=(load_circuit("qubits 4\ncx q0 q1\ncx q1 q2\ncx q2 q3\n"),
+                   ORACLE_DEVICES["split"]))  # never fits: one 4-qubit component
 @given(embed_instances())
 def test_embedding_is_exact(instance):
     """_embedding finds a placement exactly when a brute-force search over
     every injective placement does. Where it finds none, the one-block
-    coarse model is unsatisfiable. Where it finds one, the exact model's
+    coarse model is unsatisfiable, also for a circuit that no horizon can
+    host (the flows refuse that one before any model). Where it finds one,
+    the exact model's
     horizon loop proves the value, objective value and horizon the flow
     reports without a model, under swap, depth and uniform fidelity."""
     circuit, device = instance
     placement = _embedding(circuit, device)
     assert (placement is not None) == _brute_force_embeds(circuit, device)
     if placement is None:
-        if not _fits(circuit, device):  # no horizon at all
-            with pytest.raises(TCapExceeded):
-                encode_tb(circuit, device, 1, "swap", pins=())
-            return
         model, _ = encode_tb(circuit, device, 1, "swap", pins=())
         assert sv.solve(model).status == sv.UNSAT
         return

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qlayout import _cdcl, exact, solver as sv
+from qlayout import _cdcl, exact, solver as sv, transition
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device
 from qlayout.exact import (
@@ -139,16 +139,30 @@ NEVER_FITS = {
 @pytest.mark.parametrize("case", sorted(NEVER_FITS))
 @pytest.mark.parametrize("flow", ["exact", "tb", "qaoa"])
 def test_inputs_that_never_fit_end_before_any_solve(monkeypatch, flow, case):
+    # the fit is checked once, before the embedding and automorphism searches
     text, device = NEVER_FITS[case]
     if flow == "qaoa":  # the two-qubit gates, commuting
         text = "".join(line for line in text.splitlines(True) if not line.startswith("h "))
     circuit = load_circuit(text, user_deps=[] if flow == "qaoa" else None)
-    solves = []
-    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: solves.append(1))
+    calls = spy_searches(monkeypatch)
+    monkeypatch.setattr(sv, "solve", lambda *args, **kwargs: calls.append("solve"))
     run = {"exact": synthesize, "tb": synthesize_tb, "qaoa": synthesize_qaoa}[flow]
     with pytest.raises(TCapExceeded):
         run(circuit, device)
-    assert solves == []
+    assert calls == []
+
+
+def spy_searches(monkeypatch) -> list:
+    """Log "embedding" for each embedding search, from any flow, and
+    "automorphisms" for each automorphism search; each still runs."""
+    calls = []
+    embedding, automorphisms = exact._embedding, exact.enumerate_automorphisms
+    for module in (exact, transition):
+        monkeypatch.setattr(module, "_embedding",
+                            lambda *a, **k: calls.append("embedding") or embedding(*a, **k))
+    monkeypatch.setattr(exact, "enumerate_automorphisms",
+                        lambda *a, **k: calls.append("automorphisms") or automorphisms(*a, **k))
+    return calls
 
 
 def _fidelity_repro():

@@ -1,6 +1,6 @@
 """Every name a qlayout module imports is used in that module, and every
-function, class, method and property it defines has a caller in qlayout or
-is exported."""
+function, class, method, property and module-level constant it defines has
+a reader in qlayout or is exported."""
 
 import ast
 from pathlib import Path
@@ -39,28 +39,38 @@ def test_unused_import_is_caught():
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
 
 
+def _module_constants(tree):
+    """(name, line) of each name a module-level assignment binds."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
 def unreferenced_definitions(sources: dict, exported) -> list[str]:
-    """The functions, classes, methods and properties defined in `sources`
-    (module name -> text) that no source refers to by name and `exported`
-    does not list. Dunder names are exempt."""
+    """The functions, classes, methods, properties and module-level
+    constants defined in `sources` (module name -> text) that no source
+    reads by name and `exported` does not list. Dunder names are exempt."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     out = []
     for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        defined = [(node.name, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for name, line in defined + [*_module_constants(tree)]:
             if name.startswith("__") and name.endswith("__"):
                 continue
             if name not in used and name not in exported:
-                out.append(f"{module}: {name} (line {node.lineno})")
+                out.append(f"{module}: {name} (line {line})")
     return out
 
 
@@ -79,6 +89,12 @@ def test_unreferenced_definition_is_caught():
         "    @property\n    def size(self):\n        return self.n\n"
         "    def read(self):\n        return 2\n"
         "print(Box().read())\n"
+        "LIMIT = 3\n"  # line 16, read below
+        "_column, _row = 1, 2\n"  # line 17; only _row is read
+        "ORPHAN: int = 4\n"  # line 18
+        "__all__ = []\n"
+        "print(LIMIT + _row)\n"
     )
     assert unreferenced_definitions({"m": source}, ["exported"]) == [
-        "m: unused (line 3)", "m: size (line 11)"]
+        "m: unused (line 3)", "m: size (line 11)", "m: _column (line 17)",
+        "m: ORPHAN (line 18)"]

@@ -144,18 +144,17 @@ def test_objective_exact_minimum():
     assert v.objective_value == 0 + 1 + 2
 
 
-def test_require_clause_constant_clauses():
+def test_rows_are_kept_as_given_and_an_empty_row_is_unsat():
     m = Model()
     x = m.int_var(0, 2)
     lx = m.lits(x)
-    m.require_clauses([[lx[1], lx[1] ^ 1]])  # a complementary pair: always holds
-    m.require_clauses([[lx[2], lx[2]]])  # a repeat collapses
-    # after x's exactly-one clauses, only the clause "x == 2" (column 2) loads
-    assert m._compile()[1][4:] == [[2 * 2]]
-    assert solve(m).assignment == {x: 2}
+    m.require_clauses([(lx[1], lx[1]), [lx[0], lx[0] ^ 1]])  # a repeat, a complementary pair
+    assert m._assertions == m._rows == [[lx[1], lx[1]], [lx[0], lx[0] ^ 1]]
+    assert m._compile()[1][4:] == m._rows  # after x's exactly-one clauses
+    assert solve(m).assignment == solve(m, method="milp").assignment == {x: 1}
     m.require_clauses([[]])  # can never hold
-    assert solve(m).status == sv.UNSAT
-    assert solve(m, method="milp").status == sv.UNSAT
+    assert m._rows[-1] == []
+    assert solve(m).status == solve(m, method="milp").status == sv.UNSAT
 
 
 @pytest.mark.parametrize("always_true", [
@@ -165,9 +164,8 @@ def test_require_clause_constant_clauses():
 ])
 @pytest.mark.parametrize("bad", [99, -1, "x", None])
 def test_require_clause_checks_handles_after_an_always_true_literal(always_true, bad):
-    # a row that always holds loads nothing, but its literals are checked
-    # all the same: 99 is past the last column, -1 negative, "x" and None
-    # no literal at all
+    # a row that always holds has its literals checked all the same: 99 is
+    # past the last column, -1 negative, "x" and None no literal at all
     m = Model()
     x, b = m.int_var(0, 2), m.bool_var()
     assert m.lits(x) + m.lits(b) == [0, 2, 4, 7, 6]
@@ -177,9 +175,10 @@ def test_require_clause_checks_handles_after_an_always_true_literal(always_true,
 
 
 @st.composite
-def _indicator_lits(draw):
-    """A model with bools and offset-domain ints, and a row of literals
-    from `lits` and their complements: repeats and complementary pairs."""
+def _indicator_rows(draw):
+    """A model with bools and offset-domain ints, and a family of rows of
+    literals from `lits` and their complements: repeats, complementary
+    pairs and empty rows."""
     m = Model()
     handles = []
     for _ in range(draw(st.integers(1, 4))):
@@ -189,24 +188,23 @@ def _indicator_lits(draw):
             lo = draw(st.integers(-3, 3))
             handles.append(m.int_var(lo, lo + draw(st.integers(0, 3))))
     pool = [lit for h in handles for lit in m.lits(h)]
-    lits = draw(st.lists(st.sampled_from(pool + [lit ^ 1 for lit in pool]), max_size=8))
-    if lits and draw(st.booleans()):
-        lits += draw(st.lists(st.sampled_from(lits), max_size=3))  # repeats
-    return m, draw(st.permutations(lits))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lits = draw(st.lists(st.sampled_from(pool + [lit ^ 1 for lit in pool]), max_size=8))
+        if lits and draw(st.booleans()):
+            lits += draw(st.lists(st.sampled_from(lits), max_size=3))  # repeats
+        rows.append(draw(st.permutations(lits)))
+    return m, rows
 
 
 @settings(max_examples=200, deadline=None)
-@given(_indicator_lits())
-def test_require_clause_row_matches_literal_path(case):
-    # require_clauses keeps a row of distinct columns as it is and sends
-    # any other through _clause_row: either way the row _clause_row gives
-    m, lits = case
-    n_rows = len(m._rows)
-    m.require_clauses([lits])
-    row = sv._clause_row(lits)
-    # a clause that always holds appends no row
-    assert m._rows[n_rows:] == ([] if row is None else [row])
-    assert m._assertions[-1] == lits
+@given(_indicator_rows())
+def test_require_clauses_keeps_each_row_as_written(case):
+    # logged and loaded as given, in order, after the ints' exactly-one rows
+    m, rows = case
+    m.require_clauses(rows)
+    assert m._assertions == m._rows == rows
+    assert m._compile()[1] == m._onehot_rows + rows
 
 
 def _lits_layout_model():
@@ -258,18 +256,6 @@ def test_extract_refuses_a_vector_that_breaks_a_clause_row():
     cols[2] = 1.0  # x == 2, b == 0
     with pytest.raises(SolverBackendError):
         sv._extract(m, cols)
-
-
-def test_require_clauses_collapses_repeats_and_drops_tautologies():
-    m = Model()
-    x = m.int_var(0, 2)
-    b = m.bool_var()
-    lx, lb = m.lits(x), m.lits(b)
-    m.require_clauses([(lx[1], lx[1], lb[1]), [lx[0], lx[0] ^ 1], [], [lb[0]]])
-    # one log entry per row, each as given; the tautology loads no row
-    assert m._assertions == [[lx[1], lx[1], lb[1]], [lx[0], lx[0] ^ 1], [], [lb[0]]]
-    assert m._rows == [[lx[1], lb[1]], [], [lb[0]]]
-    assert solve(m).status == sv.UNSAT
 
 
 @pytest.mark.parametrize("bad", [
@@ -803,9 +789,25 @@ def test_milp_reads_a_clipped_pb_row_with_a_negated_literal():
         Verdict(sv.SAT, {0: 0, 1: 1, 2: 1}, 1)
 
 
+def _as_written(state):
+    """x in 0..4 (an order chain when ordered), a bool b, minimize x - b,
+    and the rows state(m, x, lits of x, lits of b) adds."""
+    m = Model()
+    x, b = m.int_var(0, 4), m.bool_var()
+    state(m, x, m.lits(x), m.lits(b))
+    m.minimize([(1, x), (-1, b)])
+    return m
+
+
 @settings(max_examples=60, deadline=None)
 @given(models())
 @example(_clipped_pb_model())
+# rows no family of the package states, loaded as written
+@example(_as_written(lambda m, x, lx, lb: m.require_clauses([[lx[2], lx[2]]])))
+@example(_as_written(lambda m, x, lx, lb: m.require_clauses([[lx[0], lx[0] ^ 1]])))
+@example(_as_written(  # x == 0 is false at the root, and repeated
+    lambda m, x, lx, lb: m.require_clauses([[lx[0] ^ 1], [lx[0], lb[0], lx[0]]])))
+@example(_as_written(lambda m, x, lx, lb: m.require_order(x, x, 0)))
 def test_engines_agree(m):
     va = solve(m, method="sat")
     vb = solve(m, method="milp")

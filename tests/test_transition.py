@@ -32,7 +32,7 @@ from qlayout.transition import (
     synthesize_tb,
 )
 from qlayout.verify import check_result
-from test_exact import ORACLE_DEVICES
+from test_exact import ORACLE_DEVICES, spy_searches
 from test_solver import _with_search_calls
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
@@ -723,15 +723,28 @@ def test_symmetry_clauses_keep_the_optimum(instance, objective):
         assert optimum(exact_model(T, pins)) == optimum(exact_model(T, ())), T
 
 
+def _skewed(device):
+    """The device with no uniform weight class: every site weighs
+    differently, so objective_fidelity states its location rows."""
+    n, k = device.num_physical, device.num_edges
+    return build_device(n, device.edges, {"measure": [0.99 - 0.001 * p for p in range(n)],
+                                          "single": [0.999 - 0.002 * p for p in range(n)],
+                                          "two": [0.98 - 0.001 * e for e in range(k)]})
+
+
 @pytest.mark.parametrize("circuit_name", ["or", "adder", "qaoa5", "4mod5-v1_22"])
-@pytest.mark.parametrize("device_name", ["qx2", "grid2x3", "grid2x4"])
+@pytest.mark.parametrize("device_name", ["qx2", "grid2x3", "grid2x4", "skewed qx2"])
 def test_no_clause_family_repeats_a_column_in_a_row(circuit_name, device_name):
     """Every clause row the exact model (each objective, at the longest
     chain) and the coarse model (T = 2) state names each column once: no
-    repeat and no complementary pair for require_clauses to collapse. The
-    model logs each stated row as given, before any collapse."""
+    repeat and no complementary pair, which require_clauses keeps as
+    written. On the skewed device this covers the fidelity objective's
+    location rows."""
     circuit = bundled_circuit(f"{circuit_name}.gates")
-    device = bundled_device(f"{device_name}.json")
+    device = bundled_device(f"{device_name.removeprefix('skewed ')}.json")
+    if device_name.startswith("skewed"):
+        device = _skewed(device)
+        assert all(len(set(ws)) == len(ws) for ws in exact._scaled_profile(device))
     for objective in OBJECTIVES:
         pins = exact._symmetry_pins(circuit, device, objective)
         config = EncodingConfig(T=circuit.longest_chain, objective=objective)
@@ -741,6 +754,18 @@ def test_no_clause_family_repeats_a_column_in_a_row(circuit_name, device_name):
         for m in (model, coarse):
             rows = [row for row in m._assertions if row.__class__ is list]
             assert rows and all(len({lit >> 1 for lit in row}) == len(row) for row in rows)
+
+
+@pytest.mark.parametrize("run", [synthesize_tb, synthesize_qaoa], ids=["tb", "qaoa"])
+def test_unknown_objective_is_refused_before_any_search(monkeypatch, run):
+    # as EncodingConfig refuses it for the exact flow
+    calls = spy_searches(monkeypatch)
+    circuit = load_circuit("qubits 3\ncx q0 q1\ncx q1 q2\ncx q0 q2\n", user_deps=[])
+    with pytest.raises(ValueError, match="objective must be one of"):
+        run(circuit, PATH3, "foo")
+    assert calls == []
+    run(circuit, PATH3, "swap")
+    assert calls == ["embedding", "automorphisms"]
 
 
 @pytest.mark.parametrize("max_T", [2.5, 3.0, True])
