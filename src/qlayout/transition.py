@@ -6,11 +6,15 @@ gate/SWAP conflict families dropped: a transition owns the block boundary.
 The solved assignment becomes a TransitionPlan; asap_schedule replays it
 with real S-slot SWAPs and emits a result that passes the full verifier.
 
-Each plan is compiled once into schedule tables (per-gate predecessors and
-dependency tails, per-block gate nodes and fired SWAPs). One
+Each plan is compiled once into schedule tables (per-gate predecessors,
+ancestor sets and dependency tails, per-block gate nodes and fired SWAPs). One
 node-availability scheduler, _schedule_core, runs on them: for the ASAP
 replay, for the block splits and partial splits the polish step bounds and
-scores, and for the QAOA flow's stitch. _schedule_plan is
+scores, and for the QAOA flow's stitch. The polish walk also skips each
+block that is dominated by the one before it (_dominated): a gate ordered
+against every gate that shares a qubit with it, on nodes the transition
+between the two blocks leaves alone, never runs better in the later
+block. _schedule_plan is
 the one path from a plan and a per-block gate order to a result: it checks
 the plan, schedules it, and hands the gate times and SWAPs to
 exact.build_result, which replays the SWAPs into the trajectory.
@@ -200,6 +204,9 @@ class _ScheduleTables(NamedTuple):
     # fired[b]: the SWAPs after block b as (edge, p, q), p and q the edge's
     # endpoints, in edge order
     fired: list[list[tuple[int, int, int]]]
+    # ancestors[l]: gate l's dependency ancestors, as a bit set; the
+    # polish reads them (_dominated), the scheduler does not
+    ancestors: list[int]
 
 
 def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
@@ -218,16 +225,20 @@ def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
         preds[lp].append(l)
     ancestors = [0] * L
     for l in range(L):
-        for i in preds[l]:
-            ancestors[l] |= ancestors[i] | (1 << i)
-        preds[l] = [i for i in preds[l]
-                    if not any(ancestors[j] >> i & 1 for j in preds[l])]
+        if preds[l]:
+            through = 0
+            for i in preds[l]:
+                through |= ancestors[i]
+            preds[l] = [i for i in preds[l] if not through >> i & 1]
+            for i in preds[l]:
+                through |= 1 << i
+            ancestors[l] = through
     nodes = [[(row[g.qubits[0]], row[g.qubits[-1]]) for g in circuit.gates]
              for row in plan.block_mapping]
     fired = [[(k, *device.edges[k]) for k in sorted(edges)]
              for edges in (*plan.transitions, ())]
     _, tail = chain_depths(circuit)
-    return _ScheduleTables(device.num_physical, preds, tail, nodes, fired)
+    return _ScheduleTables(device.num_physical, preds, tail, nodes, fired, ancestors)
 
 
 def _schedule_core(tables: _ScheduleTables, order, S: int,
@@ -315,6 +326,50 @@ def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
                           _block_order(plan.gate_block, plan.num_blocks))
 
 
+def _dominated(tables: _ScheduleTables, feas, branching) -> list[list[bool]]:
+    """dominated[l][b]: block b is never a better choice for gate l than
+    block b - 1, when its predecessors allow both.
+
+    That holds when every gate that shares a qubit with gate l is its
+    dependency ancestor or descendant, and transition b - 1 moves neither
+    of its nodes. Its qubits then sit on those nodes in both blocks, so
+    each other gate on them there shares a qubit with it: a predecessor,
+    which runs first either way, or a successor, which sits in block b or
+    later. Running it in b - 1 thus makes no gate and no SWAP later. The
+    move also draws down each single-choice successor feasible in b - 1,
+    so the same must hold for each of those; one with no feasible block
+    from b on is left out, as then no split has gate l in b.
+
+    feas[l] lists gate l's feasible blocks in order, and branching[l] says
+    whether its nodes differ between them.
+    """
+    L, B = len(feas), len(tables.nodes)
+    nodes = tables.nodes
+    # loose: the gates that share a qubit (a node under one mapping) with
+    # a gate that is neither their ancestor nor descendant, as a bit set
+    loose = 0
+    on_node = [0] * tables.num_physical
+    for l, (p, q) in enumerate(nodes[0]):
+        shared = (on_node[p] | on_node[q]) & ~tables.ancestors[l]
+        if shared:
+            loose |= shared | 1 << l
+        on_node[p] |= 1 << l
+        on_node[q] |= 1 << l
+    touched = [{p for _, *edge in swaps for p in edge} for swaps in tables.fired]
+    succs: list[list[int]] = [[] for _ in range(L)]
+    for m, preds in enumerate(tables.preds):
+        for i in preds:
+            succs[i].append(m)
+    dominated = [[False] * B for _ in range(L)]
+    for l in reversed(range(L)):
+        if not loose >> l & 1:
+            for b in range(1, B):
+                dominated[l][b] = touched[b - 1].isdisjoint(nodes[b][l]) and all(
+                    dominated[m][b] for m in succs[l]
+                    if not branching[m] and b - 1 in feas[m] and feas[m][-1] >= b)
+    return dominated
+
+
 def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
                  S: int, node_budget: int = 20000) -> TransitionPlan:
     """Re-assign gates to blocks, keeping mappings and transitions fixed, to
@@ -322,31 +377,42 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
     The coarse solver optimizes its own objective and is free to pick any
     block split among equally good ones; splits differ widely in scheduled
-    depth. Only gates whose physical position changes between feasible
-    blocks can matter, so the search branches on those alone, walking gates
-    in index order (a topological order) with dependency lower bounds. The
-    first split in walk order with the smallest depth wins, and the plan's
-    own split wins ties.
+    depth. The walk assigns gates in index order (a topological order),
+    each to a feasible block no earlier than its predecessors' latest one.
+    It branches only on gates whose nodes differ between their feasible
+    blocks; every other gate takes its first block allowed. The splits so
+    reached are the walk's space, and it returns the first split in walk
+    order with the smallest depth; the plan's own split wins ties.
+
+    The space is not every split. Taking the first block is not a dominance
+    for a gate that commutes with another on its qubit: on the path 0-1-2,
+    with `h q0; h q0; h q1; h q1`, dependencies (1, 2) and (2, 3), blocks
+    mapped to (0, 1) and (0, 2) and the SWAP on edge (1, 2) between them,
+    the walk puts the first h q0 in block 0 and the split runs 4 slots,
+    where moving it to block 1 gives 3.
 
     The walk is a branch-and-bound over _schedule_core's monotone bound (a
     gate at slot t puts every full split that extends the scheduled one at
-    t + tail + 1 slots or more). It makes three sound cuts against the best
-    depth so far, so within the budget it returns the split the exhaustive
-    walk would:
+    t + tail + 1 slots or more). It makes four sound cuts, so within the
+    budget it returns the split the exhaustive walk over its space would:
     - it stops once the best depth equals the longest dependency chain, a
       lower bound on every split; the plan's own split is checked first;
     - at a gate with more than one choice, it schedules the gates assigned
       so far and every SWAP, and prunes the subtree when their bound
       reaches the best depth;
-    - it stops scoring a leaf as soon as one gate's bound reaches it.
+    - it stops scoring a leaf as soon as one gate's bound reaches it;
+    - it skips a block that is dominated by the one before it (see
+      _dominated): each split with the gate there is matched by a split
+      earlier in walk order, with the gate and the successors it draws
+      one block down, that runs no longer, so the first best split stays.
     The walk keeps each block's gate list in index order as it assigns and
     unassigns gates, so every prefix and leaf goes to the scheduler as is.
 
     node_budget counts the leaves the walk reaches, scored in full or not;
     at the budget it stops and keeps the best seen (a budget of 0 keeps the
     plan). The pruned walk reaches a subsequence of the exhaustive walk's
-    leaves and skips only those that cannot win, so under a budget that
-    binds its depth is never worse.
+    leaves and skips only those that cannot win or are matched by an
+    earlier one, so under a budget that binds its depth is never worse.
     """
     B = plan.num_blocks
     L = circuit.num_gates
@@ -366,12 +432,15 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     lower = max(tables.tail) + 1
     if best_depth == lower:
         return plan
+    dominated = _dominated(tables, feas, branching)
     # choices[l][bound]: the blocks gate l may take when its predecessors'
     # latest block is `bound`; a gate whose position never changes takes
-    # the first only
+    # the first only, and no gate takes a block that is dominated by the one
+    # before it
     choices = []
     for l in range(L):
-        at_bound = [[b for b in feas[l] if b >= bound] for bound in range(B)]
+        at_bound = [[b for b in feas[l] if b == bound or b > bound and not dominated[l][b]]
+                    for bound in range(B)]
         choices.append(at_bound if branching[l] else [c[:1] for c in at_bound])
 
     best_blocks = None

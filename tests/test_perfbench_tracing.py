@@ -8,9 +8,13 @@ under it.
 """
 
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
 from qlayout import solver as sv
+from qlayout.circuit import load_circuit
+from qlayout.device import load_device
+from qlayout.transition import synthesize_tb
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -74,3 +78,21 @@ def test_tracer_reads_every_layer_of_a_solve():
     assert metrics["cdcl.decisions"] > 0
     for layer in ("solver.compile_s", "solver.load_s", "solver.replay_s", "cdcl.search_s"):
         assert metrics[layer] > 0, layer
+
+
+def test_tracer_counts_the_polish_schedules():
+    # qaoa5/grid2x3/depth makes over a thousand schedules in the polish; the
+    # tracer counts them only while _polish_plan calls _schedule_core through
+    # the module attribute, so a local alias would make the count read 0
+    tracing = _load_tracing()
+    data = resources.files("qlayout") / "data"
+    circuit = load_circuit((data / "qaoa5.gates").read_text())
+    device = load_device((data / "grid2x3.json").read_text())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        synthesize_tb(circuit, device, "depth")
+        spans = tracer.take()
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(spans)["transition.polish_schedules"] > 0

@@ -462,10 +462,10 @@ def _coarse_plan(circuit, device, objective):
 
 
 @st.composite
-def tb_plans(draw):
+def tb_plans(draw, user_deps=True):
     """A solved coarse plan for a small random circuit: one- and two-qubit
     gates, with repeated pairs made likely. Dependencies are the collisions,
-    or drawn pairs that need not share a qubit."""
+    or, if `user_deps`, maybe drawn pairs that need not share a qubit."""
     device = draw(st.sampled_from([PATH3, CYCLE4, bundled_device("qx2.json")]))
     M = draw(st.integers(min_value=2, max_value=min(4, device.num_physical)))
     pairs = [(a, b) for a in range(M) for b in range(M) if a != b]
@@ -481,11 +481,11 @@ def tb_plans(draw):
             qubits = favourite
         gates.append(Gate(index=i, name="h" if len(qubits) == 1 else "cx",
                           qubits=qubits))
-    user_deps = None
-    if draw(st.booleans()):
+    deps = None
+    if user_deps and draw(st.booleans()):
         later = [(l, lp) for lp in range(len(gates)) for l in range(lp)]
-        user_deps = draw(st.lists(st.sampled_from(later), max_size=6)) if later else []
-    circuit = preprocess(Circuit(num_qubits=M, gates=tuple(gates)), user_deps)
+        deps = draw(st.lists(st.sampled_from(later), max_size=6)) if later else []
+    circuit = preprocess(Circuit(num_qubits=M, gates=tuple(gates)), deps)
     objective = draw(st.sampled_from(["swap", "depth"]))
     return circuit, device, _coarse_plan(circuit, device, objective)
 
@@ -539,18 +539,40 @@ def test_polish_budget_on_a_heavy_row(monkeypatch, node_budget):
         assert calls <= len(ref_calls), name
 
 
-@settings(max_examples=60, deadline=None)
-@given(tb_plans(), st.sampled_from([3, 1]), st.data())
-def test_polish_bounds_are_sound(instance, S, data):
-    # for a feasible split drawn at random, the longest dependency chain and
-    # the bound of every prefix of the split stay within its depth
-    circuit, device, plan = instance
-    B, L = plan.num_blocks, circuit.num_gates
+def test_dominated_blocks_cut_the_qaoa5_polish(monkeypatch):
+    # qaoa5/grid2x3/depth: no split runs shorter than the plan's own 21
+    # slots, and the walk took 6,889 schedules to prove it before it
+    # skipped dominated blocks
+    dev = bundled_device("grid2x3.json")
+    circ = bundled_circuit("qaoa5.gates")
+    plan = _coarse_plan(circ, dev, "depth")
+    schedules = []
+    core = transition._schedule_core
+    with monkeypatch.context() as m:
+        m.setattr(transition, "_schedule_core",
+                  lambda *args: schedules.append(None) or core(*args))
+        polished = _polish_plan(plan, circ, dev, 3)
+    assert polished is plan
+    assert polished == _reference_polish(plan, circ, dev, 3, 20000, [])
+    assert _polished_depth(plan, circ, dev, 3) == 21
+    assert len(schedules) <= 1200
+
+
+def _feasible_blocks(plan, circuit, device):
+    """Per gate, the blocks whose mapping puts its qubits on an edge."""
     feas = []
     for g in circuit.gates:
         sites = [[row[q] for q in g.qubits] for row in plan.block_mapping]
         feas.append([b for b, ps in enumerate(sites)
                      if len(ps) == 1 or ps[1] in device.neighbours[ps[0]]])
+    return feas
+
+
+def _random_split(plan, circuit, device, data):
+    """A feasible split of the plan's gates into its blocks, drawn at
+    random."""
+    B, L = plan.num_blocks, circuit.num_gates
+    feas = _feasible_blocks(plan, circuit, device)
     succs = [[] for _ in range(L)]
     for l, lp in circuit.dependencies:
         succs[l].append(lp)
@@ -566,7 +588,17 @@ def test_polish_bounds_are_sound(instance, S, data):
         split[l] = data.draw(st.sampled_from(
             [b for b in feas[l] if low <= b <= latest[l]]))
     check_plan(replace(plan, gate_block=tuple(split)), circuit, device)
+    return split
 
+
+@settings(max_examples=60, deadline=None)
+@given(tb_plans(), st.sampled_from([3, 1]), st.data())
+def test_polish_bounds_are_sound(instance, S, data):
+    # for a feasible split drawn at random, the longest dependency chain and
+    # the bound of every prefix of the split stay within its depth
+    circuit, device, plan = instance
+    B, L = plan.num_blocks, circuit.num_gates
+    split = _random_split(plan, circuit, device, data)
     tables = transition._schedule_tables(plan, circuit, device)
     gate_time, _ = transition._schedule_core(tables, _block_order(split, B), S)
     depth = max(gate_time) + 1
@@ -581,6 +613,135 @@ def test_polish_bounds_are_sound(instance, S, data):
         # the limit cuts the prefix exactly at its bound
         assert transition._schedule_core(tables, prefix, S, bound) is None
         assert transition._schedule_core(tables, prefix, S, bound + 1) is not None
+
+
+PATH4 = build_device(4, [(0, 1), (1, 2), (2, 3)])
+# two h gates on each qubit; the second pair in a chain after the second
+# h q0, which commutes with the first
+COMMUTING = load_circuit("qubits 2\nh q0\nh q0\nh q1\nh q1\n", [(1, 2), (2, 3)])
+
+
+def test_polish_keeps_a_block_for_a_gate_that_commutes():
+    # the first h q0 sits on node 0 in blocks 0 and 1, and the SWAP between
+    # them leaves node 0 alone; but it commutes with its twin, so block 1 is
+    # not dominated: in block 0 it holds up the twin and the chain after it,
+    # in block 1 it runs beside them, 3 slots against 4
+    plan = TransitionPlan(
+        num_blocks=3, gate_block=(0, 0, 0, 0),
+        block_mapping=((0, 1), (0, 2), (1, 2)),
+        transitions=(frozenset({PATH4.edge_index(1, 2)}),
+                     frozenset({PATH4.edge_index(0, 1)})))
+    polished = _polish_plan(plan, COMMUTING, PATH4, 3)
+    assert polished.gate_block == (1, 0, 0, 0)
+    assert _polished_depth(polished, COMMUTING, PATH4, 3) == 3
+    assert polished == _reference_polish(plan, COMMUTING, PATH4, 3, 20000, [])
+
+
+@st.composite
+def drawn_plans(draw, user_deps=True):
+    """A plan drawn rather than solved, for a small random circuit with the
+    default dependencies or, if `user_deps`, maybe drawn ones: a random
+    first mapping, random node-disjoint SWAP sets and the earliest feasible
+    split. Unlike solved plans, these often move a qubit away and back."""
+    device = draw(st.sampled_from([PATH4, CYCLE4, bundled_device("qx2.json")]))
+    N = device.num_physical
+    M = draw(st.integers(min_value=2, max_value=min(4, N)))
+    rows = [tuple(draw(st.permutations(range(N)))[:M])]
+    transitions = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        used, fired = set(), []
+        for k in draw(st.lists(st.sampled_from(range(device.num_edges)), max_size=3)):
+            a, b = device.edges[k]
+            if not used & {a, b}:
+                used |= {a, b}
+                fired.append(k)
+        transitions.append(frozenset(fired))
+        rows.append(exact.swap_step(rows[-1], sorted(fired), device))
+    gates = []
+    for i in range(draw(st.integers(min_value=1, max_value=6))):
+        qubits = draw(st.sampled_from(
+            [(q,) for q in range(M)] + [(a, b) for a in range(M) for b in range(M) if a != b]))
+        gates.append(Gate(index=i, name="h" if len(qubits) == 1 else "cx", qubits=qubits))
+    deps = None
+    if user_deps and draw(st.booleans()):
+        later = [(l, lp) for lp in range(len(gates)) for l in range(lp)]
+        deps = draw(st.lists(st.sampled_from(later), max_size=6)) if later else []
+    circuit = preprocess(Circuit(num_qubits=M, gates=tuple(gates)), deps)
+    plan = TransitionPlan(num_blocks=len(rows), gate_block=(0,) * len(gates),
+                          block_mapping=tuple(rows), transitions=tuple(transitions))
+    feas = _feasible_blocks(plan, circuit, device)
+    split = []
+    for l in range(len(gates)):
+        low = max((split[i] for i, lp in circuit.dependencies if lp == l), default=0)
+        split.append(next((b for b in feas[l] if b >= low), None))
+        assume(split[-1] is not None)
+    return circuit, device, replace(plan, gate_block=tuple(split))
+
+
+def _swap_finishes(swaps):
+    """Edge -> the finish slots of its SWAPs, in transition order: a SWAP
+    on an edge waits for the one before it."""
+    by_edge = {}
+    for finish, k in swaps:
+        by_edge.setdefault(k, []).append(finish)
+    return by_edge
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(tb_plans(user_deps=False), drawn_plans(user_deps=False)),
+       st.sampled_from([3, 1]), st.data())
+def test_a_dominated_block_is_never_better(instance, S, data):
+    # with the default dependencies, moving a gate of a random split from a
+    # block the polish skips down to the block it keeps instead makes no
+    # gate and no SWAP of the split later
+    circuit, device, plan = instance
+    B, L = plan.num_blocks, circuit.num_gates
+    split = _random_split(plan, circuit, device, data)
+    tables = transition._schedule_tables(plan, circuit, device)
+    feas = _feasible_blocks(plan, circuit, device)
+    branching = [len({tables.nodes[b][l] for b in feas[l]}) > 1 for l in range(L)]
+    dominated = transition._dominated(tables, feas, branching)
+    times, swaps = transition._schedule_core(tables, _block_order(split, B), S)
+    for l, b in enumerate(split):
+        bound = max((split[i] for i in tables.preds[l]), default=0)
+        kept = b
+        while kept > bound and dominated[l][kept]:
+            kept -= 1
+        if kept == b:
+            continue
+        moved = [*split[:l], kept, *split[l + 1:]]
+        check_plan(replace(plan, gate_block=tuple(moved)), circuit, device)
+        moved_times, moved_swaps = transition._schedule_core(
+            tables, _block_order(moved, B), S)
+        assert all(t <= u for t, u in zip(moved_times, times))
+        before, after = _swap_finishes(swaps), _swap_finishes(moved_swaps)
+        assert after.keys() == before.keys()
+        assert all(f <= g for k in before for f, g in zip(after[k], before[k]))
+
+
+@settings(max_examples=100, deadline=None)
+@example(instance=(
+    load_circuit("qubits 2\nh q0\ncx q1 q0\nh q1\ncx q0 q1\nh q1\ncx q0 q1\n",
+                 [(0, 1), (0, 3), (0, 5), (1, 5), (2, 4), (3, 4)]),
+    CYCLE4,
+    TransitionPlan(num_blocks=4, gate_block=(1, 1, 1, 1, 1, 1),
+                   block_mapping=((0, 3), (0, 3), (0, 2), (1, 3)),
+                   transitions=(frozenset(), frozenset({2}), frozenset({0, 2})))),
+    S=1, node_budget=20000)
+@given(drawn_plans(), st.sampled_from([3, 1]), st.sampled_from([1, 3, 20000]))
+def test_polish_matches_reference_on_drawn_plans(instance, S, node_budget):
+    # no drawn plan reaches the default budget, so there the pruned walk
+    # must return the exhaustive walk's plan, and end no deeper under a
+    # budget that binds. In the example, h q0 may take blocks 0 to 2 on node
+    # 0, but a move down from block 1 would draw cx q1 q0, which commutes
+    # with h q1, along with it: block 1 is not dominated, and it is the best
+    circuit, device, plan = instance
+    expected = _reference_polish(plan, circuit, device, S, node_budget, [])
+    polished = _polish_plan(plan, circuit, device, S, node_budget)
+    if node_budget == 20000:
+        assert polished == expected
+    assert (_polished_depth(polished, circuit, device, S)
+            <= _polished_depth(expected, circuit, device, S))
 
 
 def test_polish_stops_at_the_chain_bound(monkeypatch):
