@@ -127,7 +127,8 @@ def preprocess(circuit: Circuit, user_deps=None) -> Circuit:
 
     The dependencies are every pair of gates sharing a logical qubit by
     default, the user's pairs otherwise; an explicit empty list declares
-    all gates free to commute.
+    all gates free to commute. A user pair must be two ints (not bools)
+    with l < l', so gate index order stays a topological order.
     """
     gates = circuit.gates
     if user_deps is None:
@@ -136,9 +137,12 @@ def preprocess(circuit: Circuit, user_deps=None) -> Circuit:
     else:
         deps = set()
         for pair in user_deps:
-            l, lp = pair
-            if not (0 <= l < lp < circuit.num_gates):
-                raise CircuitError(f"dependency {pair}: need 0 <= l < l' < L")
+            try:
+                l, lp = pair
+            except (TypeError, ValueError):
+                l = lp = None
+            if not (l.__class__ is lp.__class__ is int and 0 <= l < lp < circuit.num_gates):
+                raise CircuitError(f"dependency {pair!r}: need ints 0 <= l < l' < L")
             deps.add((l, lp))
     out = replace(circuit, dependencies=tuple(sorted(deps)))
     asap, _ = chain_depths(out)

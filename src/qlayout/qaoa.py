@@ -130,11 +130,12 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     # pass 1: coarse blocks with no gate ordering at all
     plan, details = _solve_coarse(circuit, device, objective, S, timeout, max_T)
 
-    # pass 2: minimum-depth gate order inside each block
+    # pass 2: minimum-depth gate order inside each block, all blocks within
+    # one timeout
+    deadline = None if timeout is None else time.monotonic() + timeout
     order: list[list[int]] = []
     for row, block_gates in zip(plan.block_mapping,
                                 _block_order(plan.gate_block, plan.num_blocks)):
-        deadline = None if timeout is None else time.monotonic() + timeout
         pairs = [tuple(row[q] for q in circuit.gates[l].qubits) for l in block_gates]
         slots = _retime_block(pairs, deadline)
         ranked = sorted(range(len(block_gates)), key=lambda i: (slots[i], block_gates[i]))

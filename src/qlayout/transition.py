@@ -10,14 +10,14 @@ Each plan is compiled once into schedule tables (per-gate predecessors,
 ancestor sets and dependency tails, per-block gate nodes and fired SWAPs). One
 node-availability scheduler, _schedule_core, runs on them: for the ASAP
 replay, for the block splits and partial splits the polish step bounds and
-scores, and for the QAOA flow's stitch. The polish walk also skips each
-block that is dominated by the one before it (_dominated): a gate ordered
-against every gate that shares a qubit with it, on nodes the transition
-between the two blocks leaves alone, never runs better in the later
-block. _schedule_plan is
-the one path from a plan and a per-block gate order to a result: it checks
-the plan, schedules it, and hands the gate times and SWAPs to
-exact.build_result, which replays the SWAPs into the trajectory.
+scores, and for the QAOA flow's stitch. The polish walks every feasible
+block split, and skips each block that is dominated by the one before it
+(_dominated): a gate ordered against every gate that shares a qubit with
+it, on nodes the transition between the two blocks leaves alone, runs in
+the same slot in either block. _schedule_plan is the one path from a plan
+and a per-block gate order to a result: it checks the plan, schedules it,
+and hands the gate times and SWAPs to exact.build_result, which replays
+the SWAPs into the trajectory.
 
 _solve_coarse, the coarse step of the TB and QAOA flows and of the exact
 flow's one-SWAP certificate, finds the device's symmetry pins once with
@@ -326,25 +326,22 @@ def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
                           _block_order(plan.gate_block, plan.num_blocks))
 
 
-def _dominated(tables: _ScheduleTables, feas, branching) -> list[list[bool]]:
+def _dominated(tables: _ScheduleTables) -> list[list[bool]]:
     """dominated[l][b]: block b is never a better choice for gate l than
     block b - 1, when its predecessors allow both.
 
-    That holds when every gate that shares a qubit with gate l is its
-    dependency ancestor or descendant, and transition b - 1 moves neither
-    of its nodes. Its qubits then sit on those nodes in both blocks, so
-    each other gate on them there shares a qubit with it: a predecessor,
-    which runs first either way, or a successor, which sits in block b or
-    later. Running it in b - 1 thus makes no gate and no SWAP later. The
-    move also draws down each single-choice successor feasible in b - 1,
-    so the same must hold for each of those; one with no feasible block
-    from b on is left out, as then no split has gate l in b.
-
-    feas[l] lists gate l's feasible blocks in order, and branching[l] says
-    whether its nodes differ between them.
+    That holds when (i) every gate that shares a qubit with gate l is its
+    dependency ancestor or descendant, and (ii) transition b - 1 moves
+    neither of its nodes. Its qubits then sit on those nodes in both
+    blocks, so each other gate on them there shares a qubit with it: an
+    ancestor, in block b - 1 or earlier and before it in index order, or a
+    descendant, in block b or later and after it. Between its place in
+    block b - 1 and its place in block b, no gate and no SWAP touches its
+    nodes or waits for it. Moving it down, every other gate kept where it
+    is, runs it in the same slot and leaves the schedule as it was.
     """
-    L, B = len(feas), len(tables.nodes)
     nodes = tables.nodes
+    L, B = len(tables.preds), len(nodes)
     # loose: the gates that share a qubit (a node under one mapping) with
     # a gate that is neither their ancestor nor descendant, as a bit set
     loose = 0
@@ -356,17 +353,11 @@ def _dominated(tables: _ScheduleTables, feas, branching) -> list[list[bool]]:
         on_node[p] |= 1 << l
         on_node[q] |= 1 << l
     touched = [{p for _, *edge in swaps for p in edge} for swaps in tables.fired]
-    succs: list[list[int]] = [[] for _ in range(L)]
-    for m, preds in enumerate(tables.preds):
-        for i in preds:
-            succs[i].append(m)
     dominated = [[False] * B for _ in range(L)]
-    for l in reversed(range(L)):
+    for l in range(L):
         if not loose >> l & 1:
             for b in range(1, B):
-                dominated[l][b] = touched[b - 1].isdisjoint(nodes[b][l]) and all(
-                    dominated[m][b] for m in succs[l]
-                    if not branching[m] and b - 1 in feas[m] and feas[m][-1] >= b)
+                dominated[l][b] = touched[b - 1].isdisjoint(nodes[b][l])
     return dominated
 
 
@@ -378,23 +369,14 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     The coarse solver optimizes its own objective and is free to pick any
     block split among equally good ones; splits differ widely in scheduled
     depth. The walk assigns gates in index order (a topological order),
-    each to a feasible block no earlier than its predecessors' latest one.
-    It branches only on gates whose nodes differ between their feasible
-    blocks; every other gate takes its first block allowed. The splits so
-    reached are the walk's space, and it returns the first split in walk
-    order with the smallest depth; the plan's own split wins ties.
-
-    The space is not every split. Taking the first block is not a dominance
-    for a gate that commutes with another on its qubit: on the path 0-1-2,
-    with `h q0; h q0; h q1; h q1`, dependencies (1, 2) and (2, 3), blocks
-    mapped to (0, 1) and (0, 2) and the SWAP on edge (1, 2) between them,
-    the walk puts the first h q0 in block 0 and the split runs 4 slots,
-    where moving it to block 1 gives 3.
+    each to a feasible block no earlier than its predecessors' latest one,
+    so its space is every feasible split. It returns the first split in
+    walk order with the smallest depth; the plan's own split wins ties.
 
     The walk is a branch-and-bound over _schedule_core's monotone bound (a
     gate at slot t puts every full split that extends the scheduled one at
     t + tail + 1 slots or more). It makes four sound cuts, so within the
-    budget it returns the split the exhaustive walk over its space would:
+    budget it returns the split the exhaustive walk would:
     - it stops once the best depth equals the longest dependency chain, a
       lower bound on every split; the plan's own split is checked first;
     - at a gate with more than one choice, it schedules the gates assigned
@@ -402,9 +384,9 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
       reaches the best depth;
     - it stops scoring a leaf as soon as one gate's bound reaches it;
     - it skips a block that is dominated by the one before it (see
-      _dominated): each split with the gate there is matched by a split
-      earlier in walk order, with the gate and the successors it draws
-      one block down, that runs no longer, so the first best split stays.
+      _dominated): each split with the gate there is matched by the split
+      with the gate one block down, earlier in walk order, that runs the
+      same schedule, so the first best split stays.
     The walk keeps each block's gate list in index order as it assigns and
     unassigns gates, so every prefix and leaf goes to the scheduler as is.
 
@@ -424,24 +406,19 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     feas = [[b for b, (p, q) in enumerate(row[g.index] for row in nodes)
              if not g.is_two_qubit or q in device.neighbours[p]]
             for g in circuit.gates]
-    branching = [len({nodes[b][l] for b in feas[l]}) > 1 for l in range(L)]
-    if not any(branching):
+    if all(len(blocks) == 1 for blocks in feas):
         return plan
     gate_time, _ = _schedule_core(tables, _block_order(plan.gate_block, B), S)
     best_depth = max(gate_time) + 1
     lower = max(tables.tail) + 1
     if best_depth == lower:
         return plan
-    dominated = _dominated(tables, feas, branching)
+    dominated = _dominated(tables)
     # choices[l][bound]: the blocks gate l may take when its predecessors'
-    # latest block is `bound`; a gate whose position never changes takes
-    # the first only, and no gate takes a block that is dominated by the one
-    # before it
-    choices = []
-    for l in range(L):
-        at_bound = [[b for b in feas[l] if b == bound or b > bound and not dominated[l][b]]
-                    for bound in range(B)]
-        choices.append(at_bound if branching[l] else [c[:1] for c in at_bound])
+    # latest block is `bound`; no gate takes a block that is dominated by
+    # the one before it
+    choices = [[[b for b in feas[l] if b == bound or b > bound and not dominated[l][b]]
+                for bound in range(B)] for l in range(L)]
 
     best_blocks = None
     blocks = [0] * L

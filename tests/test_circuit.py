@@ -103,6 +103,10 @@ def test_user_dependency_validation():
         preprocess(c, user_deps=[(5, 2)])
     with pytest.raises(CircuitError):
         preprocess(c, user_deps=[(0, 99)])
+    # a pair is two ints: no bools, floats, triples, strings or lone ints
+    for pair in [(False, True), (0.0, 1.0), (0, 1, 2), "01", 1]:
+        with pytest.raises(CircuitError):
+            preprocess(c, user_deps=[pair])
     # repeated pairs collapse, and the pairs are sorted
     assert preprocess(c, user_deps=[(4, 6), (0, 1), (4, 6)]).dependencies == ((0, 1), (4, 6))
 

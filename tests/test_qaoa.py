@@ -291,6 +291,28 @@ def test_pass2_builds_no_model(monkeypatch):
     assert len(solves) == len(details.tried_T)
 
 
+def test_pass2_shares_one_deadline(monkeypatch):
+    # every block is re-timed against the same deadline, so pass 2 as a
+    # whole stays within one timeout
+    deadlines = []
+    retime = qaoa._retime_block
+
+    def recording(pairs, deadline):
+        deadlines.append(deadline)
+        return retime(pairs, deadline)
+
+    monkeypatch.setattr(qaoa, "_retime_block", recording)
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    circ = phase_separation_from_graph(edges)
+    dev = bundled_device("grid2x3.json")
+    start = time.monotonic()
+    _, plan, _ = synthesize_qaoa(circ, dev, objective="depth", S=1, timeout=30.0,
+                                 return_details=True)
+    assert len(deadlines) == plan.num_blocks > 1
+    assert len(set(deadlines)) == 1
+    assert start + 30.0 <= deadlines[0] <= time.monotonic() + 30.0
+
+
 def _random_cubic_graph(num_nodes, rng):
     """Random simple 3-regular graph: pairing model with rejection."""
     while True:
