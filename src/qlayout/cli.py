@@ -4,7 +4,7 @@ Exit codes are part of the contract:
   0  success (for verify: the result passed every check)
   1  input error (bad file, bad flag, malformed circuit/device/result)
   2  no satisfiable horizon up to the cap; for verify: violations found
-  3  solver time budget exhausted
+  3  the call's time budget passed
 
 `synth` prints one summary line "depth=<d> swaps=<c> fidelity=<f>" and
 writes the full result JSON when --out is given. `verify` prints each
@@ -288,7 +288,8 @@ def _add_io_flags(p, with_timeout=True):
                    help="device JSON file path or bundled device name")
     p.add_argument("--swap-duration", type=int, default=3, metavar="S")
     if with_timeout:
-        p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+        p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                       help="wall-clock budget of one synthesis call, in seconds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="manifest: CSV (circuit,device,mode,objective) or JSON list")
     p.add_argument("--swap-duration", type=int, default=3, metavar="S")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                   help="wall-clock budget of one synthesis call, in seconds")
     p.add_argument("--out", help="write the CSV table here instead of stdout")
     p.set_defaults(func=cmd_bench)
 

@@ -63,7 +63,7 @@ AUTOMORPHISM_CAP = 5000
 
 
 class SynthesisTimeout(RuntimeError):
-    """The backend hit the time budget before proving sat or unsat."""
+    """The flow's `timeout`, the budget of the whole call, ran out before it ended."""
 
 
 class TCapExceeded(RuntimeError):
@@ -610,20 +610,25 @@ def _better(objective: str, new: int, old: int) -> bool:
     return new > old if objective == "fidelity" else new < old
 
 
-def _check_loop_inputs(timeout, max_T, extra_t: int = 0) -> None:
-    """The horizon loop's input checks, which every flow makes before any
-    search: an extra_t or max_T that is no int (a bool neither), a negative
-    extra_t or a timeout that sv.check_timeout refuses raises ValueError."""
+def _deadline(timeout, max_T, extra_t: int = 0) -> float | None:
+    """The one deadline of a flow call, None (no budget) or time.monotonic()
+    + timeout, which each flow computes first and every step below keeps.
+    An extra_t or max_T that is no int (a bool neither), a negative extra_t,
+    or a timeout that is no number >= 0 (NaN, bools) raises ValueError."""
     for name, value in (("extra_t", extra_t), ("max_T", max_T)):
         if value.__class__ is not int:
             raise ValueError(f"{name} must be an int, not {value!r}")
     if extra_t < 0:
         raise ValueError(f"extra_t must be >= 0, not {extra_t}")
-    sv.check_timeout(timeout)
+    if timeout is None:
+        return None
+    if isinstance(timeout, bool) or not (isinstance(timeout, (int, float)) and timeout >= 0):
+        raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
+    return time.monotonic() + timeout
 
 
 def solve_horizons(build, T: int, grow, objective: str,
-                   timeout: float | None, max_T: int, extra_t: int = 0,
+                   deadline: float | None, max_T: int, extra_t: int = 0,
                    min_swaps: int = 0):
     """The horizon loop of every flow. build(T) returns (model, variables)
     with the objective applied; the loop solves horizons T, grow(T), ...,
@@ -631,10 +636,10 @@ def solve_horizons(build, T: int, grow, objective: str,
     horizon that can be satisfiable.
 
     It stops extra_t >= 0 satisfiable horizons after the first, keeping the
-    strictly best verdict (the first of equal ones). Its inputs are checked
-    by _check_loop_inputs before any build. Returns (verdict, variables,
-    details); raises TCapExceeded when no horizon tried is satisfiable and
-    SynthesisTimeout when a solve runs out of time.
+    strictly best verdict (the first of equal ones). Every solve keeps the
+    caller's deadline (_deadline). Returns (verdict, variables, details);
+    raises TCapExceeded when no horizon tried is satisfiable and
+    SynthesisTimeout when a solve reaches the deadline.
 
     Each solve gets the lower bound the loop has proven on the objective,
     so the core stops tightening an incumbent that reaches it (sv.solve):
@@ -646,13 +651,12 @@ def solve_horizons(build, T: int, grow, objective: str,
       all end by slot T - 1 truncates to one at horizon T;
     - fidelity: none.
     """
-    _check_loop_inputs(timeout, max_T, extra_t)
     bound = {"swap": min_swaps, "depth": T - 1}.get(objective)
     tried = []
     best = None
     while T <= max_T:
         model, vs = build(T)
-        verdict = sv.solve(model, timeout=timeout, bound=bound)
+        verdict = sv.solve(model, deadline, bound=bound)
         tried.append(T)
         if verdict.status == sv.TIMEOUT:
             raise SynthesisTimeout(f"solver hit time budget at T={T}")
@@ -675,7 +679,7 @@ def solve_horizons(build, T: int, grow, objective: str,
 
 
 def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConfig,
-                          pins, T0: int) -> SynthesisResult | None:
+                          pins, T0: int, deadline: float | None) -> SynthesisResult | None:
     """The TB flow's schedule under swap when it meets both lower bounds,
     with the solver_T the exact model proves, else None.
 
@@ -689,13 +693,13 @@ def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConf
     model's bounds with the same SWAP count.
 
     The coarse flow (transition._solve_coarse) runs once with the caller's
-    pins from two blocks; a TCapExceeded there returns None, a
-    SynthesisTimeout propagates.
+    pins from two blocks, within the caller's deadline; a TCapExceeded there
+    returns None, a SynthesisTimeout propagates.
     """
     from .transition import _solve_coarse, asap_schedule  # transition imports this module
 
     try:
-        plan, _ = _solve_coarse(circuit, device, "swap", config.S, config.timeout,
+        plan, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
                                 config.max_T, pins=pins, embeds=False)
     except TCapExceeded:
         return None
@@ -735,14 +739,15 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     TB attempt and every horizon, under the objective applied.
 
     Every input, and the fit (_check_fits), is checked before any path.
+    config.timeout bounds the whole call: every search and solve keeps its
+    one deadline.
     """
     if circuit.longest_chain is None:
         raise ValueError("circuit must be preprocessed before synthesis")
     config = replace(config or EncodingConfig(T=1), objective=objective)
-    _check_loop_inputs(config.timeout, config.max_T, extra_t)
+    deadline = _deadline(config.timeout, config.max_T, extra_t)
     _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
-    deadline = None if config.timeout is None else time.monotonic() + config.timeout
     min_swaps = 0
     if T0 <= config.max_T and (objective != "fidelity" or all(
             len(set(ws)) <= 1 for ws in _scaled_profile(device))):
@@ -757,7 +762,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         min_swaps = 1
     pins = _symmetry_pins(circuit, device, objective, deadline)
     if objective == "swap" and min_swaps:
-        result = _one_swap_certificate(circuit, device, config, pins, T0)
+        result = _one_swap_certificate(circuit, device, config, pins, T0, deadline)
         if result is not None:
             details = SynthesisDetails(1, [T0], T0)
             return (result, details) if return_details else result
@@ -768,6 +773,6 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         return model, vs
 
     verdict, vs, details = solve_horizons(
-        build, T0, grow_T, objective, config.timeout, config.max_T, extra_t, min_swaps)
+        build, T0, grow_T, objective, deadline, config.max_T, extra_t, min_swaps)
     result = decode(circuit, device, verdict, vs, details.solver_T, objective)
     return (result, details) if return_details else result

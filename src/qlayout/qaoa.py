@@ -17,7 +17,7 @@ from collections import Counter
 
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
-from .exact import SynthesisTimeout
+from .exact import SynthesisTimeout, _deadline
 from .transition import _block_order, _schedule_plan, _solve_coarse
 
 
@@ -113,8 +113,10 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
 
     The stitch is transition._schedule_plan run on the pass-2 gate order,
     the path asap_schedule takes with index order; with no dependencies,
-    only node availability places each gate.
+    only node availability places each gate. timeout bounds the whole call:
+    both passes keep its one deadline.
     """
+    deadline = _deadline(timeout, max_T)
     if circuit.dependencies is None:
         raise ValueError("circuit must be preprocessed before synthesis")
     for g in circuit.gates:
@@ -128,11 +130,9 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
             "(empty dependency list)")
 
     # pass 1: coarse blocks with no gate ordering at all
-    plan, details = _solve_coarse(circuit, device, objective, S, timeout, max_T)
+    plan, details = _solve_coarse(circuit, device, objective, S, deadline, max_T)
 
-    # pass 2: minimum-depth gate order inside each block, all blocks within
-    # one timeout
-    deadline = None if timeout is None else time.monotonic() + timeout
+    # pass 2: minimum-depth gate order inside each block
     order: list[list[int]] = []
     for row, block_gates in zip(plan.block_mapping,
                                 _block_order(plan.gate_block, plan.num_blocks)):

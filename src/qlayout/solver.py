@@ -452,29 +452,21 @@ class Model:
         return self._compiled
 
 
-def check_timeout(timeout) -> None:
-    """A time budget is None (no budget) or a number of seconds >= 0;
-    anything else, NaN and bools included, raises ValueError."""
-    if timeout is not None and (isinstance(timeout, bool) or not (
-            isinstance(timeout, (int, float)) and timeout >= 0)):
-        raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
-
-
-def solve(model: Model, timeout: float | None = None,
+def solve(model: Model, deadline: float | None = None,
           method: str = "sat", bound: int | None = None) -> Verdict:
     """Solve to proven optimality; never best-effort.
 
     method "sat" runs the conflict-driven core (strong on feasibility
     boundaries and unsatisfiability proofs); "milp" runs the HiGHS branch
     and bound, the cross-check engine. Both return identical verdict
-    semantics. timeout is checked by check_timeout.
+    semantics. deadline is None (no budget) or the calling flow's one
+    time.monotonic() deadline (exact._deadline); past it, both return TIMEOUT.
 
     bound is an objective value the caller has proven no assignment beats,
     or None. The core stops tightening its incumbent once it reaches the
     bound: the next search could only prove the model unsatisfiable, so the
     verdict is the one it returns without the bound.
     """
-    check_timeout(timeout)
     if method not in ("sat", "milp"):
         raise ModelError(f"unknown solve method {method!r}")
     ncols, rows, objective = model._compile()
@@ -486,8 +478,8 @@ def solve(model: Model, timeout: float | None = None,
         obj = model.objective_of(assignment)
         return Verdict(status=SAT, assignment=assignment, objective_value=obj)
     if method == "milp":
-        return _solve_milp(model, ncols, rows, objective, timeout)
-    return _solve_sat(model, ncols, rows, objective, timeout, bound)
+        return _solve_milp(model, ncols, rows, objective, deadline)
+    return _solve_sat(model, ncols, rows, objective, deadline, bound)
 
 
 def _extract(model: Model, x) -> Verdict:
@@ -508,8 +500,7 @@ def _extract(model: Model, x) -> Verdict:
     return Verdict(status=SAT, assignment=assignment, objective_value=obj)
 
 
-def _solve_sat(model: Model, ncols, rows, objective, timeout, bound) -> Verdict:
-    deadline = time.monotonic() + timeout if timeout is not None else None
+def _solve_sat(model: Model, ncols, rows, objective, deadline, bound) -> Verdict:
     searcher = _cdcl.Searcher(ncols)
     searcher.add_rows(rows)
     # decide objective columns first, preferring the cost-lowering phase;
@@ -553,7 +544,7 @@ def _ge_row(row) -> tuple[list, int]:
     return terms, b - sum(cf for lit, cf in zip(lits, coefs) if lit & 1)
 
 
-def _solve_milp(model: Model, ncols, rows, objective, timeout) -> Verdict:
+def _solve_milp(model: Model, ncols, rows, objective, deadline) -> Verdict:
     import numpy as np
     from scipy import sparse
     from scipy.optimize import LinearConstraint, milp
@@ -577,8 +568,9 @@ def _solve_milp(model: Model, ncols, rows, objective, timeout) -> Verdict:
     for coef, col in objective:
         c[col] = coef
     options = {"mip_rel_gap": 0.0}
-    if timeout is not None:
-        options["time_limit"] = float(timeout)
+    if deadline is not None:
+        # HiGHS ignores a negative limit and solves with no budget
+        options["time_limit"] = max(0.0, deadline - time.monotonic())
     res = milp(
         c,
         constraints=constraints,

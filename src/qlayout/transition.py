@@ -31,7 +31,6 @@ coarse model adds only its cuts.
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -42,7 +41,7 @@ from .exact import (
     OBJECTIVES,
     EncodingConfig,
     _check_fits,
-    _check_loop_inputs,
+    _deadline,
     _embedding,
     _symmetry_pins,
     apply_objective,
@@ -457,7 +456,7 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
 
 def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
-                  timeout: float | None, max_T: int, *, pins=None,
+                  deadline: float | None, max_T: int, *, pins=None,
                   embeds: bool | None = None):
     """The coarse step of the TB and QAOA flows and of the exact flow's
     one-SWAP certificate: grow the block count from 1 until the block model
@@ -469,12 +468,11 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
     embeds is that verdict and pins the symmetry pins under `objective`,
     found once, for every horizon, with exact._embedding (after
     exact._check_fits) and exact._symmetry_pins when the caller passes
-    None. An unknown objective is refused first. Returns (plan, details)."""
+    None. Every search and solve keeps the caller's deadline (exact._deadline).
+    An unknown objective is refused first. Returns (plan, details)."""
     _check_slots(S)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    _check_loop_inputs(timeout, max_T)
-    deadline = None if timeout is None else time.monotonic() + timeout
     if embeds is None:
         _check_fits(circuit, device)
         embeds = _embedding(circuit, device, deadline) is not None
@@ -482,7 +480,7 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
         pins = _symmetry_pins(circuit, device, objective, deadline)
     verdict, vs, details = solve_horizons(
         lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1 if embeds else 2,
-        lambda T: T + 1, objective, timeout, max_T, min_swaps=0 if embeds else 1)
+        lambda T: T + 1, objective, deadline, max_T, min_swaps=0 if embeds else 1)
     plan = extract_plan(circuit, device, verdict, vs)
     return _polish_plan(plan, circuit, device, S), details
 
@@ -499,7 +497,9 @@ def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
     smallest scheduled makespan is kept (mappings, transitions, and the
     SWAP count are untouched).
 
-    Returns (plan, result).
+    timeout bounds the whole call: every search and solve keeps its one
+    deadline. Returns (plan, result).
     """
-    plan, _ = _solve_coarse(circuit, device, objective, S, timeout, max_T)
+    deadline = _deadline(timeout, max_T)
+    plan, _ = _solve_coarse(circuit, device, objective, S, deadline, max_T)
     return plan, asap_schedule(plan, circuit, device, S=S)

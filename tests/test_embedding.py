@@ -31,7 +31,7 @@ from qlayout.qaoa import phase_separation_from_graph, synthesize_qaoa
 from qlayout.transition import encode_tb, synthesize_tb
 from qlayout.verify import check_result
 
-from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device
+from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, spy_searches
 from test_transition import CUT_DEVICES, CYCLE4, TRIANGLE
 
 EMBED_DEVICES = CUT_DEVICES + [ORACLE_DEVICES[name] for name in sorted(ORACLE_DEVICES)]
@@ -190,17 +190,25 @@ def test_perfect_layout_keeps_the_time_budget(monkeypatch):
     assert builds == []
 
 
-@pytest.mark.parametrize("extra_t, timeout", [(-1, None), (0, -1), (0, math.nan),
-                                              (0, True)])
+# a time budget is None or a number of seconds >= 0: NaN would fail every
+# deadline comparison and so lift the budget, a negative one is refused
+# rather than read as spent, and a bool is no number of seconds (True would
+# run for 1 s)
+BAD_TIMEOUTS = [-1, -0.5, math.nan, "1", True, False]
+
+
+@pytest.mark.parametrize("extra_t, timeout", [(-1, None)] + [(0, t) for t in BAD_TIMEOUTS])
 def test_perfect_layout_checks_its_inputs_first(monkeypatch, extra_t, timeout):
     builds = _count_builds(monkeypatch)
+    searches = spy_searches(monkeypatch)
+    monkeypatch.setattr(sv, "solve", lambda *a, **k: searches.append("solve"))
     circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
     with pytest.raises(ValueError, match="extra_t" if extra_t else "timeout"):
         synthesize(circuit, device, extra_t=extra_t,
                    config=exact.EncodingConfig(T=1, timeout=timeout))
     with pytest.raises(ValueError, match="objective"):
         synthesize(circuit, device, "makespan")
-    assert builds == []
+    assert builds == searches == []
 
 
 def _coarse_horizons(monkeypatch):
@@ -245,15 +253,19 @@ def test_coarse_flows_keep_one_block_when_the_graph_embeds(monkeypatch):
     assert horizons == [1]
 
 
-def test_coarse_flows_check_the_budget_before_the_embedding(monkeypatch):
-    # a timeout the solver refuses is refused before the placement search
-    # could read it as spent; no horizon reaches a solve either way
+@pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+@pytest.mark.parametrize("flow", ["tb", "qaoa"])
+def test_coarse_flows_check_the_budget_before_the_embedding(monkeypatch, flow, timeout):
+    # a bad timeout is refused before the placement search could read it as
+    # spent; no horizon reaches a solve either way
     horizons, solves = _coarse_horizons(monkeypatch)
-    for timeout in (-1, math.nan):
-        with pytest.raises(ValueError, match="timeout"):
-            synthesize_tb(TRIANGLE, CYCLE4, timeout=timeout, max_T=1)
+    searches = spy_searches(monkeypatch)
+    run, circuit = {"tb": (synthesize_tb, TRIANGLE), "qaoa": (synthesize_qaoa, K4)}[flow]
+    with pytest.raises(ValueError, match="timeout"):
+        run(circuit, CYCLE4, timeout=timeout, max_T=1)
+    assert searches == []
     with pytest.raises(SynthesisTimeout):
-        synthesize_tb(TRIANGLE, CYCLE4, timeout=0)
+        run(circuit, CYCLE4, timeout=0)
     assert horizons == solves == []
 
 
@@ -343,3 +355,41 @@ def test_flows_hand_their_budget_to_the_automorphism_search(monkeypatch):
     synthesize_qaoa(K4, qx2, timeout=60)
     assert len(deadlines) == 3
     assert all(start < d <= time.monotonic() + 60 for d in deadlines)
+
+
+def spy_deadlines(monkeypatch) -> list:
+    """Log (step, deadline) for each solve and each placement search; each
+    still runs."""
+    calls = []
+    solve, placements = sv.solve, exact._placements
+
+    def solving(model, deadline=None, **kwargs):
+        calls.append(("solve", deadline))
+        return solve(model, deadline, **kwargs)
+
+    def searching(partners, device, deadline):
+        calls.append(("placements", deadline))
+        return placements(partners, device, deadline)
+
+    monkeypatch.setattr(sv, "solve", solving)
+    monkeypatch.setattr(exact, "_placements", searching)
+    return calls
+
+
+@pytest.mark.parametrize("flow, objective, solves", [("exact", "swap", 3), ("tb", "depth", 2)])
+def test_every_step_of_a_call_keeps_its_one_deadline(monkeypatch, flow, objective, solves):
+    # the exact row runs the one-SWAP certificate's coarse solve and then
+    # the exact horizons, the TB row two horizons: every search and solve of
+    # the call keeps the deadline the flow computed once, so `timeout` bounds
+    # the whole call
+    calls = spy_deadlines(monkeypatch)
+    circuit, device = bundled_circuit("4mod5-v1_22.gates"), bundled_device("grid2x3.json")
+    start = time.monotonic()
+    if flow == "exact":
+        synthesize(circuit, device, objective, config=exact.EncodingConfig(T=1, timeout=30.0))
+    else:
+        synthesize_tb(circuit, device, objective, timeout=30.0)
+    end = time.monotonic()
+    assert sorted(step for step, _ in calls) == ["placements"] * 2 + ["solve"] * solves
+    [deadline] = {d for _, d in calls}
+    assert start + 30.0 <= deadline <= end + 30.0

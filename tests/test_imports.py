@@ -98,3 +98,53 @@ def test_unreferenced_definition_is_caught():
     assert unreferenced_definitions({"m": source}, ["exported"]) == [
         "m: unused (line 3)", "m: size (line 11)", "m: _column (line 17)",
         "m: ORPHAN (line 18)"]
+
+
+def _is_deadline_sum(node) -> bool:
+    """Whether node is time.monotonic() + timeout, the budget read by name
+    or as an attribute, in either order."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+        return False
+    sides = (node.left, node.right)
+    return (any(isinstance(s, ast.Call) and ast.unparse(s.func) == "time.monotonic"
+                for s in sides)
+            and any(getattr(s, "id", getattr(s, "attr", None)) == "timeout" for s in sides))
+
+
+def timeout_sites(sources: dict) -> tuple[set, set]:
+    """("module.function" of each function with a parameter named timeout,
+    "module.function" of each function that adds time.monotonic() and a
+    timeout) over `sources` (module name -> text)."""
+    params, sums = set(), set()
+    for module, text in sources.items():
+        for func in ast.walk(ast.parse(text)):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            if any(a.arg == "timeout" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                params.add(f"{module}.{func.name}")
+            if any(_is_deadline_sum(node) for node in ast.walk(func)):
+                sums.add(f"{module}.{func.name}")
+    return params, sums
+
+
+def test_one_place_turns_a_timeout_into_a_deadline():
+    # a flow's timeout is the budget of the whole call: the flows take it,
+    # exact._deadline turns it into the one deadline, and every layer below
+    # takes that deadline
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert timeout_sites(sources) == (
+        {"exact._deadline", "transition.synthesize_tb", "qaoa.synthesize_qaoa",
+         "cli._run_synth"},
+        {"exact._deadline"})
+
+
+def test_timeout_sites_are_caught():
+    source = (
+        "import time\n"
+        "def flow(c, timeout=None):\n    return solve(c, time.monotonic() + timeout)\n"
+        "def solve(c, deadline, *, timeout=0):\n    return deadline\n"
+        "def late(config):\n    return config.timeout + time.monotonic()\n"
+        "def fine(deadline):\n    return time.monotonic() + deadline\n"
+    )
+    assert timeout_sites({"m": source}) == ({"m.flow", "m.solve"}, {"m.flow", "m.late"})

@@ -25,6 +25,8 @@ from qlayout.qaoa import (
 )
 from qlayout.verify import check_result
 
+from test_embedding import spy_deadlines
+
 
 def bundled_device(name):
     return load_device((resources.files("qlayout") / "data" / name).read_text())
@@ -162,7 +164,7 @@ def test_prism_graph_schedule_is_pinned():
     assert check_result(circ, dev, result, S=1) == []
 
 
-def _model_retime_block(block_gates, circuit, device, at, timeout):
+def _model_retime_block(block_gates, circuit, device, at, deadline):
     """Reference: the block re-timing as a solver model, with qubit q pinned
     to node at[q] at slot 0 and SWAPs off, so every gate's edge is fixed,
     and same-qubit gates kept apart, solved to its minimum depth. Returns
@@ -188,7 +190,7 @@ def _model_retime_block(block_gates, circuit, device, at, timeout):
                            if set(sub.gates[i].qubits) & set(sub.gates[j].qubits)
                            for t in range(L_b)])
     apply_objective(model, vs, "depth", device, sub)
-    verdict = sv.solve(model, timeout=timeout)
+    verdict = sv.solve(model, deadline)
     assert verdict.status == sv.SAT
     return [verdict.assignment[h] for h in vs.time]
 
@@ -292,13 +294,13 @@ def test_pass2_builds_no_model(monkeypatch):
 
 
 def test_pass2_shares_one_deadline(monkeypatch):
-    # every block is re-timed against the same deadline, so pass 2 as a
-    # whole stays within one timeout
-    deadlines = []
+    # pass 1's searches and solves and every block's re-timing keep the one
+    # deadline the flow computed, so the whole call stays within one timeout
+    calls = spy_deadlines(monkeypatch)
     retime = qaoa._retime_block
 
     def recording(pairs, deadline):
-        deadlines.append(deadline)
+        calls.append(("retime", deadline))
         return retime(pairs, deadline)
 
     monkeypatch.setattr(qaoa, "_retime_block", recording)
@@ -306,11 +308,15 @@ def test_pass2_shares_one_deadline(monkeypatch):
     circ = phase_separation_from_graph(edges)
     dev = bundled_device("grid2x3.json")
     start = time.monotonic()
-    _, plan, _ = synthesize_qaoa(circ, dev, objective="depth", S=1, timeout=30.0,
-                                 return_details=True)
-    assert len(deadlines) == plan.num_blocks > 1
-    assert len(set(deadlines)) == 1
-    assert start + 30.0 <= deadlines[0] <= time.monotonic() + 30.0
+    _, plan, details = synthesize_qaoa(circ, dev, objective="depth", S=1, timeout=30.0,
+                                       return_details=True)
+    end = time.monotonic()
+    steps = [step for step, _ in calls]
+    assert steps.count("retime") == plan.num_blocks > 1
+    assert steps.count("solve") == len(details.tried_T)
+    assert steps.count("placements") == 2
+    [deadline] = {d for _, d in calls}
+    assert start + 30.0 <= deadline <= end + 30.0
 
 
 def _random_cubic_graph(num_nodes, rng):

@@ -319,7 +319,7 @@ def test_proven_bounds_keep_every_result(monkeypatch):
 
     bounded, bounded_calls = _with_search_calls(lambda: [run() for run in runs])
     solve = sv.solve
-    monkeypatch.setattr(sv, "solve", lambda model, timeout=None, bound=None: solve(model, timeout))
+    monkeypatch.setattr(sv, "solve", lambda model, deadline=None, bound=None: solve(model, deadline))
     plain, plain_calls = _with_search_calls(lambda: [run() for run in runs])
     assert bounded == plain
     assert bounded_calls < plain_calls
