@@ -2,10 +2,13 @@
 """Commutation-aware synthesis for a QAOA phase-separation layer.
 
 Every two-qubit interaction in the layer commutes with every other, so
-gate order is the solver's to choose. Feeding the same interactions
-through the ordinary transition-based flow (which keeps the textual
-order as a dependency chain where qubits overlap) shows what that
-freedom buys: fewer or equal SWAPs and a shallower schedule.
+gate order is the solver's to choose. The QAOA flow is the
+transition-based (TB) flow with its input checks: given no dependencies,
+TB leaves the coarse blocks unordered and re-times each one to its
+minimum depth. Feeding the same interactions through TB with the default
+dependencies (the textual order kept as a chain wherever qubits overlap)
+shows what that freedom buys: fewer or equal SWAPs and a shallower
+schedule.
 
 Runs in unit-SWAP-depth mode (S=1), the natural setting when a SWAP and
 an interaction cost about the same wall-clock time.

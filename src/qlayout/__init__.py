@@ -1,11 +1,11 @@
 """Optimal layout synthesis for quantum circuits on constrained devices.
 
 Three synthesis flows share one constraint encoding: `synthesize` solves
-the exact time-resolved model, `synthesize_tb` solves a coarse
-transition-based model and schedules the plan at exact time, and
-`synthesize_qaoa` adds a commutation-aware second pass for circuits whose
-two-qubit gates all commute. `check_result` independently validates any
-result, and `oracle_optimal` brute-forces tiny instances for testing.
+the exact time-resolved model, `synthesize_tb` a coarse transition-based
+model whose plan it schedules at exact time, re-timing each block when all
+gates commute, and `synthesize_qaoa` is TB at S=1 for two-qubit gates that
+all commute. `check_result` independently validates any result, and
+`oracle_optimal` brute-forces tiny instances for testing.
 """
 
 from .circuit import (

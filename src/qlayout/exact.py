@@ -140,6 +140,25 @@ def _check_fits(circuit: Circuit, device: Device) -> None:
         raise TCapExceeded("the circuit's interaction graph never fits the device's components")
 
 
+def _check_ordered(circuit: Circuit) -> None:
+    """ValueError unless a dependency path orders every two gates on one
+    qubit: the exact model and its embedding path keep gates apart only
+    through dependencies, as the default ones do. The sorted pairs give each
+    gate's ancestors; consecutive gates on a qubit are checked, which orders
+    all of them by transitivity."""
+    ancestors = [0] * circuit.num_gates
+    for l, lp in circuit.dependencies:
+        ancestors[lp] |= ancestors[l] | 1 << l
+    last: dict[int, int] = {}
+    for g in circuit.gates:
+        for q in g.qubits:
+            if q in last and not ancestors[g.index] >> last[q] & 1:
+                raise ValueError(
+                    f"gates {last[q]} and {g.index} share q{q} with no dependency "
+                    f"path between them: the exact flow needs them ordered")
+            last[q] = g.index
+
+
 def _placements(partners, device: Device, deadline: float | None):
     """Every placement of the pattern graph on the device: a distinct node
     per pattern node, with each pattern edge (q, r in partners[q]) on a
@@ -696,14 +715,13 @@ def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConf
     pins from two blocks, within the caller's deadline; a TCapExceeded there
     returns None, a SynthesisTimeout propagates.
     """
-    from .transition import _solve_coarse, asap_schedule  # transition imports this module
+    from .transition import _solve_coarse  # transition imports this module
 
     try:
-        plan, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
-                                config.max_T, pins=pins, embeds=False)
+        _, tb, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
+                                 config.max_T, pins=pins, embeds=False)
     except TCapExceeded:
         return None
-    tb = asap_schedule(plan, circuit, device, config.S)
     if tb.swap_count != 1 or tb.depth_slots != T0:
         return None
     return replace(tb, solver_T=T0, depth_blocks=None)
@@ -738,7 +756,8 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     optimal up to that horizon). The symmetry pins are found once, for the
     TB attempt and every horizon, under the objective applied.
 
-    Every input, and the fit (_check_fits), is checked before any path.
+    Every input, the order of the gates on each qubit (_check_ordered) and
+    the fit (_check_fits) are checked before any path.
     config.timeout bounds the whole call: every search and solve keeps its
     one deadline.
     """
@@ -746,6 +765,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
         raise ValueError("circuit must be preprocessed before synthesis")
     config = replace(config or EncodingConfig(T=1), objective=objective)
     deadline = _deadline(config.timeout, config.max_T, extra_t)
+    _check_ordered(circuit)
     _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
     min_swaps = 0

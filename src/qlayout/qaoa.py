@@ -1,13 +1,13 @@
-"""Commutation-aware two-pass synthesis for phase-separation circuits.
+"""Commutation-aware synthesis for phase-separation circuits.
 
 Phase-separation stages are made of two-qubit ZZ gates that all commute,
-so gate order is free: pass 1 runs the coarse block model with no
-dependency constraints at all, pass 2 re-times the gates inside each block
-with the block's mapping fixed and no SWAPs. Two gates of a block clash
-exactly when they share a physical node, so pass 2 is a minimum colouring
-of that clash graph, found by an exact search with no solver model. Depth
-accounting here follows the unit metric: ZZ gates and SWAPs both take one
-slot (S=1) unless overridden.
+so gate order is free: the QAOA flow is the TB flow (transition) with its
+input checks. Its coarse block model has no dependency constraints, and
+asap_schedule re-times each block's gates with the mapping fixed. Two gates
+of a block clash exactly when they share a physical node, so the re-timing
+is a minimum colouring of that clash graph (_retime_block, an exact search
+with no solver model). Depth accounting follows the unit metric: ZZ gates
+and SWAPs both take one slot (S=1) unless overridden.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 from .circuit import Circuit, CircuitError, Gate, preprocess
 from .device import Device
 from .exact import SynthesisTimeout, _deadline
-from .transition import _block_order, _schedule_plan, _solve_coarse
+from .transition import _solve_coarse
 
 
 def phase_separation_from_graph(edges, num_nodes: int | None = None) -> Circuit:
@@ -105,16 +105,10 @@ def _retime_block(pairs, deadline: float | None):
 def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
                     S: int = 1, timeout: float | None = None, max_T: int = 256,
                     return_details: bool = False):
-    """Two passes: the coarse block model with dependencies removed picks
-    blocks, mappings, and transitions; each block is then re-timed to its
-    minimum depth, an exact minimum colouring of its gates by shared
-    physical node with no solver model, and the blocks are stitched by
-    earliest node availability. Pass-1 SWAPs are carried over unchanged.
-
-    The stitch is transition._schedule_plan run on the pass-2 gate order,
-    the path asap_schedule takes with index order; with no dependencies,
-    only node availability places each gate. timeout bounds the whole call:
-    both passes keep its one deadline.
+    """The TB flow (transition._solve_coarse) at S=1 on two-qubit gates
+    with an empty dependency list: the coarse model picks blocks, mappings
+    and SWAPs, and each block is re-timed to its minimum depth. timeout
+    bounds the whole call: every step keeps its one deadline.
     """
     deadline = _deadline(timeout, max_T)
     if circuit.dependencies is None:
@@ -128,21 +122,7 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
         raise ValueError(
             "phase-separation input must declare all gates commuting "
             "(empty dependency list)")
-
-    # pass 1: coarse blocks with no gate ordering at all
-    plan, details = _solve_coarse(circuit, device, objective, S, deadline, max_T)
-
-    # pass 2: minimum-depth gate order inside each block
-    order: list[list[int]] = []
-    for row, block_gates in zip(plan.block_mapping,
-                                _block_order(plan.gate_block, plan.num_blocks)):
-        pairs = [tuple(row[q] for q in circuit.gates[l].qubits) for l in block_gates]
-        slots = _retime_block(pairs, deadline)
-        ranked = sorted(range(len(block_gates)), key=lambda i: (slots[i], block_gates[i]))
-        order.append([block_gates[i] for i in ranked])
-
-    # stitch: earliest node availability, pass-2 order preserved
-    result = _schedule_plan(plan, circuit, device, S, order)
+    plan, result, details = _solve_coarse(circuit, device, objective, S, deadline, max_T)
     if return_details:
         return result, plan, details
     return result

@@ -9,23 +9,24 @@ with real S-slot SWAPs and emits a result that passes the full verifier.
 Each plan is compiled once into schedule tables (per-gate predecessors,
 ancestor sets and dependency tails, per-block gate nodes and fired SWAPs). One
 node-availability scheduler, _schedule_core, runs on them: for the ASAP
-replay, for the block splits and partial splits the polish step bounds and
-scores, and for the QAOA flow's stitch. The polish walks every feasible
-block split, and skips each block that is dominated by the one before it
-(_dominated): a gate ordered against every gate that shares a qubit with
-it, on nodes the transition between the two blocks leaves alone, runs in
-the same slot in either block. _schedule_plan is the one path from a plan
-and a per-block gate order to a result: it checks the plan, schedules it,
-and hands the gate times and SWAPs to exact.build_result, which replays
-the SWAPs into the trajectory.
+replay, and for the block splits and partial splits the polish step bounds
+and scores. The polish walks every feasible block split, and skips each
+block that is dominated by the one before it (_dominated): a gate ordered
+against every gate that shares a qubit with it, on nodes the transition
+between the two blocks leaves alone, runs in the same slot in either block.
 
-_solve_coarse, the coarse step of the TB and QAOA flows and of the exact
-flow's one-SWAP certificate, finds the device's symmetry pins once with
+asap_schedule is the one path from a plan to a result. It runs each block's
+gates in index order, or, when the circuit has no dependencies, re-timed to
+a minimum colouring (qaoa._retime_block; the QAOA flow is this one with its
+input checks), and hands the times and SWAPs to exact.build_result.
+
+_solve_coarse is the whole coarse flow of TB, QAOA and the exact flow's
+one-SWAP certificate: it finds the symmetry pins once with
 exact._symmetry_pins (or takes the caller's), runs the one horizon loop,
 exact.solve_horizons, on encode_tb with them, from two blocks when the
-interaction graph does not embed (exact._embedding), and polishes its plan.
-encode_tb hands the pins to exact.encode, which owns the pin clauses; the
-coarse model adds only its cuts.
+interaction graph does not embed (exact._embedding), then polishes and
+schedules its plan. encode_tb hands the pins to exact.encode, which owns
+the pin clauses; the coarse model adds only its cuts.
 """
 
 from __future__ import annotations
@@ -242,8 +243,8 @@ def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
 
 def _schedule_core(tables: _ScheduleTables, order, S: int,
                    limit: int = sys.maxsize):
-    """Node-availability simulation: the one scheduler behind asap_schedule,
-    the plan polish step and the QAOA stitch.
+    """Node-availability simulation: the one scheduler behind asap_schedule
+    and the plan polish step.
 
     order[b] lists block b's gates in execution order. Each gate runs at
     the earliest slot its nodes are free and its predecessors are done;
@@ -300,29 +301,31 @@ def _check_slots(S) -> None:
         raise ValueError("S must be >= 1")
 
 
-def _schedule_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
-                   S: int, order) -> SynthesisResult:
-    """Check a plan, schedule its blocks' gates in `order` (per-block gate
-    lists in execution order) and build the result."""
-    _check_slots(S)
-    check_plan(plan, circuit, device)
-    gate_time, swaps = _schedule_core(_schedule_tables(plan, circuit, device), order, S)
-    return build_result(circuit, device, plan.num_blocks, plan.block_mapping[0],
-                        gate_time, swaps, plan.num_blocks)
-
-
 def asap_schedule(plan: TransitionPlan, circuit: Circuit, device: Device,
-                  S: int = 3) -> SynthesisResult:
-    """Exact-time replay of a plan: every gate runs at the earliest slot
-    allowed by its dependencies and by the SWAP windows on its nodes.
+                  S: int = 3, deadline: float | None = None) -> SynthesisResult:
+    """Exact-time replay of a plan, the one path from a plan to a result:
+    every gate runs at the earliest slot allowed by its dependencies and by
+    the SWAP windows on its nodes. A block runs its gates in index order, or,
+    with no dependencies (every gate commutes), ranked by (slot, index) in a
+    minimum colouring by shared node (qaoa._retime_block, within `deadline`).
 
     A transition SWAP starts once every earlier-block gate on its endpoints
     has finished and holds both nodes for S slots; gates elsewhere are free
     to run alongside it. The trajectory extends past the last gate when a
     late SWAP still has a mapping step to show.
     """
-    return _schedule_plan(plan, circuit, device, S,
-                          _block_order(plan.gate_block, plan.num_blocks))
+    _check_slots(S)
+    check_plan(plan, circuit, device)
+    order = _block_order(plan.gate_block, plan.num_blocks)
+    if not circuit.dependencies:
+        from .qaoa import _retime_block  # qaoa imports this module
+        for row, gates in zip(plan.block_mapping, order):
+            slots = _retime_block([[row[q] for q in circuit.gates[l].qubits] for l in gates],
+                                  deadline)
+            gates[:] = [l for _, l in sorted(zip(slots, gates))]
+    gate_time, swaps = _schedule_core(_schedule_tables(plan, circuit, device), order, S)
+    return build_result(circuit, device, plan.num_blocks, plan.block_mapping[0],
+                        gate_time, swaps, plan.num_blocks)
 
 
 def _dominated(tables: _ScheduleTables) -> list[list[bool]]:
@@ -458,18 +461,18 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
                   deadline: float | None, max_T: int, *, pins=None,
                   embeds: bool | None = None):
-    """The coarse step of the TB and QAOA flows and of the exact flow's
-    one-SWAP certificate: grow the block count from 1 until the block model
-    is satisfiable, then extract and polish its plan. One block holds no
-    SWAP, so the count starts at 2, and every plan needs a SWAP, when the
-    interaction graph does not embed in the coupling graph; when it does,
-    the one-block model still decides.
+    """The coarse flow of TB, QAOA and the exact flow's one-SWAP
+    certificate: grow the block count from 1 until the block model is
+    satisfiable, then polish and schedule (asap_schedule) its plan. One
+    block holds no SWAP, so the count starts at 2, and every plan needs a
+    SWAP, when the interaction graph does not embed in the coupling graph;
+    when it does, the one-block model still decides.
 
     embeds is that verdict and pins the symmetry pins under `objective`,
     found once, for every horizon, with exact._embedding (after
     exact._check_fits) and exact._symmetry_pins when the caller passes
-    None. Every search and solve keeps the caller's deadline (exact._deadline).
-    An unknown objective is refused first. Returns (plan, details)."""
+    None. Every step keeps the caller's deadline (exact._deadline). An
+    unknown objective is refused first. Returns (plan, result, details)."""
     _check_slots(S)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -481,8 +484,8 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
     verdict, vs, details = solve_horizons(
         lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1 if embeds else 2,
         lambda T: T + 1, objective, deadline, max_T, min_swaps=0 if embeds else 1)
-    plan = extract_plan(circuit, device, verdict, vs)
-    return _polish_plan(plan, circuit, device, S), details
+    plan = _polish_plan(extract_plan(circuit, device, verdict, vs), circuit, device, S)
+    return plan, asap_schedule(plan, circuit, device, S, deadline), details
 
 
 def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
@@ -490,16 +493,17 @@ def synthesize_tb(circuit: Circuit, device: Device, objective: str = "swap",
     """Grow the coarse horizon one block at a time, from 1 when the
     interaction graph embeds in the coupling graph and from 2 otherwise,
     until the block model is satisfiable, then schedule the optimal plan at
-    exact time.
+    exact time (_solve_coarse).
 
     The solved plan's block split is refined first: the coarse model cannot
     see exact-time slots, so among equal-objective splits the one with the
     smallest scheduled makespan is kept (mappings, transitions, and the
-    SWAP count are untouched).
+    SWAP count are untouched). With no dependencies, each block is re-timed
+    (asap_schedule): the QAOA flow is this flow at S=1.
 
-    timeout bounds the whole call: every search and solve keeps its one
-    deadline. Returns (plan, result).
+    timeout bounds the whole call: every step keeps its one deadline.
+    Returns (plan, result).
     """
-    deadline = _deadline(timeout, max_T)
-    plan, _ = _solve_coarse(circuit, device, objective, S, deadline, max_T)
-    return plan, asap_schedule(plan, circuit, device, S=S)
+    plan, result, _ = _solve_coarse(circuit, device, objective, S,
+                                    _deadline(timeout, max_T), max_T)
+    return plan, result

@@ -217,6 +217,38 @@ def test_requires_preprocessing():
         synthesize(parse_program("qubits 2\ncx q0 q1\n"), PATH3)
 
 
+# Inputs with two gates on one qubit that no dependency path orders: the
+# model and the embedding path would run them on one node in one slot.
+UNORDERED = {
+    "commuting pair": ("qubits 3\nzz q0 q1\nzz q1 q2\n", [], PATH3),
+    "user pair skips a gate": ("qubits 3\ncx q0 q1\nh q1\ncx q1 q2\n", [(0, 2)], PATH3),
+    "commuting triangle": ("qubits 3\nzz q0 q1\nzz q1 q2\nzz q0 q2\n", [],
+                           build_device(4, [(0, 1), (1, 2), (2, 3)])),
+}
+
+
+@pytest.mark.parametrize("objective", ["swap", "depth", "fidelity"])
+@pytest.mark.parametrize("case", sorted(UNORDERED))
+def test_unordered_gates_on_a_qubit_are_refused_before_any_search(monkeypatch, case,
+                                                                  objective):
+    text, deps, device = UNORDERED[case]
+    circuit = load_circuit(text, deps)
+    calls = spy_searches(monkeypatch)
+    solve = sv.solve
+    monkeypatch.setattr(sv, "solve", lambda *a, **k: calls.append("solve") or solve(*a, **k))
+    with pytest.raises(ValueError, match="no dependency path"):
+        synthesize(circuit, device, objective)
+    assert calls == []
+
+
+def test_a_dependency_path_orders_gates_on_a_qubit():
+    # gates 0 and 2 share q1 with no pair of their own: the path through 1
+    # orders them
+    circuit = load_circuit("qubits 3\ncx q0 q1\nh q1\ncx q1 q2\n", [(0, 1), (1, 2)])
+    for objective in ("swap", "depth", "fidelity"):
+        assert check_result(circuit, PATH3, synthesize(circuit, PATH3, objective)) == []
+
+
 def test_unknown_objective_rejected():
     with pytest.raises(ValueError):
         EncodingConfig(T=1, objective="volume")

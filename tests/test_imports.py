@@ -148,3 +148,45 @@ def test_timeout_sites_are_caught():
         "def fine(deadline):\n    return time.monotonic() + deadline\n"
     )
     assert timeout_sites({"m": source}) == ({"m.flow", "m.solve"}, {"m.flow", "m.late"})
+
+
+def callers(sources: dict, names) -> dict:
+    """name -> {"module.function"} of each top-level function, or
+    "module.Class.method", in `sources` (module name -> text) whose body,
+    nested functions included, calls `name` by name or as an attribute."""
+    out = {name: set() for name in names}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        funcs = [(f"{module}.{node.name}", node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+        funcs += [(f"{module}.{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body
+                  if isinstance(node, ast.FunctionDef)]
+        for where, func in funcs:
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in out:
+                        out[called].add(where)
+    return out
+
+
+def test_one_path_from_a_plan_to_a_result():
+    # asap_schedule is the one path from a plan to a result, re-timing the
+    # blocks of a commuting circuit itself; the polish scores its splits
+    # with the same scheduler
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert callers(sources, ("_schedule_core", "_retime_block")) == {
+        "_schedule_core": {"transition.asap_schedule", "transition._polish_plan"},
+        "_retime_block": {"transition.asap_schedule"}}
+
+
+def test_callers_are_caught():
+    source = (
+        "def f():\n    def inner():\n        return g()\n    return inner()\n"
+        "class C:\n    def m(self):\n        return mod.g(1)\n"
+        "def h():\n    return g\n"
+        "g()\n"
+    )
+    assert callers({"m": source}, ("g", "inner")) == {"g": {"m.f", "m.C.m"},
+                                                     "inner": {"m.f"}}

@@ -23,6 +23,7 @@ from qlayout.qaoa import (
     phase_separation_from_graph,
     synthesize_qaoa,
 )
+from qlayout.transition import synthesize_tb
 from qlayout.verify import check_result
 
 from test_embedding import spy_deadlines
@@ -293,9 +294,15 @@ def test_pass2_builds_no_model(monkeypatch):
     assert len(solves) == len(details.tried_T)
 
 
-def test_pass2_shares_one_deadline(monkeypatch):
+@pytest.mark.parametrize("flow", ["tb", "qaoa"])
+def test_pass2_shares_one_deadline(monkeypatch, flow):
     # pass 1's searches and solves and every block's re-timing keep the one
-    # deadline the flow computed, so the whole call stays within one timeout
+    # deadline the flow computed, so the whole call stays within one timeout;
+    # TB re-times a commuting circuit as QAOA does
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    circ = phase_separation_from_graph(edges)
+    dev = bundled_device("grid2x3.json")
+    _, plan, details = synthesize_qaoa(circ, dev, objective="depth", return_details=True)
     calls = spy_deadlines(monkeypatch)
     retime = qaoa._retime_block
 
@@ -304,12 +311,11 @@ def test_pass2_shares_one_deadline(monkeypatch):
         return retime(pairs, deadline)
 
     monkeypatch.setattr(qaoa, "_retime_block", recording)
-    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
-    circ = phase_separation_from_graph(edges)
-    dev = bundled_device("grid2x3.json")
     start = time.monotonic()
-    _, plan, details = synthesize_qaoa(circ, dev, objective="depth", S=1, timeout=30.0,
-                                       return_details=True)
+    if flow == "tb":
+        assert synthesize_tb(circ, dev, "depth", S=1, timeout=30.0)[0] == plan
+    else:
+        synthesize_qaoa(circ, dev, objective="depth", S=1, timeout=30.0)
     end = time.monotonic()
     steps = [step for step, _ in calls]
     assert steps.count("retime") == plan.num_blocks > 1

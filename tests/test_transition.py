@@ -458,10 +458,11 @@ def _coarse_plan(circuit, device, objective):
 
 
 @st.composite
-def tb_plans(draw, user_deps=True):
-    """A solved coarse plan for a small random circuit: one- and two-qubit
+def tb_circuits(draw, user_deps=True):
+    """(circuit, device): a small random circuit of one- and two-qubit
     gates, with repeated pairs made likely. Dependencies are the collisions,
-    or, if `user_deps`, maybe drawn pairs that need not share a qubit."""
+    or, if `user_deps`, maybe drawn pairs that need not share a qubit (always,
+    if it is "always")."""
     device = draw(st.sampled_from([PATH3, CYCLE4, bundled_device("qx2.json")]))
     M = draw(st.integers(min_value=2, max_value=min(4, device.num_physical)))
     pairs = [(a, b) for a in range(M) for b in range(M) if a != b]
@@ -478,10 +479,16 @@ def tb_plans(draw, user_deps=True):
         gates.append(Gate(index=i, name="h" if len(qubits) == 1 else "cx",
                           qubits=qubits))
     deps = None
-    if user_deps and draw(st.booleans()):
+    if user_deps == "always" or user_deps and draw(st.booleans()):
         later = [(l, lp) for lp in range(len(gates)) for l in range(lp)]
         deps = draw(st.lists(st.sampled_from(later), max_size=6)) if later else []
-    circuit = preprocess(Circuit(num_qubits=M, gates=tuple(gates)), deps)
+    return preprocess(Circuit(num_qubits=M, gates=tuple(gates)), deps), device
+
+
+@st.composite
+def tb_plans(draw, user_deps=True):
+    """A solved coarse plan for a tb_circuits circuit."""
+    circuit, device = draw(tb_circuits(user_deps))
     objective = draw(st.sampled_from(["swap", "depth"]))
     return circuit, device, _coarse_plan(circuit, device, objective)
 
@@ -939,12 +946,12 @@ GUARD_DEVICES = CUT_DEVICES + [ORACLE_DEVICES[name] for name in sorted(ORACLE_DE
 
 
 @st.composite
-def guard_instances(draw):
+def guard_instances(draw, flows=("tb", "qaoa")):
     """A device and an input that fits it, within the oracle caps: for TB a
     circuit of one- and two-qubit gates with derived dependencies, for QAOA
-    a commuting circuit of two-qubit gates."""
+    a commuting circuit of two-qubit gates. The flow is one of `flows`."""
     device = draw(st.sampled_from(GUARD_DEVICES))
-    flow = draw(st.sampled_from(["tb", "qaoa"]))
+    flow = draw(st.sampled_from(flows))
     M = draw(st.integers(min_value=2, max_value=4))
     pairs = [(a, b) for a in range(M) for b in range(a + 1, M)]
     gate = st.sampled_from(pairs)
@@ -968,3 +975,42 @@ def test_tb_and_qaoa_never_beat_the_oracle(instance, S):
         result = synthesize_qaoa(circuit, device, "swap", S=S)
     assert check_result(circuit, device, result, S=S) == []
     assert result.swap_count >= oracle_optimal(circuit, device, "swap", bounds=None)
+
+
+@settings(max_examples=60, deadline=None)
+@example(instance=(load_circuit("qubits 4\ncx q0 q1\ncx q1 q2\ncx q2 q3\ncx q3 q0\n",
+                                user_deps=[]), CYCLE4, "qaoa"),
+         S=1, objective="depth")  # in index order the ring's one block takes 4 slots, not 2
+@given(guard_instances(flows=["qaoa"]), st.sampled_from([1, 3]), st.sampled_from(OBJECTIVES))
+def test_tb_is_the_qaoa_flow_on_a_commuting_circuit(instance, S, objective):
+    # with no dependency to keep, TB re-times each block to a minimum
+    # colouring, as QAOA does: the same plan gives the same result
+    circuit, device, _ = instance
+    _, tb = synthesize_tb(circuit, device, objective, S=S)
+    assert tb == synthesize_qaoa(circuit, device, objective, S=S)
+    assert check_result(circuit, device, tb, S=S) == []
+
+
+def _unordered_pair(circuit) -> bool:
+    """Whether two gates share a qubit with no dependency path between them."""
+    later = [set() for _ in circuit.gates]
+    for l, lp in reversed(circuit.dependencies):
+        later[l] |= {lp} | later[lp]
+    return any(set(a.qubits) & set(b.qubits) and b.index not in later[a.index]
+               for b in circuit.gates for a in circuit.gates[:b.index])
+
+
+@settings(max_examples=60, deadline=None)
+@given(tb_circuits(user_deps="always"), st.sampled_from(["swap", "depth"]))
+def test_drawn_dependencies_through_tb_and_the_exact_flow(instance, objective):
+    # TB keeps gates on one node apart by node availability, whatever the
+    # dependencies; the exact flow refuses gates on one qubit that no
+    # dependency path orders, before any search
+    circuit, device = instance
+    _, tb = synthesize_tb(circuit, device, objective)
+    assert check_result(circuit, device, tb) == []
+    if _unordered_pair(circuit):
+        with pytest.raises(ValueError, match="no dependency path"):
+            exact.synthesize(circuit, device, objective)
+    else:
+        assert check_result(circuit, device, exact.synthesize(circuit, device, objective)) == []
