@@ -353,13 +353,6 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     sigma = [[m.bool_var(f"sigma_{k}_{t}") for t in range(T)] for k in range(K)]
     vs = VariableSet(pi=pi, time=time, sigma=sigma)
 
-    # eq1: distinct logical qubits sit on distinct physical qubits
-    # (at-most-one per node; tighter than pairwise disequalities)
-    if M > 1:
-        for t in range(T):
-            for p in range(N):
-                m.require_sum([(1, (pi[q][t], p)) for q in range(M)], "<=", 1)
-
     # eq2: dependency order (strict; the coarse model allows equal blocks).
     # The solver lowers each one to a clause per slot over "t >= v"
     # literals, so a placed gate bounds its successors by propagation.
@@ -367,8 +360,9 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     for l, lp in circuit.dependencies:
         m.require_order(time[l], time[lp], margin)
 
-    # The clause families below are rows of literals, one require_clauses
-    # call per family, read off the literal lists of Model.lits:
+    # The families below are rows of literals, one require_clauses (for
+    # eq1, require_at_least) call per family, read off the literal lists of
+    # Model.lits:
     # at[q][t][p] is "pi_q^t == p", when[l] lists "t_l == t" over gate l's
     # window, and off[k][t] is "sigma_k^t == 0", so "sigma_k^t == 1" is
     # off[k][t] ^ 1. A negated guard "x != v" is its "x == v" literal ^ 1.
@@ -376,17 +370,25 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     when = [m.lits(h) for h in time]
     off = [[m.lits(h)[0] for h in row] for row in sigma]
 
+    # eq1: distinct logical qubits sit on distinct physical qubits, an
+    # at-most-one per node and slot: all but one of its "pi_q^t != p" hold
+    if M > 1:
+        m.require_at_least([([at[q][t][p] ^ 1 for q in range(M)], [1] * M, M - 1)
+                            for t in range(T) for p in range(N)])
+
     # eq3/eq4 by the mapping: a 2q gate's operand on p puts the other on a
-    # neighbour of p; a 1q gate needs no placement clause
+    # neighbour of p; a 1q gate needs no placement clause. near[q][t][p]
+    # lists "pi_q^t == p'" over the neighbours p' of p.
+    near = [[[[lits[p] for p in nbrs] for nbrs in device.neighbours] for lits in row]
+            for row in at]
     rows = []
     for g in circuit.gates:
         if not g.is_two_qubit:
             continue
         for t, now in zip(windows[g.index], when[g.index]):
             for q, other in (g.qubits, g.qubits[::-1]):
-                here, there = at[q][t], at[other][t]
-                rows += [[now ^ 1, here[p] ^ 1, *map(there.__getitem__, device.neighbours[p])]
-                         for p in range(N)]
+                here, there = at[q][t], near[other][t]
+                rows += [[now ^ 1, here[p] ^ 1, *there[p]] for p in range(N)]
     m.require_clauses(rows)
 
     # eq5: a SWAP takes S slots, none can finish before slot S-1; these

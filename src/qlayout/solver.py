@@ -1,13 +1,14 @@
 """Exact-optimization seam: declarative models over a 0/1 search core.
 
 The rest of the package describes models declaratively: bounded integer
-variables, booleans, three kinds of constraint (clauses over indicator
-literals, orderings between two variables, linear sums) and one optional
-linear objective. Every domain bound, coefficient, sum bound, margin and
-indicator value is an integer, and no bool: `int_var`, `require_order`,
-`require_sum`, `minimize` and `maximize` raise ModelError on any other.
-This module lowers that description, constraint by constraint at its
-call, to the search core's two kinds of row over 0/1 columns:
+variables, booleans, three kinds of constraint (families of clauses and of
+weighted rows over indicator literals, orderings between two variables)
+and one optional linear objective. Every domain bound, coefficient, row
+bound, margin and indicator value is an integer, and no bool: `int_var`,
+`require_order`, `require_at_least`, `minimize` and `maximize` raise
+ModelError on any other. This module lowers that description, constraint
+by constraint at its call, to the search core's two kinds of row over 0/1
+columns:
 
   * clause rows: literal lists in the search core's convention (2*c
     asserts column c is 1, 2*c+1 asserts it is 0). `Model.lits(handle)`
@@ -22,8 +23,10 @@ call, to the search core's two kinds of row over 0/1 columns:
     a one-hot group of binary columns, so "x == v" is one column; its
     exactly-one is its pairwise "not both" clauses, then "at least one";
   * pseudo-Boolean (PB) rows (lits, coefs, b): sum(coef * lit) >= b with
-    positive coefficients no larger than b. A sum states one >=-row per
-    bound, the upper bound's (negated) row first, each through `_core_rows`.
+    positive coefficients no larger than b. A weighted row is stated in
+    that form over the same literals, a family per `require_at_least` call,
+    and lowered at once (`_at_least_rows`): an at-most-one over literals is
+    its complements' "all but one" row, which lowers to "not both" pairs.
 
 Columns are numbered in the order they are made: a variable's as it is
 created, an order chain's aux columns as the first ordering needs them.
@@ -39,8 +42,8 @@ stays as an independent cross-check engine for tests and reference optima
 numpy and scipy are imported only when it runs. Either way reported optima
 are exact, which the synthesis layers rely on; every satisfying assignment
 is replayed against the declarative model before it is returned: each
-clause row on the assignment's column image, each ordering and sum on the
-values. A backend anomaly raises SolverBackendError and is never reported
+clause and weighted row on the assignment's column image, each ordering on
+the values. A backend anomaly raises SolverBackendError and is never reported
 "unsatisfiable".
 """
 
@@ -95,15 +98,40 @@ class _Order:
 
 
 _INT = frozenset({int})
+_LIST = frozenset({list})
 _NOT = bytes([1, 0]) + bytes(254)  # bytes.translate table: 0 <-> 1
+
+
+def _at_least_rows(rows) -> list:
+    """The core's rows for weighted rows (lits, coefs, b), in order: each
+    says the coefficients of its literals that hold sum to at least b, over
+    distinct columns and with positive coefficients. A row states none if
+    it always holds (b <= 0), itself if it never can, and otherwise, its
+    coefficients clipped to b, a clause (b == 1), the pairwise clauses of an
+    "all but one" row, or one PB row (lits, coefs, b)."""
+    out = []
+    for lits, coefs, b in rows:
+        if b <= 0:
+            continue
+        if b == 1 and lits:
+            out.append(lits)
+        elif b == len(lits) - 1 and coefs.count(1) == len(coefs):
+            # "all but one": equivalent to pairwise disjunctions, which give
+            # conflict analysis short reasons where a counting row would not
+            out += map(list, combinations(lits, 2))
+        else:
+            # a coefficient above b is clipped; one that never can hold has
+            # every coefficient below b, so it keeps them as they are
+            if max(coefs, default=0) > b:
+                coefs = [cf if cf < b else b for cf in coefs]
+            out.append((lits, coefs, b))
+    return out
 
 
 def _core_rows(terms, b) -> list:
     """The core's rows for sum(coef * column) >= b over integer (coef, col)
-    terms, columns distinct: none if it always holds, itself unclipped if it
-    never can, else, coefficients clipped to b, a clause (b == 1), the
-    pairwise clauses of an "all but one" row, or one PB row (lits, coefs, b)."""
-    # normalize to positive coefficients over literals
+    terms, columns distinct: the weighted row over literals it normalizes
+    to, lowered by `_at_least_rows`."""
     lits, coefs = [], []
     for cf, col in terms:
         if cf > 0:
@@ -113,18 +141,7 @@ def _core_rows(terms, b) -> list:
             lits.append(2 * col + 1)
             coefs.append(-cf)
             b += -cf
-    if b <= 0:
-        return []
-    if sum(coefs) < b:
-        return [(lits, coefs, b)]
-    coefs = [min(cf, b) for cf in coefs]
-    if b == 1:
-        return [lits]
-    if b == len(lits) - 1 and all(cf == 1 for cf in coefs):
-        # "all but one": equivalent to pairwise disjunctions, which give
-        # conflict analysis short reasons where a counting row would not
-        return [*map(list, combinations(lits, 2))]
-    return [(lits, coefs, b)]
+    return _at_least_rows([(lits, coefs, b)])
 
 
 def _integer(x, what: str) -> int:
@@ -147,12 +164,14 @@ class Verdict:
 
 
 class Model:
-    """Declarative model: variables, clauses and orderings, sums, one objective.
+    """Declarative model: variables, clauses, weighted rows and orderings,
+    one objective.
 
     Each call builds its rows at once and logs what it states for replay;
     `_compile` only puts the row lists together, so a solve always sees the
-    model as it stands. A clause is written over the literals of `lits`
-    and stated by `require_clauses`, a whole family per call.
+    model as it stands. A clause or a weighted row is written over the
+    literals of `lits` and stated by `require_clauses` or
+    `require_at_least`, a whole family per call.
     """
 
     def __init__(self) -> None:
@@ -163,8 +182,8 @@ class Model:
         self._assertions: list = []
         self._onehot_rows: list[list[int]] = []  # the ints' exactly-one clauses, in order
         self._rows: list[list[int]] = []  # clause, ordering and chain rows, in order
-        self._sums: list[tuple[list, str, int]] = []
-        self._sum_rows: list = []  # the sums' clause and PB rows, in order
+        self._sums: list[tuple[list, list, int]] = []  # weighted rows, for replay
+        self._sum_rows: list = []  # the weighted rows' clause and PB rows, in order
         # (sense, terms, its (coef, col) terms to minimize, the constant
         # part of its value) or None
         self._objective: tuple[str, list, list, int] | None = None
@@ -225,18 +244,61 @@ class Model:
         neither), is negative, is past the last column or is on an order
         chain's aux column raises ModelError, and nothing is kept. Each row
         is then logged for replay and becomes a clause row, both as given
-        and in order. An empty row can never hold; a row with a repeat or
-        a complementary pair is kept as it is (see the module docstring).
+        (a row that is no list as the list of its literals) and in order.
+        An empty row can never hold; a row with a repeat or a complementary
+        pair is kept as it is (see the module docstring).
         """
-        rows = list(map(list, rows))
-        flat = [*chain.from_iterable(rows)]
-        if flat and not (_INT.issuperset(map(type, flat)) and min(flat) >= 0
-                         and max(flat) < 2 * self._ncols and self._aux_lits.isdisjoint(flat)):
-            bad = next(lit for lit in flat if lit.__class__ is not int
-                       or not 0 <= lit < 2 * self._ncols or lit in self._aux_lits)
-            raise ModelError(f"clause literal {bad!r} is no literal of a variable column")
+        rows = rows if rows.__class__ is list else [*rows]
+        if not _LIST.issuperset(map(type, rows)):
+            rows = [row if row.__class__ is list else [*row] for row in rows]
+        self._check_literals(rows, "clause")
         self._assertions += rows
         self._rows += rows
+
+    def _check_literals(self, rows, what: str) -> None:
+        """ModelError naming the first literal, in row order, that is no
+        int (a bool neither), is negative, is past the last column or is on
+        an order chain's aux column."""
+        flat = [*chain.from_iterable(rows)]
+        aux = self._aux_lits
+        if flat and not (_INT.issuperset(map(type, flat)) and min(flat) >= 0
+                         and max(flat) < 2 * self._ncols
+                         and (not aux or aux.isdisjoint(flat))):
+            bad = next(lit for lit in flat if lit.__class__ is not int
+                       or not 0 <= lit < 2 * self._ncols or lit in aux)
+            raise ModelError(f"{what} literal {bad!r} is no literal of a variable column")
+
+    def require_at_least(self, rows) -> None:
+        """Require of each row (lits, coefs, b) that the coefficients of its
+        literals that hold sum to at least b.
+
+        A row lists distinct literals from `lits` or their complements, as a
+        clause does, each with a positive int coefficient, and an int b. The
+        whole family is checked first: a bad literal (see `require_clauses`),
+        a coefficient that is no int (a bool neither) or not positive, a b
+        that is no int, or lits and coefs of unequal length raise
+        ModelError, and nothing is kept. Each row is then logged for replay
+        and lowered by `_at_least_rows`, in order.
+        """
+        rows = rows if rows.__class__ is list else [*rows]
+        if rows and set(map(len, rows)) != {3}:
+            raise ModelError("a weighted row is (lits, coefs, b)")
+        lits, coefs, bounds = zip(*rows) if rows else ((), (), ())
+        if not (_LIST.issuperset(map(type, lits)) and _LIST.issuperset(map(type, coefs))):
+            rows = [([*row[0]], [*row[1]], row[2]) for row in rows]
+            lits, coefs, bounds = zip(*rows)
+        self._check_literals(lits, "weighted row")
+        weights = [*chain.from_iterable(coefs)]
+        if weights and not (_INT.issuperset(map(type, weights)) and min(weights) > 0):
+            bad = next(cf for cf in weights if cf.__class__ is not int or cf <= 0)
+            raise ModelError(f"coefficient {bad!r} is no positive int")
+        if not _INT.issuperset(map(type, bounds)):
+            bad = next(b for b in bounds if b.__class__ is not int)
+            raise ModelError(f"non-integral bound {bad!r}")
+        if [*map(len, lits)] != [*map(len, coefs)]:
+            raise ModelError("a weighted row has as many coefficients as literals")
+        self._sums += rows
+        self._sum_rows += _at_least_rows(rows)
 
     def require_order(self, a: int, b: int, margin: int = 0) -> None:
         """Require a + margin <= b over two variable handles, with an
@@ -305,21 +367,6 @@ class Model:
                 rows.append([chain[i] ^ 1, chain[i + 1], eq])  # ge(i), not ge(i+1) -> x = i
         return chain[v - var.lo]
 
-    def require_sum(self, terms, op: str, rhs: int) -> None:
-        """Linear constraint over terms: (coef, handle) or (coef, (handle, value)),
-        with integer coefficients, values and bound. Its rows are built here."""
-        if op not in ("<=", ">=", "=="):
-            raise ModelError(f"bad sum op {op!r}")
-        terms, coeffs, const = self._terms(terms)
-        rhs = _integer(rhs, "bound")
-        self._sums.append((terms, op, rhs))
-        # the upper bound's negated row first
-        row = [(coef, col) for col, coef in coeffs.items() if coef]
-        if op != ">=":
-            self._sum_rows += _core_rows([(-coef, col) for coef, col in row], const - rhs)
-        if op != "<=":
-            self._sum_rows += _core_rows(row, rhs - const)
-
     def minimize(self, terms) -> None:
         self._set_objective("min", terms)
 
@@ -376,8 +423,8 @@ class Model:
     def _holding(self, assignment: dict) -> set[int]:
         """The literals that hold on the assignment's column image: each
         int's value column is set and each bool's column holds its value,
-        as `_extract` reads them. An aux column reads 0; no clause row
-        names one."""
+        as `_extract` reads them. An aux column reads 0; no clause or
+        weighted row names one."""
         cols = bytearray(self._ncols)
         for v in self._vars:
             value = assignment[v.handle]
@@ -406,9 +453,9 @@ class Model:
     def check_assignment(self, assignment: dict) -> list[str]:
         """Replay every assertion on concrete values; returns violations.
 
-        A clause is checked on the assignment's column image (`_holding`)
-        and named by its (handle, value, positive) literals; an ordering and
-        a sum on the values.
+        A clause or a weighted row is checked on the assignment's column
+        image (`_holding`) and named by its (handle, value, positive)
+        literals; an ordering on the values.
         """
         bad = []
         holding = self._holding(assignment)
@@ -424,11 +471,10 @@ class Model:
                 bad += [f"assertion {i}: {f!r}" for i, f in enumerate(run, at)
                         if assignment[f.a] + f.margin > assignment[f.b]]
             at += len(run)
-        for i, (terms, op, rhs) in enumerate(self._sums):
-            total = self._sum_value(terms, assignment)
-            ok = (total <= rhs) if op == "<=" else (total >= rhs) if op == ">=" else (total == rhs)
-            if not ok:
-                bad.append(f"sum {i}: value {total} not {op} {rhs}")
+        for i, (lits, coefs, b) in enumerate(self._sums):
+            total = sum(compress(coefs, map(holding.__contains__, lits)))
+            if total < b:
+                bad.append(f"sum {i}: AtLeast{self._named(lits)!r} weighs {total} < {b}")
         return bad
 
     def objective_of(self, assignment: dict) -> int | None:
@@ -442,8 +488,8 @@ class Model:
         """The model as (ncols, rows, objective), also kept in `_compiled`
         for the benchmark's tracer to read: the core's rows, the ints'
         exactly-one clauses first, then the clause, ordering and order chain
-        rows in call order, then the sums' rows; the objective's (coef, col)
-        terms in column order, negated for maximization. Every row and the
+        rows in call order, then the weighted rows' rows; the objective's
+        (coef, col) terms in column order, negated for maximization. Every row and the
         objective were built at their calls.
         """
         objective = self._objective[2] if self._objective is not None else []

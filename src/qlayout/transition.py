@@ -71,38 +71,47 @@ def encode_tb(circuit: Circuit, device: Device, T_coarse: int,
 def _coarse_cuts(model, vs, circuit: Circuit, device: Device, T: int) -> None:
     """Cuts for the coarse model: the degree cut and the one-hop clauses.
 
+    The degree cut says a qubit whose block t runs g of its gates needs g
+    distinct neighbours, so it cannot sit on a node p of degree d < g. For a
+    qubit q with g >= 2 gates it is one weighted row per block t and such
+    node p, stated in one require_at_least call:
+    sum over q's gates l of [t_l != t] + (g - d) * [pi_q^t != p] >= g - d,
+    so on p at most d of them run in block t. Each (q, t) builds its
+    "t_l != t" literals once. The cut is not implied by the base families:
+    it counts a qubit's gates, not its distinct partners, so it can refuse
+    a block that runs two gates on one pair.
+
     The one-hop clauses follow from the base families: with S=1 the SWAPs of
     one transition are pairwise node-disjoint, so a qubit moves at most one
-    hop. The degree cut does not: it counts a qubit's gates, not its distinct
-    partners, so it can refuse a block that runs two gates on one pair.
+    hop.
     """
     N = device.num_physical
     M = circuit.num_qubits
-    L = circuit.num_gates
     degree = [len(device.incident[p]) for p in range(N)]
+    at = [[model.lits(h) for h in row] for row in vs.pi]
+    when = [model.lits(h) for h in vs.time]
 
-    # a qubit whose block runs g of its gates needs g distinct neighbours,
-    # so it cannot sit on a node of degree < g
     touching: list[list[int]] = [[] for _ in range(M)]
     for g in circuit.gates:
         if g.is_two_qubit:
             for q in g.qubits:
                 touching[q].append(g.index)
+    rows = []
     for q, gates_q in enumerate(touching):
-        if len(gates_q) < 2:
+        g = len(gates_q)
+        if g < 2:
             continue
+        # (node, coefficients, bound) of each node of degree below g
+        low = [(p, [1] * g + [g - d], g - d) for p, d in enumerate(degree) if d < g]
         for t in range(T):
-            for p in range(N):
-                if degree[p] >= len(gates_q):
-                    continue
-                terms = [(1, (vs.time[l], t)) for l in gates_q]
-                terms.append((L, (vs.pi[q][t], p)))
-                model.require_sum(terms, "<=", degree[p] + L)
+            away = [when[l][t] ^ 1 for l in gates_q]
+            here = at[q][t]
+            rows += [([*away, here[p] ^ 1], coefs, b) for p, coefs, b in low]
+    model.require_at_least(rows)
 
     # disjoint SWAPs move a qubit at most one hop per transition
     # ([pi_q^t != p] or pi_q^{t+1} in {p} + neighbours(p), over Model.lits)
     closed = [[p, *device.neighbours[p]] for p in range(N)]
-    at = [[model.lits(h) for h in row] for row in vs.pi]
     model.require_clauses([[at[q][t][p] ^ 1, *map(at[q][t + 1].__getitem__, closed[p])]
                            for q in range(M) for t in range(T - 1) for p in range(N)])
 
@@ -377,7 +386,7 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
     The walk is a branch-and-bound over _schedule_core's monotone bound (a
     gate at slot t puts every full split that extends the scheduled one at
-    t + tail + 1 slots or more). It makes four sound cuts, so within the
+    t + tail + 1 slots or more). It makes five sound cuts, so within the
     budget it returns the split the exhaustive walk would:
     - it stops once the best depth equals the longest dependency chain, a
       lower bound on every split; the plan's own split is checked first;
@@ -388,7 +397,9 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     - it skips a block that is dominated by the one before it (see
       _dominated): each split with the gate there is matched by the split
       with the gate one block down, earlier in walk order, that runs the
-      same schedule, so the first best split stays.
+      same schedule, so the first best split stays;
+    - it gives no gate a block past the last one its successors can still
+      follow: the subtree below holds no split.
     The walk keeps each block's gate list in index order as it assigns and
     unassigns gates, so every prefix and leaf goes to the scheduler as is.
 
@@ -416,10 +427,19 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
     if best_depth == lower:
         return plan
     dominated = _dominated(tables)
+    # latest[l]: the last block gate l can take with every successor still
+    # given a feasible block at or after it; the plan's own split is such a
+    # split, so one exists
+    latest = [B - 1] * L
+    for l in reversed(range(L)):
+        latest[l] = max(b for b in feas[l] if b <= latest[l])
+        for i in preds[l]:
+            latest[i] = min(latest[i], latest[l])
     # choices[l][bound]: the blocks gate l may take when its predecessors'
-    # latest block is `bound`; no gate takes a block that is dominated by
-    # the one before it
-    choices = [[[b for b in feas[l] if b == bound or b > bound and not dominated[l][b]]
+    # latest block is `bound`; no gate takes a block past latest[l] or one
+    # that is dominated by the block before it
+    choices = [[[b for b in feas[l] if b <= latest[l]
+                 and (b == bound or b > bound and not dominated[l][b])]
                 for bound in range(B)] for l in range(L)]
 
     best_blocks = None

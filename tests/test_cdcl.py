@@ -286,11 +286,10 @@ def _models(draw):
             m.require_order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
                             draw(st.integers(-1, 2)))
         else:
-            picked = draw(st.lists(st.sampled_from(handles), min_size=1, max_size=4))
-            terms = [(draw(st.integers(-3, 3)), draw(st.sampled_from((h, (h, value(h))))))
-                     for h in picked]
-            m.require_sum(terms, draw(st.sampled_from(("<=", ">=", "=="))),
-                          draw(st.integers(-4, 8)))
+            # a weighted row over literals of distinct columns
+            picked = draw(st.lists(lit, min_size=1, max_size=4, unique_by=lambda x: x >> 1))
+            coefs = [draw(st.integers(1, 4)) for _ in picked]
+            m.require_at_least([(picked, coefs, draw(st.integers(-1, 8)))])
     if draw(st.booleans()):
         terms = [(draw(st.integers(-3, 3)), h) for h in handles]
         if draw(st.booleans()):

@@ -38,15 +38,15 @@ def _load_tracing():
 
 def _model() -> sv.Model:
     """Clauses, an ordering over two six-value ints (so their order chains
-    make three aux columns each), a sum and an objective (so the search
-    tightens)."""
+    make three aux columns each), a weighted row and an objective (so the
+    search tightens)."""
     m = sv.Model()
     x = m.int_var(0, 5)
     y = m.int_var(0, 5)
     b = m.bool_var()
     m.require_order(x, y, 2)
     m.require_clauses([[m.lits(b)[1], m.lits(x)[3]]])
-    m.require_sum([(1, x), (1, (b, 0))], ">=", 2)
+    m.require_at_least([(m.lits(x)[1:] + m.lits(b)[:1], [1, 2, 3, 4, 5, 1], 2)])  # x + [b == 0]
     m.maximize([(1, x), (-1, y)])
     return m
 

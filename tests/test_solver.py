@@ -30,9 +30,7 @@ def test_int_var_domain_validation():
     with pytest.raises(ModelError):
         m.lits(99)
     with pytest.raises(ModelError):
-        m.require_sum([(1, (x, 9))], "<=", 1)
-    with pytest.raises(ModelError):
-        m.require_sum([(1, x)], "!=", 1)
+        m.minimize([(1, (x, 9))])
 
 
 def test_empty_model_sat():
@@ -101,30 +99,21 @@ def test_check_assignment_reports_violated_ordering():
         sv._extract(m, cols)
 
 
-def test_require_sum_forms():
-    m = Model()
-    x = m.int_var(0, 4)
-    b = m.bool_var()
-    # indicator form counts x == 3; bool handles count directly
-    m.require_sum([(2, (x, 3)), (1, b)], "==", 3)
-    v = solve(m)
-    assert v.status == sv.SAT
-    assert v.assignment[x] == 3 and v.assignment[b] == 1
-
-
 def test_sums_compile_to_integer_ge_rows():
     m = Model()
     x = m.int_var(1, 3)  # columns 0..2
     b = m.bool_var()  # column 3
-    m.require_sum([(2, (b, 0)), (1, x)], "==", 4)  # [b == 0] is 1 - b
+    lx, lb = m.lits(x), m.lits(b)
+    # x - 2*b == 2 as two weighted rows over literals: x - 2*b <= 2 is
+    # 2*[b] + [x != 1] + 2*[x != 2] + 3*[x != 3] >= 4, and x - 2*b >= 2 the
+    # same over [b == 0] and x's value literals
+    m.require_at_least([([lb[1], *(lit ^ 1 for lit in lx)], [2, 1, 2, 3], 4),
+                        ([lb[0], *lx], [2, 1, 2, 3], 4)])
     m.maximize([(3, (x, 2)), (-1, b)])
     ncols, rows, objective = m._compile()
     assert ncols == 4
     # x's exactly-one is its pairwise "not both" clauses, then "at least
-    # one"; the == (x - 2*b == 2) becomes two >=-rows, the upper bound's
-    # negated row first, each a PB row over literals: x - 2*b <= 2 is
-    # 2*[b] + [x != 1] + 2*[x != 2] + 3*[x != 3] >= 4, and x - 2*b >= 2 the
-    # same over [b == 0] and x's value literals
+    # one"; then each weighted row, a PB row as stated
     assert rows == [
         [1, 3], [1, 5], [3, 5], [0, 2, 4],
         ([6, 1, 3, 5], [2, 1, 2, 3], 4), ([7, 0, 2, 4], [2, 1, 2, 3], 4),
@@ -275,11 +264,114 @@ def test_require_clauses_refuses_a_bad_literal_atomically(bad):
     assert (m._assertions, m._rows, m._compile()) == before
 
 
+# weighted rows: require_at_least, over 3 bools (literals 0..5)
+@pytest.mark.parametrize("row,lowered,sat", [
+    (([0, 3], [2, 1], 0), [], True),
+    (([0, 3], [2, 1], -2), [], True),
+    (([0, 3, 5], [2, 1, 3], 1), [[0, 3, 5]], True),
+    (([0, 3, 5], [1, 1, 1], 2), [[0, 3], [0, 5], [3, 5]], True),
+    (([0, 3, 5], [4, 1, 2], 2), [([0, 3, 5], [2, 1, 2], 2)], True),
+    (([0, 3, 5], [1, 2, 1], 3), [([0, 3, 5], [1, 2, 1], 3)], True),
+    (([0, 3], [1, 2], 4), [([0, 3], [1, 2], 4)], False),
+    (([], [], 1), [([], [], 1)], False),
+], ids=["b-zero", "b-negative", "clause", "all-but-one", "clipped", "pb", "never",
+        "empty"])
+def test_require_at_least_lowers_each_rule(row, lowered, sat):
+    # none when it always holds, a clause at b == 1, the pairwise clauses of
+    # "all but one", else one PB row with coefficients clipped to b; one
+    # that never holds is kept as stated
+    m = Model()
+    handles = [m.bool_var() for _ in range(3)]
+    m.require_at_least([row])
+    assert m._sums == [row]
+    assert m._compile()[1] == lowered
+    for method in ("sat", "milp"):
+        assert (solve(m, method=method).status == sv.SAT) == sat
+    lits, coefs, b = row
+    for values in itertools.product((0, 1), repeat=3):
+        true = {2 * c + 1 - v for c, v in enumerate(values)}
+        holds = sum(cf for lit, cf in zip(lits, coefs) if lit in true) >= b
+        assert (m.check_assignment(dict(zip(handles, values))) == []) == holds
+
+
+@pytest.mark.parametrize("bad", [
+    ([0], [True], 1), ([0], [1.0], 1), ([0], [0], 1), ([0], [-2], 1),
+    ([0, 2], [1], 1),
+    ([0], [1], 1.0), ([0], [1], True), ([0], [1], "1"),
+    (["aux"], [1], 1), (["past"], [1], 1), ([-1], [1], 1), ([True], [1], 1), ([2.0], [1], 1),
+    ([0], [1]),
+], ids=["coefficient-bool", "coefficient-float", "coefficient-zero", "coefficient-negative",
+        "length", "b-float", "b-bool", "b-string", "literal-aux", "literal-past",
+        "literal-negative", "literal-bool", "literal-float", "no-row"])
+def test_require_at_least_refuses_a_bad_row_atomically(bad):
+    m, (b, x, y, w) = _lits_layout_model()
+    m.require_at_least([([m.lits(b)[1]], [1], 1)])
+    names = {"past": 2 * m._compile()[0], "aux": 2 * 9 + 1}
+    if bad[0] and bad[0][0] in names:
+        bad = ([names[bad[0][0]]], *bad[1:])
+    before = (list(m._sums), list(m._sum_rows), m._compile())
+    with pytest.raises(ModelError):
+        # a good row first: nothing of the family is kept
+        m.require_at_least([([m.lits(x)[0], m.lits(w)[2]], [1, 2], 2), bad])
+    assert (m._sums, m._sum_rows, m._compile()) == before
+
+
+@st.composite
+def _weighted_models(draw):
+    """Up to five bools and an int of up to three values (eight columns at
+    most), a family of weighted rows over literals of distinct columns,
+    and an objective."""
+    m = Model()
+    handles = [m.bool_var() for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        handles.append(m.int_var(0, draw(st.integers(0, 2))))
+    pool = [lit for h in handles for lit in m.lits(h)]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.sampled_from(pool), max_size=4, unique_by=lambda lit: lit >> 1))
+        lits = [lit ^ draw(st.integers(0, 1)) for lit in cols]
+        coefs = [draw(st.integers(1, 4)) for _ in lits]
+        rows.append((lits, coefs, draw(st.integers(-1, sum(coefs) + 1))))
+    m.require_at_least(rows)
+    m.minimize([(draw(st.integers(-2, 2)), h) for h in handles])
+    return m, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_weighted_models())
+def test_require_at_least_matches_brute_force(case):
+    # each row holds when the coefficients of its true literals reach b: the
+    # verdict and the optimum match enumeration, and replay names exactly
+    # the rows an assignment breaks
+    m, rows = case
+    handles = range(len(m._vars))
+    best = None
+    for values in itertools.product(*[m._var(h).domain for h in handles]):
+        a = dict(zip(handles, values))
+        true = set()  # "h == v" holds for h's value, the complement otherwise
+        for h, v in a.items():
+            for i, lit in enumerate(m.lits(h)):
+                true.add(lit if m._var(h).lo + i == v else lit ^ 1)
+        broken = [i for i, (lits, coefs, b) in enumerate(rows)
+                  if sum(cf for lit, cf in zip(lits, coefs) if lit in true) < b]
+        replay = m.check_assignment(a)
+        assert [line.split(":")[0] for line in replay] == [f"sum {i}" for i in broken]
+        if not broken:
+            value = sum(coef * a[h] for coef, h in m._objective[1])
+            best = value if best is None else min(best, value)
+    for method in ("sat", "milp"):
+        v = solve(m, method=method)
+        assert (v.status == sv.SAT) == (best is not None)
+        if best is not None:
+            assert v.objective_value == best
+            assert m.check_assignment(v.assignment) == []
+
+
 @pytest.mark.parametrize("state", [
     lambda m, a: m.require_order(True, a),
     lambda m, a: m.require_order(a, False, 1),
-    lambda m, a: m.require_sum([(1, True)], ">=", 1),
-    lambda m, a: m.require_sum([(1, (False, 0))], ">=", 1),
+    lambda m, a: m.require_at_least([([True], [1], 1)]),  # as a literal: column 0 is 0
+    lambda m, a: m.require_at_least([([m.lits(a)[2], False], [1, 1], 1)]),
     lambda m, a: m.require_clauses([[False]]),  # as a literal: column 0 is 1
     lambda m, a: m.lits(True),
     lambda m, a: m.minimize([(1, True)]),
@@ -308,7 +400,7 @@ def test_mutation_after_solve_recompiles(method):
     # variables and constraints added after a solve take part in the next
     b = m.bool_var()
     m.require_clauses([[m.lits(b)[1]], [m.lits(x)[3] ^ 1]])
-    m.require_sum([(1, b), (1, x)], "<=", 2)
+    m.require_at_least([([m.lits(b)[0], m.lits(x)[2] ^ 1], [1, 1], 1)])  # b -> x != 2
     v = solve(m, method=method)
     assert v.assignment == {x: 1, b: 1} and v.objective_value == 1
 
@@ -324,12 +416,12 @@ def test_bool_zero_indicator_terms(method):
     m.maximize([(2, (b, 0)), (1, (b, 1))])
     v = solve(m, method=method)
     assert v.assignment == {b: 0} and v.objective_value == 2
-    # ... and in a sum
+    # ... and in a weighted row: lits(b) is [b == 0, b == 1]
     m = Model()
     b = m.bool_var()
-    m.require_sum([(1, (b, 0))], ">=", 1)
+    m.require_at_least([(m.lits(b)[:1], [1], 1)])
     assert solve(m, method=method).assignment == {b: 0}
-    m.require_sum([(3, (b, 0)), (1, (b, 1))], "==", 1)
+    m.require_at_least([(m.lits(b)[1:], [3], 2)])
     assert solve(m, method=method).status == sv.UNSAT
 
 
@@ -399,12 +491,12 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
 
 
 @pytest.mark.parametrize("build", [
-    lambda m, b: m.require_sum([(1, b)], ">=", 0.5),  # a bound that int() would floor
-    lambda m, b: m.require_sum([(0.5, b), (0.5, (b, 0))], ">=", 1),
+    lambda m, b: m.require_at_least([([0], [1], 0.5)]),  # a bound that int() would floor
+    lambda m, b: m.require_at_least([([0], [0.5], 1)]),
     lambda m, b: m.minimize([(1.5, b)]),
     lambda m, b: m.maximize([(1, b), (float("nan"), (b, 1))]),
-    lambda m, b: m.require_sum([(1, b)], "<=", "1"),
-    lambda m, b: m.require_sum([(1, (b, 0.5))], ">=", 1),
+    lambda m, b: m.require_at_least([([0], [1], "1")]),
+    lambda m, b: m.require_at_least([([0.5], [1], 1)]),  # a literal
     lambda m, b: m.maximize([(1, (b, "1"))]),
     lambda m, b: m.require_order(b, b, 1.5),
     lambda m, b: m.require_order(b, b, "1"),
@@ -412,8 +504,8 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
     lambda m, b: m.int_var("0", "3"),
     # a bool is an int to Python, but no integer here
     lambda m, b: m.int_var(True, 3),  # would be 1..3
-    lambda m, b: m.require_sum([(True, b)], ">=", 1),
-    lambda m, b: m.require_sum([(1, b)], ">=", True),
+    lambda m, b: m.require_at_least([([0], [True], 1)]),
+    lambda m, b: m.require_at_least([([0], [1], True)]),
     lambda m, b: m.require_order(b, b, False),
     lambda m, b: m.maximize([(1, (b, True))]),
 ], ids=["bound", "coefficient", "minimize", "maximize", "string", "indicator-value",
@@ -431,23 +523,24 @@ def test_non_integral_input_raises_model_error(build):
     assert m._sums == m._assertions == []
     assert m._compile() == compiled
     assert solve(m).assignment == {b: 0}
-    # integral floats are integers
-    m.require_sum([(2.0, b)], ">=", 1.0)
+    # integral floats are integers in an objective
+    m.require_clauses([[m.lits(b)[1]]])
+    m.minimize([(2.0, b)])
     v = solve(m)
-    assert v.assignment == {b: 1} and v.objective_value == 1
+    assert v.assignment == {b: 1} and v.objective_value == 2
 
     def twin(margin, value):
         m = Model()
         x, y = m.int_var(0, 5), m.int_var(0, 5)
         m.require_order(x, y, margin)
-        m.require_sum([(1, (y, value))], ">=", 1)
-        m.maximize([(1, x)])
+        m.require_clauses([[m.lits(y)[4]]])
+        m.maximize([(1, x), (1, (y, value))])
         return m
 
     # ... also as a margin and an indicator value
     assert twin(2.0, 4.0)._compile() == twin(2, 4)._compile()
     v = solve(twin(2.0, 4.0))
-    assert v.assignment == {0: 2, 1: 4} and v.objective_value == 2
+    assert v.assignment == {0: 2, 1: 4} and v.objective_value == 3
 
     def ranged(lo, hi):
         m = Model()
@@ -507,7 +600,7 @@ def test_solve_is_deterministic():
         xs = [m.int_var(0, 4) for _ in range(5)]
         for a, b in zip(xs, xs[1:]):
             m.require_order(a, b)
-        m.require_sum([(1, x) for x in xs], "<=", 12)
+        m.require_at_least([([m.lits(x)[4] ^ 1 for x in xs], [1] * 5, 3)])  # at most two at 4
         m.maximize([(1, x) for x in xs])
         return m
     va = solve(build())
@@ -736,9 +829,12 @@ def models(draw):
         return coef, (h, draw(st.integers(min_value=var.lo, max_value=var.hi)))
 
     if draw(st.booleans()):
-        terms = [term(h) for h in handles]
-        m.require_sum(terms, draw(st.sampled_from(["<=", ">=", "=="])),
-                      draw(st.integers(min_value=-2, max_value=8)))
+        # a weighted row over literals of distinct columns
+        pool = [lit for h in handles for lit in m.lits(h)]
+        lits = [lit ^ draw(st.integers(min_value=0, max_value=1)) for lit in draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique_by=lambda x: x >> 1))]
+        coefs = [draw(st.integers(min_value=1, max_value=3)) for _ in lits]
+        m.require_at_least([(lits, coefs, draw(st.integers(min_value=-1, max_value=8)))])
     if draw(st.booleans()):
         terms = [term(h) for h in handles]
         if draw(st.booleans()):
@@ -766,11 +862,11 @@ def _brute_force(m):
 
 
 def _clipped_pb_model():
-    """5*b - c + [x == 2] >= 2, stated as one PB row over b, not c and
-    x == 2 whose coefficient 5 is clipped to its bound 3."""
+    """5*b - c + [x == 2] >= 2, stated as 5*[b] + [not c] + [x == 2] >= 3
+    and lowered to one PB row whose coefficient 5 is clipped to its bound 3."""
     m = Model()
     x, b, c = m.int_var(0, 3), m.bool_var(), m.bool_var()
-    m.require_sum([(5, b), (-1, c), (1, (x, 2))], ">=", 2)
+    m.require_at_least([([m.lits(b)[1], m.lits(c)[0], m.lits(x)[2]], [5, 1, 1], 3)])
     m.minimize([(1, x), (2, b), (-1, c)])
     return m
 

@@ -545,7 +545,8 @@ def test_polish_budget_on_a_heavy_row(monkeypatch, node_budget):
 def test_dominated_blocks_cut_the_qaoa5_polish(monkeypatch):
     # qaoa5/grid2x3/depth: no split runs shorter than the plan's own 21
     # slots, and the walk took 6,889 schedules to prove it before it
-    # skipped dominated blocks
+    # skipped dominated blocks, and 1,189 before it left out the blocks past
+    # the last one a gate's successors can follow
     dev = bundled_device("grid2x3.json")
     circ = bundled_circuit("qaoa5.gates")
     plan = _coarse_plan(circ, dev, "depth")
@@ -558,7 +559,7 @@ def test_dominated_blocks_cut_the_qaoa5_polish(monkeypatch):
     assert polished is plan
     assert polished == _reference_polish(plan, circ, dev, 3, 20000, [])
     assert _polished_depth(plan, circ, dev, 3) == 21
-    assert len(schedules) <= 1200
+    assert len(schedules) <= 900
 
 
 def _feasible_blocks(plan, circuit, device):
@@ -811,7 +812,7 @@ def cut_instances(draw):
 
 class _ClauseRecorder:
     """Stands in for the model in _coarse_cuts and keeps its clause rows;
-    the degree cut's sums are dropped. Literal lists come from `model`, a
+    the degree cut's weighted rows are dropped. Literal lists come from `model`, a
     coarse model of the same layout, so the rows hold that layout's
     literals."""
 
@@ -822,7 +823,7 @@ class _ClauseRecorder:
     def require_clauses(self, rows):
         self.clauses += map(list, rows)
 
-    def require_sum(self, terms, op, rhs):
+    def require_at_least(self, rows):
         pass
 
 
