@@ -63,6 +63,7 @@ def _check_fidelity(values, count, label):
 
 def build_device(num_physical: int, edges, fidelity: dict | None = None) -> Device:
     """Validate raw fields and precompute O and the per-node edge lists."""
+    num_physical = _integer(num_physical, "node count")
     if num_physical < 0:
         raise DeviceError("negative node count")
     canon = []
@@ -132,7 +133,7 @@ def load_device(text: str) -> Device:
             and all(isinstance(v, list) for v in fidelity.values())):
         raise DeviceError("device JSON needs a list of [a, b] edges and a "
                           "fidelity object of lists")
-    return build_device(_integer(obj["num_qubits"], "node count"), edges, fidelity)
+    return build_device(obj["num_qubits"], edges, fidelity)
 
 
 def serialize_device(device: Device) -> str:

@@ -45,6 +45,7 @@ enumerate_automorphisms its placements of the device in itself.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -357,8 +358,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     # The solver lowers each one to a clause per slot over "t >= v"
     # literals, so a placed gate bounds its successors by propagation.
     margin = 0 if coarse else 1
-    for l, lp in circuit.dependencies:
-        m.require_order(time[l], time[lp], margin)
+    m.require_orders([(time[l], time[lp], margin) for l, lp in circuit.dependencies])
 
     # The families below are rows of literals, one require_clauses (for
     # eq1, require_at_least) call per family, read off the literal lists of
@@ -456,23 +456,19 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
 
 
 def objective_depth(model: sv.Model, vs: VariableSet):
-    """Minimize max input-gate time; inserted SWAP times are excluded."""
-    if not vs.time:
-        model.minimize([(1, model.int_var(0, 0, "d"))])
-        return model
-    # d >= t_l for every input gate, so it starts at the latest window
-    # start and ends at the last slot
-    lo = max(model._var(h).lo for h in vs.time)
-    d = model.int_var(lo, len(vs.pi[0]) - 1, "d")
-    for h in vs.time:
-        model.require_order(h, d)
-    model.minimize([(1, d)])
+    """Minimize max input-gate time, inserted SWAP times excluded: d >= t_l
+    for every gate, d in [latest window start, last slot] ([0, 0] with no
+    gate), and the objective weighs each "d == v" literal by v."""
+    lo = max((model._var(h).lo for h in vs.time), default=0)
+    d = model.int_var(lo, len(vs.pi[0]) - 1 if vs.time else 0, "d")
+    model.require_orders([(h, d, 0) for h in vs.time])
+    model.minimize([*enumerate(model.lits(d), lo)])
     return model
 
 
 def objective_swap(model: sv.Model, vs: VariableSet):
-    """Minimize the total count of inserted SWAPs."""
-    model.minimize([(1, h) for row in vs.sigma for h in row])
+    """Minimize the total count of inserted SWAPs, "sigma_k^t == 1"."""
+    model.minimize([(1, model.lits(h)[1]) for row in vs.sigma for h in row])
     return model
 
 
@@ -487,19 +483,19 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
     measurement weighs pi_q^{T-1}, and a gate gets its node or edge as a
     column x_l tied to pi by [t_l != t, pi_q^t != p, x_l in sites(p)] per
     operand q: sites(p) is {p} for a 1q gate, incident[p] for a 2q gate.
-    Every SWAP keeps its term. A nonzero constant rides on a one-value
-    int, so the objective value is the whole fidelity.
+    Every SWAP keeps its term. A term weighs "pi_q^{T-1} == p", "x_l == s"
+    or "sigma_k^t == 1"; a nonzero constant weighs the literal of a
+    one-value int, so the objective value is the whole fidelity.
     """
     measure, single, two = _scaled_profile(device)
     N = device.num_physical
-    T = len(vs.pi[0]) if vs.pi else 0
+    at = [[model.lits(h) for h in row] for row in vs.pi]
     const = 0
     terms = []
     if len(set(measure)) == 1:
         const += len(vs.pi) * measure[0]
     else:
-        terms += [(w, (row[T - 1], p)) for row in vs.pi for p, w in enumerate(measure) if w]
-    at = [[model.lits(h) for h in row] for row in vs.pi]
+        terms += [(w, row[-1][p]) for row in at for p, w in enumerate(measure) if w]
     rows = []
     for g in circuit.gates:
         if g.is_two_qubit:
@@ -516,15 +512,12 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
             for q in g.qubits:
                 here = at[q][t]
                 rows += [[now ^ 1, here[p] ^ 1, *map(placed, sites[p])] for p in range(N)]
-        terms += [(w, (x, s)) for s, w in enumerate(weights) if w]
+        terms += [(w, placed(s)) for s, w in enumerate(weights) if w]
     model.require_clauses(rows)
-    for k in range(len(vs.sigma)):
-        w = swap_log_fidelity(device, k)
-        if w:
-            for t in range(len(vs.sigma[k])):
-                terms.append((w, vs.sigma[k][t]))
+    swap = [swap_log_fidelity(device, k) for k in range(len(vs.sigma))]
+    terms += [(w, model.lits(h)[1]) for w, row in zip(swap, vs.sigma) if w for h in row]
     if const:
-        terms.append((1, model.int_var(const, const, "fidelity_const")))
+        terms.append((const, model.lits(model.int_var(const, const, "fidelity_const"))[0]))
     model.maximize(terms)
     return model
 
@@ -634,8 +627,10 @@ def _better(objective: str, new: int, old: int) -> bool:
 def _deadline(timeout, max_T, extra_t: int = 0) -> float | None:
     """The one deadline of a flow call, None (no budget) or time.monotonic()
     + timeout, which each flow computes first and every step below keeps.
-    An extra_t or max_T that is no int (a bool neither), a negative extra_t,
-    or a timeout that is no number >= 0 (NaN, bools) raises ValueError."""
+    A timeout past the largest float (inf, or an int such as 10**400) is no
+    budget. An extra_t or max_T that is no int (a bool neither), a negative
+    extra_t, or a timeout that is no number >= 0 (NaN, bools) raises
+    ValueError."""
     for name, value in (("extra_t", extra_t), ("max_T", max_T)):
         if value.__class__ is not int:
             raise ValueError(f"{name} must be an int, not {value!r}")
@@ -645,7 +640,7 @@ def _deadline(timeout, max_T, extra_t: int = 0) -> float | None:
         return None
     if isinstance(timeout, bool) or not (isinstance(timeout, (int, float)) and timeout >= 0):
         raise ValueError(f"timeout must be a number >= 0, not {timeout!r}")
-    return time.monotonic() + timeout
+    return None if timeout > sys.float_info.max else time.monotonic() + timeout
 
 
 def solve_horizons(build, T: int, grow, objective: str,

@@ -1,13 +1,13 @@
 """Exact-optimization seam: declarative models over a 0/1 search core.
 
 The rest of the package describes models declaratively: bounded integer
-variables, booleans, three kinds of constraint (families of clauses and of
-weighted rows over indicator literals, orderings between two variables)
-and one optional linear objective. Every domain bound, coefficient, row
-bound, margin and indicator value is an integer, and no bool: `int_var`,
-`require_order`, `require_at_least`, `minimize` and `maximize` raise
-ModelError on any other. This module lowers that description, constraint
-by constraint at its call, to the search core's two kinds of row over 0/1
+variables, booleans, three kinds of constraint (families of clauses, of
+weighted rows over literals and of orderings between two variables) and
+one optional linear objective over literals. Every domain bound,
+coefficient, row bound and margin is an integer, and no bool: `int_var`,
+`require_orders`, `require_at_least`, `minimize` and `maximize` raise
+ModelError on any other. This module lowers that description, family by
+family at its call, to the search core's two kinds of row over 0/1
 columns:
 
   * clause rows: literal lists in the search core's convention (2*c
@@ -31,8 +31,9 @@ columns:
 Columns are numbered in the order they are made: a variable's as it is
 created, an order chain's aux columns as the first ordering needs them.
 
-The objective becomes a sparse list of integer (coef, col) terms to
-minimize, negated for maximization, also at the call.
+The objective, (coef, lit) terms over the same literals, becomes a sparse
+list of integer (coef, col) terms to minimize (a complement 2*c+1 counts
+as 1 - column c), negated for maximization, also at the call.
 
 The conflict-driven search core solves the rows (strong on tight
 feasibility questions, proves optima by tightening the incumbent until
@@ -53,6 +54,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, groupby
+from operator import length_hint  # a row with no length reads as 0 items
 
 from . import _cdcl
 
@@ -81,20 +83,6 @@ class _Var:
     @property
     def domain(self):
         return range(self.lo, self.hi + 1)
-
-
-class _Order:
-    """A require_order assertion: a + margin <= b over two handles."""
-
-    __slots__ = ("a", "b", "margin")
-
-    def __init__(self, a: int, b: int, margin: int):
-        self.a = a
-        self.b = b
-        self.margin = margin
-
-    def __repr__(self) -> str:
-        return f"Order(x{self.a} + {self.margin} <= x{self.b})"
 
 
 _INT = frozenset({int})
@@ -169,23 +157,24 @@ class Model:
 
     Each call builds its rows at once and logs what it states for replay;
     `_compile` only puts the row lists together, so a solve always sees the
-    model as it stands. A clause or a weighted row is written over the
-    literals of `lits` and stated by `require_clauses` or
-    `require_at_least`, a whole family per call.
+    model as it stands. Every statement is a family per call over the
+    literals of `lits`: clauses (`require_clauses`), weighted rows
+    (`require_at_least`) and objective terms; orderings (`require_orders`)
+    are over handles.
     """
 
     def __init__(self) -> None:
         self._vars: list[_Var] = []
         self._ncols = 0  # columns made so far: variables' and order chains'
         # in order: a clause as the literal list it was stated with and an
-        # ordering as _Order, kept for replay
+        # ordering as its (a, b, margin) tuple, kept for replay
         self._assertions: list = []
         self._onehot_rows: list[list[int]] = []  # the ints' exactly-one clauses, in order
         self._rows: list[list[int]] = []  # clause, ordering and chain rows, in order
         self._sums: list[tuple[list, list, int]] = []  # weighted rows, for replay
         self._sum_rows: list = []  # the weighted rows' clause and PB rows, in order
-        # (sense, terms, its (coef, col) terms to minimize, the constant
-        # part of its value) or None
+        # (sense, its (coef, lit) terms, its (coef, col) terms to minimize,
+        # the constant part of its value) or None
         self._objective: tuple[str, list, list, int] | None = None
         self._chains: dict[int, list] = {}  # int handle -> its "x >= v" literals
         self._aux_names: list[str] = []
@@ -281,7 +270,7 @@ class Model:
         and lowered by `_at_least_rows`, in order.
         """
         rows = rows if rows.__class__ is list else [*rows]
-        if rows and set(map(len, rows)) != {3}:
+        if rows and set(map(length_hint, rows)) != {3}:
             raise ModelError("a weighted row is (lits, coefs, b)")
         lits, coefs, bounds = zip(*rows) if rows else ((), (), ())
         if not (_LIST.issuperset(map(type, lits)) and _LIST.issuperset(map(type, coefs))):
@@ -300,28 +289,37 @@ class Model:
         self._sums += rows
         self._sum_rows += _at_least_rows(rows)
 
-    def require_order(self, a: int, b: int, margin: int = 0) -> None:
-        """Require a + margin <= b over two variable handles, with an
-        integer margin.
+    def require_orders(self, rows) -> None:
+        """Require of each row (a, b, margin) that a + margin <= b, over two
+        variable handles and an integer margin.
 
-        Its rows are built here: for each value v of a, the clause
+        The whole family is checked first: a row that is no (a, b, margin),
+        a handle that is no variable's (a bool neither) or a margin that is
+        not integral (a bool neither) raises ModelError, and nothing is
+        kept. Each row is then logged for replay as an (a, b, margin) tuple
+        and lowered, in order: for each value v of a, the clause
         [not a >= v, b >= v + margin] over the order encoding (`_ge`), so a
         value fixed on one side bounds the other by unit propagation alone.
         A True "b >= v + margin" states no row; a False one, or a True
         "a >= v", drops its literal, so a row may be empty.
         """
-        va, vb = self._var(a), self._var(b)
-        margin = _integer(margin, "margin")
-        self._assertions.append(_Order(a, b, margin))
-        for v in va.domain:
-            head = self._ge(va, v)  # never False: v is in a's domain
-            tail = self._ge(vb, v + margin)
-            if tail is True:
-                continue
-            row = [] if head is True else [head ^ 1]
-            if tail is not False:
-                row.append(tail)
-            self._rows.append(row)
+        rows = rows if rows.__class__ is list else [*rows]
+        if rows and set(map(length_hint, rows)) != {3}:
+            raise ModelError("an ordering is (a, b, margin)")
+        orders = [(self._var(a), self._var(b), _integer(margin, "margin"))
+                  for a, b, margin in rows]
+        self._assertions += [(va.handle, vb.handle, margin) for va, vb, margin in orders]
+        out, ge = self._rows, self._ge
+        for va, vb, margin in orders:
+            for v in va.domain:
+                head = ge(va, v)  # never False: v is in a's domain
+                tail = ge(vb, v + margin)
+                if tail is True:
+                    continue
+                row = [] if head is True else [head ^ 1]
+                if tail is not False:
+                    row.append(tail)
+                out.append(row)
 
     def _ge(self, var: _Var, v: int):
         """Literal for "var >= v" in the order encoding of Tamura et al.
@@ -368,63 +366,40 @@ class Model:
         return chain[v - var.lo]
 
     def minimize(self, terms) -> None:
+        """Minimize over (coef, lit) terms; see `maximize`."""
         self._set_objective("min", terms)
 
     def maximize(self, terms) -> None:
+        """Maximize the sum of the coefficients of the terms' literals that
+        hold. A term (coef, lit) has an integral coefficient (no bool) and a
+        literal checked as in `require_clauses`; a bad term raises ModelError
+        and keeps the objective as it was."""
         self._set_objective("max", terms)
 
     def _set_objective(self, sense, terms) -> None:
-        # the constant part shifts every value alike: kept out of the terms
-        terms, coeffs, const = self._terms(terms)
+        terms = [*terms]
+        if terms and set(map(length_hint, terms)) != {2}:
+            raise ModelError("an objective term is (coef, lit)")
+        terms = [(_integer(coef, "coefficient"), lit) for coef, lit in terms]
+        self._check_literals([[lit for _, lit in terms]], "objective")
+        # a complement 2c+1 weighs coef * (1 - column c): coef goes to the constant
+        coeffs: dict[int, int] = {}
+        const = 0
+        for coef, lit in terms:
+            if lit & 1:
+                coef, const = -coef, const + coef
+            coeffs[lit >> 1] = coeffs.get(lit >> 1, 0) + coef
         sign = 1 if sense == "min" else -1
         objective = [(sign * coef, col) for col, coef in sorted(coeffs.items()) if coef]
         self._objective = (sense, terms, objective, const)
 
-    def _terms(self, terms) -> tuple[list, dict, int]:
-        """The terms with integer coefficients, every handle and value
-        checked, and their sum as {col: coef} plus a constant ([b == 0] is
-        1 - b)."""
-        out: list = []
-        coeffs: dict[int, int] = {}
-        const = 0
-        for coef, t in terms:
-            if isinstance(t, tuple):
-                var, value = self._var(t[0]), _integer(t[1], "indicator value")
-                if not (var.lo <= value <= var.hi):
-                    raise ModelError(f"indicator value {value} outside domain of {var.name}")
-            else:
-                var, value = self._var(t), None
-            coef = _integer(coef, "coefficient")
-            out.append((coef, t))
-            col = var.first_col
-            if var.is_bool:
-                if value == 0:
-                    coef, const = -coef, const + coef
-            elif value is not None:
-                col += value - var.lo
-            else:
-                for i, v in enumerate(var.domain):
-                    coeffs[col + i] = coeffs.get(col + i, 0) + coef * v
-                continue
-            coeffs[col] = coeffs.get(col, 0) + coef
-        return out, coeffs, const
-
     # -- replay on concrete values (tests and every returned assignment) -------
-
-    def _sum_value(self, terms, assignment) -> int:
-        total = 0
-        for coef, t in terms:
-            if isinstance(t, tuple):
-                total += coef * (1 if assignment[t[0]] == t[1] else 0)
-            else:
-                total += coef * assignment[t]
-        return total
 
     def _holding(self, assignment: dict) -> set[int]:
         """The literals that hold on the assignment's column image: each
         int's value column is set and each bool's column holds its value,
-        as `_extract` reads them. An aux column reads 0; no clause or
-        weighted row names one."""
+        as `_extract` reads them. An aux column reads 0; no clause,
+        weighted row or objective term names one."""
         cols = bytearray(self._ncols)
         for v in self._vars:
             value = assignment[v.handle]
@@ -444,10 +419,8 @@ class Model:
         for lit in row:
             v = self._vars[bisect_right(starts, lit >> 1) - 1]
             table = self.lits(v.handle)
-            if lit in table:
-                named.append((v.handle, v.lo + table.index(lit), True))
-            else:
-                named.append((v.handle, v.lo + table.index(lit ^ 1), False))
+            positive = lit in table
+            named.append((v.handle, v.lo + table.index(lit if positive else lit ^ 1), positive))
         return tuple(named)
 
     def check_assignment(self, assignment: dict) -> list[str]:
@@ -468,8 +441,8 @@ class Model:
                     bad += [f"assertion {i}: Clause{self._named(f)!r}"
                             for i, f in enumerate(run, at) if holding.isdisjoint(f)]
             else:
-                bad += [f"assertion {i}: {f!r}" for i, f in enumerate(run, at)
-                        if assignment[f.a] + f.margin > assignment[f.b]]
+                bad += [f"assertion {i}: Order(x{a} + {m} <= x{b})" for i, (a, b, m)
+                        in enumerate(run, at) if assignment[a] + m > assignment[b]]
             at += len(run)
         for i, (lits, coefs, b) in enumerate(self._sums):
             total = sum(compress(coefs, map(holding.__contains__, lits)))
@@ -480,7 +453,8 @@ class Model:
     def objective_of(self, assignment: dict) -> int | None:
         if self._objective is None:
             return None
-        return self._sum_value(self._objective[1], assignment)
+        holding = self._holding(assignment)
+        return sum(coef for coef, lit in self._objective[1] if lit in holding)
 
     # -- the compiled form ------------------------------------------------------
 

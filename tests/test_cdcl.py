@@ -11,6 +11,7 @@ import _cdcl_reference as reference
 from qlayout import _cdcl
 from qlayout import solver as sv
 from qlayout.solver import Model, _core_rows
+from test_solver import value_terms
 
 
 def _state(searcher, status):
@@ -249,8 +250,9 @@ def test_core_rows_match_reference_and_brute_force(case):
 @st.composite
 def _models(draw):
     """A Model with bools and ints of 1, 2, 3 and more values; clauses with
-    repeated and complementary literals; orderings; sums; an
-    objective; and one unit clause among the other constraints, so that
+    repeated and complementary literals; families of one to three
+    orderings; sums; an objective over the handles' values; and one unit
+    clause among the other constraints, so that
     the rows after it can carry literals false at the root."""
     m = Model()
     handles = []
@@ -283,15 +285,15 @@ def _models(draw):
                 lits.append(draw(st.sampled_from(lits)) ^ 1)  # a complementary pair
             m.require_clauses([draw(st.permutations(lits))])
         elif kind == "order":
-            m.require_order(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
-                            draw(st.integers(-1, 2)))
+            m.require_orders([(draw(st.sampled_from(handles)), draw(st.sampled_from(handles)),
+                               draw(st.integers(-1, 2))) for _ in range(draw(st.integers(1, 3)))])
         else:
             # a weighted row over literals of distinct columns
             picked = draw(st.lists(lit, min_size=1, max_size=4, unique_by=lambda x: x >> 1))
             coefs = [draw(st.integers(1, 4)) for _ in picked]
             m.require_at_least([(picked, coefs, draw(st.integers(-1, 8)))])
     if draw(st.booleans()):
-        terms = [(draw(st.integers(-3, 3)), h) for h in handles]
+        terms = [t for h in handles for t in value_terms(m, h, draw(st.integers(-3, 3)))]
         if draw(st.booleans()):
             m.minimize(terms)
         else:

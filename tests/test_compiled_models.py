@@ -3,19 +3,21 @@
 A change to how the Model builds its rows (the call that states them, the
 order of families, the lowering of a weighted row) must leave the search
 core's input unchanged unless it means to change it. For each bundled
-circuit on qx2, grid2x3 and grid4x4 under swap and depth, the digest covers
-(ncols, rows, objective) of the coarse block model at T = 2 and T = 3 and of
-the exact model with its objective at the longest chain, each with the
-symmetry pins the flows add.
+circuit on qx2, grid2x3 and grid4x4 under swap and depth, and on qx2 under
+fidelity with its uniform profile and with a drawn non-uniform one, the
+digest covers (ncols, rows, objective) of the coarse block model at T = 2
+and T = 3 and of the exact model with its objective at the longest chain,
+each with the symmetry pins the flows add.
 """
 
 import hashlib
+import random
 from importlib import resources
 
 import pytest
 
 from qlayout.circuit import load_circuit
-from qlayout.device import load_device
+from qlayout.device import build_device, load_device
 from qlayout.exact import EncodingConfig, _symmetry_pins, apply_objective, encode
 from qlayout.transition import encode_tb
 
@@ -48,6 +50,19 @@ DIGESTS = {
     ("qaoa5", "grid4x4", "depth"): ("e81bc05725f03579", "a7cc80822017799a", "e544a35d2946e7b2"),
 }
 
+# (circuit, profile) -> the same three digests under fidelity on qx2, with
+# its uniform profile or the one _drawn_qx2 draws
+FIDELITY_DIGESTS = {
+    ("4mod5-v1_22", "uniform"): ("c2b8de30f584b36a", "4f4831d617a0247c", "398aca610fa02cb5"),
+    ("4mod5-v1_22", "drawn"): ("56fd64f7efcf24cd", "06a6223ae2a498aa", "a2003a712b125c9b"),
+    ("adder", "uniform"): ("95773277457a4b54", "752ecc29c94d5a10", "08f07ad139b8972b"),
+    ("adder", "drawn"): ("e4dfd521c863eecd", "300b66fd3cd8be34", "5968b21d2b1aa3cf"),
+    ("or", "uniform"): ("1ba29a3eb13af8e8", "2211853130f1b7f6", "20c0d49d636888c5"),
+    ("or", "drawn"): ("ef0105e8f3d0d6af", "6c56e3396bbbb8c2", "6aa85542f67b9d16"),
+    ("qaoa5", "uniform"): ("362c08b8372d9b24", "e0ece509b8284074", "f3c492d7bb32df0f"),
+    ("qaoa5", "drawn"): ("ad6af5ff61a75771", "20b3d29b426c6ffc", "a686ac0fdc75915b"),
+}
+
 
 def _bundled(name):
     return (resources.files("qlayout") / "data" / name).read_text()
@@ -57,9 +72,24 @@ def _digest(model) -> str:
     return hashlib.sha256(repr(model._compile()).encode()).hexdigest()[:16]
 
 
+def _drawn_qx2():
+    """qx2 with a synthetic calibration from random.Random(0): measurement
+    0.93-0.98, one-qubit gates 0.998-0.9995, two-qubit gates 0.95-0.99."""
+    rng = random.Random(0)
+    base = load_device(_bundled("qx2.json"))
+    return build_device(base.num_physical, base.edges, {
+        "measure": [rng.uniform(0.93, 0.98) for _ in range(base.num_physical)],
+        "single": [rng.uniform(0.998, 0.9995) for _ in range(base.num_physical)],
+        "two": [rng.uniform(0.95, 0.99) for _ in range(base.num_edges)]})
+
+
 def _digests(circuit_name, device_name, objective):
-    circuit = load_circuit(_bundled(f"{circuit_name}.gates"))
     device = load_device(_bundled(f"{device_name}.json"))
+    return _model_digests(circuit_name, device, objective)
+
+
+def _model_digests(circuit_name, device, objective):
+    circuit = load_circuit(_bundled(f"{circuit_name}.gates"))
     pins = _symmetry_pins(circuit, device, objective)
     coarse = [_digest(encode_tb(circuit, device, T, objective, pins=pins)[0]) for T in (2, 3)]
     model, vs = encode(circuit, device, EncodingConfig(T=circuit.longest_chain), pins=pins)
@@ -70,3 +100,10 @@ def _digests(circuit_name, device_name, objective):
 @pytest.mark.parametrize("case", DIGESTS, ids="/".join)
 def test_compiled_model_digests(case):
     assert _digests(*case) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", FIDELITY_DIGESTS, ids="/".join)
+def test_fidelity_model_digests(case):
+    circuit_name, profile = case
+    device = load_device(_bundled("qx2.json")) if profile == "uniform" else _drawn_qx2()
+    assert _model_digests(circuit_name, device, "fidelity") == FIDELITY_DIGESTS[case]

@@ -54,10 +54,18 @@ def test_incident_lists():
     (2, [(0, 2)]),            # out of range
     (-1, []),                 # bad count
     (2, [(0, 1, 2)]),         # arity
+    (True, []),               # a bool count: no number, though an int
+    (2.5, []),                # a non-integral count
+    ("2", []),                # a string count
 ])
 def test_build_rejects(nodes, edges):
     with pytest.raises(DeviceError):
         build_device(nodes, edges)
+
+
+def test_build_reads_an_integral_float_count():
+    assert build_device(2.0, [(0, 1)]) == build_device(2, [(0, 1)])
+    assert build_device(2.0, []).num_physical.__class__ is int
 
 
 def test_fidelity_validation():

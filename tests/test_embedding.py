@@ -211,6 +211,20 @@ def test_perfect_layout_checks_its_inputs_first(monkeypatch, extra_t, timeout):
     assert builds == searches == []
 
 
+@pytest.mark.parametrize("timeout", [10**400, math.inf], ids=["10**400", "inf"])
+def test_a_timeout_past_every_float_is_no_budget(monkeypatch, timeout):
+    # 10**400 is a number >= 0 that no float holds: as inf, it sets no
+    # deadline, where time.monotonic() + 10**400 would overflow
+    assert exact._deadline(timeout, 1) is None
+    calls = spy_deadlines(monkeypatch)
+    adder, qx2 = bundled_circuit("adder.gates"), bundled_device("qx2.json")
+    for result in (synthesize(adder, qx2, config=exact.EncodingConfig(T=1, timeout=timeout)),
+                   synthesize_tb(adder, qx2, timeout=timeout)[1]):
+        assert check_result(adder, qx2, result) == []
+    assert synthesize_qaoa(K4, qx2, timeout=timeout) is not None
+    assert calls and {deadline for _, deadline in calls} == {None}
+
+
 def _coarse_horizons(monkeypatch):
     """The horizon of every coarse model built, and the solve count."""
     horizons, solves = [], []

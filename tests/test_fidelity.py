@@ -38,7 +38,7 @@ def reference_objective_fidelity(model, vs, device, circuit):
         for p in range(N):
             s0 = scaled_log_fidelity(device.f_measure[p])
             if s0:
-                terms.append((s0, (vs.pi[q][T - 1], p)))
+                terms.append((s0, model.lits(vs.pi[q][T - 1])[p]))
     at = [[model.lits(h) for h in row] for row in vs.pi]
     rows = []
     for g in circuit.gates:
@@ -56,13 +56,13 @@ def reference_objective_fidelity(model, vs, device, circuit):
         for s, f in enumerate(weights):
             w = scaled_log_fidelity(f)
             if w:
-                terms.append((w, (x, s)))
+                terms.append((w, placed(s)))
     model.require_clauses(rows)
     for k in range(len(vs.sigma)):
         w = swap_log_fidelity(device, k)
         if w:
             for t in range(len(vs.sigma[k])):
-                terms.append((w, vs.sigma[k][t]))
+                terms.append((w, model.lits(vs.sigma[k][t])[1]))
     model.maximize(terms)
     return model
 

@@ -44,10 +44,11 @@ def _model() -> sv.Model:
     x = m.int_var(0, 5)
     y = m.int_var(0, 5)
     b = m.bool_var()
-    m.require_order(x, y, 2)
+    m.require_orders([(x, y, 2)])
     m.require_clauses([[m.lits(b)[1], m.lits(x)[3]]])
     m.require_at_least([(m.lits(x)[1:] + m.lits(b)[:1], [1, 2, 3, 4, 5, 1], 2)])  # x + [b == 0]
-    m.maximize([(1, x), (-1, y)])
+    m.maximize([(v, lit) for v, lit in enumerate(m.lits(x))]
+               + [(-v, lit) for v, lit in enumerate(m.lits(y))])  # x - y
     return m
 
 

@@ -22,6 +22,11 @@ from qlayout.solver import (
 )
 
 
+def value_terms(m, h, coef=1):
+    """The objective terms of coef times h's value: coef * v on "h == v"."""
+    return [(coef * v, lit) for v, lit in enumerate(m.lits(h), m._var(h).lo)]
+
+
 def test_int_var_domain_validation():
     m = Model()
     with pytest.raises(ModelError):
@@ -30,7 +35,7 @@ def test_int_var_domain_validation():
     with pytest.raises(ModelError):
         m.lits(99)
     with pytest.raises(ModelError):
-        m.minimize([(1, (x, 9))])
+        m.minimize([(1, 2 * 5)])  # past x's five columns
 
 
 def test_empty_model_sat():
@@ -60,16 +65,16 @@ def test_var_comparisons():
     m = Model()
     x = m.int_var(0, 3)
     y = m.int_var(0, 3)
-    m.require_order(x, y, 1)
-    m.minimize([(1, y)])
+    m.require_orders([(x, y, 1)])
+    m.minimize(value_terms(m, y))
     v = solve(m)
     assert v.assignment == {x: 0, y: 1}
 
     m = Model()
     x = m.int_var(0, 3)
     y = m.int_var(0, 3)
-    m.require_order(y, x)
-    m.maximize([(1, x), (1, y)])
+    m.require_orders([(y, x, 0)])
+    m.maximize(value_terms(m, x) + value_terms(m, y))
     v = solve(m)
     assert v.assignment == {x: 3, y: 3} and v.objective_value == 6
 
@@ -79,17 +84,18 @@ def test_require_order_checks_handles(bad):
     m = Model()
     x = m.int_var(0, 2)
     with pytest.raises(ModelError):
-        m.require_order(x, bad)
+        m.require_orders([(x, bad, 0)])
     with pytest.raises(ModelError):
-        m.require_order(bad, x, 1)
-    assert m._assertions == []
+        # a good row first: nothing of the family is kept
+        m.require_orders([(x, x, 0), (bad, x, 1)])
+    assert m._assertions == m._rows == []
 
 
 def test_check_assignment_reports_violated_ordering():
     m = Model()
     x = m.int_var(0, 3)
     y = m.int_var(0, 3)
-    m.require_order(x, y, 1)
+    m.require_orders([(x, y, 1)])
     assert m.check_assignment({x: 1, y: 2}) == []
     assert m.check_assignment({x: 2, y: 2}) == ["assertion 0: Order(x0 + 1 <= x1)"]
     # the engines' read-back replays the same check and refuses the assignment
@@ -109,7 +115,7 @@ def test_sums_compile_to_integer_ge_rows():
     # same over [b == 0] and x's value literals
     m.require_at_least([([lb[1], *(lit ^ 1 for lit in lx)], [2, 1, 2, 3], 4),
                         ([lb[0], *lx], [2, 1, 2, 3], 4)])
-    m.maximize([(3, (x, 2)), (-1, b)])
+    m.maximize([(3, lx[1]), (-1, lb[1])])
     ncols, rows, objective = m._compile()
     assert ncols == 4
     # x's exactly-one is its pairwise "not both" clauses, then "at least
@@ -126,9 +132,8 @@ def test_sums_compile_to_integer_ge_rows():
 def test_objective_exact_minimum():
     m = Model()
     xs = [m.int_var(0, 3) for _ in range(3)]
-    for a, b in zip(xs, xs[1:]):
-        m.require_order(a, b, 1)
-    m.minimize([(1, x) for x in xs])
+    m.require_orders([(a, b, 1) for a, b in zip(xs, xs[1:])])
+    m.minimize([t for x in xs for t in value_terms(m, x)])
     v = solve(m)
     assert v.objective_value == 0 + 1 + 2
 
@@ -203,7 +208,7 @@ def _lits_layout_model():
     b = m.bool_var()
     x = m.int_var(-2, 3)
     y = m.int_var(0, 1)
-    m.require_order(y, x, 2)  # x >= 2, 3 are inner values: aux columns
+    m.require_orders([(y, x, 2)])  # x >= 2, 3 are inner values: aux columns
     w = m.int_var(4, 6)
     assert m._aux_names == ["ge"] * 3
     return m, (b, x, y, w)
@@ -262,6 +267,21 @@ def test_require_clauses_refuses_a_bad_literal_atomically(bad):
         # a good row first: nothing of the family is kept
         m.require_clauses([[m.lits(x)[0]], [m.lits(w)[2], bad]])
     assert (m._assertions, m._rows, m._compile()) == before
+
+
+@pytest.mark.parametrize("bad", [
+    2.0, True, "4", None, (1, 1), -1, "past", "aux",
+])
+def test_objective_refuses_a_bad_literal_atomically(bad):
+    # a term's literal is checked as a clause's: a bad one keeps the
+    # objective as it was
+    m, (b, x, y, w) = _lits_layout_model()
+    m.minimize([(1, m.lits(b)[1])])
+    bad = {"past": 2 * m._compile()[0], "aux": 2 * 9 + 1}.get(bad, bad)
+    before = (m._objective, m._compile())
+    with pytest.raises(ModelError):
+        m.maximize([(1, m.lits(x)[0]), (2, bad)])
+    assert (m._objective, m._compile()) == before
 
 
 # weighted rows: require_at_least, over 3 bools (literals 0..5)
@@ -333,7 +353,7 @@ def _weighted_models(draw):
         coefs = [draw(st.integers(1, 4)) for _ in lits]
         rows.append((lits, coefs, draw(st.integers(-1, sum(coefs) + 1))))
     m.require_at_least(rows)
-    m.minimize([(draw(st.integers(-2, 2)), h) for h in handles])
+    m.minimize([t for h in handles for t in value_terms(m, h, draw(st.integers(-2, 2)))])
     return m, rows
 
 
@@ -357,7 +377,7 @@ def test_require_at_least_matches_brute_force(case):
         replay = m.check_assignment(a)
         assert [line.split(":")[0] for line in replay] == [f"sum {i}" for i in broken]
         if not broken:
-            value = sum(coef * a[h] for coef, h in m._objective[1])
+            value = sum(coef for coef, lit in m._objective[1] if lit in true)
             best = value if best is None else min(best, value)
     for method in ("sat", "milp"):
         v = solve(m, method=method)
@@ -368,14 +388,17 @@ def test_require_at_least_matches_brute_force(case):
 
 
 @pytest.mark.parametrize("state", [
-    lambda m, a: m.require_order(True, a),
-    lambda m, a: m.require_order(a, False, 1),
+    lambda m, a: m.require_orders([(True, a, 0)]),
+    lambda m, a: m.require_orders([(a, False, 1)]),
+    lambda m, a: m.require_orders([(a, a, 0), (a, True, 1)]),  # the last row's
     lambda m, a: m.require_at_least([([True], [1], 1)]),  # as a literal: column 0 is 0
     lambda m, a: m.require_at_least([([m.lits(a)[2], False], [1, 1], 1)]),
     lambda m, a: m.require_clauses([[False]]),  # as a literal: column 0 is 1
     lambda m, a: m.lits(True),
-    lambda m, a: m.minimize([(1, True)]),
-], ids=["order-a", "order-b", "sum", "sum-indicator", "clause", "lits", "objective"])
+    lambda m, a: m.minimize([(1, True)]),  # as a literal: column 0 is 0
+    lambda m, a: m.minimize([(1, m.lits(a)[0]), (1, False)]),  # the last term's
+], ids=["order-a", "order-b", "orders-last-row", "sum", "sum-indicator", "clause", "lits",
+        "objective", "objective-last-term"])
 def test_a_bool_is_no_handle(state):
     # True and False are ints to Python; as handles they would name
     # variables 1 and 0, which nobody asked for
@@ -392,9 +415,9 @@ def test_a_bool_is_no_handle(state):
 def test_mutation_after_solve_recompiles(method):
     m = Model()
     x = m.int_var(0, 3)
-    m.minimize([(1, x)])
+    m.minimize(value_terms(m, x))
     assert solve(m, method=method).assignment == {x: 0}
-    m.maximize([(1, x)])
+    m.maximize(value_terms(m, x))
     v = solve(m, method=method)
     assert v.assignment == {x: 3} and v.objective_value == 3
     # variables and constraints added after a solve take part in the next
@@ -410,10 +433,10 @@ def test_bool_zero_indicator_terms(method):
     # [b == 0] is 1 - b, not b: in the objective ...
     m = Model()
     b = m.bool_var()
-    m.minimize([(1, (b, 0))])
+    m.minimize([(1, m.lits(b)[0])])
     v = solve(m, method=method)
     assert v.assignment == {b: 1} and v.objective_value == 0
-    m.maximize([(2, (b, 0)), (1, (b, 1))])
+    m.maximize([(2, m.lits(b)[0]), (1, m.lits(b)[1])])
     v = solve(m, method=method)
     assert v.assignment == {b: 0} and v.objective_value == 2
     # ... and in a weighted row: lits(b) is [b == 0, b == 1]
@@ -429,7 +452,7 @@ def test_unsat_beats_objective():
     m = Model()
     x = m.int_var(0, 1)
     m.require_clauses([[m.lits(x)[0]], [m.lits(x)[1]]])
-    m.minimize([(1, x)])
+    m.minimize(value_terms(m, x))
     assert solve(m).status == sv.UNSAT
 
 
@@ -461,9 +484,8 @@ def _chain_model() -> Model:
     with only a handful of conflicts."""
     m = Model()
     xs = [m.int_var(0, 6) for _ in range(4)]
-    for a, b in zip(xs, xs[1:]):
-        m.require_order(a, b, 1)
-    m.maximize([(1, x) for x in xs])
+    m.require_orders([(a, b, 1) for a, b in zip(xs, xs[1:])])
+    m.maximize([t for x in xs for t in value_terms(m, x)])
     return m
 
 
@@ -493,25 +515,34 @@ def test_deadline_honoured_with_few_conflicts(monkeypatch):
 @pytest.mark.parametrize("build", [
     lambda m, b: m.require_at_least([([0], [1], 0.5)]),  # a bound that int() would floor
     lambda m, b: m.require_at_least([([0], [0.5], 1)]),
-    lambda m, b: m.minimize([(1.5, b)]),
-    lambda m, b: m.maximize([(1, b), (float("nan"), (b, 1))]),
+    lambda m, b: m.minimize([(1.5, m.lits(b)[1])]),
+    lambda m, b: m.maximize([(1, m.lits(b)[1]), (float("nan"), m.lits(b)[0])]),
     lambda m, b: m.require_at_least([([0], [1], "1")]),
     lambda m, b: m.require_at_least([([0.5], [1], 1)]),  # a literal
-    lambda m, b: m.maximize([(1, (b, "1"))]),
-    lambda m, b: m.require_order(b, b, 1.5),
-    lambda m, b: m.require_order(b, b, "1"),
+    lambda m, b: m.require_orders([(b, b, 1.5)]),
+    lambda m, b: m.require_orders([(b, b, "1")]),
     lambda m, b: m.int_var(0.5, 2.7),  # int() would make it 0..2
     lambda m, b: m.int_var("0", "3"),
     # a bool is an int to Python, but no integer here
     lambda m, b: m.int_var(True, 3),  # would be 1..3
     lambda m, b: m.require_at_least([([0], [True], 1)]),
     lambda m, b: m.require_at_least([([0], [1], True)]),
-    lambda m, b: m.require_order(b, b, False),
-    lambda m, b: m.maximize([(1, (b, True))]),
+    lambda m, b: m.require_orders([(b, b, False)]),
+    lambda m, b: m.require_orders([(b, b, 0), (b, b, True)]),  # the last row's
+    lambda m, b: m.maximize([(True, m.lits(b)[1])]),
+    # a term's literal is no (handle, value) pair
+    lambda m, b: m.minimize([(1, m.lits(b)[1]), (1, (b, 1))]),
+    lambda m, b: m.minimize([(1, (b, 1, 2))]),
+    lambda m, b: m.minimize([(1, (b,))]),
+    # a row or a term that is no sequence
+    lambda m, b: m.require_orders([(b, b, 0), 5]),
+    lambda m, b: m.require_at_least([5]),
+    lambda m, b: m.minimize([5]),
 ], ids=["bound", "coefficient", "minimize", "maximize", "string", "indicator-value",
-        "indicator-string", "margin", "margin-string", "int-bounds", "int-bounds-string",
+        "margin", "margin-string", "int-bounds", "int-bounds-string",
         "int-bounds-bool", "coefficient-bool", "bound-bool", "margin-bool",
-        "indicator-value-bool"])
+        "margin-last-row", "term-coefficient-bool", "term-tuple", "term-triple",
+        "term-single", "orders-no-row", "sum-no-row", "term-no-pair"])
 def test_non_integral_input_raises_model_error(build):
     m = Model()
     b = m.bool_var()
@@ -525,27 +556,27 @@ def test_non_integral_input_raises_model_error(build):
     assert solve(m).assignment == {b: 0}
     # integral floats are integers in an objective
     m.require_clauses([[m.lits(b)[1]]])
-    m.minimize([(2.0, b)])
+    m.minimize([(2.0, m.lits(b)[1])])
     v = solve(m)
     assert v.assignment == {b: 1} and v.objective_value == 2
 
-    def twin(margin, value):
+    def twin(margin, coef):
         m = Model()
         x, y = m.int_var(0, 5), m.int_var(0, 5)
-        m.require_order(x, y, margin)
+        m.require_orders([(x, y, margin)])
         m.require_clauses([[m.lits(y)[4]]])
-        m.maximize([(1, x), (1, (y, value))])
+        m.maximize(value_terms(m, x) + [(coef, m.lits(y)[4])])
         return m
 
-    # ... also as a margin and an indicator value
-    assert twin(2.0, 4.0)._compile() == twin(2, 4)._compile()
-    v = solve(twin(2.0, 4.0))
+    # ... also as a margin
+    assert twin(2.0, 1.0)._compile() == twin(2, 1)._compile()
+    v = solve(twin(2.0, 1.0))
     assert v.assignment == {0: 2, 1: 4} and v.objective_value == 3
 
     def ranged(lo, hi):
         m = Model()
         x = m.int_var(lo, hi)
-        m.minimize([(1, x)])
+        m.minimize(value_terms(m, x))
         return m
 
     # ... and as int bounds
@@ -598,10 +629,9 @@ def test_solve_is_deterministic():
     def build():
         m = Model()
         xs = [m.int_var(0, 4) for _ in range(5)]
-        for a, b in zip(xs, xs[1:]):
-            m.require_order(a, b)
+        m.require_orders([(a, b, 0) for a, b in zip(xs, xs[1:])])
         m.require_at_least([([m.lits(x)[4] ^ 1 for x in xs], [1] * 5, 3)])  # at most two at 4
-        m.maximize([(1, x) for x in xs])
+        m.maximize([t for x in xs for t in value_terms(m, x)])
         return m
     va = solve(build())
     vb = solve(build())
@@ -633,7 +663,7 @@ def test_ordering_propagates_at_the_root(x_dom, y_dom, strict):
         m = Model()
         x = m.int_var(*x_dom)
         y = m.int_var(*y_dom)
-        m.require_order(x, y, margin)
+        m.require_orders([(x, y, margin)])
         m.require_clauses([[m.lits(x)[u - x_dom[0]]]])
         val = _root_searcher(m).val
         first = m._var(y).first_col
@@ -660,11 +690,7 @@ def test_orderings_share_one_chain_per_variable():
     y = m.int_var(0, 2)
     z = m.int_var(1, 4)  # an aux column for z >= 3
     b = m.bool_var()
-    m.require_order(x, y, 1)
-    m.require_order(z, x)
-    m.require_order(x, z, 1)
-    m.require_order(y, x)
-    m.require_order(x, b)
+    m.require_orders([(x, y, 1), (z, x, 0), (x, z, 1), (y, x, 0), (x, b, 0)])
     rows = _non_group_rows(m)
     assert all(row.__class__ is list for row in rows) and len(rows) == 42
     # x, y and z's exactly-one: 15 + 1, 3 + 1 and 6 + 1 clauses
@@ -679,14 +705,13 @@ def test_aux_columns_come_before_later_variables():
     m = Model()
     x = m.int_var(0, 5)
     y = m.int_var(0, 2)
-    m.require_order(y, x, 2)  # x >= 2, 3, 4: x's chain, columns 9..11
+    m.require_orders([(y, x, 2)])  # x >= 2, 3, 4: x's chain, columns 9..11
     assert m._aux_names == ["ge"] * 3
     z = m.int_var(1, 4)
     assert m._var(z).first_col == 6 + 3 + 3
-    m.require_order(z, x)  # z >= 3: z's chain, column 16
-    m.require_order(x, z, -1)
+    m.require_orders([(z, x, 0), (x, z, -1)])  # z >= 3: z's chain, column 16
     assert m._compile()[0] == 6 + 3 + 3 + 4 + 1
-    m.minimize([(1, x), (-1, z)])
+    m.minimize(value_terms(m, x) + value_terms(m, z, -1))
     for method in ("sat", "milp"):
         v = solve(m, method=method)
         assert v.objective_value == _brute_force(m)[1] == 0
@@ -698,11 +723,7 @@ def test_small_domains_add_no_aux_column():
     y = m.int_var(4, 6)
     z = m.int_var(3, 3)
     b = m.bool_var()
-    m.require_order(x, y, 1)
-    m.require_order(y, x)
-    m.require_order(z, x, 1)
-    m.require_order(b, x, 1)
-    m.require_order(z, y)
+    m.require_orders([(x, y, 1), (y, x, 0), (z, x, 1), (b, x, 1), (z, y, 0)])
     rows = _non_group_rows(m)
     assert all(row.__class__ is list for row in rows) and len(rows) == 6
     # x and y's exactly-one: 3 + 1 clauses each; one-value z's: its unit clause
@@ -719,39 +740,32 @@ def _ordering_cases():
 
     def same_var_lt():
         m, (a,) = case((0, 4))
-        m.require_order(a, a, 1)
+        m.require_orders([(a, a, 1)])
         return m
 
     def same_var_le():
         m, (a,) = case((0, 4))
-        m.require_order(a, a)
+        m.require_orders([(a, a, 0)])
         return m
 
     def int_against_bool():
         m, (x, b, c) = case((-1, 3), "bool", "bool")
-        m.require_order(b, x, 1)
-        m.require_order(x, c)
-        m.require_order(b, c)
+        m.require_orders([(b, x, 1), (x, c, 0), (b, c, 0)])
         return m
 
     def bool_strict():
         m, (b, c) = case("bool", "bool")
-        m.require_order(b, c, 1)
+        m.require_orders([(b, c, 1)])
         return m
 
     def offset_domains():
         m, (x, y, z) = case((3, 7), (-2, 5), (4, 9))
-        m.require_order(x, y, 1)
-        m.require_order(y, z)
-        m.require_order(x, z)
+        m.require_orders([(x, y, 1), (y, z, 0), (x, z, 0)])
         return m
 
     def single_values():
         m, (s, x, r) = case((4, 4), (0, 6), (6, 6))
-        m.require_order(s, x, 1)
-        m.require_order(s, s)
-        m.require_order(x, r)
-        m.require_order(s, r, 1)
+        m.require_orders([(s, x, 1), (s, s, 0), (x, r, 0), (s, r, 1)])
         return m
 
     return [same_var_lt, same_var_le, int_against_bool, bool_strict,
@@ -798,10 +812,12 @@ def models(draw):
         return lit ^ draw(st.integers(min_value=0, max_value=1))
 
     def orderings(pool):
-        # margins past 0 and 1 too, and an ordering of a handle on itself
-        for _ in range(draw(st.integers(min_value=0, max_value=3))):
-            m.require_order(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)),
-                            draw(st.integers(min_value=-1, max_value=2)))
+        # families of one to three rows; margins past 0 and 1 too, and an
+        # ordering of a handle on itself
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            m.require_orders([(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)),
+                               draw(st.integers(min_value=-1, max_value=2)))
+                              for _ in range(draw(st.integers(min_value=1, max_value=3)))])
 
     orderings(handles)
     # variables created after those orderings, with orderings of their own:
@@ -820,13 +836,12 @@ def models(draw):
         elif shape == "empty":
             lits = []  # can never hold
         m.require_clauses([lits])
-    def term(h):
-        # a handle's value, or an indicator on one value of its domain
+    def terms_of(h):
+        # h's value, or one "h == v" or "h != v" literal
         coef = draw(st.integers(min_value=-2, max_value=3))
         if draw(st.booleans()):
-            return coef, h
-        var = m._var(h)
-        return coef, (h, draw(st.integers(min_value=var.lo, max_value=var.hi)))
+            return value_terms(m, h, coef)
+        return [(coef, draw(st.sampled_from(m.lits(h))) ^ draw(st.integers(0, 1)))]
 
     if draw(st.booleans()):
         # a weighted row over literals of distinct columns
@@ -836,7 +851,7 @@ def models(draw):
         coefs = [draw(st.integers(min_value=1, max_value=3)) for _ in lits]
         m.require_at_least([(lits, coefs, draw(st.integers(min_value=-1, max_value=8)))])
     if draw(st.booleans()):
-        terms = [term(h) for h in handles]
+        terms = [t for h in handles for t in terms_of(h)]
         if draw(st.booleans()):
             m.minimize(terms)
         else:
@@ -867,7 +882,7 @@ def _clipped_pb_model():
     m = Model()
     x, b, c = m.int_var(0, 3), m.bool_var(), m.bool_var()
     m.require_at_least([([m.lits(b)[1], m.lits(c)[0], m.lits(x)[2]], [5, 1, 1], 3)])
-    m.minimize([(1, x), (2, b), (-1, c)])
+    m.minimize(value_terms(m, x) + [(2, m.lits(b)[1]), (-1, m.lits(c)[1])])
     return m
 
 
@@ -887,7 +902,7 @@ def _as_written(state):
     m = Model()
     x, b = m.int_var(0, 4), m.bool_var()
     state(m, x, m.lits(x), m.lits(b))
-    m.minimize([(1, x), (-1, b)])
+    m.minimize(value_terms(m, x) + [(-1, m.lits(b)[1])])
     return m
 
 
@@ -899,7 +914,7 @@ def _as_written(state):
 @example(_as_written(lambda m, x, lx, lb: m.require_clauses([[lx[0], lx[0] ^ 1]])))
 @example(_as_written(  # x == 0 is false at the root, and repeated
     lambda m, x, lx, lb: m.require_clauses([[lx[0] ^ 1], [lx[0], lb[0], lx[0]]])))
-@example(_as_written(lambda m, x, lx, lb: m.require_order(x, x, 0)))
+@example(_as_written(lambda m, x, lx, lb: m.require_orders([(x, x, 0)])))
 def test_engines_agree(m):
     va = solve(m, method="sat")
     vb = solve(m, method="milp")
