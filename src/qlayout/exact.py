@@ -20,25 +20,35 @@ swap, depth and uniform-profile fidelity objectives: that placement,
 scheduled ASAP, meets the objective's bound at the first horizon. The
 transition-based and QAOA flows start at two blocks when the graph does
 not embed, as one block holds no SWAP. When it does not embed, every
-solution needs a SWAP and, at any horizon, the longest chain's slots; under
-swap the exact flow first runs the coarse flow, and a TB schedule with 1
-SWAP at that depth meets both bounds and needs no exact model
-(_one_swap_certificate). The loop also hands each solve the lower bound it
-has proven, so the core stops tightening an incumbent that reaches it.
+solution needs a SWAP and, at any horizon, the longest chain's slots.
+
+Under swap a second SWAP bound follows (_pins_and_swap_bound): a schedule
+with one SWAP, on the edge (a, b), runs every gate under one of two
+mappings, pi and pi after the transposition s of a and b, so pi places the
+interaction graph on E ∪ s(E). When no edge gives such a placement
+(_one_swap_cover, one edge per orbit of the device's automorphisms), every
+solution needs 2 SWAPs. With a bound of 1 the exact flow first runs the
+coarse flow, and a TB schedule with 1 SWAP at the longest chain's depth
+meets both bounds and needs no exact model (_one_swap_certificate). The
+loop hands each solve the lower bound it has proven, so the core stops
+tightening an incumbent that reaches it: a bound of 2 spares the proof
+that a 2-SWAP schedule cannot drop to 1.
 
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
 gate's slot and recomputes the fidelity.
 
-The symmetry pins live here too. _symmetry_pins finds the device's
+The symmetry pins live here too. _symmetry_pins keeps the device's
 cost-preserving automorphisms and picks orbit representatives for the
 slot-0 placement of the first two qubits; encode adds them to the exact
-and the coarse model alike. Each flow finds them once per call, within its
-time budget, and hands them to every horizon.
+and the coarse model alike. Each flow finds the automorphisms once per
+call, within its time budget, for the pins and the SWAP bound, and hands
+the pins to every horizon.
 
 _placements is the one graph search: it yields every injective placement
-of a pattern graph on the device that puts each pattern edge on a device
-edge. _embedding takes its first placement of the interaction graph, and
+of a pattern graph on a host graph that puts each pattern edge on a host
+edge. _embedding takes its first placement of the interaction graph on the
+device, _one_swap_cover its first on each E ∪ s(E), and
 enumerate_automorphisms its placements of the device in itself.
 """
 
@@ -160,10 +170,11 @@ def _check_ordered(circuit: Circuit) -> None:
             last[q] = g.index
 
 
-def _placements(partners, device: Device, deadline: float | None):
-    """Every placement of the pattern graph on the device: a distinct node
-    per pattern node, with each pattern edge (q, r in partners[q]) on a
-    device edge, as tuples of nodes indexed by pattern node.
+def _placements(partners, adj, deadline: float | None):
+    """Every placement of the pattern graph on the host graph: a distinct
+    node per pattern node, with each pattern edge (q, r in partners[q]) on a
+    host edge (p, p' in adj[p], adjacency lists over nodes 0..len(adj)-1),
+    as tuples of nodes indexed by pattern node.
 
     An exact, deterministic backtracking subgraph-monomorphism search. The
     pattern nodes with partners are walked in connected order, most placed
@@ -171,14 +182,13 @@ def _placements(partners, device: Device, deadline: float | None):
     neighbours of its first placed partner's image (any free node for a
     component's first node) of degree at least its partner count and
     adjacent to every placed partner's image. Partner-less nodes then fill
-    the free device nodes in every order, index order first. Raises
+    the free host nodes in every order, index order first. Raises
     SynthesisTimeout once `deadline` (time.monotonic) has passed, checked
     on the first search node and every 256 after.
     """
-    M, N = len(partners), device.num_physical
+    M, N = len(partners), len(adj)
     if M > N:
         return
-    adj = device.neighbours
     order = []
     rest = [q for q in range(M) if partners[q]]
     while rest:
@@ -216,18 +226,25 @@ def _placements(partners, device: Device, deadline: float | None):
     yield from place(0)
 
 
-def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
-    """A placement that needs no SWAP: a distinct node per qubit with the
-    operands of every two-qubit gate on an edge, or None when none exists.
-    It is _placements' first, so qubits with no two-qubit gate take the
-    free nodes in index order."""
+def _interaction_partners(circuit: Circuit) -> list[set[int]]:
+    """The interaction graph as _placements' pattern: partners[q] holds
+    every qubit that shares a two-qubit gate with q."""
     partners = [set() for _ in range(circuit.num_qubits)]
     for g in circuit.gates:
         if g.is_two_qubit:
             a, b = g.qubits
             partners[a].add(b)
             partners[b].add(a)
-    return next(_placements(partners, device, deadline), None)
+    return partners
+
+
+def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
+    """A placement that needs no SWAP: a distinct node per qubit with the
+    operands of every two-qubit gate on an edge, or None when none exists.
+    It is _placements' first, so qubits with no two-qubit gate take the
+    free nodes in index order."""
+    return next(_placements(_interaction_partners(circuit), device.neighbours, deadline),
+                None)
 
 
 def enumerate_automorphisms(device: Device, deadline: float | None = None):
@@ -240,10 +257,49 @@ def enumerate_automorphisms(device: Device, deadline: float | None = None):
     edge set one-to-one into itself, so onto it, and every automorphism
     passes the search's filters. Raises SynthesisTimeout past `deadline`.
     """
-    found = list(islice(_placements([set(ns) for ns in device.neighbours], device,
-                                    deadline), AUTOMORPHISM_CAP + 1))
+    adj = device.neighbours
+    found = list(islice(_placements([set(ns) for ns in adj], adj, deadline),
+                        AUTOMORPHISM_CAP + 1))
     return None if len(found) > AUTOMORPHISM_CAP else sorted(found)
 
+
+def _edge_orbit_reps(device: Device, perms) -> list[tuple[int, int]]:
+    """One device edge per orbit of the automorphisms `perms` (those of
+    enumerate_automorphisms, or None past its cap: then every edge), the
+    first of each orbit in edge order."""
+    if perms is None:
+        return list(device.edges)
+    reps, seen = [], set()
+    for a, b in device.edges:
+        if (a, b) not in seen:
+            reps.append((a, b))
+            seen.update((min(g[a], g[b]), max(g[a], g[b])) for g in perms)
+    return reps
+
+
+def _one_swap_cover(partners, device: Device, edges, deadline: float | None) -> bool:
+    """Whether the pattern graph `partners` has a placement on E ∪ s(E) for
+    one of `edges`, E the device's edge set and s the node transposition
+    of the edge (a, b).
+
+    A schedule with exactly one SWAP, on (a, b), runs every two-qubit gate
+    under one of two mappings, pi before it and s∘pi after it; a gate run
+    after it sits on an edge of E, so its operands under pi lie on one of
+    s(E). So a circuit with one SWAP has such a placement, pi, for that
+    edge. An automorphism g of the device carries E ∪ s(E) onto E ∪ s'(E)
+    for the edge (g(a), g(b)), so one edge per orbit decides for all of
+    them. Each search keeps `deadline` (_placements).
+    """
+    adj = device.neighbours
+    for a, b in edges:
+        s = list(range(device.num_physical))
+        s[a], s[b] = b, a
+        # s(E) joins p to s(x) for each neighbour x of s(p)
+        cover = [sorted({*adj[p], *(s[x] for x in adj[s[p]])})
+                 for p in range(device.num_physical)]
+        if next(_placements(partners, cover, deadline), None) is not None:
+            return True
+    return False
 
 def _scaled_profile(device: Device) -> tuple[list[int], list[int], list[int]]:
     """The fidelity profile as the objective sees it: the scaled_log_fidelity
@@ -266,12 +322,12 @@ def _profile_invariant(device: Device, perm, profile) -> bool:
     return True
 
 
-def _symmetry_pins(circuit: Circuit, device: Device, objective: str,
-                   deadline: float | None = None):
+def _symmetry_pins(circuit: Circuit, device: Device, objective: str, perms):
     """Clauses pinning the slot-0 placement of up to two qubits to orbit
     representatives of the device's cost-preserving automorphisms, as lists
     of (qubit, node, positive) literals on the slot-0 mapping; encode adds
-    them. The automorphism search raises SynthesisTimeout past `deadline`.
+    them. perms is enumerate_automorphisms(device): None past its cap, and
+    then there are no pins.
 
     Relabeling a whole solution by such an automorphism yields another
     solution with the same gate times, SWAP count, depth and objective
@@ -282,10 +338,7 @@ def _symmetry_pins(circuit: Circuit, device: Device, objective: str,
     to stabilizer-orbit representatives.
     """
     M = circuit.num_qubits
-    if M == 0:
-        return []
-    perms = enumerate_automorphisms(device, deadline)
-    if perms is None or len(perms) <= 1:
+    if M == 0 or perms is None or len(perms) <= 1:
         return []
     if objective == "fidelity":
         profile = _scaled_profile(device)
@@ -308,6 +361,28 @@ def _symmetry_pins(circuit: Circuit, device: Device, objective: str,
             continue
         pins.append([(0, r, False), *[(1, s, True) for s in sreps]])
     return pins
+
+
+def _pins_and_swap_bound(circuit: Circuit, device: Device, objective: str,
+                         needs_swap: bool, deadline: float | None):
+    """(pins, min_swaps) of a flow call: the symmetry pins under `objective`
+    and the SWAP count every solution at every horizon needs, the one place
+    that decides it. The device's automorphisms are found once, within
+    `deadline`, for both.
+
+    min_swaps is 0 unless needs_swap, the caller's _embedding having found
+    no placement; then it is 1, and under swap 2 when no edge gives the
+    interaction graph a one-SWAP cover (_one_swap_cover, walked over one
+    edge per automorphism orbit).
+    """
+    perms = enumerate_automorphisms(device, deadline)
+    pins = _symmetry_pins(circuit, device, objective, perms)
+    if not needs_swap:
+        return pins, 0
+    if objective == "swap" and not _one_swap_cover(
+            _interaction_partners(circuit), device, _edge_orbit_reps(device, perms), deadline):
+        return pins, 2
+    return pins, 1
 
 
 def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
@@ -660,7 +735,8 @@ def solve_horizons(build, T: int, grow, objective: str,
     Each solve gets the lower bound the loop has proven on the objective,
     so the core stops tightening an incumbent that reaches it (sv.solve):
     - swap: min_swaps, a SWAP count the caller has proven every solution
-      at every horizon needs (1 when _embedding finds no placement);
+      at every horizon needs (_pins_and_swap_bound: 1 when _embedding
+      finds no placement, 2 when no one-SWAP cover exists either);
     - depth: the last gate's slot (block, in the coarse model) is T - 1 or
       later, as no horizon below the first is satisfiable; after an
       unsatisfiable horizon T it is T or later, since a solution whose gates
@@ -699,24 +775,26 @@ def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConf
     """The TB flow's schedule under swap when it meets both lower bounds,
     with the solver_T the exact model proves, else None.
 
-    The caller's _embedding found no placement, so every solution at every
-    horizon has at least 1 SWAP, and none is shorter than T0 slots. A TB
-    schedule is a valid exact-time schedule; with 1 SWAP and depth T0 it is
-    a solution of the exact model at T0 (its SWAP finishes before the last
-    gate, or dropping it would leave a placement), so that model is
-    satisfiable at T0, the first horizon, with optimum 1. The pins do not
-    change this: an automorphic image of the schedule meets the pinned
-    model's bounds with the same SWAP count.
+    The caller's bound is 1 (_pins_and_swap_bound): _embedding found no
+    placement, so every solution at every horizon has at least 1 SWAP, but
+    a one-SWAP cover exists; with a bound of 2 no schedule could meet it.
+    None is shorter than T0 slots. A TB schedule is a valid exact-time
+    schedule; with 1 SWAP and depth T0 it is a solution of the exact model
+    at T0 (its SWAP finishes before the last gate, or dropping it would
+    leave a placement), so that model is satisfiable at T0, the first
+    horizon, with optimum 1. The pins do not change this: an automorphic
+    image of the schedule meets the pinned model's bounds with the same
+    SWAP count.
 
     The coarse flow (transition._solve_coarse) runs once with the caller's
-    pins from two blocks, within the caller's deadline; a TCapExceeded there
-    returns None, a SynthesisTimeout propagates.
+    pins and bound from two blocks, within the caller's deadline; a
+    TCapExceeded there returns None, a SynthesisTimeout propagates.
     """
     from .transition import _solve_coarse  # transition imports this module
 
     try:
         _, tb, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
-                                 config.max_T, pins=pins, embeds=False)
+                                 config.max_T, pins=pins, min_swaps=1)
     except TCapExceeded:
         return None
     if tb.swap_count != 1 or tb.depth_slots != T0:
@@ -739,15 +817,18 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     solver would prove: solver_T and tried_T are T0.
 
     When it does not, under swap, every solution needs at least 1 SWAP and
-    T0 slots. The transition-based flow runs once; if its schedule has 1
-    SWAP and depth T0, it meets both bounds and is returned with no exact
-    model, as the solver would report it: value 1, solver_T and tried_T T0
-    (_one_swap_certificate). Depth and fidelity are not certified this way.
-    In both cases extra_t cannot improve a value that already meets its
-    bound, so no later horizon is tried.
+    T0 slots, and 2 SWAPs when the interaction graph has no one-SWAP cover
+    either (_pins_and_swap_bound). With a bound of 1, the transition-based
+    flow runs once; if its schedule has 1 SWAP and depth T0, it meets both
+    bounds and is returned with no exact model, as the solver would report
+    it: value 1, solver_T and tried_T T0 (_one_swap_certificate). Depth and
+    fidelity are not certified this way. In both cases extra_t cannot
+    improve a value that already meets its bound, so no later horizon is
+    tried.
 
     Otherwise T grows geometrically from T0 until the model is
-    satisfiable, and the optimal assignment at that horizon is decoded.
+    satisfiable, and the optimal assignment at that horizon is decoded;
+    each solve gets the SWAP bound, so the core stops tightening at it.
     extra_t forces additional growth steps after the first satisfiable T,
     keeping the best result seen (the first-satisfiable-T optimum is only
     optimal up to that horizon). The symmetry pins are found once, for the
@@ -765,7 +846,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     _check_ordered(circuit)
     _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
-    min_swaps = 0
+    needs_swap = False
     if T0 <= config.max_T and (objective != "fidelity" or all(
             len(set(ws)) <= 1 for ws in _scaled_profile(device))):
         placement = _embedding(circuit, device, deadline)
@@ -776,9 +857,9 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
                      "fidelity": result.fidelity_scaled}[objective]
             details = SynthesisDetails(value, [T0], T0)
             return (result, details) if return_details else result
-        min_swaps = 1
-    pins = _symmetry_pins(circuit, device, objective, deadline)
-    if objective == "swap" and min_swaps:
+        needs_swap = True
+    pins, min_swaps = _pins_and_swap_bound(circuit, device, objective, needs_swap, deadline)
+    if objective == "swap" and min_swaps == 1:
         result = _one_swap_certificate(circuit, device, config, pins, T0, deadline)
         if result is not None:
             details = SynthesisDetails(1, [T0], T0)

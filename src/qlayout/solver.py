@@ -132,6 +132,17 @@ def _core_rows(terms, b) -> list:
     return _at_least_rows([(lits, coefs, b)])
 
 
+def _listed(items, what: str) -> list:
+    """items as a list, itself if it is one; ModelError unless it is
+    iterable."""
+    if items.__class__ is list:
+        return items
+    try:
+        return [*items]
+    except TypeError:
+        raise ModelError(f"{what} {items!r} is not iterable") from None
+
+
 def _integer(x, what: str) -> int:
     """x as an int; ModelError unless x is integral and no bool."""
     if x.__class__ is int:
@@ -229,17 +240,18 @@ class Model:
         """Require of each row that at least one of its literals holds.
 
         Each row lists literals from `lits` or their complements (lit ^ 1).
-        The whole family is checked first: a literal that is no int (a bool
-        neither), is negative, is past the last column or is on an order
-        chain's aux column raises ModelError, and nothing is kept. Each row
-        is then logged for replay and becomes a clause row, both as given
-        (a row that is no list as the list of its literals) and in order.
-        An empty row can never hold; a row with a repeat or a complementary
-        pair is kept as it is (see the module docstring).
+        The whole family is checked first: a family or a row that is not
+        iterable, or a literal that is no int (a bool neither), is negative,
+        is past the last column or is on an order chain's aux column raises
+        ModelError, and nothing is kept. Each row is then logged for replay
+        and becomes a clause row, both as given (a row that is no list as
+        the list of its literals) and in order. An empty row can never
+        hold; a row with a repeat or a complementary pair is kept as it is
+        (see the module docstring).
         """
-        rows = rows if rows.__class__ is list else [*rows]
+        rows = _listed(rows, "clause family")
         if not _LIST.issuperset(map(type, rows)):
-            rows = [row if row.__class__ is list else [*row] for row in rows]
+            rows = [_listed(row, "clause row") for row in rows]
         self._check_literals(rows, "clause")
         self._assertions += rows
         self._rows += rows
@@ -263,18 +275,20 @@ class Model:
 
         A row lists distinct literals from `lits` or their complements, as a
         clause does, each with a positive int coefficient, and an int b. The
-        whole family is checked first: a bad literal (see `require_clauses`),
-        a coefficient that is no int (a bool neither) or not positive, a b
-        that is no int, or lits and coefs of unequal length raise
-        ModelError, and nothing is kept. Each row is then logged for replay
+        whole family is checked first: a family, lits or coefs that are not
+        iterable, a bad literal (see `require_clauses`), a coefficient that
+        is no int (a bool neither) or not positive, a b that is no int, or
+        lits and coefs of unequal length raise ModelError, and nothing is
+        kept. Each row is then logged for replay
         and lowered by `_at_least_rows`, in order.
         """
-        rows = rows if rows.__class__ is list else [*rows]
+        rows = _listed(rows, "weighted-row family")
         if rows and set(map(length_hint, rows)) != {3}:
             raise ModelError("a weighted row is (lits, coefs, b)")
         lits, coefs, bounds = zip(*rows) if rows else ((), (), ())
         if not (_LIST.issuperset(map(type, lits)) and _LIST.issuperset(map(type, coefs))):
-            rows = [([*row[0]], [*row[1]], row[2]) for row in rows]
+            rows = [(_listed(row[0], "weighted-row literals"),
+                     _listed(row[1], "weighted-row coefficients"), row[2]) for row in rows]
             lits, coefs, bounds = zip(*rows)
         self._check_literals(lits, "weighted row")
         weights = [*chain.from_iterable(coefs)]
@@ -293,17 +307,17 @@ class Model:
         """Require of each row (a, b, margin) that a + margin <= b, over two
         variable handles and an integer margin.
 
-        The whole family is checked first: a row that is no (a, b, margin),
-        a handle that is no variable's (a bool neither) or a margin that is
-        not integral (a bool neither) raises ModelError, and nothing is
-        kept. Each row is then logged for replay as an (a, b, margin) tuple
+        The whole family is checked first: a family that is not iterable, a
+        row that is no (a, b, margin), a handle that is no variable's (a
+        bool neither) or a margin that is not integral (a bool neither)
+        raises ModelError, and nothing is kept. Each row is then logged for replay as an (a, b, margin) tuple
         and lowered, in order: for each value v of a, the clause
         [not a >= v, b >= v + margin] over the order encoding (`_ge`), so a
         value fixed on one side bounds the other by unit propagation alone.
         A True "b >= v + margin" states no row; a False one, or a True
         "a >= v", drops its literal, so a row may be empty.
         """
-        rows = rows if rows.__class__ is list else [*rows]
+        rows = _listed(rows, "ordering family")
         if rows and set(map(length_hint, rows)) != {3}:
             raise ModelError("an ordering is (a, b, margin)")
         orders = [(self._var(a), self._var(b), _integer(margin, "margin"))
@@ -372,12 +386,12 @@ class Model:
     def maximize(self, terms) -> None:
         """Maximize the sum of the coefficients of the terms' literals that
         hold. A term (coef, lit) has an integral coefficient (no bool) and a
-        literal checked as in `require_clauses`; a bad term raises ModelError
-        and keeps the objective as it was."""
+        literal checked as in `require_clauses`; terms that are not iterable
+        or a bad term raise ModelError and keep the objective as it was."""
         self._set_objective("max", terms)
 
     def _set_objective(self, sense, terms) -> None:
-        terms = [*terms]
+        terms = _listed(terms, "objective")
         if terms and set(map(length_hint, terms)) != {2}:
             raise ModelError("an objective term is (coef, lit)")
         terms = [(_integer(coef, "coefficient"), lit) for coef, lit in terms]
@@ -430,8 +444,12 @@ class Model:
         image (`_holding`) and named by its (handle, value, positive)
         literals; an ordering on the values.
         """
+        return self._violations(assignment, self._holding(assignment))
+
+    def _violations(self, assignment: dict, holding: set[int]) -> list[str]:
+        """check_assignment's replay on the assignment and its column
+        image `holding` (`_holding`)."""
         bad = []
-        holding = self._holding(assignment)
         at = 0  # index of the run's first assertion
         for kind, run in groupby(self._assertions, type):
             run = list(run)
@@ -451,9 +469,13 @@ class Model:
         return bad
 
     def objective_of(self, assignment: dict) -> int | None:
+        return self._value_on(self._holding(assignment))
+
+    def _value_on(self, holding: set[int]) -> int | None:
+        """The objective's value on a column image (`_holding`), or None
+        with no objective."""
         if self._objective is None:
             return None
-        holding = self._holding(assignment)
         return sum(coef for coef, lit in self._objective[1] if lit in holding)
 
     # -- the compiled form ------------------------------------------------------
@@ -513,11 +535,13 @@ def _extract(model: Model, x) -> Verdict:
             if len(hits) != 1:
                 raise SolverBackendError(f"one-hot group of {v.name} returned {hits}")
             assignment[v.handle] = hits[0]
-    bad = model.check_assignment(assignment)
+    # one column image serves the replay and the objective
+    holding = model._holding(assignment)
+    bad = model._violations(assignment, holding)
     if bad:
         raise SolverBackendError(f"assignment fails replay: {bad[:3]}")
-    obj = model.objective_of(assignment)
-    return Verdict(status=SAT, assignment=assignment, objective_value=obj)
+    return Verdict(status=SAT, assignment=assignment,
+                   objective_value=model._value_on(holding))
 
 
 def _solve_sat(model: Model, ncols, rows, objective, deadline, bound) -> Verdict:

@@ -21,12 +21,12 @@ a minimum colouring (qaoa._retime_block; the QAOA flow is this one with its
 input checks), and hands the times and SWAPs to exact.build_result.
 
 _solve_coarse is the whole coarse flow of TB, QAOA and the exact flow's
-one-SWAP certificate: it finds the symmetry pins once with
-exact._symmetry_pins (or takes the caller's), runs the one horizon loop,
-exact.solve_horizons, on encode_tb with them, from two blocks when the
-interaction graph does not embed (exact._embedding), then polishes and
-schedules its plan. encode_tb hands the pins to exact.encode, which owns
-the pin clauses; the coarse model adds only its cuts.
+one-SWAP certificate: it finds the symmetry pins and the SWAP bound once
+with exact._pins_and_swap_bound (or takes the caller's), runs the one
+horizon loop, exact.solve_horizons, on encode_tb with them, from two
+blocks when the interaction graph does not embed (exact._embedding), then
+polishes and schedules its plan. encode_tb hands the pins to exact.encode,
+which owns the pin clauses; the coarse model adds only its cuts.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .exact import (
     _check_fits,
     _deadline,
     _embedding,
-    _symmetry_pins,
+    _pins_and_swap_bound,
     apply_objective,
     build_result,
     encode,
@@ -480,30 +480,31 @@ def _polish_plan(plan: TransitionPlan, circuit: Circuit, device: Device,
 
 def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
                   deadline: float | None, max_T: int, *, pins=None,
-                  embeds: bool | None = None):
+                  min_swaps: int | None = None):
     """The coarse flow of TB, QAOA and the exact flow's one-SWAP
-    certificate: grow the block count from 1 until the block model is
-    satisfiable, then polish and schedule (asap_schedule) its plan. One
-    block holds no SWAP, so the count starts at 2, and every plan needs a
-    SWAP, when the interaction graph does not embed in the coupling graph;
-    when it does, the one-block model still decides.
+    certificate: grow the block count until the block model is
+    satisfiable, then polish and schedule (asap_schedule) its plan.
 
-    embeds is that verdict and pins the symmetry pins under `objective`,
-    found once, for every horizon, with exact._embedding (after
-    exact._check_fits) and exact._symmetry_pins when the caller passes
-    None. Every step keeps the caller's deadline (exact._deadline). An
-    unknown objective is refused first. Returns (plan, result, details)."""
+    min_swaps is the SWAP count every plan needs and pins the symmetry
+    pins under `objective`; a caller passes both or neither, and for
+    neither they are found once, for every horizon, with exact._embedding
+    (after exact._check_fits) and exact._pins_and_swap_bound. The count
+    starts at 1 block when min_swaps is 0, and else at 2, as one block
+    holds no SWAP; the horizon loop gets min_swaps as its bound. Every step
+    keeps the caller's deadline (exact._deadline). An unknown objective is
+    refused first. Returns (plan, result, details)."""
     _check_slots(S)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    if embeds is None:
-        _check_fits(circuit, device)
-        embeds = _embedding(circuit, device, deadline) is not None
     if pins is None:
-        pins = _symmetry_pins(circuit, device, objective, deadline)
+        _check_fits(circuit, device)
+        needs_swap = _embedding(circuit, device, deadline) is None
+        pins, min_swaps = _pins_and_swap_bound(circuit, device, objective, needs_swap,
+                                               deadline)
     verdict, vs, details = solve_horizons(
-        lambda T: encode_tb(circuit, device, T, objective, pins=pins), 1 if embeds else 2,
-        lambda T: T + 1, objective, deadline, max_T, min_swaps=0 if embeds else 1)
+        lambda T: encode_tb(circuit, device, T, objective, pins=pins),
+        1 if min_swaps == 0 else 2, lambda T: T + 1, objective, deadline, max_T,
+        min_swaps=min_swaps)
     plan = _polish_plan(extract_plan(circuit, device, verdict, vs), circuit, device, S)
     return plan, asap_schedule(plan, circuit, device, S, deadline), details
 

@@ -12,7 +12,6 @@ from qlayout.exact import (
     SynthesisDetails,
     SynthesisTimeout,
     TCapExceeded,
-    _symmetry_pins,
     apply_objective,
     encode,
     grow_T,
@@ -22,7 +21,7 @@ from qlayout.exact import (
 from qlayout.oracle import oracle_optimal
 from qlayout.verify import check_result
 from test_embedding import _count_builds
-from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device
+from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, flow_pins
 from test_transition import CUT_DEVICES
 
 # _count_builds spies on exact.encode: the coarse model's encodes go through
@@ -76,7 +75,7 @@ def test_a_result_without_an_exact_model_is_the_exact_optimum(text, device_name,
     assert (result.swap_count, result.solver_T) == \
         (oracle_optimal(circuit, device, "swap", bounds=T0, S=S), T0)
     assert check_result(circuit, device, result, S=S) == []
-    pins = _symmetry_pins(circuit, device, "swap")
+    pins = flow_pins(circuit, device, "swap")
 
     def build(T):
         model, vs = encode(circuit, device, EncodingConfig(T=T, S=S), pins=pins)

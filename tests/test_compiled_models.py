@@ -18,8 +18,9 @@ import pytest
 
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device
-from qlayout.exact import EncodingConfig, _symmetry_pins, apply_objective, encode
+from qlayout.exact import EncodingConfig, apply_objective, encode
 from qlayout.transition import encode_tb
+from test_exact import flow_pins
 
 # (circuit, device, objective) -> digests of the coarse models at T = 2 and
 # T = 3 and of the exact model
@@ -90,7 +91,7 @@ def _digests(circuit_name, device_name, objective):
 
 def _model_digests(circuit_name, device, objective):
     circuit = load_circuit(_bundled(f"{circuit_name}.gates"))
-    pins = _symmetry_pins(circuit, device, objective)
+    pins = flow_pins(circuit, device, objective)
     coarse = [_digest(encode_tb(circuit, device, T, objective, pins=pins)[0]) for T in (2, 3)]
     model, vs = encode(circuit, device, EncodingConfig(T=circuit.longest_chain), pins=pins)
     apply_objective(model, vs, objective, device, circuit)

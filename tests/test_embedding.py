@@ -17,7 +17,7 @@ from qlayout.exact import (
     SynthesisTimeout,
     TCapExceeded,
     _embedding,
-    _symmetry_pins,
+    _pins_and_swap_bound,
     _scaled_profile,
     apply_objective,
     decode,
@@ -31,7 +31,7 @@ from qlayout.qaoa import phase_separation_from_graph, synthesize_qaoa
 from qlayout.transition import encode_tb, synthesize_tb
 from qlayout.verify import check_result
 
-from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, spy_searches
+from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, flow_pins, spy_searches
 from test_transition import CUT_DEVICES, CYCLE4, TRIANGLE
 
 EMBED_DEVICES = CUT_DEVICES + [ORACLE_DEVICES[name] for name in sorted(ORACLE_DEVICES)]
@@ -343,14 +343,14 @@ def test_groups_past_the_cap_are_none(monkeypatch):
     assert len(enumerate_automorphisms(qx2)) == 8
     monkeypatch.setattr(exact, "AUTOMORPHISM_CAP", 7)
     assert enumerate_automorphisms(qx2) is None
-    assert _symmetry_pins(TRIANGLE, qx2, "swap") == []
+    assert flow_pins(TRIANGLE, qx2, "swap") == []
 
 
 def test_automorphism_search_keeps_the_deadline():
     with pytest.raises(SynthesisTimeout):
         enumerate_automorphisms(CYCLE4, deadline=time.monotonic())
     with pytest.raises(SynthesisTimeout):
-        _symmetry_pins(TRIANGLE, CYCLE4, "swap", deadline=time.monotonic())
+        _pins_and_swap_bound(TRIANGLE, CYCLE4, "swap", True, deadline=time.monotonic())
     start = time.monotonic()
     assert enumerate_automorphisms(CUBIC24, deadline=start + 10) == [tuple(range(24))]
     assert time.monotonic() - start < 10
@@ -390,12 +390,17 @@ def spy_deadlines(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("flow, objective, solves", [("exact", "swap", 3), ("tb", "depth", 2)])
-def test_every_step_of_a_call_keeps_its_one_deadline(monkeypatch, flow, objective, solves):
-    # the exact row runs the one-SWAP certificate's coarse solve and then
-    # the exact horizons, the TB row two horizons: every search and solve of
-    # the call keeps the deadline the flow computed once, so `timeout` bounds
-    # the whole call
+@pytest.mark.parametrize("flow, objective, searches, solves",
+                         [("exact", "swap", 3, 3), ("tb", "depth", 2, 2)],
+                         ids=["exact-swap-3", "tb-depth-2"])
+def test_every_step_of_a_call_keeps_its_one_deadline(monkeypatch, flow, objective,
+                                                     searches, solves):
+    # both rows search for an embedding and for the automorphisms; the exact
+    # row also runs the one-SWAP cover check, whose first edge orbit has a
+    # cover, then the one-SWAP certificate's coarse solve and the exact
+    # horizons, the TB row two horizons: every search and solve of the call
+    # keeps the deadline the flow computed once, so `timeout` bounds the
+    # whole call
     calls = spy_deadlines(monkeypatch)
     circuit, device = bundled_circuit("4mod5-v1_22.gates"), bundled_device("grid2x3.json")
     start = time.monotonic()
@@ -404,6 +409,6 @@ def test_every_step_of_a_call_keeps_its_one_deadline(monkeypatch, flow, objectiv
     else:
         synthesize_tb(circuit, device, objective, timeout=30.0)
     end = time.monotonic()
-    assert sorted(step for step, _ in calls) == ["placements"] * 2 + ["solve"] * solves
+    assert sorted(step for step, _ in calls) == ["placements"] * searches + ["solve"] * solves
     [deadline] = {d for _, d in calls}
     assert start + 30.0 <= deadline <= end + 30.0

@@ -35,6 +35,12 @@ def bundled_circuit(name):
     return load_circuit((resources.files("qlayout") / "data" / name).read_text())
 
 
+def flow_pins(circuit, device, objective):
+    """The symmetry pins a flow finds: _symmetry_pins over the device's
+    automorphisms."""
+    return _symmetry_pins(circuit, device, objective, exact.enumerate_automorphisms(device))
+
+
 def test_or_qx2_swapless():
     result = synthesize(bundled_circuit("or.gates"), bundled_device("qx2.json"),
                         objective="swap")
@@ -286,7 +292,7 @@ def test_engines_agree_on_exact_model(objective):
     device = bundled_device("qx2.json")
     for circuit, extra in ((bundled_circuit("or.gates"), 0), (load_circuit(SLACK_TEXT), 2)):
         T = circuit.longest_chain + extra
-        pins = _symmetry_pins(circuit, device, objective)
+        pins = flow_pins(circuit, device, objective)
         assert pins
         verdicts = []
         for method in ("sat", "milp"):
@@ -320,7 +326,7 @@ def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coars
     device = bundled_device(f"{device_name}.json")
     if coarse:
         model, _ = encode_tb(circuit, device, T, objective,
-                             pins=_symmetry_pins(circuit, device, objective))
+                             pins=flow_pins(circuit, device, objective))
         assert not [v.name for v in model._vars if v.name.startswith("mv_")]
         assert len(model._compile()[1]) <= rows
         return
@@ -340,7 +346,7 @@ def test_model_size_ceiling(circuit_name, device_name, objective, T, rows, coars
 def test_coarse_model_keeps_full_time_domains(objective, T, rows):
     circuit, device = bundled_circuit("adder.gates"), bundled_device("grid2x3.json")
     model, vs = encode_tb(circuit, device, T, objective,
-                          pins=_symmetry_pins(circuit, device, objective))
+                          pins=flow_pins(circuit, device, objective))
     assert all(model._var(h).domain == range(T) for h in vs.time)
     assert len(model._compile()[1]) == rows
 
@@ -352,7 +358,7 @@ def _flow_model(flow):
     if flow == "exact":
         circuit, device = bundled_circuit("adder.gates"), bundled_device("qx2.json")
         model, vs = encode(circuit, device, EncodingConfig(T=circuit.longest_chain),
-                           pins=_symmetry_pins(circuit, device, "swap"))
+                           pins=flow_pins(circuit, device, "swap"))
         apply_objective(model, vs, "swap", device, circuit)
         return model
     if flow == "tb":
@@ -363,7 +369,7 @@ def _flow_model(flow):
         circuit, device = phase_separation_from_graph(prism), bundled_device("grid2x3.json")
         objective, T = "swap", 2
     return encode_tb(circuit, device, T, objective,
-                     pins=_symmetry_pins(circuit, device, objective))[0]
+                     pins=flow_pins(circuit, device, objective))[0]
 
 
 @pytest.mark.parametrize("flow", ["exact", "tb", "qaoa"])
@@ -521,7 +527,7 @@ def _random_program(rng: random.Random) -> str:
 def _optimum_at(circuit, device, objective, T, S):
     # the model synthesize solves, symmetry pins included
     model, vs = encode(circuit, device, EncodingConfig(T=T, S=S, objective=objective),
-                       pins=_symmetry_pins(circuit, device, objective))
+                       pins=flow_pins(circuit, device, objective))
     apply_objective(model, vs, objective, device, circuit)
     verdict = sv.solve(model)
     assert verdict.status == sv.SAT

@@ -17,13 +17,12 @@ from qlayout.device import build_device, load_device, scaled_log_fidelity, swap_
 from qlayout.exact import (
     EncodingConfig,
     TCapExceeded,
-    _symmetry_pins,
     encode,
     objective_fidelity,
     synthesize,
 )
 from qlayout.verify import check_result, metrics
-from test_exact import ORACLE_DEVICES, _random_program
+from test_exact import ORACLE_DEVICES, _random_program, flow_pins
 
 DATA = resources.files("qlayout") / "data"
 BUNDLED_DEVICES = sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))
@@ -107,7 +106,7 @@ def test_fold_keeps_every_optimum(seed, device_name, data):
     device = build_device(base.num_physical, base.edges, data.draw(profiles(base)))
     circuit = load_circuit(_random_program(random.Random(seed)))
     try:
-        pins = _symmetry_pins(circuit, device, "fidelity")
+        pins = flow_pins(circuit, device, "fidelity")
         for T in range(circuit.longest_chain, circuit.longest_chain + 3):
             got = sv.solve(_model(circuit, device, T, pins=pins))
             want = sv.solve(_model(circuit, device, T, reference_objective_fidelity, pins))
@@ -157,7 +156,7 @@ def test_non_uniform_profile_compiles_to_the_reference_model():
     for name in ("or.gates", "4mod5-v1_22.gates"):
         circuit = load_circuit((DATA / name).read_text())
         T = circuit.longest_chain + 1
-        pins = _symmetry_pins(circuit, device, "fidelity")
+        pins = flow_pins(circuit, device, "fidelity")
         assert _model(circuit, device, T, pins=pins)._compile() == \
             _model(circuit, device, T, reference_objective_fidelity, pins)._compile(), name
 
@@ -169,6 +168,6 @@ def test_weights_equal_after_scaling_keep_the_uniform_pins():
     near = build_device(base.num_physical, base.edges,
                         {"two": [0.98, 0.98000001, 0.98, 0.98]})
     circuit = load_circuit("qubits 3\ncx q0 q1\ncx q1 q2\n")
-    pins = _symmetry_pins(circuit, base, "fidelity")
+    pins = flow_pins(circuit, base, "fidelity")
     assert len(pins[0]) == 1  # one orbit of nodes
-    assert _symmetry_pins(circuit, near, "fidelity") == pins
+    assert flow_pins(circuit, near, "fidelity") == pins

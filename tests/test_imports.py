@@ -190,3 +190,36 @@ def test_callers_are_caught():
     )
     assert callers({"m": source}, ("g", "inner")) == {"g": {"m.f", "m.C.m"},
                                                      "inner": {"m.f"}}
+
+
+def parameters(sources: dict) -> dict:
+    """"module.function" -> the parameter names of each top-level function
+    in `sources` (module name -> text), positional and keyword-only."""
+    out = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.FunctionDef):
+                args = node.args
+                out[f"{module}.{node.name}"] = [
+                    a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return out
+
+
+def test_one_function_decides_the_swap_bound():
+    # exact._pins_and_swap_bound alone runs the one-SWAP cover check, over
+    # the automorphisms it finds for the symmetry pins too; the coarse flow
+    # takes the bound, not an embedding verdict
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert callers(sources, ("_one_swap_cover", "enumerate_automorphisms")) == {
+        "_one_swap_cover": {"exact._pins_and_swap_bound"},
+        "enumerate_automorphisms": {"exact._pins_and_swap_bound"}}
+    coarse = parameters(sources)["transition._solve_coarse"]
+    assert "min_swaps" in coarse and "embeds" not in coarse
+
+
+def test_parameters_are_caught():
+    source = (
+        "def f(a, /, b, *args, c=1, **kwargs):\n    def inner(d):\n        return d\n"
+        "class C:\n    def m(self, e):\n        return e\n"
+    )
+    assert parameters({"m": source}) == {"m.f": ["a", "b", "c"]}

@@ -269,6 +269,46 @@ def test_require_clauses_refuses_a_bad_literal_atomically(bad):
     assert (m._assertions, m._rows, m._compile()) == before
 
 
+@pytest.mark.parametrize("state", [
+    lambda m, x: m.require_clauses([5]),  # a row that is not iterable
+    lambda m, x: m.require_clauses([None]),
+    lambda m, x: m.require_clauses([[m.lits(x)[0]], 5]),  # after a good row
+    lambda m, x: m.require_clauses(7),  # a family that is not iterable
+    lambda m, x: m.require_clauses(None),
+    lambda m, x: m.require_at_least(7),
+    lambda m, x: m.require_at_least([(5, [1], 1)]),  # lits not iterable
+    lambda m, x: m.require_at_least([(m.lits(x)[:1], 1, 1)]),  # coefs not iterable
+    lambda m, x: m.require_orders(7),
+    lambda m, x: m.minimize(7),
+], ids=["clause-int-row", "clause-None-row", "clause-good-then-int-row", "clause-int-family",
+        "clause-None-family", "weighted-family", "weighted-lits", "weighted-coefs", "orders",
+        "objective"])
+def test_every_family_refuses_what_is_not_iterable(state):
+    # a ModelError, not the bare TypeError of unpacking, and nothing is kept
+    m = Model()
+    x = m.int_var(0, 3)
+    m.require_clauses([[m.lits(x)[1]]])
+    before = (list(m._assertions), list(m._rows), list(m._sums), m._objective, m._compile())
+    with pytest.raises(ModelError, match="is not iterable"):
+        state(m, x)
+    assert (m._assertions, m._rows, m._sums, m._objective, m._compile()) == before
+
+
+def test_a_returned_assignment_builds_its_column_image_once(monkeypatch):
+    # the replay and the objective read one column image of the assignment
+    m = Model()
+    x = m.int_var(0, 3)
+    m.require_clauses([[m.lits(x)[0] ^ 1]])
+    m.minimize([*enumerate(m.lits(x))])
+    images = []
+    holding = Model._holding
+    monkeypatch.setattr(Model, "_holding",
+                        lambda self, a: images.append(a) or holding(self, a))
+    verdict = solve(m)
+    assert (verdict.status, verdict.objective_value) == (sv.SAT, 1)
+    assert len(images) == 1
+
+
 @pytest.mark.parametrize("bad", [
     2.0, True, "4", None, (1, 1), -1, "past", "aux",
 ])

@@ -32,7 +32,7 @@ from qlayout.transition import (
     synthesize_tb,
 )
 from qlayout.verify import check_result
-from test_exact import ORACLE_DEVICES, spy_searches
+from test_exact import ORACLE_DEVICES, flow_pins, spy_searches
 from test_solver import _with_search_calls
 
 PATH3 = build_device(3, [(0, 1), (1, 2)])
@@ -51,7 +51,7 @@ def bundled_circuit(name):
 def _encode_tb(circuit, device, T, objective="swap"):
     """encode_tb with the symmetry pins the flows find for it."""
     return encode_tb(circuit, device, T, objective,
-                     pins=exact._symmetry_pins(circuit, device, objective))
+                     pins=flow_pins(circuit, device, objective))
 
 
 def test_triangle_coarse_horizons():
@@ -274,7 +274,7 @@ def _search_work(monkeypatch, run):
 def test_tb_runs_faster_than_exact_on_adder(monkeypatch):
     circ = bundled_circuit("adder.gates")
     dev = bundled_device("qx2.json")
-    pins = exact._symmetry_pins(circ, dev, "swap")
+    pins = flow_pins(circ, dev, "swap")
 
     def build(T):
         model, vs = encode(circ, dev, EncodingConfig(T=T), pins=pins)
@@ -860,7 +860,7 @@ def test_symmetry_clauses_keep_the_optimum(instance, objective):
     # coarse model at 1-3 blocks, the exact model at the longest chain and
     # one and two slots past it
     circuit, device = instance
-    pins = exact._symmetry_pins(circuit, device, objective)
+    pins = flow_pins(circuit, device, objective)
 
     def optimum(model):
         verdict = sv.solve(model)
@@ -902,7 +902,7 @@ def test_no_clause_family_repeats_a_column_in_a_row(circuit_name, device_name):
         device = _skewed(device)
         assert all(len(set(ws)) == len(ws) for ws in exact._scaled_profile(device))
     for objective in OBJECTIVES:
-        pins = exact._symmetry_pins(circuit, device, objective)
+        pins = flow_pins(circuit, device, objective)
         config = EncodingConfig(T=circuit.longest_chain, objective=objective)
         model, vs = encode(circuit, device, config, pins=pins)
         exact.apply_objective(model, vs, objective, device, circuit)
