@@ -16,10 +16,12 @@ clauses round out a standard small CDCL engine.
 Everything is deterministic: ties break on index, no randomization.
 
 Literal convention: literal 2*c asserts column c is 1, literal 2*c+1
-asserts it is 0. A literal is "false" once its column is assigned the
-other way: val[lit >> 1] == lit & 1, which an unassigned column (-1)
-never meets. Reasons are encoded as non-negative clause indices or
--(pb_index + 2); -1 marks a decision.
+asserts it is 0. The truth table `lv` is indexed by literal: lv[lit] is 1
+while lit is true, 0 while it is false and -1 while its column is
+unassigned, and both entries of a column change together. So "false" is
+lv[lit] == 0, "not false" is a nonzero lv[lit], and model() is lv[::2].
+Reasons are encoded as non-negative clause indices or -(pb_index + 2); -1
+marks a decision.
 
 Decision heap: `order` holds (-activity, column) entries, and
 `heap_act[v]` is the activity of column v's newest entry while that entry
@@ -52,7 +54,7 @@ class Searcher:
 
     def __init__(self, nvars: int):
         self.nvars = nvars
-        self.val: list[int] = [_UNSET] * nvars
+        self.lv: list[int] = [_UNSET] * (2 * nvars)  # by literal: 1, 0, or -1
         self.saved: list[int] = [0] * nvars
         self.level: list[int] = [0] * nvars
         self.reason: list[int] = [-1] * nvars
@@ -100,7 +102,8 @@ class Searcher:
         may be watched twice, each visit handled as for any clause, and
         counts once in `_analyze` (through `seen`); a clause with a
         complementary pair always has a true literal, so it is never unit
-        and never conflicting."""
+        and never conflicting. Such clauses are never deleted: `_reduce_db`
+        drops learned clauses only, whose literals are distinct."""
         clauses = self.clauses
         start = len(clauses)
         for kind, run in groupby(rows, type):
@@ -137,8 +140,9 @@ class Searcher:
         self.pb_trig.append(b + max(coefs))
         # count everything not currently false; undone pops re-add their coef
         mp = 0
+        lv = self.lv
         for lit, cf in zip(lits, coefs):
-            if self.val[lit >> 1] != lit & 1:  # not false
+            if lv[lit]:  # not false
                 mp += cf
             self.occ[lit].append((pi, cf))
         self.pb_maxpos.append(mp)
@@ -148,9 +152,9 @@ class Searcher:
 
     def _assign(self, lit: int, reason: int) -> None:
         v = lit >> 1
-        value = 1 - (lit & 1)
-        self.val[v] = value
-        self.saved[v] = value
+        self.lv[lit] = 1
+        self.lv[lit ^ 1] = 0
+        self.saved[v] = 1 - (lit & 1)
         self.level[v] = self.dl
         self.reason[v] = reason
         self.pos[v] = len(self.trail)
@@ -165,16 +169,17 @@ class Searcher:
 
     def _backtrack(self, bl: int) -> None:
         self._flush_queue()
-        trail, val, level = self.trail, self.val, self.level
-        maxpos, occ = self.pb_maxpos, self.occ
+        trail, lv, level = self.trail, self.lv, self.level
+        maxpos, occ, has_pb = self.pb_maxpos, self.occ, bool(self.pb_lits)
         act, heap_act, order = self.act, self.heap_act, self.order
         push = heapq.heappush
         while trail and level[trail[-1] >> 1] > bl:
             lit = trail.pop()
+            if has_pb:
+                for pi, cf in occ[lit ^ 1]:
+                    maxpos[pi] += cf
+            lv[lit] = lv[lit ^ 1] = _UNSET
             v = lit >> 1
-            for pi, cf in occ[lit ^ 1]:
-                maxpos[pi] += cf
-            val[v] = _UNSET
             a = act[v]
             if heap_act[v] != a:
                 heap_act[v] = a
@@ -191,16 +196,16 @@ class Searcher:
             return False
         # queued-but-unapplied falsifications keep slack conservative here;
         # genuine violations surface when the queue applies their counts
-        val = self.val
+        lv = self.lv
         for lit, cf in zip(self.pb_lits[pi], self.pb_coefs[pi]):
-            if cf > slack and val[lit >> 1] == _UNSET:
+            if cf > slack and lv[lit] < 0:
                 self._assign(lit, -(pi + 2))
         return True
 
     def _propagate(self) -> int | None:
         """Returns a reason code of a conflicting constraint, or None."""
-        val, saved, level, reason, pos = (
-            self.val, self.saved, self.level, self.reason, self.pos)
+        lv, saved, level, reason, pos = (
+            self.lv, self.saved, self.level, self.reason, self.pos)
         trail, clauses, watches, occ = self.trail, self.clauses, self.watches, self.occ
         dl = self.dl
         qhead = start = self.qhead
@@ -235,20 +240,18 @@ class Searcher:
             out = 0
             for i, ci in enumerate(ws):
                 cl = clauses[ci]
-                if cl is None:
-                    continue  # deleted; drop the stale watch entry
                 first = cl[0]
                 if first == fl:  # keep the falsified watch in slot 1
                     first = cl[0] = cl[1]
                     cl[1] = fl
-                fv = val[first >> 1]
-                if fv == 1 - (first & 1):
+                fv = lv[first]
+                if fv == 1:
                     ws[out] = ci
                     out += 1
                     continue  # satisfied by the other watch
                 for j in range(2, len(cl)):
                     other = cl[j]
-                    if val[other >> 1] != other & 1:  # not false: watch it
+                    if lv[other]:  # not false: watch it
                         cl[1], cl[j] = other, fl
                         watches[other].append(ci)
                         break
@@ -256,12 +259,12 @@ class Searcher:
                     # no other watch: the clause is unit or conflicting
                     ws[out] = ci
                     out += 1
-                    if fv == _UNSET:
+                    if fv < 0:
                         # assign `first` with this clause as its reason
+                        lv[first] = 1
+                        lv[first ^ 1] = 0
                         v = first >> 1
-                        value = 1 - (first & 1)
-                        val[v] = value
-                        saved[v] = value
+                        saved[v] = 1 - (first & 1)
                         level[v] = dl
                         reason[v] = ci
                         pos[v] = len(trail)
@@ -284,41 +287,38 @@ class Searcher:
 
     # -- conflict analysis ---------------------------------------------------
 
-    def _reason_lits(self, code: int, skip_var: int, before: int) -> list[int]:
-        """Falsified literals explaining a propagation or conflict; only
-        assignments preceding trail position `before` qualify (later
-        falsifications sit above the resolution frontier)."""
-        lits = self.clauses[code] if code >= 0 else self.pb_lits[-code - 2]
-        if code >= 0 and self.cl_learned[code]:
-            self.cl_act[code] += self.cl_inc
-        val, pos = self.val, self.pos
-        out = []
-        for lit in lits:
-            v = lit >> 1
-            # false: assigned, and to the value the literal denies
-            if v == skip_var or val[v] != lit & 1 or pos[v] >= before:
-                continue
-            out.append(lit)
-        return out
-
     def _analyze(self, code: int) -> tuple[list[int], int]:
+        """First-UIP resolution from the conflict `code`. Each reason gives
+        its literals false before the assignment it explains, that column
+        aside: later falsifications sit above the resolution frontier."""
         seen = self._seen  # all False between calls; cleared through bumped
-        level, trail, dl = self.level, self.trail, self.dl
+        lv, level, pos, reason, trail, dl = (
+            self.lv, self.level, self.pos, self.reason, self.trail, self.dl)
+        clauses, cl_learned, cl_act = self.clauses, self.cl_learned, self.cl_act
         learned: list[int] = []
         bumped: list[int] = []
         counter = 0
-        for lit in self._reason_lits(code, -1, len(trail)):
-            v = lit >> 1
-            if not seen[v] and level[v] > 0:
+        skip, before = -1, len(trail)
+        idx = len(trail) - 1
+        while True:
+            if code >= 0:
+                lits = clauses[code]
+                if cl_learned[code]:
+                    cl_act[code] += self.cl_inc
+            else:
+                lits = self.pb_lits[-code - 2]
+            for lit in lits:
+                if lv[lit]:
+                    continue  # not false
+                v = lit >> 1
+                if v == skip or pos[v] >= before or seen[v] or not level[v]:
+                    continue
                 seen[v] = True
                 bumped.append(v)
                 if level[v] == dl:
                     counter += 1
                 else:
                     learned.append(lit)
-        idx = len(trail) - 1
-        uip = None
-        while True:
             while idx >= 0 and not seen[trail[idx] >> 1]:
                 idx -= 1
             if idx < 0:
@@ -330,24 +330,15 @@ class Searcher:
             if counter == 0:
                 uip = lit ^ 1
                 break
-            for rl in self._reason_lits(self.reason[v], v, self.pos[v]):
-                rv = rl >> 1
-                if not seen[rv] and level[rv] > 0:
-                    seen[rv] = True
-                    bumped.append(rv)
-                    if level[rv] == dl:
-                        counter += 1
-                    else:
-                        learned.append(rl)
+            code, skip, before = reason[v], v, pos[v]
         self.act_inc /= 0.95
         if self.act_inc > 1e100:
             self.act = [a * 1e-100 for a in self.act]
             self.act_inc *= 1e-100
-            act, val = self.act, self.val
-            self.order = [(-act[v], v) for v in range(self.nvars) if val[v] == _UNSET]
+            act, free = self.act, [x < 0 for x in lv[::2]]
+            self.order = [(-act[v], v) for v in range(self.nvars) if free[v]]
             heapq.heapify(self.order)
-            self.heap_act = [act[v] if val[v] == _UNSET else None
-                             for v in range(self.nvars)]
+            self.heap_act = [act[v] if free[v] else None for v in range(self.nvars)]
         # bumped columns are all assigned (each sits in a false reason
         # literal), so they are pushed when they are unassigned, not here
         act, inc = self.act, self.act_inc
@@ -361,18 +352,22 @@ class Searcher:
     # -- learned-clause housekeeping ------------------------------------------
 
     def _reduce_db(self) -> None:
-        """Drop the least active half of the learned clauses."""
+        """Drop the least active half of the learned clauses, and their
+        entries in the watch lists of their two watched literals, keeping
+        the order of the rest."""
+        clauses, lv = self.clauses, self.lv
         cands = []
-        for ci, cl in enumerate(self.clauses):
+        for ci, cl in enumerate(clauses):
             if cl is None or not self.cl_learned[ci] or len(cl) <= 2:
                 continue
-            v = cl[0] >> 1
-            if self.val[v] != _UNSET and self.reason[v] == ci:
+            if lv[cl[0]] >= 0 and self.reason[cl[0] >> 1] == ci:
                 continue  # locked: currently the reason of its first watch
             cands.append((self.cl_act[ci], ci))
         cands.sort()
         for _, ci in cands[: len(cands) // 2]:
-            self.clauses[ci] = None  # watch lists drop stale refs lazily
+            cl, clauses[ci] = clauses[ci], None
+            self.watches[cl[0]].remove(ci)
+            self.watches[cl[1]].remove(ci)
             self.n_learned -= 1
         if self.cl_inc > 1e100:
             scale = 1e-100
@@ -385,12 +380,13 @@ class Searcher:
         """Propagate pending rows at the root; False means unsat.
 
         Pending clauses may carry literals false at level 0: the set
-        `false`, grown with the trail during the scan. A clause with none
-        keeps its order and watches its first two literals. A clause with
-        some is reordered live literals first, root-false ones last, so its
-        two watch slots hold live literals and the watch loop skips the
-        root-false tail; one left with a single live literal asserts it (the
-        clause is not reordered then, nor watched)."""
+        `false` of the literals with lv 0 (a set, so that one isdisjoint
+        call tests a clause), grown with the trail during the scan. A clause
+        with none keeps its order and watches its first two literals. A
+        clause with some is reordered live literals first, root-false ones
+        last, so its two watch slots hold live literals and the watch loop
+        skips the root-false tail; one left with a single live literal
+        asserts it (the clause is not reordered then, nor watched)."""
         for pi in self._pending_pb:
             if not self._scan_pb(pi) or self._propagate() is not None:
                 return False
@@ -407,7 +403,7 @@ class Searcher:
                 continue
             if not live:
                 return False
-            if self.val[live[0] >> 1] == _UNSET:
+            if self.lv[live[0]] < 0:
                 known = len(trail)
                 self._assign(live[0], ci)
                 if self._propagate() is not None:
@@ -433,13 +429,13 @@ class Searcher:
             self.saved[var] = 1 if phase else 0
 
     def _decide(self) -> None:
-        order, val, act, heap_act = self.order, self.val, self.act, self.heap_act
+        order, lv, act, heap_act = self.order, self.lv, self.act, self.heap_act
         pop = heapq.heappop
         while order:
             a, v = pop(order)
             if heap_act[v] == -a:
                 heap_act[v] = None
-            if val[v] == _UNSET and -a == act[v]:
+            if lv[2 * v] < 0 and -a == act[v]:
                 break
         else:
             raise AssertionError("decision heap lost an unassigned column")
@@ -501,7 +497,7 @@ class Searcher:
                     self._backtrack(0)
                 continue
             if len(self.trail) == self.nvars:
-                self._model = self.val[:]
+                self._model = self.lv[::2]
                 return "sat"
             self._decide()
 

@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 import _cdcl_reference as reference
 from qlayout import _cdcl
 from qlayout import solver as sv
+from qlayout.qaoa import phase_separation_from_graph
 from qlayout.solver import Model, _core_rows
+from qlayout.transition import encode_tb
+from test_exact import bundled_circuit, bundled_device, flow_pins
 from test_solver import value_terms
 
 
@@ -362,6 +365,8 @@ def test_pigeonhole_matches_reference_through_db_reduction():
     status, conflicts, *_, clauses, _ = _search_both(pair)
     assert (status, conflicts) == ("unsat", 4150)
     assert None in clauses  # _reduce_db deleted learned clauses
+    watches = pair[0].watches  # and their watch entries with them
+    assert not [ci for ws in watches for ci in ws if clauses[ci] is None]
 
 
 def test_activity_rescale_matches_reference():
@@ -374,3 +379,65 @@ def test_activity_rescale_matches_reference():
     status, conflicts, *_ = _search_both(pair)
     assert status == "unsat" and conflicts > 50
     assert all(s.act_inc < 1e99 for s in pair)
+
+
+# -- the flows' own models -------------------------------------------------------
+
+# pinned2.n8/grid2x4/depth of the qaoa-regular workload: a 3-regular graph
+# on eight nodes
+CUBIC8 = ((0, 3), (1, 3), (3, 4), (0, 1), (0, 5), (2, 5), (2, 6), (5, 7), (1, 6), (2, 4),
+          (4, 7), (6, 7))
+
+
+def _sat_engine_states(model, bound):
+    """The sat engine's sequence on a compiled model (load, boost, search,
+    then tighten the incumbent until unsat or until it meets `bound`), run
+    on the searcher and on the reference: the state after each search()
+    call, equal on both."""
+    ncols, rows, objective = model._compile()
+    sense, _, _, const = model._objective
+    stop = (bound - const) * (1 if sense == "min" else -1)
+    searcher, ref = pair = _both(ncols)
+    searcher.add_rows(rows)
+    for row in rows:
+        if row.__class__ is list:
+            ref.add_clause(row)
+        else:
+            ref.add_linear(*_linear_of(*sv._ge_row(row)))
+    for s in pair:
+        for rank, (coef, col) in enumerate(objective):
+            s.boost(col, amount=1.0 + (len(objective) - rank) * 1e-3,
+                    phase=1 if coef < 0 else 0)
+    states = []
+    while True:
+        states.append(_search_both(pair))
+        status, *_, point = states[-1]
+        if status != "sat":
+            return states
+        value = sum(coef * point[col] for coef, col in objective)
+        if value <= stop:
+            return states
+        row = ([(-coef, col) for coef, col in objective], 1 - value)
+        searcher.add_rows(_core_rows(*row))
+        ref.add_linear(*_linear_of(*row))
+
+
+def test_qaoa_coarse_model_matches_reference_across_a_restart():
+    circuit, device = phase_separation_from_graph(CUBIC8), bundled_device("grid2x4.json")
+    model, _ = encode_tb(circuit, device, 2, "depth", pins=flow_pins(circuit, device, "depth"))
+    assert all(row.__class__ is list for row in model._compile()[1])  # pure clauses
+    # the flow's first horizon, 2 blocks, bounds the last block below by 1
+    (status, conflicts, *_), = _sat_engine_states(model, bound=1)
+    assert status == "sat" and conflicts > 128  # past the first Luby restart
+
+
+def test_tb_coarse_models_match_reference():
+    circuit, device = bundled_circuit("adder.gates"), bundled_device("qx2.json")
+    pins = flow_pins(circuit, device, "swap")
+    statuses = []
+    for T in (2, 3):
+        model, _ = encode_tb(circuit, device, T, "swap", pins=pins)
+        assert any(row.__class__ is tuple for row in model._compile()[1])  # degree cuts
+        # adder does not embed in qx2: every plan needs a SWAP
+        statuses.append([s[0] for s in _sat_engine_states(model, bound=1)])
+    assert statuses == [["unsat"], ["sat", "sat"]]

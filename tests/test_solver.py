@@ -705,7 +705,7 @@ def test_ordering_propagates_at_the_root(x_dom, y_dom, strict):
         y = m.int_var(*y_dom)
         m.require_orders([(x, y, margin)])
         m.require_clauses([[m.lits(x)[u - x_dom[0]]]])
-        val = _root_searcher(m).val
+        val = _root_searcher(m).lv[0::2]
         first = m._var(y).first_col
         below = range(y_dom[0], u + margin)
         assert [val[first + v - y_dom[0]] for v in below] == [0] * len(below)
