@@ -161,11 +161,13 @@ class Searcher:
         self.trail.append(lit)
 
     def _flush_queue(self) -> None:
-        maxpos, occ = self.pb_maxpos, self.occ
-        while self.qhead < len(self.trail):
-            for pi, cf in occ[self.trail[self.qhead] ^ 1]:
-                maxpos[pi] -= cf
-            self.qhead += 1
+        """Apply the queued trail literals' PB counts (none without PB rows)."""
+        if self.pb_lits:
+            maxpos, occ = self.pb_maxpos, self.occ
+            for lit in self.trail[self.qhead:]:
+                for pi, cf in occ[lit ^ 1]:
+                    maxpos[pi] -= cf
+        self.qhead = len(self.trail)
 
     def _backtrack(self, bl: int) -> None:
         self._flush_queue()

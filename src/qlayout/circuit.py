@@ -2,15 +2,18 @@
 
 A circuit is an ordered list of opaque 1- and 2-qubit gates over M logical
 qubits. Layout synthesis only cares about gate arity and operand identity,
-so gate names are carried through untouched. preprocess derives, in one
+so gate names are carried through untouched. preprocess sets, in one
 step, the dependencies (every pair of gates sharing a qubit, or the user's
-pairs) and the longest dependency chain.
+pairs); a circuit whose dependencies are set derives its tables from them
+as it is built, once, for every layer to read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+
+from .device import component_sizes
 
 
 class CircuitError(ValueError):
@@ -34,14 +37,74 @@ class Gate:
         return len(self.qubits) == 2
 
 
+def _derived():
+    """A table Circuit derives at construction, not compared or shown."""
+    return field(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class Circuit:
     num_qubits: int
     gates: tuple[Gate, ...]
     # (l, l') pairs with l < l', lexicographically sorted; None until
-    # preprocess derives them along with longest_chain.
+    # preprocess sets them.
     dependencies: tuple[tuple[int, int], ...] | None = None
-    longest_chain: int | None = None
+    # Derived from the dependencies at construction, so dataclasses.replace
+    # never carries a stale one; each is None while they are:
+    # longest_chain: the longest dependency chain, in gates (0 when empty)
+    longest_chain: int | None = field(default=None, init=False)
+    # asap[l], tail[l]: the longest chain before gate l and after it, in gates
+    asap: tuple[int, ...] | None = _derived()
+    tail: tuple[int, ...] | None = _derived()
+    # ancestors[l]: gate l's dependency ancestors, as a bit set
+    ancestors: tuple[int, ...] | None = _derived()
+    # preds[l]: gate l's dependency predecessors, ascending, transitively reduced
+    preds: tuple[tuple[int, ...], ...] | None = _derived()
+    # partners[q]: the qubits sharing a two-qubit gate with q, the
+    # interaction graph; components: its component sizes, largest first
+    partners: tuple[frozenset[int], ...] | None = _derived()
+    components: tuple[int, ...] | None = _derived()
+    # unordered: the first (l, l', q), gates l < l' in a row on qubit q
+    # with no dependency path between them, or None
+    unordered: tuple[int, int, int] | None = _derived()
+
+    def __post_init__(self) -> None:
+        if self.dependencies is None:
+            return
+        L = len(self.gates)
+        # one forward and one backward pass over the sorted pairs: every
+        # pair into l comes before every pair out of it
+        asap, tail = [0] * L, [0] * L
+        for l, lp in self.dependencies:
+            asap[lp] = max(asap[lp], asap[l] + 1)
+        for l, lp in reversed(self.dependencies):
+            tail[l] = max(tail[l], tail[lp] + 1)
+        preds = [[] for _ in range(L)]
+        for l, lp in self.dependencies:
+            preds[lp].append(l)
+        ancestors = [0] * L
+        for l, direct in enumerate(preds):
+            through = 0
+            for i in direct:
+                through |= ancestors[i]
+            preds[l] = tuple(i for i in direct if not through >> i & 1)
+            ancestors[l] = through | sum(1 << i for i in preds[l])
+        pairs = [g.qubits for g in self.gates if g.is_two_qubit]
+        partners = [frozenset(r for pair in pairs if q in pair for r in pair if r != q)
+                    for q in range(self.num_qubits)]
+        # consecutive gates on each qubit; ordered, they order all of its
+        # gates by transitivity
+        unordered, last = None, {}
+        for g in self.gates:
+            for q in g.qubits:
+                if unordered is None and q in last and not ancestors[g.index] >> last[q] & 1:
+                    unordered = (last[q], g.index, q)
+                last[q] = g.index
+        vars(self).update(  # frozen: no attribute assignment
+            longest_chain=max(asap, default=-1) + 1, asap=tuple(asap), tail=tuple(tail),
+            ancestors=tuple(ancestors), preds=tuple(preds),
+            partners=tuple(partners),
+            components=component_sizes(self.num_qubits, pairs), unordered=unordered)
 
     @property
     def num_gates(self) -> int:
@@ -102,28 +165,8 @@ def parse_program(text: str) -> Circuit:
     return Circuit(num_qubits=num_qubits, gates=tuple(gates))
 
 
-def chain_depths(circuit: Circuit) -> tuple[list[int], list[int]]:
-    """(asap, tail) per gate: asap[l] is the length in gates of the longest
-    dependency chain ending just before l, tail[l] of the longest starting
-    just after l.
-
-    One forward and one backward pass over the dependency pairs: they are
-    sorted with l < l', so every pair into l comes before every pair out of
-    it.
-    """
-    if circuit.dependencies is None:
-        raise CircuitError("circuit must be preprocessed first")
-    asap = [0] * circuit.num_gates
-    tail = [0] * circuit.num_gates
-    for l, lp in circuit.dependencies:
-        asap[lp] = max(asap[lp], asap[l] + 1)
-    for l, lp in reversed(circuit.dependencies):
-        tail[l] = max(tail[l], tail[lp] + 1)
-    return asap, tail
-
-
 def preprocess(circuit: Circuit, user_deps=None) -> Circuit:
-    """Set the dependencies and the longest chain, in gates (0 when empty).
+    """Set the dependencies, and so the tables derived from them.
 
     The dependencies are every pair of gates sharing a logical qubit by
     default, the user's pairs otherwise; an explicit empty list declares
@@ -144,9 +187,7 @@ def preprocess(circuit: Circuit, user_deps=None) -> Circuit:
             if not (l.__class__ is lp.__class__ is int and 0 <= l < lp < circuit.num_gates):
                 raise CircuitError(f"dependency {pair!r}: need ints 0 <= l < l' < L")
             deps.add((l, lp))
-    out = replace(circuit, dependencies=tuple(sorted(deps)))
-    asap, _ = chain_depths(out)
-    return replace(out, longest_chain=max(asap, default=-1) + 1)
+    return replace(circuit, dependencies=tuple(sorted(deps)))
 
 
 def load_circuit(text: str, user_deps=None) -> Circuit:

@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 # Uniform defaults applied when a device file carries no fidelity block.
 DEFAULT_MEASURE_FIDELITY = 0.99
@@ -32,17 +33,44 @@ class Device:
     f_measure: tuple[float, ...]
     f_single: tuple[float, ...]
     f_two: tuple[float, ...]
+    # Derived at construction, so dataclasses.replace never carries a stale
+    # one: scaled_profile holds the scaled_log_fidelity weights of each
+    # node's measurement and one-qubit gate and of each edge's two-qubit
+    # gate, as the objective sees them; components the coupling graph's
+    # component sizes, largest first
+    scaled_profile: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    components: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vars(self).update(  # frozen: no attribute assignment
+            scaled_profile=tuple(tuple(map(scaled_log_fidelity, fs))
+                                 for fs in (self.f_measure, self.f_single, self.f_two)),
+            components=component_sizes(self.num_physical, self.edges))
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def edge_index(self, p: int, q: int) -> int:
-        key = (min(p, q), max(p, q))
-        try:
-            return self.edges.index(key)
-        except ValueError:
-            raise DeviceError(f"no edge between p{p} and p{q}") from None
+        """incident[p] at q's place in neighbours[p]."""
+        if 0 <= p < self.num_physical and q in self.neighbours[p]:
+            return self.incident[p][self.neighbours[p].index(q)]
+        raise DeviceError(f"no edge between p{p} and p{q}")
+
+
+def component_sizes(n: int, pairs) -> tuple[int, ...]:
+    """Component sizes of the graph on 0..n-1 with edges `pairs`, largest
+    first."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for a, b in pairs:
+        root[find(a)] = find(b)
+    return tuple(sorted(Counter(map(find, range(n))).values(), reverse=True))
 
 
 def _integer(x, what: str) -> int:
@@ -160,4 +188,4 @@ def scaled_log_fidelity(f: float) -> int:
 
 def swap_log_fidelity(device: Device, edge: int) -> int:
     """A SWAP costs three two-qubit gates on its edge: 3 * scaled log f2."""
-    return 3 * scaled_log_fidelity(device.f_two[edge])
+    return 3 * device.scaled_profile[2][edge]

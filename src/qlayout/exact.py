@@ -4,8 +4,8 @@ The model places every input gate in time on a fixed device, threading a
 time-indexed logical-to-physical mapping through inserted SWAP gates; the
 mapping at a gate's slot decides where it runs. Under strict dependencies
 gate l can only run in its window [asap(l), T-1-tail(l)] (longest chains
-before and after it, circuit.chain_depths), so its time variable spans that
-window and its clause families cover those slots alone. A SWAP takes S
+before and after it, Circuit.asap and Circuit.tail), so its time variable
+spans that window and its clause families cover those slots alone. A SWAP takes S
 slots, so none finishes before slot S-1: eq5's unit rows fix those sigma
 columns to 0, and the SWAP families (eq6, eq7, eq10's SWAP literals, eq11)
 start at slot S-1, stating nothing the root already decides. Solved
@@ -36,7 +36,7 @@ that a 2-SWAP schedule cannot drop to 1.
 
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
-gate's slot and recomputes the fidelity.
+gate's slot and sums the fidelity from the device's weights as it goes.
 
 The symmetry pins live here too. _symmetry_pins keeps the device's
 cost-preserving automorphisms and picks orbit representatives for the
@@ -57,16 +57,13 @@ from __future__ import annotations
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import islice, permutations
 
 from . import solver as sv
-from .circuit import Circuit, chain_depths
-from .device import Device, DeviceError, scaled_log_fidelity, swap_log_fidelity
+from .circuit import Circuit
+from .device import Device, DeviceError, swap_log_fidelity
 from .results import GatePlacement, SwapPlacement, SynthesisResult
-from . import verify
 
 OBJECTIVES = ("depth", "swap", "fidelity")
 # enumerate_automorphisms gives up on groups larger than this.
@@ -108,33 +105,16 @@ class VariableSet:
     sigma: list  # sigma[k][t] handle
 
 
-@lru_cache(maxsize=64)
-def _component_sizes(n: int, pairs: tuple) -> tuple[int, ...]:
-    """Component sizes of the graph on 0..n-1 with edges `pairs`, largest
-    first; cached, as each flow call asks them of its device."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    for a, b in pairs:
-        root[find(a)] = find(b)
-    return tuple(sorted(Counter(map(find, range(n))).values(), reverse=True))
-
-
 def _fits(circuit: Circuit, device: Device) -> bool:
     """Whether some horizon can host the circuit: the interaction graph's
     components pack into the device's connected components, as a qubit
     never leaves its device component and SWAPs inside one bring any two of
     its qubits together. They do when the largest holds every qubit; else
     exact search, largest component first, each free size tried once."""
-    free = _component_sizes(device.num_physical, device.edges)
+    free = device.components
     if circuit.num_qubits <= max(free, default=0):
         return True
-    items = _component_sizes(circuit.num_qubits,
-                             tuple(g.qubits for g in circuit.gates if g.is_two_qubit))
+    items = circuit.components
 
     def pack(i: int, free: tuple) -> bool:
         if i == len(items) or items[i] == 1:
@@ -146,28 +126,12 @@ def _fits(circuit: Circuit, device: Device) -> bool:
 
 
 def _check_fits(circuit: Circuit, device: Device) -> None:
-    """TCapExceeded unless _fits; each flow's check before any search."""
+    """ValueError unless the circuit is preprocessed, TCapExceeded unless
+    _fits; each flow's check before any search."""
+    if circuit.dependencies is None:
+        raise ValueError("circuit must be preprocessed before synthesis")
     if not _fits(circuit, device):
         raise TCapExceeded("the circuit's interaction graph never fits the device's components")
-
-
-def _check_ordered(circuit: Circuit) -> None:
-    """ValueError unless a dependency path orders every two gates on one
-    qubit: the exact model and its embedding path keep gates apart only
-    through dependencies, as the default ones do. The sorted pairs give each
-    gate's ancestors; consecutive gates on a qubit are checked, which orders
-    all of them by transitivity."""
-    ancestors = [0] * circuit.num_gates
-    for l, lp in circuit.dependencies:
-        ancestors[lp] |= ancestors[l] | 1 << l
-    last: dict[int, int] = {}
-    for g in circuit.gates:
-        for q in g.qubits:
-            if q in last and not ancestors[g.index] >> last[q] & 1:
-                raise ValueError(
-                    f"gates {last[q]} and {g.index} share q{q} with no dependency "
-                    f"path between them: the exact flow needs them ordered")
-            last[q] = g.index
 
 
 def _placements(partners, adj, deadline: float | None):
@@ -226,25 +190,12 @@ def _placements(partners, adj, deadline: float | None):
     yield from place(0)
 
 
-def _interaction_partners(circuit: Circuit) -> list[set[int]]:
-    """The interaction graph as _placements' pattern: partners[q] holds
-    every qubit that shares a two-qubit gate with q."""
-    partners = [set() for _ in range(circuit.num_qubits)]
-    for g in circuit.gates:
-        if g.is_two_qubit:
-            a, b = g.qubits
-            partners[a].add(b)
-            partners[b].add(a)
-    return partners
-
-
 def _embedding(circuit: Circuit, device: Device, deadline: float | None = None):
     """A placement that needs no SWAP: a distinct node per qubit with the
     operands of every two-qubit gate on an edge, or None when none exists.
     It is _placements' first, so qubits with no two-qubit gate take the
     free nodes in index order."""
-    return next(_placements(_interaction_partners(circuit), device.neighbours, deadline),
-                None)
+    return next(_placements(circuit.partners, device.neighbours, deadline), None)
 
 
 def enumerate_automorphisms(device: Device, deadline: float | None = None):
@@ -301,18 +252,10 @@ def _one_swap_cover(partners, device: Device, edges, deadline: float | None) -> 
             return True
     return False
 
-def _scaled_profile(device: Device) -> tuple[list[int], list[int], list[int]]:
-    """The fidelity profile as the objective sees it: the scaled_log_fidelity
-    weights of each node's measurement and one-qubit gate and of each edge's
-    two-qubit gate. Two sites weigh the same when these integers are equal."""
-    return tuple([scaled_log_fidelity(f) for f in fs]
-                 for fs in (device.f_measure, device.f_single, device.f_two))
-
-
-def _profile_invariant(device: Device, perm, profile) -> bool:
-    """Whether perm maps every site to one of the same scaled weight;
-    profile is _scaled_profile(device)."""
-    w0, w1, w2 = profile
+def _profile_invariant(device: Device, perm) -> bool:
+    """Whether perm maps every site to one of the same scaled weight
+    (Device.scaled_profile)."""
+    w0, w1, w2 = device.scaled_profile
     for p in range(device.num_physical):
         if w0[perm[p]] != w0[p] or w1[perm[p]] != w1[p]:
             return False
@@ -341,8 +284,7 @@ def _symmetry_pins(circuit: Circuit, device: Device, objective: str, perms):
     if M == 0 or perms is None or len(perms) <= 1:
         return []
     if objective == "fidelity":
-        profile = _scaled_profile(device)
-        perms = [g for g in perms if _profile_invariant(device, g, profile)]
+        perms = [g for g in perms if _profile_invariant(device, g)]
         if len(perms) <= 1:
             return []
     N = device.num_physical
@@ -380,7 +322,7 @@ def _pins_and_swap_bound(circuit: Circuit, device: Device, objective: str,
     if not needs_swap:
         return pins, 0
     if objective == "swap" and not _one_swap_cover(
-            _interaction_partners(circuit), device, _edge_orbit_reps(device, perms), deadline):
+            circuit.partners, device, _edge_orbit_reps(device, perms), deadline):
         return pins, 2
     return pins, 1
 
@@ -418,7 +360,7 @@ def encode(circuit: Circuit, device: Device, config: EncodingConfig, *,
     # empty, so the model gets one empty clause and keeps all T slots.
     windows = [range(T)] * circuit.num_gates
     if not coarse:
-        asap, tail = chain_depths(circuit)
+        asap, tail = circuit.asap, circuit.tail
         if all(a + b < T for a, b in zip(asap, tail)):
             windows = [range(a, T - b) for a, b in zip(asap, tail)]
         else:
@@ -551,8 +493,8 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
                        circuit: Circuit):
     """Maximize the integer-scaled log-fidelity sum.
 
-    Each weight class of _scaled_profile (measurement per node, one-qubit
-    gates per node, two-qubit gates per edge) whose weights are all equal
+    Each weight class of Device.scaled_profile (measurement per node,
+    one-qubit gates per node, two-qubit gates per edge) whose weights are all equal
     folds into a constant: each qubit adds the measurement weight and each
     gate of that kind its gate weight, with no column or row. Otherwise the
     measurement weighs pi_q^{T-1}, and a gate gets its node or edge as a
@@ -562,7 +504,7 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
     or "sigma_k^t == 1"; a nonzero constant weighs the literal of a
     one-value int, so the objective value is the whole fidelity.
     """
-    measure, single, two = _scaled_profile(device)
+    measure, single, two = device.scaled_profile
     N = device.num_physical
     at = [[model.lits(h) for h in row] for row in vs.pi]
     const = 0
@@ -589,8 +531,8 @@ def objective_fidelity(model: sv.Model, vs: VariableSet, device: Device,
                 rows += [[now ^ 1, here[p] ^ 1, *map(placed, sites[p])] for p in range(N)]
         terms += [(w, placed(s)) for s, w in enumerate(weights) if w]
     model.require_clauses(rows)
-    swap = [swap_log_fidelity(device, k) for k in range(len(vs.sigma))]
-    terms += [(w, model.lits(h)[1]) for w, row in zip(swap, vs.sigma) if w for h in row]
+    terms += [(w, model.lits(h)[1]) for k, row in enumerate(vs.sigma)
+              if (w := swap_log_fidelity(device, k)) for h in row]
     if const:
         terms.append((const, model.lits(model.int_var(const, const, "fidelity_const"))[0]))
     model.maximize(terms)
@@ -627,17 +569,26 @@ def build_result(circuit: Circuit, device: Device, solver_T: int, initial,
     """The one constructor of every flow's SynthesisResult.
 
     times[l] is gate l's slot; swaps are sorted (finish, edge) pairs. The
-    trajectory replays the SWAPs from `initial` with swap_step, slot by
-    slot, up to slot max(1, depth, last finish + 2), so each SWAP's mapping
-    change shows. Each gate's node or edge is read off it at the gate's slot
-    (non-adjacent operands mean a wrong model: SolverBackendError), and
-    fidelity_scaled is recomputed by verify.metrics.
+    trajectory replays the SWAPs from `initial` with swap_step, at each slot
+    where some finish (a slot where none does repeats its row), up to slot
+    max(1, depth, last finish + 2), so each SWAP's mapping change shows.
+    Each gate's node or edge is read off it at the gate's slot (non-adjacent
+    operands mean a wrong model: SolverBackendError), and fidelity_scaled
+    sums Device.scaled_profile over the gates and each qubit's final node
+    and swap_log_fidelity over the SWAPs, as verify.metrics recomputes it.
     """
     depth_slots = max(times) + 1 if times else 0
     horizon = max(1, depth_slots, swaps[-1][0] + 2 if swaps else 0)
+    finishing: dict[int, list[int]] = {}
+    for finish, k in swaps:
+        finishing.setdefault(finish, []).append(k)
     traj = [tuple(initial)]
     for t in range(horizon - 1):
-        traj.append(swap_step(traj[-1], [k for f, k in swaps if f == t], device))
+        edges = finishing.get(t)
+        traj.append(swap_step(traj[-1], edges, device) if edges else traj[-1])
+    measure, single, two = device.scaled_profile
+    scaled = sum(measure[p] for p in traj[-1]) + sum(swap_log_fidelity(device, k)
+                                                     for _, k in swaps)
     gates = []
     for g, t in zip(circuit.gates, times):
         p, q = traj[t][g.qubits[0]], traj[t][g.qubits[-1]]
@@ -646,20 +597,19 @@ def build_result(circuit: Circuit, device: Device, solver_T: int, initial,
         except DeviceError:
             raise sv.SolverBackendError(
                 f"gate {g.index} at slot {t}: p{p}, p{q} not adjacent") from None
+        scaled += (two if g.is_two_qubit else single)[x]
         gates.append(GatePlacement(gate_id=g.index, time=t, location=x))
-    base = SynthesisResult(
+    return SynthesisResult(
         solver_T=solver_T,
         depth_slots=depth_slots,
         swap_count=len(swaps),
-        fidelity_scaled=0,
+        fidelity_scaled=scaled,
         initial_mapping=traj[0],
         gates=tuple(gates),
         swaps=tuple(SwapPlacement(edge=k, finish_time=finish) for finish, k in swaps),
         mapping_trajectory=tuple(traj),
         depth_blocks=depth_blocks,
     )
-    _, _, scaled, _ = verify.metrics(circuit, device, base)
-    return replace(base, fidelity_scaled=scaled)
 
 
 def decode(circuit: Circuit, device: Device, verdict: sv.Verdict,
@@ -810,7 +760,7 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
 
     When the circuit fits the device with no SWAP (_embedding), and the
     objective is swap, depth, or fidelity with every weight class of
-    _scaled_profile uniform, that placement with the gates at their ASAP
+    Device.scaled_profile uniform, that placement with the gates at their ASAP
     slots meets the objective's bound at T0: 0 SWAPs, depth equal to the
     longest chain, and fidelity its constant, as no SWAP term is positive.
     It is returned with no model and no solve, and with the details the
@@ -834,24 +784,25 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
     optimal up to that horizon). The symmetry pins are found once, for the
     TB attempt and every horizon, under the objective applied.
 
-    Every input, the order of the gates on each qubit (_check_ordered) and
-    the fit (_check_fits) are checked before any path.
+    Every input, the order of the gates on each qubit (Circuit.unordered)
+    and the fit (_check_fits) are checked before any path.
     config.timeout bounds the whole call: every search and solve keeps its
     one deadline.
     """
-    if circuit.longest_chain is None:
-        raise ValueError("circuit must be preprocessed before synthesis")
     config = replace(config or EncodingConfig(T=1), objective=objective)
     deadline = _deadline(config.timeout, config.max_T, extra_t)
-    _check_ordered(circuit)
+    if circuit.unordered:
+        l, lp, q = circuit.unordered
+        raise ValueError(f"gates {l} and {lp} share q{q} with no dependency path "
+                         f"between them: the exact flow needs them ordered")
     _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
     needs_swap = False
     if T0 <= config.max_T and (objective != "fidelity" or all(
-            len(set(ws)) <= 1 for ws in _scaled_profile(device))):
+            len(set(ws)) <= 1 for ws in device.scaled_profile)):
         placement = _embedding(circuit, device, deadline)
         if placement is not None:
-            asap, _ = chain_depths(circuit)
+            asap = circuit.asap
             result = build_result(circuit, device, T0, placement, asap, [])
             value = {"swap": 0, "depth": max(asap, default=0),
                      "fidelity": result.fidelity_scaled}[objective]

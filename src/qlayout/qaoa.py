@@ -111,8 +111,6 @@ def synthesize_qaoa(circuit: Circuit, device: Device, objective: str = "swap",
     bounds the whole call: every step keeps its one deadline.
     """
     deadline = _deadline(timeout, max_T)
-    if circuit.dependencies is None:
-        raise ValueError("circuit must be preprocessed before synthesis")
     for g in circuit.gates:
         if not g.is_two_qubit:
             raise ValueError(

@@ -6,8 +6,9 @@ gate/SWAP conflict families dropped: a transition owns the block boundary.
 The solved assignment becomes a TransitionPlan; asap_schedule replays it
 with real S-slot SWAPs and emits a result that passes the full verifier.
 
-Each plan is compiled once into schedule tables (per-gate predecessors,
-ancestor sets and dependency tails, per-block gate nodes and fired SWAPs). One
+Each plan is compiled once into schedule tables (the circuit's per-gate
+predecessors, ancestor sets and dependency tails, and the plan's per-block
+gate nodes and fired SWAPs). One
 node-availability scheduler, _schedule_core, runs on them: for the ASAP
 replay, and for the block splits and partial splits the polish step bounds
 and scores. The polish walks every feasible block split, and skips each
@@ -36,7 +37,7 @@ from dataclasses import replace
 from typing import NamedTuple
 
 from . import solver as sv
-from .circuit import Circuit, chain_depths
+from .circuit import Circuit
 from .device import Device
 from .exact import (
     OBJECTIVES,
@@ -195,7 +196,8 @@ def check_plan(plan: TransitionPlan, circuit: Circuit, device: Device) -> None:
 
 
 class _ScheduleTables(NamedTuple):
-    """A plan's mappings and transitions, compiled for _schedule_core.
+    """A plan's mappings and transitions, compiled for _schedule_core, with
+    the circuit's own tables the scheduler reads.
 
     They do not depend on the gate-to-block split, so one set serves every
     split of the same plan.
@@ -203,10 +205,11 @@ class _ScheduleTables(NamedTuple):
 
     num_physical: int
     # preds[l]: the dependency predecessors of gate l, transitively reduced
-    preds: list[list[int]]
+    # (Circuit.preds)
+    preds: tuple[tuple[int, ...], ...]
     # tail[l]: the longest dependency chain after gate l, in gates; a
-    # schedule runs at least that many slots after l
-    tail: list[int]
+    # schedule runs at least that many slots after l (Circuit.tail)
+    tail: tuple[int, ...]
     # nodes[b][l]: gate l's physical nodes under block b's mapping; a
     # one-qubit gate lists its node twice
     nodes: list[list[tuple[int, int]]]
@@ -215,39 +218,24 @@ class _ScheduleTables(NamedTuple):
     fired: list[list[tuple[int, int, int]]]
     # ancestors[l]: gate l's dependency ancestors, as a bit set; the
     # polish reads them (_dominated), the scheduler does not
-    ancestors: list[int]
+    ancestors: tuple[int, ...]
 
 
 def _schedule_tables(plan: TransitionPlan, circuit: Circuit,
                     device: Device) -> _ScheduleTables:
     """Build the schedule tables of a plan (see _ScheduleTables).
 
-    A predecessor implied through another one is dropped. Gate indices are
-    a topological order, and a schedule runs each gate after its
-    predecessors (a plan never puts a dependent gate in an earlier block),
-    so times strictly rise along every dependency path and the implied
-    predecessor never binds.
+    Circuit.preds drops a predecessor implied through another one: a
+    schedule runs each gate after its predecessors (a plan never puts a
+    dependent gate in an earlier block), so times strictly rise along every
+    dependency path and the implied predecessor never binds.
     """
-    L = circuit.num_gates
-    preds: list[list[int]] = [[] for _ in range(L)]
-    for l, lp in circuit.dependencies:
-        preds[lp].append(l)
-    ancestors = [0] * L
-    for l in range(L):
-        if preds[l]:
-            through = 0
-            for i in preds[l]:
-                through |= ancestors[i]
-            preds[l] = [i for i in preds[l] if not through >> i & 1]
-            for i in preds[l]:
-                through |= 1 << i
-            ancestors[l] = through
     nodes = [[(row[g.qubits[0]], row[g.qubits[-1]]) for g in circuit.gates]
              for row in plan.block_mapping]
     fired = [[(k, *device.edges[k]) for k in sorted(edges)]
              for edges in (*plan.transitions, ())]
-    _, tail = chain_depths(circuit)
-    return _ScheduleTables(device.num_physical, preds, tail, nodes, fired, ancestors)
+    return _ScheduleTables(device.num_physical, circuit.preds, circuit.tail, nodes, fired,
+                           circuit.ancestors)
 
 
 def _schedule_core(tables: _ScheduleTables, order, S: int,

@@ -1,13 +1,15 @@
-"""Gate-list parsing and dependency preprocessing."""
+"""Gate-list parsing, dependency preprocessing and the tables a circuit
+derives from its dependencies."""
+
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qlayout.circuit import (
     Circuit,
     CircuitError,
     Gate,
-    chain_depths,
     load_circuit,
     parse_program,
     preprocess,
@@ -125,8 +127,7 @@ def test_longest_chain_empty():
 def test_chain_requires_dependencies():
     c = parse_program(OR_TEXT)
     assert c.dependencies is None and c.longest_chain is None
-    with pytest.raises(CircuitError):
-        chain_depths(c)
+    assert c.asap is c.tail is c.preds is c.partners is c.unordered is None
 
 
 def test_load_circuit_is_preprocessed():
@@ -205,7 +206,106 @@ def test_chain_depths_are_longest_paths(text, raw_pairs):
     assert default.dependencies == _shared_qubit_pairs(c)
     assert declared.dependencies == tuple(sorted(set(user)))
     for circuit in (default, declared):
-        asap, tail = chain_depths(circuit)
-        assert asap == _dfs_path_lengths(n, circuit.dependencies, forward=False)
-        assert tail == _dfs_path_lengths(n, circuit.dependencies, forward=True)
+        asap, tail = circuit.asap, circuit.tail
+        assert list(asap) == _dfs_path_lengths(n, circuit.dependencies, forward=False)
+        assert list(tail) == _dfs_path_lengths(n, circuit.dependencies, forward=True)
         assert circuit.longest_chain == max((a + 1 + b for a, b in zip(asap, tail)), default=0)
+
+
+def _two_pass_chain_depths(circuit):
+    """(asap, tail) per gate by one forward and one backward pass over the
+    sorted pairs."""
+    asap = [0] * circuit.num_gates
+    tail = [0] * circuit.num_gates
+    for l, lp in circuit.dependencies:
+        asap[lp] = max(asap[lp], asap[l] + 1)
+    for l, lp in reversed(circuit.dependencies):
+        tail[l] = max(tail[l], tail[lp] + 1)
+    return asap, tail
+
+
+def _ancestor_closure(circuit):
+    """Each gate's ancestors as a bit set, closed over the sorted pairs."""
+    ancestors = [0] * circuit.num_gates
+    for l, lp in circuit.dependencies:
+        ancestors[lp] |= ancestors[l] | 1 << l
+    return ancestors
+
+
+def _first_unordered(circuit, ancestors):
+    """The first two gates in a row on one qubit with no dependency path
+    between them, as (l, l', q), or None."""
+    last = {}
+    for g in circuit.gates:
+        for q in g.qubits:
+            if q in last and not ancestors[g.index] >> last[q] & 1:
+                return last[q], g.index, q
+            last[q] = g.index
+    return None
+
+
+def _partners_and_components(circuit):
+    """The interaction graph's partner sets and its component sizes,
+    largest first, by search from each unvisited qubit."""
+    partners = [set() for _ in range(circuit.num_qubits)]
+    for g in circuit.gates:
+        if g.is_two_qubit:
+            a, b = g.qubits
+            partners[a].add(b)
+            partners[b].add(a)
+    seen, sizes = set(), []
+    for q in range(circuit.num_qubits):
+        if q not in seen:
+            stack, size = [q], 0
+            seen.add(q)
+            while stack:
+                size += 1
+                for r in partners[stack.pop()] - seen:
+                    seen.add(r)
+                    stack.append(r)
+            sizes.append(size)
+    return partners, sorted(sizes, reverse=True)
+
+
+def _assert_tables(circuit):
+    asap, tail = _two_pass_chain_depths(circuit)
+    ancestors = _ancestor_closure(circuit)
+    partners, components = _partners_and_components(circuit)
+    assert (list(circuit.asap), list(circuit.tail)) == (asap, tail)
+    assert circuit.longest_chain == max(asap, default=-1) + 1
+    assert list(circuit.ancestors) == ancestors
+    # the reduced predecessors drop exactly those implied through another
+    for lp, preds in enumerate(circuit.preds):
+        direct = [l for l, m in circuit.dependencies if m == lp]
+        assert list(preds) == [l for l in direct
+                               if not any(ancestors[i] >> l & 1 for i in direct)]
+    assert [set(ps) for ps in circuit.partners] == partners
+    assert list(circuit.components) == components
+    assert circuit.unordered == _first_unordered(circuit, ancestors)
+    for table in (circuit.asap, circuit.tail, circuit.ancestors, circuit.preds,
+                  circuit.partners, circuit.components):
+        assert isinstance(table, tuple)
+
+
+@st.composite
+def dependency_lists(draw, num_gates):
+    """None (the default dependencies), [] or drawn user pairs."""
+    later = [(l, lp) for lp in range(num_gates) for l in range(lp)]
+    return draw(st.one_of(st.none(), st.just([]),
+                          st.lists(st.sampled_from(later), max_size=10) if later
+                          else st.just([])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(), st.data())
+def test_circuit_tables_equal_their_references(text, data):
+    # each table a circuit derives from its dependencies equals a
+    # from-scratch reference, and a circuit rebuilt by replace with other
+    # dependencies derives its own
+    c = parse_program(text)
+    circuit = preprocess(c, data.draw(dependency_lists(c.num_gates)))
+    _assert_tables(circuit)
+    other = preprocess(c, data.draw(dependency_lists(c.num_gates))).dependencies
+    rebuilt = replace(circuit, dependencies=other)
+    _assert_tables(rebuilt)
+    assert rebuilt == preprocess(c, other)

@@ -1,9 +1,11 @@
 """Device model: validation, derived structures, fidelity scaling."""
 
 import math
+from dataclasses import replace
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from importlib import resources
 
 from qlayout.device import (
@@ -151,3 +153,62 @@ def test_swap_log_fidelity_triples():
 def test_scaled_log_close_to_real(f):
     s = scaled_log_fidelity(f)
     assert abs(1000.0 * math.log(f) - s) <= 0.5
+
+
+@st.composite
+def profiled_devices(draw):
+    """A device on 1 to 6 nodes with drawn edges and a drawn fidelity profile."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    f = st.floats(min_value=0.5, max_value=1.0)
+    return build_device(n, edges, {
+        "measure": draw(st.lists(f, min_size=n, max_size=n)),
+        "single": draw(st.lists(f, min_size=n, max_size=n)),
+        "two": draw(st.lists(f, min_size=len(edges), max_size=len(edges)))})
+
+
+def _components(device):
+    """Component sizes, largest first, by search from each unvisited node."""
+    seen, sizes = set(), []
+    for p in range(device.num_physical):
+        if p not in seen:
+            stack, size = [p], 0
+            seen.add(p)
+            while stack:
+                size += 1
+                for r in set(device.neighbours[stack.pop()]) - seen:
+                    seen.add(r)
+                    stack.append(r)
+            sizes.append(size)
+    return sorted(sizes, reverse=True)
+
+
+def _assert_tables(device):
+    assert device.scaled_profile == tuple(
+        tuple(scaled_log_fidelity(f) for f in fs)
+        for fs in (device.f_measure, device.f_single, device.f_two))
+    assert list(device.components) == _components(device)
+    n = device.num_physical
+    for p in range(-1, n + 1):
+        for q in range(-1, n + 1):
+            key = (min(p, q), max(p, q))
+            if key in device.edges:
+                assert device.edge_index(p, q) == device.edges.index(key)
+            else:
+                with pytest.raises(DeviceError):
+                    device.edge_index(p, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiled_devices(), profiled_devices())
+def test_device_tables_equal_their_references(device, other):
+    # the weights are scaled_log_fidelity of each entry, edge_index is
+    # edges.index on the canonical pair, and a device rebuilt by replace
+    # derives its own tables
+    _assert_tables(device)
+    rebuilt = replace(device, num_physical=other.num_physical, edges=other.edges,
+                      incident=other.incident, neighbours=other.neighbours,
+                      f_measure=other.f_measure, f_single=other.f_single,
+                      f_two=other.f_two)
+    _assert_tables(rebuilt)

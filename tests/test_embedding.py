@@ -18,7 +18,6 @@ from qlayout.exact import (
     TCapExceeded,
     _embedding,
     _pins_and_swap_bound,
-    _scaled_profile,
     apply_objective,
     decode,
     encode,
@@ -50,7 +49,7 @@ def _value(result, objective):
 
 
 def _uniform(device):
-    return all(len(set(ws)) <= 1 for ws in _scaled_profile(device))
+    return all(len(set(ws)) <= 1 for ws in device.scaled_profile)
 
 
 def _brute_force_embeds(circuit, device):

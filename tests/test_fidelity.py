@@ -7,20 +7,25 @@ optimum on every model, and the same model wherever no class is uniform.
 """
 
 import random
+from dataclasses import replace
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlayout import solver as sv
 from qlayout.circuit import load_circuit
 from qlayout.device import build_device, load_device, scaled_log_fidelity, swap_log_fidelity
 from qlayout.exact import (
+    OBJECTIVES,
     EncodingConfig,
     TCapExceeded,
     encode,
     objective_fidelity,
     synthesize,
 )
+from qlayout.qaoa import phase_separation_from_graph, synthesize_qaoa
+from qlayout.transition import synthesize_tb
 from qlayout.verify import check_result, metrics
 from test_exact import ORACLE_DEVICES, _random_program, flow_pins
 
@@ -171,3 +176,44 @@ def test_weights_equal_after_scaling_keep_the_uniform_pins():
     pins = flow_pins(circuit, base, "fidelity")
     assert len(pins[0]) == 1  # one orbit of nodes
     assert flow_pins(circuit, near, "fidelity") == pins
+
+
+def _flow_results(circuit, device, objective):
+    """(circuit, result) of the exact and TB flows on the circuit and of
+    the QAOA flow on its two-qubit gates, all commuting."""
+    commuting = phase_separation_from_graph(
+        [g.qubits for g in circuit.gates if g.is_two_qubit], circuit.num_qubits)
+    return [(circuit, synthesize(circuit, device, objective)),
+            (circuit, synthesize_tb(circuit, device, objective)[1]),
+            (commuting, synthesize_qaoa(commuting, device, objective))]
+
+
+def _assert_fidelity_recomputes(circuit, device, result, S):
+    # build_result sums the device's weights; verify recomputes them from
+    # the fidelities, and check_result still refuses a sum off by one
+    assert result.fidelity_scaled == metrics(circuit, device, result)[2]
+    assert check_result(circuit, device, result, S) == []
+    off = replace(result, fidelity_scaled=result.fidelity_scaled + 1)
+    assert [v["family"] for v in check_result(circuit, device, off, S)] == ["shape"]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("device_name", ["qx2", "grid2x3"])
+@pytest.mark.parametrize("circuit_name", ["or", "adder", "qaoa5", "4mod5-v1_22"])
+def test_every_flow_sums_the_fidelity_verify_recomputes(circuit_name, device_name,
+                                                        objective):
+    circuit = load_circuit((DATA / f"{circuit_name}.gates").read_text())
+    device = load_device((DATA / f"{device_name}.json").read_text())
+    for (flow_circuit, result), S in zip(_flow_results(circuit, device, objective), (3, 3, 1)):
+        _assert_fidelity_recomputes(flow_circuit, device, result, S)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), device_name=st.sampled_from(["qx2", "grid2x3"]),
+       objective=st.sampled_from(OBJECTIVES), data=st.data())
+def test_every_flow_sums_a_drawn_profile_as_verify_does(seed, device_name, objective, data):
+    base = load_device((DATA / f"{device_name}.json").read_text())
+    device = build_device(base.num_physical, base.edges, data.draw(profiles(base)))
+    circuit = load_circuit(_random_program(random.Random(seed)))
+    for (flow_circuit, result), S in zip(_flow_results(circuit, device, objective), (3, 3, 1)):
+        _assert_fidelity_recomputes(flow_circuit, device, result, S)

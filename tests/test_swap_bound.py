@@ -14,7 +14,6 @@ from qlayout.exact import (
     EncodingConfig,
     _edge_orbit_reps,
     _fits,
-    _interaction_partners,
     _one_swap_cover,
     enumerate_automorphisms,
     synthesize,
@@ -81,7 +80,7 @@ def _check_bound(text, device_name, commuting):
         # with no order between the gates, a cover is a one-SWAP schedule
         assert bound == min(optimum, 2)
     perms = enumerate_automorphisms(device)
-    partners = _interaction_partners(circuit)
+    partners = circuit.partners
     assert _one_swap_cover(partners, device, _edge_orbit_reps(device, perms), None) \
         == _one_swap_cover(partners, device, device.edges, None)
 
@@ -181,7 +180,7 @@ def test_each_flow_runs_the_cover_check_at_most_once(monkeypatch, flow, circuit,
 def test_the_cover_check_keeps_the_deadline():
     circuit, device = load_circuit(K4_TEXT), ORACLE_DEVICES["path"]
     with pytest.raises(exact.SynthesisTimeout):
-        _one_swap_cover(_interaction_partners(circuit), device, device.edges, 0.0)
+        _one_swap_cover(circuit.partners, device, device.edges, 0.0)
 
 
 @pytest.mark.parametrize("name, reps", [

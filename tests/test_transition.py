@@ -12,7 +12,6 @@ from qlayout import transition
 from qlayout.circuit import (
     Circuit,
     Gate,
-    chain_depths,
     load_circuit,
     parse_program,
     preprocess,
@@ -607,7 +606,7 @@ def test_polish_bounds_are_sound(instance, S, data):
     gate_time, _ = transition._schedule_core(tables, _block_order(split, B), S)
     depth = max(gate_time) + 1
     assert circuit.longest_chain <= depth
-    _, tail = chain_depths(circuit)
+    tail = circuit.tail
     for k in range(1, L + 1):
         prefix = _block_order(split[:k], B)
         times, _ = transition._schedule_core(tables, prefix, S)
@@ -900,7 +899,7 @@ def test_no_clause_family_repeats_a_column_in_a_row(circuit_name, device_name):
     device = bundled_device(f"{device_name.removeprefix('skewed ')}.json")
     if device_name.startswith("skewed"):
         device = _skewed(device)
-        assert all(len(set(ws)) == len(ws) for ws in exact._scaled_profile(device))
+        assert all(len(set(ws)) == len(ws) for ws in device.scaled_profile)
     for objective in OBJECTIVES:
         pins = flow_pins(circuit, device, objective)
         config = EncodingConfig(T=circuit.longest_chain, objective=objective)
