@@ -302,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default="exact")
     p.add_argument("--objective", choices=OBJECTIVES, default="swap")
     p.add_argument("--extra-t", type=int, default=0, metavar="N",
-                   help="extra horizon growth steps after the first "
-                        "satisfiable T (exact mode)")
+                   help="extra satisfiable horizons after the first, unless the "
+                        "result already meets its proven bound (exact mode)")
     p.add_argument("--out", help="write result JSON here")
     p.set_defaults(func=cmd_synth)
 

@@ -12,9 +12,10 @@ start at slot S-1, stating nothing the root already decides. Solved
 exactly, the decoded schedule is optimal for the reached time horizon under
 the objective.
 
-solve_horizons is the one horizon loop of every flow: the exact flow grows
-T geometrically, the transition-based and QAOA flows one block at a time.
-When the circuit's interaction graph embeds in the coupling graph
+solve_horizons is the one horizon loop of every flow, and the one exit of
+each flow call: the exact flow grows T geometrically, the transition-based
+and QAOA flows one block at a time, and the loop returns the decoded
+answer. When the circuit's interaction graph embeds in the coupling graph
 (_embedding, a subgraph search), the exact flow needs no model for the
 swap, depth and uniform-profile fidelity objectives: that placement,
 scheduled ASAP, meets the objective's bound at the first horizon. The
@@ -29,10 +30,13 @@ interaction graph on E ∪ s(E). When no edge gives such a placement
 (_one_swap_cover, one edge per orbit of the device's automorphisms), every
 solution needs 2 SWAPs. With a bound of 1 the exact flow first runs the
 coarse flow, and a TB schedule with 1 SWAP at the longest chain's depth
-meets both bounds and needs no exact model (_one_swap_certificate). The
-loop hands each solve the lower bound it has proven, so the core stops
-tightening an incumbent that reaches it: a bound of 2 spares the proof
-that a 2-SWAP schedule cannot drop to 1.
+meets both bounds and needs no exact model. The exact flow hands such a
+model-free answer, this one or the embedding's, to the loop, which returns
+it at the first horizon with no solve. The loop hands each solve the lower
+bound it has proven, so the core stops tightening an incumbent that
+reaches it: a bound of 2 spares the proof that a 2-SWAP schedule cannot
+drop to 1. A satisfiable horizon whose value meets that bound ends the
+loop, as no later horizon can beat it.
 
 build_result is the one result builder of every flow: it replays the SWAPs
 into the mapping trajectory, reads each gate's node or edge off it at the
@@ -670,17 +674,24 @@ def _deadline(timeout, max_T, extra_t: int = 0) -> float | None:
 
 def solve_horizons(build, T: int, grow, objective: str,
                    deadline: float | None, max_T: int, extra_t: int = 0,
-                   min_swaps: int = 0):
-    """The horizon loop of every flow. build(T) returns (model, variables)
-    with the objective applied; the loop solves horizons T, grow(T), ...,
-    each clamped to max_T, so max_T is the last one tried. T is the first
-    horizon that can be satisfiable.
+                   min_swaps: int = 0, known=None):
+    """The horizon loop and the one exit of every flow call. build(T)
+    returns (model, read), the model with the objective applied and
+    read(verdict) the flow's answer decoded from a satisfying verdict; the
+    loop solves horizons T, grow(T), ..., each clamped to max_T, so max_T
+    is the last one tried. T is the first horizon that can be satisfiable.
 
-    It stops extra_t >= 0 satisfiable horizons after the first, keeping the
-    strictly best verdict (the first of equal ones). Every solve keeps the
-    caller's deadline (_deadline). Returns (verdict, variables, details);
-    raises TCapExceeded when no horizon tried is satisfiable and
-    SynthesisTimeout when a solve reaches the deadline.
+    known is the caller's (value, answer) when it has proven, with no
+    model, that the answer is optimal at every horizon; the loop returns it
+    at T with no build and no solve.
+
+    Otherwise it stops extra_t >= 0 satisfiable horizons after the first,
+    or at a satisfiable one whose value equals the proven bound below, as
+    no later horizon can beat it. It keeps the strictly best verdict (the
+    first of equal ones), read when it becomes the best. Every solve keeps
+    the caller's deadline (_deadline). Returns (answer, details); raises
+    TCapExceeded when no horizon tried is satisfiable and SynthesisTimeout
+    when a solve reaches the deadline.
 
     Each solve gets the lower bound the loop has proven on the objective,
     so the core stops tightening an incumbent that reaches it (sv.solve):
@@ -695,19 +706,22 @@ def solve_horizons(build, T: int, grow, objective: str,
     """
     bound = {"swap": min_swaps, "depth": T - 1}.get(objective)
     tried = []
-    best = None
+    best = None  # (value, answer, horizon)
     while T <= max_T:
-        model, vs = build(T)
-        verdict = sv.solve(model, deadline, bound=bound)
         tried.append(T)
+        if known is not None:
+            best = (*known, T)
+            break
+        model, read = build(T)
+        verdict = sv.solve(model, deadline, bound=bound)
         if verdict.status == sv.TIMEOUT:
             raise SynthesisTimeout(f"solver hit time budget at T={T}")
         if verdict.status == sv.SAT:
-            if best is None or _better(objective, verdict.objective_value,
-                                       best[0].objective_value):
-                best = (verdict, vs, T)
+            value = verdict.objective_value
+            if best is None or _better(objective, value, best[0]):
+                best = (value, read(verdict), T)
             extra_t -= 1
-            if extra_t < 0:
+            if extra_t < 0 or value == bound:
                 break
         elif objective == "depth":
             bound = T
@@ -716,73 +730,42 @@ def solve_horizons(build, T: int, grow, objective: str,
         T = min(grow(T), max_T)
     if best is None:
         raise TCapExceeded(f"no satisfiable horizon up to max_T={max_T}")
-    verdict, vs, solver_T = best
-    return verdict, vs, SynthesisDetails(verdict.objective_value, tried, solver_T)
-
-
-def _one_swap_certificate(circuit: Circuit, device: Device, config: EncodingConfig,
-                          pins, T0: int, deadline: float | None) -> SynthesisResult | None:
-    """The TB flow's schedule under swap when it meets both lower bounds,
-    with the solver_T the exact model proves, else None.
-
-    The caller's bound is 1 (_pins_and_swap_bound): _embedding found no
-    placement, so every solution at every horizon has at least 1 SWAP, but
-    a one-SWAP cover exists; with a bound of 2 no schedule could meet it.
-    None is shorter than T0 slots. A TB schedule is a valid exact-time
-    schedule; with 1 SWAP and depth T0 it is a solution of the exact model
-    at T0 (its SWAP finishes before the last gate, or dropping it would
-    leave a placement), so that model is satisfiable at T0, the first
-    horizon, with optimum 1. The pins do not change this: an automorphic
-    image of the schedule meets the pinned model's bounds with the same
-    SWAP count.
-
-    The coarse flow (transition._solve_coarse) runs once with the caller's
-    pins and bound from two blocks, within the caller's deadline; a
-    TCapExceeded there returns None, a SynthesisTimeout propagates.
-    """
-    from .transition import _solve_coarse  # transition imports this module
-
-    try:
-        _, tb, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
-                                 config.max_T, pins=pins, min_swaps=1)
-    except TCapExceeded:
-        return None
-    if tb.swap_count != 1 or tb.depth_slots != T0:
-        return None
-    return replace(tb, solver_T=T0, depth_blocks=None)
+    value, answer, solver_T = best
+    return answer, SynthesisDetails(value, tried, solver_T)
 
 
 def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
                config: EncodingConfig | None = None, extra_t: int = 0,
                return_details: bool = False):
     """The exact flow: an optimal result at the first satisfiable horizon,
-    from T0 = max(1, longest dependency chain).
+    from T0 = max(1, longest dependency chain). Its one exit is the horizon
+    loop, solve_horizons, which also returns the two answers below that
+    need no exact model, as the solver would prove them: at T0, with
+    tried_T [T0].
 
     When the circuit fits the device with no SWAP (_embedding), and the
     objective is swap, depth, or fidelity with every weight class of
     Device.scaled_profile uniform, that placement with the gates at their ASAP
     slots meets the objective's bound at T0: 0 SWAPs, depth equal to the
     longest chain, and fidelity its constant, as no SWAP term is positive.
-    It is returned with no model and no solve, and with the details the
-    solver would prove: solver_T and tried_T are T0.
+    This path finds no automorphism.
 
     When it does not, under swap, every solution needs at least 1 SWAP and
     T0 slots, and 2 SWAPs when the interaction graph has no one-SWAP cover
     either (_pins_and_swap_bound). With a bound of 1, the transition-based
-    flow runs once; if its schedule has 1 SWAP and depth T0, it meets both
-    bounds and is returned with no exact model, as the solver would report
-    it: value 1, solver_T and tried_T T0 (_one_swap_certificate). Depth and
-    fidelity are not certified this way. In both cases extra_t cannot
-    improve a value that already meets its bound, so no later horizon is
-    tried.
+    flow runs once, with the call's pins; if its schedule has 1 SWAP and
+    depth T0, it meets both bounds and is the answer, with value 1. Depth
+    and fidelity are not certified this way.
 
     Otherwise T grows geometrically from T0 until the model is
     satisfiable, and the optimal assignment at that horizon is decoded;
-    each solve gets the SWAP bound, so the core stops tightening at it.
+    each solve gets the proven bound, so the core stops tightening at it.
     extra_t forces additional growth steps after the first satisfiable T,
     keeping the best result seen (the first-satisfiable-T optimum is only
-    optimal up to that horizon). The symmetry pins are found once, for the
-    TB attempt and every horizon, under the objective applied.
+    optimal up to that horizon), unless the result already meets its
+    bound: no later horizon can improve it. The symmetry pins are found
+    once, for the TB attempt and every horizon, under the objective
+    applied.
 
     Every input, the order of the gates on each qubit (Circuit.unordered)
     and the fit (_check_fits) are checked before any path.
@@ -797,31 +780,41 @@ def synthesize(circuit: Circuit, device: Device, objective: str = "swap",
                          f"between them: the exact flow needs them ordered")
     _check_fits(circuit, device)
     T0 = max(1, circuit.longest_chain)
-    needs_swap = False
-    if T0 <= config.max_T and (objective != "fidelity" or all(
-            len(set(ws)) <= 1 for ws in device.scaled_profile)):
-        placement = _embedding(circuit, device, deadline)
-        if placement is not None:
-            asap = circuit.asap
-            result = build_result(circuit, device, T0, placement, asap, [])
-            value = {"swap": 0, "depth": max(asap, default=0),
-                     "fidelity": result.fidelity_scaled}[objective]
-            details = SynthesisDetails(value, [T0], T0)
-            return (result, details) if return_details else result
-        needs_swap = True
-    pins, min_swaps = _pins_and_swap_bound(circuit, device, objective, needs_swap, deadline)
+    searched = T0 <= config.max_T and (objective != "fidelity" or all(
+        len(set(ws)) <= 1 for ws in device.scaled_profile))
+    placement = _embedding(circuit, device, deadline) if searched else None
+    pins, min_swaps, known = (), 0, None
+    if placement is not None:  # a zero-qubit circuit's placement is ()
+        asap = circuit.asap
+        result = build_result(circuit, device, T0, placement, asap, [])
+        known = ({"swap": 0, "depth": max(asap, default=0),
+                  "fidelity": result.fidelity_scaled}[objective], result)
+    else:
+        pins, min_swaps = _pins_and_swap_bound(circuit, device, objective, searched,
+                                               deadline)
     if objective == "swap" and min_swaps == 1:
-        result = _one_swap_certificate(circuit, device, config, pins, T0, deadline)
-        if result is not None:
-            details = SynthesisDetails(1, [T0], T0)
-            return (result, details) if return_details else result
+        from .transition import _solve_coarse  # transition imports this module
+
+        # A TB schedule is a valid exact-time schedule; with 1 SWAP and depth
+        # T0 it is a solution of the exact model at T0 (its SWAP finishes
+        # before the last gate, or dropping it would leave a placement), so
+        # it meets both bounds there. A bound of 2 leaves no such schedule.
+        # The pins do not change this: an automorphic image of the schedule
+        # meets the pinned model's bounds with the same SWAP count. A coarse
+        # TCapExceeded leaves the exact model to decide.
+        try:
+            _, tb, _ = _solve_coarse(circuit, device, "swap", config.S, deadline,
+                                     config.max_T, pins=pins, min_swaps=1)
+        except TCapExceeded:
+            tb = None
+        if tb is not None and (tb.swap_count, tb.depth_slots) == (1, T0):
+            known = (1, replace(tb, solver_T=T0, depth_blocks=None))
 
     def build(T):
         model, vs = encode(circuit, device, replace(config, T=T), pins=pins)
         apply_objective(model, vs, objective, device, circuit)
-        return model, vs
+        return model, lambda verdict: decode(circuit, device, verdict, vs, T, objective)
 
-    verdict, vs, details = solve_horizons(
-        build, T0, grow_T, objective, deadline, config.max_T, extra_t, min_swaps)
-    result = decode(circuit, device, verdict, vs, details.solver_T, objective)
+    result, details = solve_horizons(build, T0, grow_T, objective, deadline, config.max_T,
+                                     extra_t, min_swaps, known)
     return (result, details) if return_details else result

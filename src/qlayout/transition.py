@@ -26,7 +26,7 @@ one-SWAP certificate: it finds the symmetry pins and the SWAP bound once
 with exact._pins_and_swap_bound (or takes the caller's), runs the one
 horizon loop, exact.solve_horizons, on encode_tb with them, from two
 blocks when the interaction graph does not embed (exact._embedding), then
-polishes and schedules its plan. encode_tb hands the pins to exact.encode,
+polishes and schedules the plan the loop returns (extract_plan). encode_tb hands the pins to exact.encode,
 which owns the pin clauses; the coarse model adds only its cuts.
 """
 
@@ -489,11 +489,14 @@ def _solve_coarse(circuit: Circuit, device: Device, objective: str, S: int,
         needs_swap = _embedding(circuit, device, deadline) is None
         pins, min_swaps = _pins_and_swap_bound(circuit, device, objective, needs_swap,
                                                deadline)
-    verdict, vs, details = solve_horizons(
-        lambda T: encode_tb(circuit, device, T, objective, pins=pins),
-        1 if min_swaps == 0 else 2, lambda T: T + 1, objective, deadline, max_T,
-        min_swaps=min_swaps)
-    plan = _polish_plan(extract_plan(circuit, device, verdict, vs), circuit, device, S)
+
+    def build(T):
+        model, vs = encode_tb(circuit, device, T, objective, pins=pins)
+        return model, lambda verdict: extract_plan(circuit, device, verdict, vs)
+
+    plan, details = solve_horizons(build, 1 if min_swaps == 0 else 2, lambda T: T + 1,
+                                   objective, deadline, max_T, min_swaps=min_swaps)
+    plan = _polish_plan(plan, circuit, device, S)
     return plan, asap_schedule(plan, circuit, device, S, deadline), details
 
 

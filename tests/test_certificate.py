@@ -21,7 +21,7 @@ from qlayout.exact import (
 from qlayout.oracle import oracle_optimal
 from qlayout.verify import check_result
 from test_embedding import _count_builds
-from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, flow_pins
+from test_exact import ORACLE_DEVICES, bundled_circuit, bundled_device, flow_pins, spy_searches
 from test_transition import CUT_DEVICES
 
 # _count_builds spies on exact.encode: the coarse model's encodes go through
@@ -79,9 +79,9 @@ def test_a_result_without_an_exact_model_is_the_exact_optimum(text, device_name,
 
     def build(T):
         model, vs = encode(circuit, device, EncodingConfig(T=T, S=S), pins=pins)
-        return apply_objective(model, vs, "swap", device, circuit), vs
+        return apply_objective(model, vs, "swap", device, circuit), lambda verdict: verdict
 
-    verdict, _, proven = solve_horizons(build, T0, grow_T, "swap", None, 12)
+    verdict, proven = solve_horizons(build, T0, grow_T, "swap", None, 12)
     assert (verdict.objective_value, proven.solver_T) == (result.swap_count, T0)
     assert details == proven
 
@@ -90,8 +90,12 @@ def test_a_result_without_an_exact_model_is_the_exact_optimum(text, device_name,
 def test_bundled_rows_take_the_certificate(monkeypatch, circuit_name, T0):
     circuit, device = bundled_circuit(f"{circuit_name}.gates"), bundled_device("qx2.json")
     builds = _count_builds(monkeypatch)
+    searches = spy_searches(monkeypatch)
     result, details = synthesize(circuit, device, "swap", return_details=True)
     assert builds == []
+    # the TB run takes the exact flow's pins and bound, so it searches for
+    # neither an embedding nor automorphisms again
+    assert searches == ["embedding", "automorphisms"]
     assert (result.swap_count, result.depth_slots, result.solver_T) == (1, T0, T0)
     assert result.depth_blocks is None
     assert details == SynthesisDetails(1, [T0], T0)

@@ -121,11 +121,10 @@ def test_embedding_is_exact(instance):
             model, vs = encode(circuit, device,
                                exact.EncodingConfig(T=T, objective=objective))
             apply_objective(model, vs, objective, device, circuit)
-            return model, vs
+            return model, lambda verdict: decode(circuit, device, verdict, vs, T, objective)
 
-        verdict, vs, proven = solve_horizons(
+        expected, proven = solve_horizons(
             build, max(1, circuit.longest_chain), grow_T, objective, None, 256)
-        expected = decode(circuit, device, verdict, vs, proven.solver_T, objective)
         result, details = synthesize(circuit, device, objective, return_details=True)
         assert check_result(circuit, device, result) == []
         assert result.swap_count == 0
@@ -137,9 +136,12 @@ def test_embedding_is_exact(instance):
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_perfect_layout_builds_no_model(monkeypatch, objective):
     builds = _count_builds(monkeypatch)
+    searches = spy_searches(monkeypatch)
     circuit, device = bundled_circuit("or.gates"), bundled_device("qx2.json")
     result, details = synthesize(circuit, device, objective, return_details=True)
     assert builds == []
+    # the embedding answers the call: no pins, no SWAP bound, no TB run
+    assert searches == ["embedding"]
     assert check_result(circuit, device, result) == []
     assert (result.swap_count, result.depth_slots, result.solver_T) == (0, 9, 9)
     assert (details.tried_T, details.solver_T) == ([9], 9)
@@ -169,6 +171,22 @@ def test_ring_pair_under_swap_builds_no_model(monkeypatch):
     # the fidelity optimum keeps the pair off the bad link, (0, 3)
     result = synthesize(PAIR, RING, "fidelity")
     assert set(result.initial_mapping) != {0, 3}
+
+
+@pytest.mark.parametrize("text", ["qubits 0\n", "qubits 2\n"], ids=["0 qubits", "2 idle qubits"])
+def test_circuits_with_no_gate_need_no_swap(monkeypatch, text):
+    # the exact flow answers each from its embedding, () for no qubit, with
+    # no exact model; the coarse encodes go through transition's own name
+    # and are not counted
+    circuit, device = load_circuit(text, user_deps=[]), bundled_device("qx2.json")
+    builds = _count_builds(monkeypatch)
+    for objective in OBJECTIVES:
+        for result in (synthesize(circuit, device, objective),
+                       synthesize_tb(circuit, device, objective)[1],
+                       synthesize_qaoa(circuit, device, objective)):
+            assert result.swap_count == 0
+            assert check_result(circuit, device, result) == []
+    assert builds == []
 
 
 @pytest.mark.parametrize("device_name", ["qx2.json", "grid2x3.json"])

@@ -100,6 +100,26 @@ def test_extra_t_keeps_best():
     assert widened.swap_count <= base.swap_count
 
 
+@pytest.mark.parametrize("circuit_name,device_name,objective,extra_t,tried,value", [
+    ("4mod5-v1_22", "qx2", "depth", 2, [14], 13),  # depth 14 is the longest chain
+    ("qaoa5", "grid2x3", "swap", 1, [15], 1),  # 1 SWAP: no embedding
+    # 2 SWAPs at T0 = 14, above the bound of 1, so the walk goes on
+    ("4mod5-v1_22", "grid2x3", "swap", 1, [14, 19], 1),
+])
+def test_a_value_at_its_bound_ends_the_horizon_walk(circuit_name, device_name, objective,
+                                                    extra_t, tried, value):
+    # extra_t asks for later horizons, but none can beat a value at its
+    # proven bound, so the satisfiable horizon that reaches it is the last
+    circuit = bundled_circuit(f"{circuit_name}.gates")
+    device = bundled_device(f"{device_name}.json")
+    result, details = synthesize(circuit, device, objective, extra_t=extra_t,
+                                 return_details=True)
+    assert (details.tried_T, details.solver_T, details.objective_value) == \
+        (tried, tried[-1], value)
+    assert result.solver_T == tried[-1]
+    assert check_result(circuit, device, result) == []
+
+
 def test_negative_extra_t_is_refused_before_any_build(monkeypatch):
     circ = load_circuit("qubits 3\ncx q0 q1\ncx q1 q2\ncx q0 q2\n")
     builds = []

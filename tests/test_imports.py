@@ -181,6 +181,18 @@ def test_one_path_from_a_plan_to_a_result():
         "_retime_block": {"transition.asap_schedule"}}
 
 
+def test_the_horizon_loop_is_the_one_exit_of_a_flow_call():
+    # exact.solve_horizons alone solves a model and records how the call
+    # ended; the exact flow hands it its model-free answers, so no
+    # certificate function of its own is left
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert callers(sources, ("SynthesisDetails", "solve", "_one_swap_certificate")) == {
+        "SynthesisDetails": {"exact.solve_horizons"},
+        "solve": {"exact.solve_horizons"},
+        "_one_swap_certificate": set()}
+    assert "exact._one_swap_certificate" not in parameters(sources)
+
+
 def test_callers_are_caught():
     source = (
         "def f():\n    def inner():\n        return g()\n    return inner()\n"

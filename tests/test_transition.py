@@ -277,13 +277,13 @@ def test_tb_runs_faster_than_exact_on_adder(monkeypatch):
 
     def build(T):
         model, vs = encode(circ, dev, EncodingConfig(T=T), pins=pins)
-        return exact.apply_objective(model, vs, "swap", dev, circ), vs
+        return exact.apply_objective(model, vs, "swap", dev, circ), lambda verdict: verdict
 
     _, tb_work = _search_work(
         monkeypatch, lambda: synthesize_tb(circ, dev, objective="swap"))
     # the exact model the flow solved on this row before the TB schedule
     # certified it: the horizon loop from T0 with the pins
-    (verdict, _, details), exact_work = _search_work(
+    (verdict, details), exact_work = _search_work(
         monkeypatch, lambda: exact.solve_horizons(
             build, circ.longest_chain, exact.grow_T, "swap", None, 256, min_swaps=1))
     assert (verdict.objective_value, details.solver_T) == (1, 16)
